@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import dataclass
 from itertools import combinations, product
@@ -39,6 +40,7 @@ from .oracle import (
     find_kernel_bruteforce,
     is_clique_acyclic,
     kernel_exists_masks,
+    maximal_independent_set_masks,
 )
 
 __all__ = [
@@ -291,6 +293,20 @@ def _enumerate_leaves(
     yield from rec(0)
 
 
+def _check_sweep_input(
+    graph: UndirectedGraph, symmetry_reduction: bool, labeling: Optional[AntiholeLabeling]
+) -> None:
+    if len(graph.edges) > MAX_EDGES:
+        raise SizeCapError(
+            f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
+        )
+    if symmetry_reduction:
+        if labeling is None:
+            raise ContractError("symmetry reduction needs the anti-hole labeling")
+        if labeling.graph() != graph:
+            raise ContractError("labeling does not match the graph")
+
+
 def enumerate_simple_clique_acyclic_orientations(
     graph: UndirectedGraph,
     symmetry_reduction: bool = False,
@@ -303,17 +319,8 @@ def enumerate_simple_clique_acyclic_orientations(
     work-splitting hook).  Symmetry reduction needs the anti-hole labeling
     and emits one orientation per dihedral orbit.
     """
-    if len(graph.edges) > MAX_EDGES:
-        raise SizeCapError(
-            f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
-        )
-    actions = None
-    if symmetry_reduction:
-        if labeling is None:
-            raise ContractError("symmetry reduction needs the anti-hole labeling")
-        if labeling.graph() != graph:
-            raise ContractError("labeling does not match the graph")
-        actions = dihedral_edge_actions(labeling)
+    _check_sweep_input(graph, symmetry_reduction, labeling)
+    actions = dihedral_edge_actions(labeling) if symmetry_reduction else None
     edges, completions = _clique_completions(graph, 2)
     for digits in _enumerate_leaves(len(edges), completions, 2, prefix, actions):
         yield digits_to_orientation(digits, graph, edges)
@@ -358,17 +365,15 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool, prefix_depth: int) -> s
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _oracle_masks(n: int, edges, digits) -> tuple[list[int], list[int]]:
-    out = [0] * n
-    adjacency = [0] * n
+def _oracle_masks(n: int, edges, digits) -> list[int]:
+    """In-neighbour masks of the orientation given by `digits`."""
+    inn = [0] * n
     for (u, v), digit in zip(edges, digits):
-        adjacency[u] |= 1 << v
-        adjacency[v] |= 1 << u
         if digit != 1:
-            out[u] |= 1 << v
+            inn[v] |= 1 << u
         if digit != 0:
-            out[v] |= 1 << u
-    return out, adjacency
+            inn[u] |= 1 << v
+    return inn
 
 
 def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
@@ -377,6 +382,12 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
     n, edges, num_values, symmetry, task_prefix, leaf_budget = args
     graph = UndirectedGraph(n, edges)
     _, completions = _clique_completions(graph, num_values)
+    # every leaf orients `graph`, so its maximal independent sets are the
+    # kernel candidates of every leaf
+    candidates = tuple(
+        maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
+    )
+    full = (1 << n) - 1
     actions = (
         dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
     )
@@ -385,8 +396,7 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
         len(edges), completions, num_values, tuple(task_prefix), actions
     ):
         examined += 1
-        out, adjacency = _oracle_masks(n, edges, digits)
-        if not kernel_exists_masks(n, out, adjacency):
+        if not kernel_exists_masks(full, _oracle_masks(n, edges, digits), candidates):
             return examined, digits, False
         if leaf_budget is not None and examined >= leaf_budget:
             return examined, None, True
@@ -396,12 +406,24 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
 def _load_checkpoint(path: Path, signature: str) -> Optional[dict]:
     if not path.exists():
         return None
-    state = json.loads(path.read_text())
+    try:
+        state = json.loads(path.read_text())
+    except ValueError as exc:
+        raise ContractError(f"checkpoint {path} is not valid JSON ({exc})") from None
+    if not isinstance(state, dict):
+        raise ContractError(f"checkpoint {path} does not hold a JSON object")
     if state.get("signature") != signature:
         raise ContractError(
             f"checkpoint {path} belongs to a different run "
             f"(signature {state.get('signature')!r}, expected {signature!r})"
         )
+    for key in ("next_task", "examined"):
+        value = state.get(key)
+        if type(value) is not int or value < 0:
+            raise ContractError(
+                f"checkpoint {path} is incomplete: {key} is {value!r}, "
+                f"expected a non-negative integer"
+            )
     return state
 
 
@@ -428,15 +450,9 @@ def verify_kernel_solvable(
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
-    if len(graph.edges) > MAX_EDGES:
-        raise SizeCapError(
-            f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
-        )
-    if symmetry_reduction:
-        if labeling is None:
-            raise ContractError("symmetry reduction needs the anti-hole labeling")
-        if labeling.graph() != graph:
-            raise ContractError("labeling does not match the graph")
+    _check_sweep_input(graph, symmetry_reduction, labeling)
+    if prefix_depth is not None and prefix_depth < 0:
+        raise ContractError(f"prefix depth must be non-negative, got {prefix_depth}")
     num_values = 2 if mode == "simple" else 3
     edges = tuple(graph.sorted_edges())
     n = graph.vertex_count
@@ -473,7 +489,9 @@ def verify_kernel_solvable(
         # under the cursor never double-counts after a resume
         if checkpoint_path is None:
             return
-        checkpoint_path.write_text(
+        # a crash mid-write must leave the previous checkpoint intact
+        partial = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
+        partial.write_text(
             json.dumps(
                 {
                     "signature": signature,
@@ -485,6 +503,7 @@ def verify_kernel_solvable(
                 }
             )
         )
+        os.replace(partial, checkpoint_path)
 
     if budget is not None:
         jobs = 1
@@ -558,34 +577,20 @@ def search_clique_acyclic_no_kernel(
     graph: UndirectedGraph, budget: Optional[int] = None
 ) -> SearchOutcome:
     """Hunt for a clique-acyclic orientation (reversible edges allowed)
-    without a kernel.
+    without a kernel: the general-mode sweep of `verify_kernel_solvable`.
 
     Edge values are tried reversible-last, so simple witnesses surface
     first where they exist.  Exhaustion without a witness certifies that
     the graph is kernel-solvable; running out of budget is reported as an
     explicitly unknown outcome.
     """
-    if len(graph.edges) > MAX_EDGES:
-        raise SizeCapError(
-            f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
-        )
-    edges, completions = _clique_completions(graph, 3)
-    n = graph.vertex_count
-    examined = 0
-    for digits in _enumerate_leaves(len(edges), completions, 3):
-        examined += 1
-        out, adjacency = _oracle_masks(n, edges, digits)
-        if not kernel_exists_masks(n, out, adjacency):
-            orientation = digits_to_orientation(digits, graph, edges)
-            digraph = orientation.to_digraph()
-            if not is_clique_acyclic(digraph).holds:
-                raise InternalInvariantError("witness is not clique-acyclic")
-            if find_kernel_bruteforce(digraph).exists:
-                raise InternalInvariantError("witness has a kernel")
-            return SearchOutcome("witness", orientation, examined)
-        if budget is not None and examined >= budget:
-            return SearchOutcome("unknown", None, examined)
-    return SearchOutcome("exhausted", None, examined)
+    verdict = verify_kernel_solvable(graph, mode="general", budget=budget)
+    status = {
+        "counterexample": "witness",
+        "solvable": "exhausted",
+        "exhausted_budget": "unknown",
+    }[verdict.verdict]
+    return SearchOutcome(status, verdict.counterexample, verdict.orientations_examined)
 
 
 def find_near_sink(orientation: Orientation, labeling: Optional[AntiholeLabeling] = None) -> int:

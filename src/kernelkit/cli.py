@@ -67,7 +67,12 @@ def _expect(obj, kinds, what: str):
 
 def _env_budget():
     raw = os.environ.get("KERNELKIT_BUDGET")
-    return int(raw) if raw else None
+    if not raw:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ContractError(f"KERNELKIT_BUDGET must be an integer, got {raw!r}") from None
 
 
 def _budget(args):

@@ -32,6 +32,7 @@ __all__ = [
     "strongly_connected_components",
     "enumerate_directed_cycles",
     "bits_of",
+    "union_of",
 ]
 
 
@@ -41,6 +42,16 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def union_of(masks, subset: int) -> int:
+    """OR of `masks[v]` over the set bits v of `subset`."""
+    acc = 0
+    while subset:
+        low = subset & -subset
+        acc |= masks[low.bit_length() - 1]
+        subset ^= low
+    return acc
 
 
 class VertexSet:
@@ -183,18 +194,12 @@ class Digraph:
     def out_neighborhood(self, subset) -> VertexSet:
         """Union of out-neighbors of the subset, excluding the subset itself."""
         m = _subset_mask(self.vertex_count, subset)
-        acc = 0
-        for v in bits_of(m):
-            acc |= self._out[v]
-        return VertexSet.from_mask(self.vertex_count, acc & ~m)
+        return VertexSet.from_mask(self.vertex_count, union_of(self._out, m) & ~m)
 
     def in_neighborhood(self, subset) -> VertexSet:
         """Union of in-neighbors of the subset, excluding the subset itself."""
         m = _subset_mask(self.vertex_count, subset)
-        acc = 0
-        for v in bits_of(m):
-            acc |= self._in[v]
-        return VertexSet.from_mask(self.vertex_count, acc & ~m)
+        return VertexSet.from_mask(self.vertex_count, union_of(self._in, m) & ~m)
 
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
@@ -248,38 +253,23 @@ class Digraph:
 def is_independent(digraph: Digraph, subset) -> bool:
     """True iff no arc in either direction joins two members of the subset."""
     m = _subset_mask(digraph.vertex_count, subset)
-    for v in bits_of(m):
-        if digraph._out[v] & m:
-            return False
-    return True
+    return union_of(digraph._out, m) & m == 0
 
 
 def is_kernel(digraph: Digraph, subset) -> bool:
     """True iff the subset is independent and every outside vertex has an
     arc into it."""
     m = _subset_mask(digraph.vertex_count, subset)
-    if not is_independent(digraph, VertexSet.from_mask(digraph.vertex_count, m)):
-        return False
-    outside = ((1 << digraph.vertex_count) - 1) & ~m
-    for v in bits_of(outside):
-        if not digraph._out[v] & m:
-            return False
-    return True
+    full = (1 << digraph.vertex_count) - 1
+    return union_of(digraph._out, m) & m == 0 and m | union_of(digraph._in, m) == full
 
 
 def is_semi_kernel(digraph: Digraph, subset) -> bool:
     """True iff the subset is independent and every vertex receiving an arc
     from it sends an arc back into it."""
     m = _subset_mask(digraph.vertex_count, subset)
-    if not is_independent(digraph, VertexSet.from_mask(digraph.vertex_count, m)):
-        return False
-    reached = 0
-    for v in bits_of(m):
-        reached |= digraph._out[v]
-    for w in bits_of(reached & ~m):
-        if not digraph._out[w] & m:
-            return False
-    return True
+    reached = union_of(digraph._out, m)
+    return reached & m == 0 and reached & ~union_of(digraph._in, m) == 0
 
 
 # -- strongly connected components --------------------------------------

@@ -6,6 +6,12 @@ absorption forces every kernel to be a maximal independent set, which
 raises the practical size cap far above 2^n scanning.  All witnesses are
 selected lexicographically (least sorted member tuple first) so golden
 tests stay reproducible.
+
+The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
+base graph, simple or with reversible edges, has that graph as its
+underlying graph, so the kernel candidates are the base graph's maximal
+independent sets: the sweep computes that fixed list once per prefix task
+and tests each leaf's in-masks against it.
 """
 
 from __future__ import annotations
@@ -20,6 +26,7 @@ from .digraph import (
     bits_of,
     is_kernel,
     is_semi_kernel,
+    union_of,
 )
 from .errors import ContractError, SemiKernelRecursionError, SizeCapError
 
@@ -124,14 +131,6 @@ def _adjacency(digraph: Digraph) -> list[int]:
     return [digraph._out[v] | digraph._in[v] for v in range(digraph.vertex_count)]
 
 
-def _absorbs(digraph: Digraph, mask: int) -> bool:
-    outside = ((1 << digraph.vertex_count) - 1) & ~mask
-    for v in bits_of(outside):
-        if not digraph._out[v] & mask:
-            return False
-    return True
-
-
 def find_kernel_bruteforce(
     digraph: Digraph,
     cap: int = DEFAULT_VERTEX_CAP,
@@ -146,11 +145,11 @@ def find_kernel_bruteforce(
     """
     n = digraph.vertex_count
     _check_cap(n, cap)
-    adjacency = _adjacency(digraph)
+    full = (1 << n) - 1
     witness = None
     count = 0
-    for mask in maximal_independent_set_masks(n, adjacency, split=split):
-        if _absorbs(digraph, mask):
+    for mask in maximal_independent_set_masks(n, _adjacency(digraph), split=split):
+        if mask | union_of(digraph._in, mask) == full:
             count += 1
             if witness is None:
                 witness = VertexSet.from_mask(n, mask)
@@ -167,17 +166,14 @@ def kernel_exists(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
     return find_kernel_bruteforce(digraph, cap=cap).exists
 
 
-def kernel_exists_masks(n: int, out_masks: list[int], adjacency: list[int]) -> bool:
+def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
     """Existence-only kernel oracle on raw masks; the hot path for the
-    orientation enumeration loops."""
-    full = (1 << n) - 1
-    for mask in maximal_independent_set_masks(n, adjacency):
-        for v in bits_of(full & ~mask):
-            if not out_masks[v] & mask:
-                break
-        else:
-            return True
-    return False
+    orientation sweeps.
+
+    `candidates` must hold every maximal independent set of the digraph's
+    underlying graph; a candidate is a kernel iff it absorbs the rest.
+    """
+    return any(s | union_of(in_masks, s) == full for s in candidates)
 
 
 def enumerate_kernels(
@@ -188,11 +184,11 @@ def enumerate_kernels(
     """All kernels, in lexicographic order of their sorted member tuples."""
     n = digraph.vertex_count
     _check_cap(n, cap)
-    adjacency = _adjacency(digraph)
+    full = (1 << n) - 1
     return [
         VertexSet.from_mask(n, mask)
-        for mask in maximal_independent_set_masks(n, adjacency, split=split)
-        if _absorbs(digraph, mask)
+        for mask in maximal_independent_set_masks(n, _adjacency(digraph), split=split)
+        if mask | union_of(digraph._in, mask) == full
     ]
 
 
@@ -216,18 +212,9 @@ def find_nonempty_semi_kernel(
     """Lexicographically least non-empty semi-kernel, or None if none exists."""
     n = digraph.vertex_count
     _check_cap(n, cap)
-    adjacency = _adjacency(digraph)
-    out = digraph._out
-    for mask in _independent_set_masks_lex(n, adjacency):
-        reached = 0
-        for v in bits_of(mask):
-            reached |= out[v]
-        ok = True
-        for w in bits_of(reached & ~mask):
-            if not out[w] & mask:
-                ok = False
-                break
-        if ok:
+    for mask in _independent_set_masks_lex(n, _adjacency(digraph)):
+        # an independent set reaches only outside vertices
+        if not union_of(digraph._out, mask) & ~union_of(digraph._in, mask):
             return VertexSet.from_mask(n, mask)
     return None
 
@@ -262,14 +249,9 @@ def kernel_via_semikernel_recursion(
                 f"strategy returned {sorted(found)} which is not a semi-kernel "
                 f"of the induced subdigraph on {labels}"
             )
-        s_mask = 0
-        removed = 0
-        for i in found:
-            v = labels[i]
-            s_mask |= 1 << v
-            removed |= digraph._in[v]
+        s_mask = sum(1 << labels[i] for i in found)
         kernel_mask |= s_mask
-        alive &= ~(removed | s_mask)
+        alive &= ~(s_mask | union_of(digraph._in, s_mask))
     result = VertexSet.from_mask(n, kernel_mask)
     assert is_kernel(digraph, result)
     return result

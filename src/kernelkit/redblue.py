@@ -31,6 +31,7 @@ from .digraph import (
     is_independent,
     is_kernel,
     strongly_connected_components,
+    union_of,
 )
 from .errors import (
     BudgetExceededError,
@@ -242,14 +243,8 @@ def antichain_potential(
 
 def _family_violation(cd: ColoredDigraph, i_mask: int) -> Optional[int]:
     """Vertex w with a red arc from the set but no arc back, or None."""
-    d = cd.digraph
-    red_reach = 0
-    for v in bits_of(i_mask):
-        red_reach |= cd._red_out[v]
-    for w in bits_of(red_reach & ~i_mask):
-        if not d._out[w] & i_mask:
-            return w
-    return None
+    answered = i_mask | union_of(cd.digraph._in, i_mask)
+    return next(bits_of(union_of(cd._red_out, i_mask) & ~answered), None)
 
 
 def _require_family(cd: ColoredDigraph, i_mask: int, label: str) -> None:
@@ -265,10 +260,7 @@ def _require_family(cd: ColoredDigraph, i_mask: int, label: str) -> None:
 
 def _unabsorbed_mask(d: Digraph, i_mask: int) -> int:
     """Vertices neither in the set nor sending an arc into it."""
-    absorbed = 0
-    for v in bits_of(i_mask):
-        absorbed |= d._in[v]
-    return ((1 << d.vertex_count) - 1) & ~(i_mask | absorbed)
+    return ((1 << d.vertex_count) - 1) & ~(i_mask | union_of(d._in, i_mask))
 
 
 def _init_vertex_within(cd: ColoredDigraph, u_mask: int) -> Optional[int]:

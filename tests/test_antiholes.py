@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -284,6 +285,38 @@ class TestVerify:
             (0, 2), (1, 3), (2, 4), (3, 0), (4, 1),
         ]
 
+    @pytest.mark.parametrize(
+        "content",
+        ['{"signature": ', "[]", None],
+        ids=["truncated", "not-an-object", "missing-fields"],
+    )
+    def test_corrupt_checkpoint_rejected(self, tmp_path, content):
+        checkpoint = tmp_path / "run.json"
+        g, _ = gen_antihole(7)
+        if content is None:
+            verify_kernel_solvable(g, checkpoint=str(checkpoint))
+            state = json.loads(checkpoint.read_text())
+            del state["next_task"], state["examined"]
+            content = json.dumps(state)
+        checkpoint.write_text(content)
+        with pytest.raises(ContractError, match="checkpoint"):
+            verify_kernel_solvable(g, checkpoint=str(checkpoint))
+
+    def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
+        checkpoint = tmp_path / "run.json"
+        g, _ = gen_antihole(7)
+        first = verify_kernel_solvable(g, budget=10, checkpoint=str(checkpoint))
+        assert first.verdict == "exhausted_budget"
+        before = checkpoint.read_text()
+
+        def crash(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", crash)
+        with pytest.raises(OSError, match="disk full"):
+            verify_kernel_solvable(g, checkpoint=str(checkpoint))
+        assert checkpoint.read_text() == before
+
     def test_checkpoint_signature_mismatch_rejected(self, tmp_path):
         checkpoint = tmp_path / "run.json"
         g7, lab7 = gen_antihole(7)
@@ -337,6 +370,22 @@ class TestSearchWitness:
         outcome = search_clique_acyclic_no_kernel(g, budget=50)
         assert outcome.status == "unknown"
         assert outcome.orientations_examined == 50
+        verdict = verify_kernel_solvable(g, mode="general", budget=50)
+        assert verdict.verdict == "exhausted_budget"
+        assert verdict.orientations_examined == 50
+
+    @pytest.mark.parametrize(
+        "graph",
+        [gen_antihole(5)[0], UndirectedGraph(3, [(0, 1), (0, 2), (1, 2)])],
+        ids=["antihole5", "k3"],
+    )
+    def test_agrees_with_general_verify(self, graph):
+        outcome = search_clique_acyclic_no_kernel(graph)
+        verdict = verify_kernel_solvable(graph, mode="general")
+        status = {"counterexample": "witness", "solvable": "exhausted"}[verdict.verdict]
+        assert outcome.status == status
+        assert outcome.orientations_examined == verdict.orientations_examined
+        assert outcome.orientation == verdict.counterexample
 
 
 class TestFindNearSink:

@@ -245,6 +245,29 @@ class TestAntiholeCommands:
         assert code == 3
         assert json.loads(out)["status"] == "unknown"
 
+    def test_negative_prefix_depth_exits_two(self, capsys):
+        code, _, err = run_cli(
+            capsys, ["antihole", "verify-simple", "--n", "5", "--prefix-depth", "-3"]
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "prefix depth" in err
+
+    def test_non_integer_env_budget_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setenv("KERNELKIT_BUDGET", "abc")
+        code, _, err = run_cli(capsys, ["antihole", "search-witness", "--n", "5"])
+        assert code == 2
+        assert err.count("\n") == 1 and "KERNELKIT_BUDGET" in err
+
+    def test_corrupt_checkpoint_exits_two(self, capsys, tmp_path):
+        checkpoint = tmp_path / "run.json"
+        checkpoint.write_text('{"signature": "abc", "next_ta')
+        code, _, err = run_cli(
+            capsys,
+            ["antihole", "verify-simple", "--n", "5", "--checkpoint", str(checkpoint)],
+        )
+        assert code == 2
+        assert err.count("\n") == 1 and "not valid JSON" in err
+
     def test_find_near_sink_rejects_seven(self, capsys, monkeypatch):
         c7_orientation = subprocess_output_c7()
         code, _, err = run_cli(

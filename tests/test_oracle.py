@@ -1,5 +1,6 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 from kernelkit import (
@@ -15,10 +16,11 @@ from kernelkit.oracle import (
     find_nonempty_semi_kernel,
     is_M_clique_acyclic,
     is_clique_acyclic,
+    kernel_exists_masks,
     kernel_via_semikernel_recursion,
     maximal_independent_set_masks,
 )
-from strategies import digraphs
+from strategies import digraphs, undirected_graphs
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
 FOUR_CYCLE = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
@@ -104,6 +106,31 @@ class TestMaximalIndependentSets:
         assert set(got) == maximal
         assert len(got) == len(maximal)
         assert got == sorted(got, key=lambda s: tuple(sorted(s)))
+
+
+class TestKernelExistsMasks:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_base_graph_candidates_match_naive(self, data):
+        # digit 0 orients an edge min -> max, 1 max -> min, 2 both ways
+        g = data.draw(undirected_graphs(max_n=6))
+        n = g.vertex_count
+        arcs = []
+        in_masks = [0] * n
+        for u, v in g.sorted_edges():
+            digit = data.draw(st.integers(0, 2))
+            if digit != 1:
+                arcs.append((u, v))
+                in_masks[v] |= 1 << u
+            if digit != 0:
+                arcs.append((v, u))
+                in_masks[u] |= 1 << v
+        candidates = tuple(
+            maximal_independent_set_masks(n, [g.adjacency_mask(v) for v in range(n)])
+        )
+        assert kernel_exists_masks((1 << n) - 1, in_masks, candidates) == bool(
+            naive.naive_kernels(n, arcs)
+        )
 
 
 class TestSemiKernelFinder:
