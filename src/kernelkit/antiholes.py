@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -376,34 +377,41 @@ def _oracle_masks(n: int, edges, digits) -> list[int]:
     return inn
 
 
-def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Enumerate one prefix subtree; returns (examined, first kernel-free
-    assignment or None, whether the leaf budget stopped the task)."""
-    n, edges, num_values, symmetry, task_prefix, leaf_budget = args
-    graph = UndirectedGraph(n, edges)
+def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool):
+    """What every prefix task of a sweep shares: the clique tables, the
+    kernel candidates and the symmetry actions (None without symmetry)."""
+    n = graph.vertex_count
     _, completions = _clique_completions(graph, num_values)
     # every leaf orients `graph`, so its maximal independent sets are the
     # kernel candidates of every leaf
     candidates = tuple(
         maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
     )
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    return completions, candidates, actions
+
+
+def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    """Enumerate one prefix subtree; returns (examined, first kernel-free
+    assignment or None, whether the leaf budget stopped the task)."""
+    n, edges, num_values, tables, task_prefix, leaf_budget = args
+    completions, candidates, actions = tables
     full = (1 << n) - 1
-    actions = (
-        dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    )
     examined = 0
     for digits in _enumerate_leaves(
         len(edges), completions, num_values, tuple(task_prefix), actions
     ):
+        if leaf_budget is not None and examined >= leaf_budget:
+            return examined, None, True
         examined += 1
         if not kernel_exists_masks(full, _oracle_masks(n, edges, digits), candidates):
             return examined, digits, False
-        if leaf_budget is not None and examined >= leaf_budget:
-            return examined, None, True
     return examined, None, False
 
 
-def _load_checkpoint(path: Path, signature: str) -> Optional[dict]:
+def _load_checkpoint(
+    path: Path, signature: str, edge_count: int, num_values: int
+) -> Optional[dict]:
     if not path.exists():
         return None
     try:
@@ -424,6 +432,22 @@ def _load_checkpoint(path: Path, signature: str) -> Optional[dict]:
                 f"checkpoint {path} is incomplete: {key} is {value!r}, "
                 f"expected a non-negative integer"
             )
+    counterexample = state.get("counterexample")
+    if counterexample is not None and not (
+        isinstance(counterexample, list)
+        and len(counterexample) == edge_count
+        and all(type(d) is int and 0 <= d < num_values for d in counterexample)
+    ):
+        raise ContractError(
+            f"checkpoint {path} is corrupt: counterexample is {counterexample!r}, "
+            f"expected null or {edge_count} digits below {num_values}"
+        )
+    elapsed = state.get("elapsed_seconds")
+    if type(elapsed) not in (int, float) or not 0 <= elapsed < math.inf:
+        raise ContractError(
+            f"checkpoint {path} is corrupt: elapsed_seconds is {elapsed!r}, "
+            f"expected a non-negative number"
+        )
     return state
 
 
@@ -442,11 +466,13 @@ def verify_kernel_solvable(
 
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
-    prefix tasks; `jobs` workers process them, results are consumed in task
+    prefix tasks, which share clique tables and kernel candidates built once
+    per call; `jobs` workers process them, results are consumed in task
     order, so counts and the verdict are identical for any worker count and
     any `prefix_depth`.  `budget` caps the number of orientations examined
-    (budgeted runs execute sequentially); `checkpoint` names a JSON file
-    updated after each completed task so an interrupted run resumes.
+    and is tested before each one (budgeted runs execute sequentially);
+    `checkpoint` names a JSON file updated after each completed task so an
+    interrupted run resumes.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -467,11 +493,11 @@ def verify_kernel_solvable(
     elapsed_before = 0.0
     checkpoint_path = Path(checkpoint) if checkpoint else None
     if checkpoint_path is not None:
-        state = _load_checkpoint(checkpoint_path, signature)
+        state = _load_checkpoint(checkpoint_path, signature, len(edges), num_values)
         if state is not None:
             start_task = state["next_task"]
             examined = state["examined"]
-            elapsed_before = state.get("elapsed_seconds", 0.0)
+            elapsed_before = state["elapsed_seconds"]
             if state.get("counterexample") is not None:
                 digits = tuple(state["counterexample"])
                 return _verdict_from_digits(
@@ -507,10 +533,11 @@ def verify_kernel_solvable(
 
     if budget is not None:
         jobs = 1
+    tables = _sweep_tables(graph, num_values, symmetry_reduction)
 
     def task_args(index: int, consumed: int):
         remaining = None if budget is None else budget - consumed
-        return (n, edges, num_values, symmetry_reduction, tasks[index], remaining)
+        return (n, edges, num_values, tables, tasks[index], remaining)
 
     total = examined
     counter_digits = None

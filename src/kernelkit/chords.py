@@ -21,10 +21,9 @@ from .digraph import (
     bits_of,
     enumerate_directed_cycles,
     is_kernel,
-    is_semi_kernel,
+    union_of,
 )
 from .errors import ConditionsViolatedError, ContractError, InternalInvariantError
-from .oracle import kernel_via_semikernel_recursion
 
 __all__ = [
     "RULE_CONSECUTIVE_HEADS",
@@ -268,6 +267,92 @@ def check_duchet_condition(
 
 
 # -- the constructive procedure ---------------------------------------------
+#
+# The construction runs on alive masks over the digraph's own out- and
+# in-masks.  An induced subdigraph keeps the vertex order, so the least
+# vertex of a subdigraph is the least alive vertex and no copy is needed;
+# the nesting of kernels inside semi-kernels lives on an explicit stack,
+# so input size is never limited by Python's recursion limit.
+
+
+def _alternating_path_set(out: list[int], part: int, u: int, below: int) -> int:
+    """The K' = below + {u} vertices that the alternating-path search of
+    `alternating_path_semi_kernel` reaches inside the vertex set `part`."""
+    kprime = below | (1 << u)
+    start = below & out[u]
+    result = start
+    seen = {(v, 0) for v in bits_of(start)}
+    stack = list(seen)
+    while stack:
+        vertex, before = stack.pop()
+        # extending past `vertex` activates its back-arc constraint
+        if out[vertex] & before:
+            continue
+        now_before = before | ((1 << vertex) & kprime)
+        # the next vertex must switch sides between K' and the rest
+        if (kprime >> vertex) & 1:
+            targets = out[vertex] & part & ~kprime
+        else:
+            targets = out[vertex] & kprime
+        for nxt in bits_of(targets):
+            state = (nxt, now_before)
+            if state in seen:
+                continue
+            seen.add(state)
+            result |= (1 << nxt) & kprime
+            stack.append(state)
+    return result
+
+
+def _semi_kernel_from(
+    out: list[int], inn: list[int], part: int, u: int, below: int
+) -> int:
+    """Non-empty semi-kernel of the subdigraph on `part`, given its least
+    vertex u and a kernel `below` of `part` minus N-[u]."""
+    if not below & out[u]:
+        return below | (1 << u)
+    semi = _alternating_path_set(out, part, u, below)
+    if (semi >> u) & 1:
+        raise InternalInvariantError(
+            "alternating-path set reached u: chord conditions must be violated"
+        )
+    reached = union_of(out, semi) & part
+    if reached & semi or reached & ~union_of(inn, semi):
+        raise InternalInvariantError(
+            "alternating-path set is not a semi-kernel: chord conditions must be violated"
+        )
+    return semi
+
+
+def _chord_kernel(out: list[int], inn: list[int], alive: int) -> int:
+    """Kernel of the subdigraph on `alive` by the semi-kernel recursion.
+
+    Each round takes a semi-kernel S of what is left and removes S with
+    N-(S).  The semi-kernel of a part needs the kernel of the part minus
+    N-[u] first, u its least vertex; that nested kernel is a new frame.
+    A frame is [part left, kernel so far, u awaiting the nested kernel].
+    """
+    stack = [[alive, 0, -1]]
+    while True:
+        frame = stack[-1]
+        part = frame[0]
+        if part:
+            low = part & -part
+            if part != low:
+                u = low.bit_length() - 1
+                frame[2] = u
+                stack.append([part & ~(inn[u] | low), 0, -1])
+                continue
+            semi = low
+        else:
+            stack.pop()
+            if not stack:
+                return frame[1]
+            below = frame[1]
+            frame = stack[-1]
+            semi = _semi_kernel_from(out, inn, frame[0], frame[2], below)
+        frame[0] &= ~(semi | union_of(inn, semi))
+        frame[1] |= semi
 
 
 def alternating_path_semi_kernel(digraph: Digraph, u: int, kernel_below) -> VertexSet:
@@ -288,77 +373,36 @@ def alternating_path_semi_kernel(digraph: Digraph, u: int, kernel_below) -> Vert
     """
     n = digraph.vertex_count
     digraph._check_vertex(u)
+    out, inn = digraph._out, digraph._in
     k_mask = _subset_mask(n, kernel_below)
-    removed = digraph._in[u] | (1 << u)
-    sub, labels = digraph.induced(bits_of(((1 << n) - 1) & ~removed))
-    index = {v: i for i, v in enumerate(labels)}
+    removed = inn[u] | (1 << u)
     if k_mask & removed:
         raise ContractError("kernel_below intersects the closed in-neighborhood of u")
-    if not is_kernel(sub, [index[v] for v in bits_of(k_mask)]):
+    rest = ((1 << n) - 1) & ~removed
+    if union_of(out, k_mask) & k_mask or rest & ~(k_mask | union_of(inn, k_mask)):
         raise ContractError(
             "kernel_below is not a kernel of the digraph minus N-[u]"
         )
-    start_mask = k_mask & digraph._out[u]
-    if not start_mask:
+    if not k_mask & out[u]:
         raise ContractError("kernel_below does not meet the out-neighborhood of u")
-
-    out = digraph._out
-    kprime = k_mask | (1 << u)
-    result = start_mask
-    seen = {(v, 0) for v in bits_of(start_mask)}
-    stack = [(v, 0) for v in bits_of(start_mask)]
-    while stack:
-        vertex, before = stack.pop()
-        # extending past `vertex` activates its back-arc constraint
-        if out[vertex] & before:
-            continue
-        now_before = before | ((1 << vertex) & kprime)
-        in_kprime = (kprime >> vertex) & 1
-        for nxt in bits_of(out[vertex]):
-            if ((kprime >> nxt) & 1) == in_kprime:
-                continue
-            state = (nxt, now_before)
-            if state in seen:
-                continue
-            seen.add(state)
-            if (kprime >> nxt) & 1:
-                result |= 1 << nxt
-            stack.append(state)
-
-    semi = VertexSet.from_mask(n, result)
-    if (result >> u) & 1:
-        raise InternalInvariantError(
-            "alternating-path set reached u: chord conditions must be violated"
-        )
-    if not is_semi_kernel(digraph, semi):
-        raise InternalInvariantError(
-            "alternating-path set is not a semi-kernel: chord conditions must be violated"
-        )
-    return semi
+    return VertexSet.from_mask(n, _semi_kernel_from(out, inn, (1 << n) - 1, u, k_mask))
 
 
 def chord_semi_kernel_strategy(digraph: Digraph) -> VertexSet:
     """Non-empty semi-kernel of a digraph satisfying the chord conditions.
 
-    Usable as the strategy argument of kernel_via_semikernel_recursion: a
-    least vertex u is set aside, the rest minus N-[u] is solved recursively,
-    and either K + {u} already works or the alternating-path construction
-    extracts the semi-kernel from K.
+    Usable as the strategy argument of kernel_via_semikernel_recursion: the
+    least vertex u is set aside, the rest minus N-[u] is solved by the
+    same construction, and either K + {u} already works or the
+    alternating-path construction extracts the semi-kernel from K.
     """
     n = digraph.vertex_count
-    if n == 1:
-        return VertexSet(1, [0])
-    u = 0
-    removed = digraph._in[u] | (1 << u)
-    keep = ((1 << n) - 1) & ~removed
-    sub, labels = digraph.induced(bits_of(keep))
-    k_sub = kernel_via_semikernel_recursion(sub, strategy=chord_semi_kernel_strategy)
-    k_mask = 0
-    for i in k_sub:
-        k_mask |= 1 << labels[i]
-    if not k_mask & digraph._out[u]:
-        return VertexSet.from_mask(n, k_mask | (1 << u))
-    return alternating_path_semi_kernel(digraph, u, VertexSet.from_mask(n, k_mask))
+    out, inn = digraph._out, digraph._in
+    full = (1 << n) - 1
+    if n <= 1:
+        return VertexSet.from_mask(n, full)
+    below = _chord_kernel(out, inn, full & ~(inn[0] | 1))
+    return VertexSet.from_mask(n, _semi_kernel_from(out, inn, full, 0, below))
 
 
 def find_kernel_via_chords(
@@ -378,6 +422,10 @@ def find_kernel_via_chords(
             f"odd directed cycle {report.first_failing} satisfies no chord rule",
             report=report,
         )
-    result = kernel_via_semikernel_recursion(digraph, strategy=chord_semi_kernel_strategy)
-    assert is_kernel(digraph, result)
+    n = digraph.vertex_count
+    result = VertexSet.from_mask(
+        n, _chord_kernel(digraph._out, digraph._in, (1 << n) - 1)
+    )
+    if not is_kernel(digraph, result):
+        raise InternalInvariantError("the chord construction returned a non-kernel")
     return result

@@ -385,12 +385,24 @@ def enumerate_directed_cycles(
             return True
         return (length % 2 == 1) == (parity == "odd")
 
-    def extend(root: int, path: list[int], on_path: int) -> None:
-        nonlocal steps
-        v = path[-1]
-        for w in bits_of(out[v]):
-            if w < root:
+    if max_len < 2:
+        return cycles
+    for root in range(n):
+        higher = ~((1 << root) - 1)
+        # depth-first over simple paths from root, all vertices >= root;
+        # untried[i] holds the successors of path[i] not yet tried
+        path = [root]
+        on_path = 1 << root
+        untried = [out[root] & higher]
+        while untried:
+            rest = untried[-1]
+            if not rest:
+                untried.pop()
+                on_path &= ~(1 << path.pop())
                 continue
+            low = rest & -rest
+            untried[-1] = rest ^ low
+            w = low.bit_length() - 1
             steps += 1
             if budget is not None and steps > budget:
                 raise BudgetExceededError(
@@ -400,14 +412,10 @@ def enumerate_directed_cycles(
             if w == root:
                 if wanted(len(path)):
                     cycles.append(tuple(path))
-            elif not (on_path >> w) & 1 and len(path) < max_len:
+            elif not on_path & low and len(path) < max_len:
                 path.append(w)
-                extend(root, path, on_path | (1 << w))
-                path.pop()
-
-    if max_len >= 2:
-        for root in range(n):
-            extend(root, [root], 1 << root)
+                on_path |= low
+                untried.append(out[w] & higher)
     return cycles
 
 

@@ -10,8 +10,8 @@ tests stay reproducible.
 The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
 base graph, simple or with reversible edges, has that graph as its
 underlying graph, so the kernel candidates are the base graph's maximal
-independent sets: the sweep computes that fixed list once per prefix task
-and tests each leaf's in-masks against it.
+independent sets: the sweep computes that fixed list once per run and
+tests each leaf's in-masks against it.
 """
 
 from __future__ import annotations
@@ -317,17 +317,25 @@ def is_clique_acyclic(obj, budget: int = DEFAULT_CLIQUE_BUDGET) -> PredicateRepo
 def is_M_clique_acyclic(digraph: Digraph) -> PredicateReport:
     """Every directed cycle of length three must have at least two
     reversible arcs; the witness is the first offending cycle (a, b, c)."""
-    n = digraph.vertex_count
-    out = digraph._out
-    for a in range(n):
+    witness = _first_weak_triangle(digraph._out, digraph._in)
+    return PredicateReport(holds=witness is None, witness=witness)
+
+
+def _first_weak_triangle(
+    out: list[int], inn: list[int], start: int = 0
+) -> Optional[tuple[int, int, int]]:
+    """Least directed triangle (a, b, c), a its least vertex, with fewer
+    than two reversible arcs, among those with a >= `start`; the order is
+    lexicographic on (a, b, c)."""
+    for a in range(start, len(out)):
         higher = ~((1 << (a + 1)) - 1)
         for b in bits_of(out[a] & higher):
-            for c in bits_of(out[b] & digraph._in[a] & higher):
-                if c == b:
-                    continue
-                reversible = (
-                    ((out[b] >> a) & 1) + ((out[c] >> b) & 1) + ((out[a] >> c) & 1)
-                )
-                if reversible < 2:
-                    return PredicateReport(holds=False, witness=(a, b, c))
-    return PredicateReport(holds=True)
+            closing = out[b] & inn[a] & higher
+            if (inn[a] >> b) & 1:
+                # a <-> b is reversible: c needs a second one
+                weak = closing & ~inn[b] & ~out[a]
+            else:
+                weak = closing & ~(inn[b] & out[a])
+            if weak:
+                return (a, b, (weak & -weak).bit_length() - 1)
+    return None

@@ -97,23 +97,23 @@ def check_chain_conditions(
     opposite same-color arcs are fine on their own.
     """
     n = cd.vertex_count
+    blue_out, blue_in = cd._blue_out, cd._blue_in
+    red_out, red_in = cd._red_out, cd._red_in
     violations: list[tuple[str, tuple[int, ...]]] = []
     for v in range(n):
-        for u in bits_of(cd._blue_in[v]):
-            for w in bits_of(cd._blue_out[v]):
-                if w == u or (cd._blue_out[u] >> w) & 1:
-                    continue
-                if (cd._red_out[w] >> u) & 1 and (cd._red_out[w] >> v) & 1:
-                    continue
+        for u in bits_of(blue_in[v]):
+            # heads w the chain u -> v -> w leaves unanswered, ascending
+            for w in bits_of(
+                blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
+            ):
                 violations.append((RULE_BLUE_CHAIN, (u, v, w)))
                 if first_only:
                     return _report(violations)
-        for u in bits_of(cd._red_in[v]):
-            for w in bits_of(cd._red_out[v]):
-                if w == u or (cd._red_out[u] >> w) & 1:
-                    continue
-                if (cd._blue_out[v] >> u) & 1 and (cd._blue_out[w] >> u) & 1:
-                    continue
+        for u in bits_of(red_in[v]):
+            open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
+            if (blue_out[v] >> u) & 1:
+                open_heads &= ~blue_in[u]
+            for w in bits_of(open_heads):
                 violations.append((RULE_RED_CHAIN, (u, v, w)))
                 if first_only:
                     return _report(violations)
@@ -158,7 +158,6 @@ def check_path_conditions(
     """Check that no color contains a directed cycle and that every directed
     path (v1, v2, v3, v4) with a red first arc and a blue last arc (v4 = v1
     allowed) induces another arc not ending at v2."""
-    n = cd.vertex_count
     d = cd.digraph
     violations: list[tuple[str, tuple[int, ...]]] = []
     for color in (ArcColor.BLUE, ArcColor.RED):
@@ -168,30 +167,36 @@ def check_path_conditions(
             if first_only:
                 return _report(violations)
 
-    def induces_extra_arc(quad: tuple[int, int, int, int]) -> bool:
-        v1, v2, v3, v4 = quad
-        vert_mask = (1 << v1) | (1 << v2) | (1 << v3) | (1 << v4)
-        path_arcs = {(v1, v2), (v2, v3), (v3, v4)}
-        for x in (v1, v2, v3, v4):
-            for y in bits_of(d._out[x] & vert_mask):
-                if y != v2 and (x, y) not in path_arcs:
-                    return True
-        return False
-
-    for v2 in range(n):
-        for v1 in bits_of(cd._red_in[v2]):
-            for v3 in bits_of(d._out[v2]):
-                if v3 == v1:
-                    continue
-                for v4 in bits_of(cd._blue_out[v3]):
-                    if v4 == v2 or v4 == v3:
-                        continue
-                    quad = (v1, v2, v3, v4)
-                    if not induces_extra_arc(quad):
-                        violations.append((RULE_OPEN_PATH, quad))
-                        if first_only:
-                            return _report(violations)
+    for quad in _open_paths(d._out, cd._red_in, cd._blue_out):
+        violations.append((RULE_OPEN_PATH, quad))
+        if first_only:
+            return _report(violations)
     return _report(violations)
+
+
+def _open_paths(out: list[int], red_in: list[int], blue_out: list[int]):
+    """Yield every path (v1, v2, v3, v4) with a red first arc and a blue
+    last arc that induces no arc besides its own and those into v2, in
+    scan order: v2, then v1, v3, v4 ascending."""
+    for v2 in range(len(out)):
+        b2 = 1 << v2
+        for v1 in bits_of(red_in[v2]):
+            b1 = 1 << v1
+            for v3 in bits_of(out[v2] & ~b1):
+                b3 = 1 << v3
+                if out[v1] & b3 or out[v2] & b1:
+                    continue
+                heads = blue_out[v3] & ~b2
+                if out[v3] & b1:
+                    # an extra arc for every v4 but v1 itself
+                    heads &= b1
+                for v4 in bits_of(heads):
+                    b4 = 1 << v4
+                    # v4 == v1 closes the path: no arc is left to test
+                    if v4 == v1 or not (
+                        out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
+                    ):
+                        yield (v1, v2, v3, v4)
 
 
 # -- the antichain potential ----------------------------------------------
@@ -483,23 +488,8 @@ def solve_fixpoint(
 # -- instance generators ----------------------------------------------------
 
 
-def _closure(reach: list[int]) -> list[int]:
-    reach = reach[:]
-    n = len(reach)
-    changed = True
-    while changed:
-        changed = False
-        for v in range(n):
-            acc = reach[v]
-            for w in bits_of(reach[v]):
-                acc |= reach[w]
-            if acc != reach[v]:
-                reach[v] = acc
-                changed = True
-    return reach
-
-
 def _random_transitive_masks(rng: random.Random, n: int, density: float) -> list[int]:
+    """Transitive closure of a DAG sampled forward along a random order."""
     order = list(range(n))
     rng.shuffle(order)
     out = [0] * n
@@ -507,7 +497,11 @@ def _random_transitive_masks(rng: random.Random, n: int, density: float) -> list
         for j in range(i + 1, n):
             if rng.random() < density:
                 out[order[i]] |= 1 << order[j]
-    return _closure(out)
+    # every arc points forward in `order`, so in reverse order each row's
+    # successors are closed before the row itself
+    for v in reversed(order):
+        out[v] |= union_of(out, out[v])
+    return out
 
 
 def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDigraph:
@@ -516,8 +510,10 @@ def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDi
     Blue is the transitive closure of a random forward-sampled DAG.  Red is
     grown arc by arc, keeping its closure at every step and rejecting any
     candidate whose closure would collide with a blue arc, so both classes
-    stay genuinely transitive.  Deterministic by seed; the output is
-    re-verified against the chain conditions.
+    stay genuinely transitive.  Red candidates point forward along their
+    own random order, so red stays acyclic and adding u -> v closes it by
+    giving every vertex that reaches u the row of v.  Deterministic by
+    seed; the output is re-verified against the chain conditions.
     """
     rng = random.Random(("ssw", seed, n, density).__repr__())
     blue = _random_transitive_masks(rng, n, density)
@@ -529,18 +525,45 @@ def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDi
             if rng.random() < density:
                 candidates.append((order[i], order[j]))
     red = [0] * n
+    red_in = [0] * n
     for u, v in candidates:
-        trial = red[:]
-        trial[u] |= 1 << v
-        trial = _closure(trial)
-        if all(trial[x] & blue[x] == 0 for x in range(n)):
-            red = trial
+        if (red[u] >> v) & 1:
+            continue
+        gained = red[v] | (1 << v)
+        rows = red_in[u] | (1 << u)
+        if any(gained & blue[x] for x in bits_of(rows)):
+            continue
+        for x in bits_of(rows):
+            red[x] |= gained
+        for y in bits_of(gained):
+            red_in[y] |= rows
     rows = [(u, v, ArcColor.BLUE) for u in range(n) for v in bits_of(blue[u])]
     rows += [(u, v, ArcColor.RED) for u in range(n) for v in bits_of(red[u])]
     cd = ColoredDigraph.from_colored_arcs(n, rows)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("transitive-class instance fails the chain conditions")
     return cd
+
+
+def _weak_triangle_through(
+    out: list[int], inn: list[int], x: int, y: int
+) -> Optional[tuple[int, int, int]]:
+    """Least weak directed triangle (see `_first_weak_triangle`) with both
+    x and y among its vertices, or None."""
+    best = None
+    for z in bits_of((out[x] | inn[x]) & (out[y] | inn[y])):
+        for p, q in ((x, y), (y, x)):
+            # the directed cycle p -> q -> z -> p
+            if not ((out[p] >> q) & (out[q] >> z) & (out[z] >> p) & 1):
+                continue
+            reversible = (out[q] >> p & 1) + (out[z] >> q & 1) + (out[p] >> z & 1)
+            if reversible < 2:
+                cycle = (p, q, z)
+                first = cycle.index(min(cycle))
+                cycle = cycle[first:] + cycle[:first]
+                if best is None or cycle < best:
+                    best = cycle
+    return best
 
 
 def generate_comparability_instance(
@@ -551,54 +574,55 @@ def generate_comparability_instance(
     A random partial order provides the transitive orientation; every
     comparability edge gets a random direction (occasionally both), then
     directed triangles with fewer than two reversible arcs are repaired by
-    making one more arc reversible until none remain.  Arcs agreeing with
-    the partial order are colored red, the others blue.
+    making one more arc reversible until none remain, always the first
+    such triangle in `is_M_clique_acyclic` order.  Arcs agreeing with the
+    partial order are colored red, the others blue.
     """
-    from .oracle import is_M_clique_acyclic  # local import to avoid a cycle
+    from .oracle import _first_weak_triangle, is_M_clique_acyclic  # avoids a cycle
 
     rng = random.Random(("comparability", seed, n, density).__repr__())
     strict = _random_transitive_masks(rng, n, density)
-    edges = [
-        (u, v)
-        for u in range(n)
-        for v in range(u + 1, n)
-        if (strict[u] >> v) & 1 or (strict[v] >> u) & 1
-    ]
-    assignment = {}
-    for e in edges:
-        roll = rng.random()
-        if roll < 0.45:
-            assignment[e] = "fwd"
-        elif roll < 0.9:
-            assignment[e] = "bwd"
-        else:
-            assignment[e] = "both"
+    out = [0] * n
+    inn = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if not ((strict[u] >> v) & 1 or (strict[v] >> u) & 1):
+                continue
+            roll = rng.random()
+            if roll < 0.9:
+                tail, head = (u, v) if roll < 0.45 else (v, u)
+                out[tail] |= 1 << head
+                inn[head] |= 1 << tail
+            else:
+                out[u] |= 1 << v
+                out[v] |= 1 << u
+                inn[u] |= 1 << v
+                inn[v] |= 1 << u
 
-    def arcs_of() -> list[tuple[int, int]]:
-        arcs = []
-        for (u, v), direction in assignment.items():
-            if direction != "bwd":
-                arcs.append((u, v))
-            if direction != "fwd":
-                arcs.append((v, u))
-        return arcs
-
-    while True:
-        digraph = Digraph(n, arcs_of())
-        verdict = is_M_clique_acyclic(digraph)
-        if verdict.holds:
-            break
-        a, b, c = verdict.witness
-        for (x, y) in ((a, b), (b, c), (c, a)):
-            if not digraph.has_arc(y, x):
-                assignment[(min(x, y), max(x, y))] = "both"
+    witness = _first_weak_triangle(out, inn)
+    while witness is not None:
+        a, b, c = witness
+        for x, y in ((a, b), (b, c), (c, a)):
+            if not (out[y] >> x) & 1:
                 break
+        out[y] |= 1 << x
+        inn[x] |= 1 << y
+        # only triangles through x and y changed; every other triangle
+        # before the witness was already fine
+        through = _weak_triangle_through(out, inn, x, y)
+        if through is not None and through < witness:
+            witness = through
+        else:
+            witness = _first_weak_triangle(out, inn, a)
 
-    rows = []
-    for u, v in digraph.arcs:
-        agrees = (strict[u] >> v) & 1
-        rows.append((u, v, ArcColor.RED if agrees else ArcColor.BLUE))
+    rows = [
+        (u, v, ArcColor.RED if (strict[u] >> v) & 1 else ArcColor.BLUE)
+        for u in range(n)
+        for v in bits_of(out[u])
+    ]
     cd = ColoredDigraph.from_colored_arcs(n, rows)
+    if not is_M_clique_acyclic(cd.digraph).holds:
+        raise InternalInvariantError("repaired orientation has a weak directed triangle")
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError(
             "comparability coloring fails the chain conditions"
@@ -642,8 +666,9 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
 
     Each color is sampled forward along its own random vertex order, which
     rules out monochromatic cycles outright; remaining path violations are
-    repaired by deleting the closing blue arc, which terminates because the
-    arc count strictly decreases.
+    repaired by deleting the closing blue arc of the first one, which
+    terminates because the arc count strictly decreases and creates no
+    cycle.  The output is re-verified against the path conditions.
     """
     rng = random.Random(("path", seed, n, density).__repr__())
     position = {}
@@ -651,25 +676,36 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
         order = list(range(n))
         rng.shuffle(order)
         position[color] = {v: i for i, v in enumerate(order)}
-    arcs: dict[tuple[int, int], ArcColor] = {}
+    out = [0] * n
+    red_in = [0] * n
+    blue_out = [0] * n
     for u in range(n):
         for v in range(n):
             if u == v or rng.random() >= density:
                 continue
             color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
             if position[color][u] < position[color][v]:
-                arcs[(u, v)] = color
+                out[u] |= 1 << v
+                if color is ArcColor.BLUE:
+                    blue_out[u] |= 1 << v
+                else:
+                    red_in[v] |= 1 << u
     while True:
-        cd = ColoredDigraph.from_colored_arcs(
-            n, [(u, v, c) for (u, v), c in arcs.items()]
+        quad = next(_open_paths(out, red_in, blue_out), None)
+        if quad is None:
+            break
+        _, _, v3, v4 = quad
+        out[v3] &= ~(1 << v4)
+        blue_out[v3] &= ~(1 << v4)
+    rows = [
+        (u, v, ArcColor.BLUE if (blue_out[u] >> v) & 1 else ArcColor.RED)
+        for u in range(n)
+        for v in bits_of(out[u])
+    ]
+    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    report = check_path_conditions(cd, first_only=True)
+    if not report.satisfied:
+        raise InternalInvariantError(
+            f"path instance fails the path conditions: {report.violations[0]}"
         )
-        report = check_path_conditions(cd, first_only=True)
-        if report.satisfied:
-            return cd
-        rule, witness = report.violations[0]
-        if rule != RULE_OPEN_PATH:
-            raise InternalInvariantError(
-                "forward-sampled colors produced a monochromatic cycle"
-            )
-        _, _, v3, v4 = witness
-        del arcs[(v3, v4)]
+    return cd

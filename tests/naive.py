@@ -5,7 +5,15 @@ but the standard library, so library results can be cross-checked against
 definitions rather than against the code under test.
 """
 
+import random
 from itertools import combinations, permutations
+
+
+def _bits(mask):
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def subsets(n):
@@ -71,6 +79,52 @@ def naive_cycles(n, arcs, parity="all", max_len=None):
                 start = seq.index(min(seq))
                 found.add(seq[start:] + seq[:start])
     return found
+
+
+class CycleBudgetHit(Exception):
+    """Raised by `recursive_directed_cycles` past its budget; carries the
+    cycles found so far."""
+
+    def __init__(self, partial):
+        super().__init__(f"budget hit after {len(partial)} cycles")
+        self.partial = partial
+
+
+def recursive_directed_cycles(n, arcs, parity="all", max_len=None, budget=None):
+    """The library's cycle enumeration as first written, one Python frame
+    per path vertex: same cycles, same order, same step count against
+    `budget`.  Paths longer than the recursion limit raise RecursionError."""
+    out = [0] * n
+    for (u, v) in arcs:
+        out[u] |= 1 << v
+    if max_len is None or max_len > n:
+        max_len = n
+    cycles = []
+    steps = 0
+
+    def wanted(length):
+        return parity == "all" or (length % 2 == 1) == (parity == "odd")
+
+    def extend(root, path, on_path):
+        nonlocal steps
+        for w in _bits(out[path[-1]]):
+            if w < root:
+                continue
+            steps += 1
+            if budget is not None and steps > budget:
+                raise CycleBudgetHit(list(cycles))
+            if w == root:
+                if wanted(len(path)):
+                    cycles.append(tuple(path))
+            elif not (on_path >> w) & 1 and len(path) < max_len:
+                path.append(w)
+                extend(root, path, on_path | (1 << w))
+                path.pop()
+
+    if max_len >= 2:
+        for root in range(n):
+            extend(root, [root], 1 << root)
+    return cycles
 
 
 def naive_reachable(n, arcs):
@@ -148,3 +202,234 @@ def naive_simple_orientations(n, edges):
         for i, (u, v) in enumerate(edges):
             arcs.append((u, v) if (mask >> i) & 1 == 0 else (v, u))
         yield arcs
+
+
+# -- reference generators ----------------------------------------------------
+#
+# The red-blue generators as first written: every step rebuilds from
+# scratch (a fixpoint closure per red candidate, a full triangle or path
+# rescan per repair).  They draw from the same seeded streams as the
+# library's generators, so the two must return the same arcs.  Each
+# returns the sorted (tail, head, "b" | "r") rows.
+
+
+def _closure(reach):
+    reach = reach[:]
+    changed = True
+    while changed:
+        changed = False
+        for v in range(len(reach)):
+            acc = reach[v]
+            for w in _bits(reach[v]):
+                acc |= reach[w]
+            if acc != reach[v]:
+                reach[v] = acc
+                changed = True
+    return reach
+
+
+def _random_transitive_masks(rng, n, density):
+    order = list(range(n))
+    rng.shuffle(order)
+    out = [0] * n
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                out[order[i]] |= 1 << order[j]
+    return _closure(out)
+
+
+def naive_ssw_rows(seed, n, density=0.35):
+    rng = random.Random(("ssw", seed, n, density).__repr__())
+    blue = _random_transitive_masks(rng, n, density)
+    order = list(range(n))
+    rng.shuffle(order)
+    candidates = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < density:
+                candidates.append((order[i], order[j]))
+    red = [0] * n
+    for u, v in candidates:
+        trial = red[:]
+        trial[u] |= 1 << v
+        trial = _closure(trial)
+        if all(trial[x] & blue[x] == 0 for x in range(n)):
+            red = trial
+    rows = [(u, v, "b") for u in range(n) for v in _bits(blue[u])]
+    rows += [(u, v, "r") for u in range(n) for v in _bits(red[u])]
+    return sorted(rows)
+
+
+def _first_weak_triangle(n, arc_set):
+    """First directed triangle with fewer than two reversible arcs, in the
+    scan order of the M-clique-acyclicity check."""
+    out = [0] * n
+    inn = [0] * n
+    for (u, v) in arc_set:
+        out[u] |= 1 << v
+        inn[v] |= 1 << u
+    for a in range(n):
+        higher = ~((1 << (a + 1)) - 1)
+        for b in _bits(out[a] & higher):
+            for c in _bits(out[b] & inn[a] & higher):
+                reversible = (
+                    ((out[b] >> a) & 1) + ((out[c] >> b) & 1) + ((out[a] >> c) & 1)
+                )
+                if reversible < 2:
+                    return (a, b, c)
+    return None
+
+
+def naive_comparability_rows(seed, n, density=0.45):
+    rng = random.Random(("comparability", seed, n, density).__repr__())
+    strict = _random_transitive_masks(rng, n, density)
+    edges = [
+        (u, v)
+        for u in range(n)
+        for v in range(u + 1, n)
+        if (strict[u] >> v) & 1 or (strict[v] >> u) & 1
+    ]
+    assignment = {}
+    for e in edges:
+        roll = rng.random()
+        assignment[e] = "fwd" if roll < 0.45 else "bwd" if roll < 0.9 else "both"
+    while True:
+        arc_set = set()
+        for (u, v), direction in assignment.items():
+            if direction != "bwd":
+                arc_set.add((u, v))
+            if direction != "fwd":
+                arc_set.add((v, u))
+        witness = _first_weak_triangle(n, arc_set)
+        if witness is None:
+            break
+        a, b, c = witness
+        for (x, y) in ((a, b), (b, c), (c, a)):
+            if (y, x) not in arc_set:
+                assignment[(min(x, y), max(x, y))] = "both"
+                break
+    return sorted(
+        (u, v, "r" if (strict[u] >> v) & 1 else "b") for (u, v) in arc_set
+    )
+
+
+def naive_open_paths(n, arcs):
+    """Every red-then-blue path (v1, v2, v3, v4) inducing no arc besides its
+    own and those into v2, in the path-condition check's scan order;
+    `arcs` maps (tail, head) to "b" or "r"."""
+    out = {v: sorted(w for (u, w) in arcs if u == v) for v in range(n)}
+    for v2 in range(n):
+        for v1 in sorted(u for (u, w), c in arcs.items() if w == v2 and c == "r"):
+            for v3 in out[v2]:
+                if v3 == v1:
+                    continue
+                for v4 in out[v3]:
+                    if arcs[(v3, v4)] != "b" or v4 in (v2, v3):
+                        continue
+                    quad = {v1, v2, v3, v4}
+                    path_arcs = {(v1, v2), (v2, v3), (v3, v4)}
+                    if not any(
+                        x in quad and y in quad and y != v2 and (x, y) not in path_arcs
+                        for (x, y) in arcs
+                    ):
+                        yield (v1, v2, v3, v4)
+
+
+def naive_chain_violations(n, arcs):
+    """Every (rule, (u, v, w)) chain-closure violation in the chain check's
+    scan order; `arcs` maps (tail, head) to "b" or "r"."""
+    found = []
+    for v in range(n):
+        for color, other, rule in (("b", "r", "blue-chain"), ("r", "b", "red-chain")):
+            tails = sorted(u for (u, x), c in arcs.items() if x == v and c == color)
+            heads = sorted(w for (x, w), c in arcs.items() if x == v and c == color)
+            for u in tails:
+                for w in heads:
+                    if w == u or arcs.get((u, w)) == color:
+                        continue
+                    if color == "b":
+                        answered = arcs.get((w, u)) == other == arcs.get((w, v))
+                    else:
+                        answered = arcs.get((v, u)) == other == arcs.get((w, u))
+                    if not answered:
+                        found.append((rule, (u, v, w)))
+    return found
+
+
+def naive_path_rows(seed, n, density=0.3):
+    rng = random.Random(("path", seed, n, density).__repr__())
+    position = {}
+    for color in ("b", "r"):
+        order = list(range(n))
+        rng.shuffle(order)
+        position[color] = {v: i for i, v in enumerate(order)}
+    arcs = {}
+    for u in range(n):
+        for v in range(n):
+            if u == v or rng.random() >= density:
+                continue
+            color = "b" if rng.random() < 0.5 else "r"
+            if position[color][u] < position[color][v]:
+                arcs[(u, v)] = color
+    while True:
+        witness = next(naive_open_paths(n, arcs), None)
+        if witness is None:
+            return sorted((u, v, c) for (u, v), c in arcs.items())
+        _, _, v3, v4 = witness
+        del arcs[(v3, v4)]
+
+
+# -- reference chord construction --------------------------------------------
+
+
+def naive_chord_kernel(n, arcs):
+    """The chord construction as mutually recursive functions over vertex
+    sets: a kernel is assembled from semi-kernels, and the semi-kernel of
+    a set sets its least vertex u aside, solves the set minus N-[u], and
+    falls back to the alternating-path search when that kernel meets
+    N+(u).  Recursion depth grows with the vertex count."""
+    out = {v: {w for (u, w) in arcs if u == v} for v in range(n)}
+    inn = {v: {u for (u, w) in arcs if w == v} for v in range(n)}
+
+    def kernel(alive):
+        result = set()
+        while alive:
+            semi = semi_kernel(alive)
+            result |= semi
+            absorbed = set(semi)
+            for s in semi:
+                absorbed |= inn[s]
+            alive = alive - absorbed
+        return frozenset(result)
+
+    def semi_kernel(alive):
+        if len(alive) == 1:
+            return set(alive)
+        u = min(alive)
+        below = kernel(alive - inn[u] - {u})
+        if not below & out[u]:
+            return set(below) | {u}
+        kprime = set(below) | {u}
+        start = below & out[u]
+        result = set(start)
+        seen = {(v, frozenset()) for v in start}
+        stack = list(seen)
+        while stack:
+            vertex, before = stack.pop()
+            if out[vertex] & alive & before:
+                continue
+            now_before = before | ({vertex} & kprime)
+            for nxt in sorted(out[vertex] & alive):
+                if (nxt in kprime) == (vertex in kprime):
+                    continue
+                state = (nxt, now_before)
+                if state in seen:
+                    continue
+                seen.add(state)
+                if nxt in kprime:
+                    result.add(nxt)
+                stack.append(state)
+        return result
+
+    return kernel(frozenset(range(n)))

@@ -267,6 +267,8 @@ def test_criterion_7_chord_condition_suite():
         assert find_kernel_bruteforce(d).exists
         kernel = find_kernel_via_chords(d)
         assert is_kernel(d, kernel)
+        # the same kernel as the recursive construction
+        assert set(kernel) == naive.naive_chord_kernel(d.vertex_count, sorted(d.arcs))
         if check_chord_conditions(d).cycles:
             nonvacuous += 1
     assert nonvacuous >= 50

@@ -302,6 +302,65 @@ class TestVerify:
         with pytest.raises(ContractError, match="checkpoint"):
             verify_kernel_solvable(g, checkpoint=str(checkpoint))
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("counterexample", [9]),
+            ("counterexample", [0] * 13 + [2]),
+            ("counterexample", [0] * 13),
+            ("counterexample", [0] * 13 + [True]),
+            ("counterexample", "0101"),
+            ("elapsed_seconds", "soon"),
+            ("elapsed_seconds", -1.0),
+            ("elapsed_seconds", None),
+            ("elapsed_seconds", float("inf")),
+        ],
+    )
+    def test_bad_checkpoint_field_rejected(self, tmp_path, field, value):
+        checkpoint = tmp_path / "run.json"
+        g, _ = gen_antihole(7)
+        verify_kernel_solvable(g, budget=10, checkpoint=str(checkpoint))
+        state = json.loads(checkpoint.read_text())
+        state[field] = value
+        checkpoint.write_text(json.dumps(state))
+        with pytest.raises(ContractError, match=field):
+            verify_kernel_solvable(g, checkpoint=str(checkpoint))
+
+    def test_checkpointed_counterexample_is_returned(self, tmp_path):
+        checkpoint = tmp_path / "run.json"
+        g, _ = gen_antihole(7)
+        first = verify_kernel_solvable(g, checkpoint=str(checkpoint))
+        assert first.verdict == "counterexample"
+        again = verify_kernel_solvable(g, checkpoint=str(checkpoint))
+        assert again.counterexample == first.counterexample
+        assert again.orientations_examined == first.orientations_examined
+
+    @pytest.mark.parametrize("budget", [0, 1, 64])
+    def test_budget_counts_leaves_exactly(self, budget):
+        g, labeling = gen_antihole(9)
+        verdict = verify_kernel_solvable(
+            g, symmetry_reduction=True, labeling=labeling, budget=budget
+        )
+        assert verdict.verdict == "exhausted_budget"
+        assert verdict.orientations_examined == budget
+
+    def test_budget_met_by_a_tasks_last_leaf_is_not_redone(self, tmp_path):
+        g, _ = gen_antihole(7)
+        probe = tmp_path / "probe.json"
+        verify_kernel_solvable(g, budget=300, checkpoint=str(probe))
+        completed = json.loads(probe.read_text())
+        assert completed["examined"] > 0
+        # a budget equal to the leaves of the completed tasks ends exactly
+        # on the last leaf of a task, which counts as completed
+        checkpoint = tmp_path / "run.json"
+        verdict = verify_kernel_solvable(
+            g, budget=completed["examined"], checkpoint=str(checkpoint)
+        )
+        assert verdict.verdict == "exhausted_budget"
+        state = json.loads(checkpoint.read_text())
+        assert state["examined"] == completed["examined"]
+        assert state["next_task"] == completed["next_task"]
+
     def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         checkpoint = tmp_path / "run.json"
         g, _ = gen_antihole(7)

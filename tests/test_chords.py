@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -20,12 +22,17 @@ from kernelkit.chords import (
     check_chord_conditions,
     check_duchet_condition,
     check_gsnl_condition,
+    chord_semi_kernel_strategy,
     chords_of_cycle,
     classify_chord,
     find_kernel_via_chords,
     have_consecutive_heads,
 )
-from kernelkit.oracle import find_kernel_bruteforce, is_M_clique_acyclic
+from kernelkit.oracle import (
+    find_kernel_bruteforce,
+    is_M_clique_acyclic,
+    kernel_via_semikernel_recursion,
+)
 from strategies import digraphs
 
 FIVE_CYCLE = (0, 1, 2, 3, 4)
@@ -229,6 +236,34 @@ class TestFindKernelViaChords:
         kernel = find_kernel_via_chords(d)
         assert is_kernel(d, kernel)
 
+    def test_matches_recursive_construction(self):
+        # mostly reversible arcs, so that many instances meet the condition
+        rng = random.Random(7)
+        checked = 0
+        for _ in range(400):
+            n = rng.randrange(1, 10)
+            arcs = []
+            for u in range(n):
+                for v in range(u + 1, n):
+                    roll = rng.random()
+                    if roll < 0.3:
+                        arcs += [(u, v), (v, u)]
+                    elif roll < 0.45:
+                        arcs.append((u, v))
+                    elif roll < 0.6:
+                        arcs.append((v, u))
+            d = Digraph(n, arcs)
+            if not check_chord_conditions(d).satisfied:
+                continue
+            checked += 1
+            want = naive.naive_chord_kernel(n, arcs)
+            assert set(find_kernel_via_chords(d)) == want
+            via_strategy = kernel_via_semikernel_recursion(
+                d, strategy=chord_semi_kernel_strategy
+            )
+            assert set(via_strategy) == want
+        assert checked >= 100
+
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7))
     def test_condition_implies_reversible_triangles(self, d):
@@ -242,9 +277,6 @@ class TestFindKernelViaChords:
             assert find_kernel_bruteforce(d).exists
 
     def test_strategy_plugs_into_the_recursion(self):
-        from kernelkit.chords import chord_semi_kernel_strategy
-        from kernelkit.oracle import kernel_via_semikernel_recursion
-
         kernel = kernel_via_semikernel_recursion(
             CHORDED, strategy=chord_semi_kernel_strategy
         )

@@ -1,8 +1,11 @@
 import io as std_io
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from kernelkit.cli import main
 
@@ -268,6 +271,37 @@ class TestAntiholeCommands:
         assert code == 2
         assert err.count("\n") == 1 and "not valid JSON" in err
 
+    @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])
+    def test_zero_budget_examines_nothing(self, capsys, command):
+        code, out, _ = run_cli(
+            capsys,
+            ["antihole", command, "--n", "7", "--budget", "0", "--format", "json"],
+        )
+        assert code == 3
+        assert json.loads(out)["orientations_examined"] == 0
+
+    def test_search_witness_stops_at_its_budget(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["antihole", "search-witness", "--n", "9", "--budget", "50", "--format", "json"],
+        )
+        assert code == 3
+        assert json.loads(out)["orientations_examined"] == 50
+
+    @pytest.mark.parametrize(
+        "field, value", [("counterexample", [9]), ("elapsed_seconds", "abc")]
+    )
+    def test_bad_checkpoint_field_exits_two(self, capsys, tmp_path, field, value):
+        checkpoint = tmp_path / "run.json"
+        argv = ["antihole", "verify-simple", "--n", "5", "--checkpoint", str(checkpoint)]
+        assert run_cli(capsys, [*argv, "--budget", "3"])[0] == 3
+        state = json.loads(checkpoint.read_text())
+        state[field] = value
+        checkpoint.write_text(json.dumps(state))
+        code, _, err = run_cli(capsys, argv)
+        assert code == 2
+        assert err.count("\n") == 1 and field in err
+
     def test_find_near_sink_rejects_seven(self, capsys, monkeypatch):
         c7_orientation = subprocess_output_c7()
         code, _, err = run_cli(
@@ -368,3 +402,41 @@ class TestConsoleEntry:
         )
         assert code == 0 and out == ""
         assert json.loads(target.read_text())["kind"] == "digraph"
+
+
+class TestDeepInputs:
+    """Long paths and cycles in a fresh interpreter, so the default
+    recursion limit applies whatever the test runner has set."""
+
+    LENGTH = 1_200
+
+    @staticmethod
+    def fresh_python(*argv):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+        )
+
+    def test_chords_solve_on_a_long_path(self, tmp_path):
+        n = self.LENGTH
+        path = tmp_path / "path.txt"
+        path.write_text(f"digraph {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        proc = self.fresh_python(
+            "-m", "kernelkit", "chords", "solve", str(path), "--format", "json"
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["result"] == list(range(1, n, 2))
+
+    def test_cycle_enumeration_on_a_long_cycle(self):
+        script = (
+            "import sys\n"
+            "from kernelkit import Digraph, enumerate_directed_cycles\n"
+            f"n = {self.LENGTH}\n"
+            "cycles = enumerate_directed_cycles(Digraph(n, [(i, (i + 1) % n) for i in range(n)]))\n"
+            "assert sys.getrecursionlimit() < n\n"
+            "assert cycles == [tuple(range(n))], len(cycles)\n"
+        )
+        proc = self.fresh_python("-c", script)
+        assert proc.returncode == 0, proc.stderr

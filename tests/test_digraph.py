@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -5,6 +7,7 @@ import naive
 from kernelkit import (
     ArcColor,
     BoundsError,
+    BudgetExceededError,
     ColoredDigraph,
     Digraph,
     EdgeDirection,
@@ -200,6 +203,25 @@ class TestCycleEnumeration:
     def test_max_len_truncates(self):
         d = Digraph(4, [(0, 1), (1, 0), (1, 2), (2, 3), (3, 1)])
         assert enumerate_directed_cycles(d, max_len=2) == [(0, 1)]
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_recursive_version_in_order(self, seed):
+        rng = random.Random(seed)
+        n = rng.randrange(1, 11)
+        density = rng.choice((0.15, 0.3, 0.5))
+        arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+        d = Digraph(n, arcs)
+        max_len = rng.choice((None, 2, 3, 5))
+        budget = rng.choice((None, 50, 2000))
+        for parity in ("odd", "even", "all"):
+            try:
+                want = naive.recursive_directed_cycles(n, arcs, parity, max_len, budget)
+            except naive.CycleBudgetHit as hit:
+                with pytest.raises(BudgetExceededError) as info:
+                    enumerate_directed_cycles(d, parity, max_len, budget)
+                assert info.value.partial == hit.partial
+            else:
+                assert enumerate_directed_cycles(d, parity, max_len, budget) == want
 
 
 class TestOrientation:

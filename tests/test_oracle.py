@@ -238,9 +238,11 @@ class TestMCliqueAcyclic:
     @settings(max_examples=120, deadline=None)
     @given(digraphs())
     def test_matches_naive(self, d):
-        assert is_M_clique_acyclic(d).holds == naive.naive_m_clique_acyclic(
+        verdict = is_M_clique_acyclic(d)
+        assert verdict.holds == naive.naive_m_clique_acyclic(
             d.vertex_count, sorted(d.arcs)
         )
+        assert verdict.witness == naive._first_weak_triangle(d.vertex_count, d.arcs)
 
     @settings(max_examples=120, deadline=None)
     @given(digraphs())

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings
 
 import naive
 from kernelkit import (
@@ -28,6 +29,7 @@ from kernelkit.redblue import (
     solve_chain,
     solve_fixpoint,
 )
+from strategies import colored_digraphs
 
 
 def colored(n, rows):
@@ -76,6 +78,15 @@ class TestChainConditions:
                 and BLUE_TWO_PATH.color.get((w, v)) is ArcColor.RED
             )
 
+    @settings(max_examples=200, deadline=None)
+    @given(colored_digraphs(max_n=7))
+    def test_matches_naive_scan(self, cd):
+        arcs = {arc: c.value for arc, c in cd.color.items()}
+        want = naive.naive_chain_violations(cd.vertex_count, arcs)
+        assert list(check_chain_conditions(cd).violations) == want
+        first = check_chain_conditions(cd, first_only=True).violations
+        assert list(first) == want[:1]
+
 
 class TestPathConditions:
     def test_blue_triangle_is_monochromatic_cycle(self):
@@ -102,6 +113,14 @@ class TestPathConditions:
         cd = colored(3, [(0, 1, "r"), (1, 2, "r"), (2, 0, "b")])
         report = check_path_conditions(cd)
         assert (RULE_OPEN_PATH, (0, 1, 2, 0)) in report.violations
+
+    @settings(max_examples=200, deadline=None)
+    @given(colored_digraphs(max_n=7))
+    def test_open_paths_match_naive_scan(self, cd):
+        arcs = {arc: c.value for arc, c in cd.color.items()}
+        want = list(naive.naive_open_paths(cd.vertex_count, arcs))
+        got = [w for rule, w in check_path_conditions(cd).violations if rule == RULE_OPEN_PATH]
+        assert got == want
 
 
 class TestFindInitialIndependent:
@@ -251,6 +270,46 @@ class TestGenerators:
     def test_path_generator_output_verified(self, seed):
         cd = generate_path_instance(seed, 8)
         assert check_path_conditions(cd).satisfied
+
+
+def _rows(cd):
+    return sorted((u, v, c.value) for (u, v), c in cd.color.items())
+
+
+class TestGeneratorsMatchReferences:
+    """The incremental generators against the rebuild-everything loops of
+    naive.py, which draw from the same seeded streams."""
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_ssw(self, n):
+        for seed in range(8):
+            assert _rows(generate_ssw_instance(seed, n)) == naive.naive_ssw_rows(seed, n)
+
+    @pytest.mark.parametrize("n", range(3, 41))
+    def test_comparability(self, n):
+        # the reference rescans every triangle per repair: one seed for
+        # the larger sizes
+        for seed in range(8 if n < 25 else 1):
+            got = _rows(generate_comparability_instance(seed, n))
+            assert got == naive.naive_comparability_rows(seed, n)
+
+    @pytest.mark.parametrize("n", range(3, 31))
+    def test_path(self, n):
+        for seed in range(8):
+            assert _rows(generate_path_instance(seed, n)) == naive.naive_path_rows(seed, n)
+
+    @pytest.mark.parametrize(
+        "generator, n, arcs",
+        [
+            (generate_ssw_instance, 200, 27_692),
+            (generate_comparability_instance, 60, 2_869),
+            (generate_path_instance, 80, 638),
+        ],
+        ids=["ssw", "comparability", "path"],
+    )
+    def test_command_line_sizes_keep_their_arc_counts(self, generator, n, arcs):
+        # `redblue gen KIND --n N` at its default density and seed
+        assert len(generator(0, n, density=0.35).digraph.arcs) == arcs
 
 
 class TestLemmaProperties:
