@@ -231,8 +231,9 @@ def _enumerate_leaves(
     """Yield accepted full assignments in lexicographic digit order.
 
     With `actions`, prefix comparisons against every group image prune
-    assignments that provably exceed an orbit sibling, and a final
-    canonicality filter keeps exactly one representative per orbit.
+    assignments that provably exceed an orbit sibling; at the last edge the
+    comparison covers the whole assignment, so exactly one representative
+    per orbit, the lexicographically least, survives.
     """
     assign = [0] * edge_count
     value_range = tuple(range(num_values))
@@ -253,23 +254,9 @@ def _enumerate_leaves(
                     return True
         return False
 
-    def is_canonical() -> bool:
-        for inv, flip in actions:
-            for j in range(edge_count):
-                y = assign[inv[j]]
-                if y != 2:
-                    y ^= flip[j]
-                x = assign[j]
-                if x < y:
-                    break
-                if x > y:
-                    return False
-        return True
-
     def rec(e: int) -> Iterator[tuple[int, ...]]:
         if e == edge_count:
-            if actions is None or is_canonical():
-                yield tuple(assign)
+            yield tuple(assign)
             return
         values = (prefix[e],) if e < len(prefix) else value_range
         for digit in values:
@@ -535,16 +522,24 @@ def verify_kernel_solvable(
         jobs = 1
     tables = _sweep_tables(graph, num_values, symmetry_reduction)
 
-    def task_args(index: int, consumed: int):
-        remaining = None if budget is None else budget - consumed
+    total = examined
+
+    def task_args(index: int):
+        # read when the task starts, so it sees the budget earlier tasks left
+        remaining = None if budget is None else budget - total
         return (n, edges, num_values, tables, tasks[index], remaining)
 
-    total = examined
+    args = (task_args(index) for index in range(start_task, len(tasks)))
+    pool = None
+    if jobs > 1:
+        import multiprocessing
+
+        pool = multiprocessing.Pool(processes=jobs)
     counter_digits = None
     budget_hit = False
-    if jobs <= 1:
-        for index in range(start_task, len(tasks)):
-            task_examined, digits, hit = _verify_task(task_args(index, total))
+    try:
+        results = map(_verify_task, args) if pool is None else pool.imap(_verify_task, args)
+        for index, (task_examined, digits, hit) in enumerate(results, start_task):
             total += task_examined
             if digits is not None:
                 counter_digits = digits
@@ -555,21 +550,9 @@ def verify_kernel_solvable(
                 save_checkpoint(index, total - task_examined)
                 break
             save_checkpoint(index + 1, total)
-    else:
-        import multiprocessing
-
-        with multiprocessing.Pool(processes=jobs) as pool:
-            args = [task_args(i, 0) for i in range(start_task, len(tasks))]
-            for offset, (task_examined, digits, hit) in enumerate(
-                pool.imap(_verify_task, args)
-            ):
-                total += task_examined
-                if digits is not None:
-                    counter_digits = digits
-                    save_checkpoint(start_task + offset + 1, total, digits)
-                    pool.terminate()
-                    break
-                save_checkpoint(start_task + offset + 1, total)
+    finally:
+        if pool is not None:
+            pool.terminate()
 
     elapsed = elapsed_before + time.monotonic() - started
     if counter_digits is not None:

@@ -245,30 +245,10 @@ def cmd_redblue_check(args, out: _Output) -> int:
     return EXIT_OK if report.satisfied else EXIT_VERDICT_FAILS
 
 
-def _emit_trace(trace: redblue.SolveTrace, out: _Output) -> int:
-    out.emit(trace.to_json_obj())
-    return EXIT_OK
-
-
-def cmd_redblue_solve(args, out: _Output) -> int:
+def _solve(args, out: _Output, solve) -> int:
     cd = _expect(_load_graph(args.input), ColoredDigraph, "input")
     try:
-        trace = redblue.solve_chain(cd)
-    except ConditionsViolatedError as exc:
-        out.emit(
-            {
-                "satisfied": False,
-                "violations": _violations_json(exc.report) if exc.report else [],
-            }
-        )
-        return EXIT_VERDICT_FAILS
-    return _emit_trace(trace, out)
-
-
-def cmd_redblue_solve_fixpoint(args, out: _Output) -> int:
-    cd = _expect(_load_graph(args.input), ColoredDigraph, "input")
-    try:
-        trace = redblue.solve_fixpoint(cd, budget=_budget(args))
+        trace = solve(cd)
     except ConditionsViolatedError as exc:
         out.emit(
             {
@@ -280,7 +260,16 @@ def cmd_redblue_solve_fixpoint(args, out: _Output) -> int:
     except BudgetExceededError as exc:
         out.emit({"error": str(exc)})
         return EXIT_BUDGET
-    return _emit_trace(trace, out)
+    out.emit(trace.to_json_obj())
+    return EXIT_OK
+
+
+def cmd_redblue_solve(args, out: _Output) -> int:
+    return _solve(args, out, redblue.solve_chain)
+
+
+def cmd_redblue_solve_fixpoint(args, out: _Output) -> int:
+    return _solve(args, out, lambda cd: redblue.solve_fixpoint(cd, budget=_budget(args)))
 
 
 def cmd_redblue_gen(args, out: _Output) -> int:
@@ -307,10 +296,6 @@ def cmd_redblue_gen(args, out: _Output) -> int:
 # -- chords commands ---------------------------------------------------------
 
 
-def _chord_report_payload(report: chords.ChordConditionReport) -> dict:
-    return report.to_json_obj()
-
-
 def cmd_chords_check(args, out: _Output) -> int:
     digraph = _expect(_load_graph(args.input), Digraph, "input")
     checker = {
@@ -319,7 +304,7 @@ def cmd_chords_check(args, out: _Output) -> int:
         "duchet": chords.check_duchet_condition,
     }[args.which]
     report = checker(digraph, max_len=args.max_len, budget=_budget(args))
-    out.emit(_chord_report_payload(report))
+    out.emit(report.to_json_obj())
     return EXIT_OK if report.satisfied else EXIT_VERDICT_FAILS
 
 
@@ -586,16 +571,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int)
     p.add_argument("--checkpoint")
     p.add_argument("--prefix-depth", type=int, dest="prefix_depth")
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default="-")
+    _common(p, needs_input=False)
     p.set_defaults(func=cmd_antihole_verify)
 
     p = sub.add_parser("search-witness", help="hunt a clique-acyclic orientation with no kernel")
     p.add_argument("input", nargs="?", help="graph file, or use --n")
     p.add_argument("--n", type=int)
     p.add_argument("--budget", type=int)
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", default="-")
+    _common(p, needs_input=False)
     p.set_defaults(func=cmd_antihole_search)
 
     p = sub.add_parser("find-near-sink", help="vertex receiving both distance-two edges")
@@ -633,20 +616,12 @@ def main(argv=None) -> int:
     out = _Output(args)
     try:
         return args.func(args, out)
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (SizeCapError, BudgetExceededError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ConditionsViolatedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERDICT_FAILS
-    except ContractError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except KernelKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc, (SizeCapError, BudgetExceededError)):
+            return EXIT_BUDGET
+        if isinstance(exc, ConditionsViolatedError):
+            return EXIT_VERDICT_FAILS
         return EXIT_USAGE
 
 

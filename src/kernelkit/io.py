@@ -6,9 +6,9 @@ arcs, `cdigraph` with `<u> <v> <b|r>` colored arcs, `graph` with unordered
 `<u> <v>` edges, and `orientation` with `<u> <v> <fwd|bwd|both>` rows where
 u < v and the base graph is implied by the listed edges.
 
-JSON mirrors use the same field names under a `kind` discriminator.
-Parsing and serialization round-trip exactly; parse errors name the
-offending line.
+JSON mirrors use the same field names under a `kind` discriminator, and
+each row holds exactly the fields of its text line.  Parsing and
+serialization round-trip exactly; parse errors name the offending line.
 """
 
 from __future__ import annotations
@@ -28,10 +28,6 @@ from .errors import BoundsError, GraphParseError
 __all__ = [
     "parse",
     "parse_json",
-    "parse_digraph",
-    "parse_colored_digraph",
-    "parse_graph",
-    "parse_orientation",
     "serialize",
     "serialize_json",
     "to_json_obj",
@@ -41,7 +37,22 @@ __all__ = [
     "dump",
 ]
 
-_KINDS = ("digraph", "cdigraph", "graph", "orientation")
+
+def _orientation(n: int, rows) -> Orientation:
+    base = UndirectedGraph(n, [(u, v) for u, v, _ in rows])
+    return Orientation(base, {(u, v): d for u, v, d in rows})
+
+
+# kind -> (row field, name and decoder of the optional third column,
+# builder taking the vertex count and the rows).  JSON rows go straight
+# to the builder, whose constructor validates them; text rows are checked
+# line by line first, so that an error names its line.
+_KINDS = {
+    "digraph": ("arcs", None, None, Digraph),
+    "cdigraph": ("arcs", "color", ArcColor, ColoredDigraph.from_colored_arcs),
+    "graph": ("edges", None, None, UndirectedGraph),
+    "orientation": ("edges", "direction", EdgeDirection, _orientation),
+}
 
 
 def _content_lines(text: str):
@@ -52,7 +63,7 @@ def _content_lines(text: str):
             yield lineno, body.split()
 
 
-def _parse_header(lines, expected_kind=None):
+def _parse_header(lines):
     try:
         lineno, tokens = next(lines)
     except StopIteration:
@@ -62,8 +73,6 @@ def _parse_header(lines, expected_kind=None):
     kind, count = tokens
     if kind not in _KINDS:
         raise GraphParseError(f"unknown kind {kind!r}", lineno)
-    if expected_kind is not None and kind != expected_kind:
-        raise GraphParseError(f"expected {expected_kind!r} header, got {kind!r}", lineno)
     try:
         n = int(count)
     except ValueError:
@@ -83,183 +92,56 @@ def _parse_vertex(token: str, n: int, lineno: int) -> int:
     return v
 
 
-def parse_digraph(text: str) -> Digraph:
+def parse(text: str):
+    """Parse any of the four text formats, dispatching on the header kind."""
     lines = _content_lines(text)
-    _, n = _parse_header(lines, "digraph")
-    arcs = []
-    seen = set()
-    for lineno, tokens in lines:
-        if len(tokens) != 2:
-            raise GraphParseError(f"expected '<u> <v>', got {' '.join(tokens)!r}", lineno)
-        u = _parse_vertex(tokens[0], n, lineno)
-        v = _parse_vertex(tokens[1], n, lineno)
-        if u == v:
-            raise GraphParseError(f"loop ({u}, {v}) not allowed", lineno)
-        if (u, v) in seen:
-            raise GraphParseError(f"duplicate arc ({u}, {v})", lineno)
-        seen.add((u, v))
-        arcs.append((u, v))
-    return Digraph(n, arcs)
-
-
-def parse_colored_digraph(text: str) -> ColoredDigraph:
-    lines = _content_lines(text)
-    _, n = _parse_header(lines, "cdigraph")
+    kind, n = _parse_header(lines)
+    field, column, decoder, build = _KINDS[kind]
+    noun = field[:-1]
+    width = 2 if decoder is None else 3
+    syntax = "<u> <v>"
+    if decoder is not None:
+        syntax += f" <{'|'.join(d.value for d in decoder)}>"
     rows = []
     seen = set()
     for lineno, tokens in lines:
-        if len(tokens) == 2:
-            raise GraphParseError(f"missing color on arc {' '.join(tokens)!r}", lineno)
-        if len(tokens) != 3:
-            raise GraphParseError(
-                f"expected '<u> <v> <b|r>', got {' '.join(tokens)!r}", lineno
-            )
+        if len(tokens) != width:
+            if len(tokens) == 2:
+                raise GraphParseError(f"missing {column} on {noun} {' '.join(tokens)!r}", lineno)
+            raise GraphParseError(f"expected {syntax!r}, got {' '.join(tokens)!r}", lineno)
         u = _parse_vertex(tokens[0], n, lineno)
         v = _parse_vertex(tokens[1], n, lineno)
-        if u == v:
-            raise GraphParseError(f"loop ({u}, {v}) not allowed", lineno)
-        if (u, v) in seen:
-            raise GraphParseError(f"duplicate arc ({u}, {v})", lineno)
-        if tokens[2] not in ("b", "r"):
-            raise GraphParseError(f"unknown color {tokens[2]!r}", lineno)
-        seen.add((u, v))
-        rows.append((u, v, ArcColor(tokens[2])))
-    return ColoredDigraph.from_colored_arcs(n, rows)
-
-
-def parse_graph(text: str) -> UndirectedGraph:
-    lines = _content_lines(text)
-    _, n = _parse_header(lines, "graph")
-    edges = []
-    seen = set()
-    for lineno, tokens in lines:
-        if len(tokens) != 2:
-            raise GraphParseError(f"expected '<u> <v>', got {' '.join(tokens)!r}", lineno)
-        u = _parse_vertex(tokens[0], n, lineno)
-        v = _parse_vertex(tokens[1], n, lineno)
-        if u == v:
-            raise GraphParseError(f"self-edge ({u}, {v}) not allowed", lineno)
-        e = (min(u, v), max(u, v))
-        if e in seen:
-            raise GraphParseError(f"duplicate edge {e}", lineno)
-        seen.add(e)
-        edges.append(e)
-    return UndirectedGraph(n, edges)
-
-
-def parse_orientation(text: str) -> Orientation:
-    lines = _content_lines(text)
-    _, n = _parse_header(lines, "orientation")
-    edges = []
-    assignment = {}
-    for lineno, tokens in lines:
-        if len(tokens) != 3:
-            raise GraphParseError(
-                f"expected '<u> <v> <fwd|bwd|both>', got {' '.join(tokens)!r}", lineno
-            )
-        u = _parse_vertex(tokens[0], n, lineno)
-        v = _parse_vertex(tokens[1], n, lineno)
-        if u >= v:
+        if kind == "orientation" and u >= v:
             raise GraphParseError(f"edge endpoints must satisfy u < v, got ({u}, {v})", lineno)
-        if (u, v) in assignment:
-            raise GraphParseError(f"duplicate edge ({u}, {v})", lineno)
+        if u == v:
+            loop = "loop" if noun == "arc" else "self-edge"
+            raise GraphParseError(f"{loop} ({u}, {v}) not allowed", lineno)
+        key = (min(u, v), max(u, v)) if kind == "graph" else (u, v)
+        if key in seen:
+            raise GraphParseError(f"duplicate {noun} {key}", lineno)
+        seen.add(key)
+        if decoder is None:
+            rows.append(key)
+            continue
         try:
-            direction = EdgeDirection(tokens[2])
+            rows.append((u, v, decoder(tokens[2])))
         except ValueError:
-            raise GraphParseError(f"unknown direction {tokens[2]!r}", lineno) from None
-        edges.append((u, v))
-        assignment[(u, v)] = direction
-    return Orientation(UndirectedGraph(n, edges), assignment)
-
-
-_PARSERS = {
-    "digraph": parse_digraph,
-    "cdigraph": parse_colored_digraph,
-    "graph": parse_graph,
-    "orientation": parse_orientation,
-}
-
-
-def parse(text: str):
-    """Parse any of the four text formats, dispatching on the header kind."""
-    kind, _ = _parse_header(_content_lines(text))
-    return _PARSERS[kind](text)
-
-
-# -- serialization -------------------------------------------------------
-
-
-def serialize(obj) -> str:
-    if isinstance(obj, ColoredDigraph):
-        rows = [f"{u} {v} {c.value}" for (u, v), c in sorted(obj.color.items())]
-        return "\n".join([f"cdigraph {obj.vertex_count}"] + rows) + "\n"
-    if isinstance(obj, Digraph):
-        rows = [f"{u} {v}" for (u, v) in sorted(obj.arcs)]
-        return "\n".join([f"digraph {obj.vertex_count}"] + rows) + "\n"
-    if isinstance(obj, Orientation):
-        rows = [
-            f"{u} {v} {obj.assignment[(u, v)].value}"
-            for (u, v) in obj.base.sorted_edges()
-        ]
-        return "\n".join([f"orientation {obj.base.vertex_count}"] + rows) + "\n"
-    if isinstance(obj, UndirectedGraph):
-        rows = [f"{u} {v}" for (u, v) in obj.sorted_edges()]
-        return "\n".join([f"graph {obj.vertex_count}"] + rows) + "\n"
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
-
-
-def to_json_obj(obj) -> dict:
-    if isinstance(obj, ColoredDigraph):
-        return {
-            "kind": "cdigraph",
-            "vertex_count": obj.vertex_count,
-            "arcs": [[u, v, c.value] for (u, v), c in sorted(obj.color.items())],
-        }
-    if isinstance(obj, Digraph):
-        return {
-            "kind": "digraph",
-            "vertex_count": obj.vertex_count,
-            "arcs": [[u, v] for (u, v) in sorted(obj.arcs)],
-        }
-    if isinstance(obj, Orientation):
-        return {
-            "kind": "orientation",
-            "vertex_count": obj.base.vertex_count,
-            "edges": [
-                [u, v, obj.assignment[(u, v)].value]
-                for (u, v) in obj.base.sorted_edges()
-            ],
-        }
-    if isinstance(obj, UndirectedGraph):
-        return {
-            "kind": "graph",
-            "vertex_count": obj.vertex_count,
-            "edges": [[u, v] for (u, v) in obj.sorted_edges()],
-        }
-    raise TypeError(f"cannot serialize {type(obj).__name__}")
+            raise GraphParseError(f"unknown {column} {tokens[2]!r}", lineno) from None
+    return build(n, rows)
 
 
 def from_json_obj(data: dict):
     if not isinstance(data, dict) or "kind" not in data:
         raise GraphParseError("JSON object must carry a 'kind' field")
     kind = data["kind"]
+    if not isinstance(kind, str) or kind not in _KINDS:
+        raise GraphParseError(f"unknown kind {kind!r}")
+    field, _, _, build = _KINDS[kind]
     try:
-        n = int(data["vertex_count"])
-        if kind == "digraph":
-            return Digraph(n, [tuple(a) for a in data.get("arcs", [])])
-        if kind == "cdigraph":
-            return ColoredDigraph.from_colored_arcs(
-                n, [(a[0], a[1], a[2]) for a in data.get("arcs", [])]
-            )
-        if kind == "graph":
-            return UndirectedGraph(n, [tuple(e) for e in data.get("edges", [])])
-        if kind == "orientation":
-            edges = [(e[0], e[1]) for e in data.get("edges", [])]
-            assignment = {(e[0], e[1]): EdgeDirection(e[2]) for e in data.get("edges", [])}
-            return Orientation(UndirectedGraph(n, edges), assignment)
+        # a row of the wrong width fails to unpack in the builder
+        return build(int(data["vertex_count"]), data.get(field, []))
     except (KeyError, IndexError, TypeError, ValueError, BoundsError) as exc:
         raise GraphParseError(f"bad {kind!r} JSON object: {exc}") from None
-    raise GraphParseError(f"unknown kind {kind!r}")
 
 
 def parse_json(text: str):
@@ -268,10 +150,6 @@ def parse_json(text: str):
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from None
     return from_json_obj(data)
-
-
-def serialize_json(obj, indent=None) -> str:
-    return json.dumps(to_json_obj(obj), indent=indent) + "\n"
 
 
 def load(text: str, fmt: str = "text"):
@@ -290,6 +168,39 @@ def load_auto(text: str):
     return parse(text)
 
 
+# -- serialization -------------------------------------------------------
+
+
+def _rows(obj):
+    """(kind, vertex count, rows in file order) of a graph object; a row
+    is [u, v] or [u, v, third-column value]."""
+    if isinstance(obj, ColoredDigraph):
+        rows = [[u, v, c.value] for (u, v), c in sorted(obj.color.items())]
+        return "cdigraph", obj.vertex_count, rows
+    if isinstance(obj, Digraph):
+        return "digraph", obj.vertex_count, [[u, v] for u, v in sorted(obj.arcs)]
+    if isinstance(obj, Orientation):
+        rows = [[u, v, obj.assignment[(u, v)].value] for u, v in obj.base.sorted_edges()]
+        return "orientation", obj.base.vertex_count, rows
+    if isinstance(obj, UndirectedGraph):
+        return "graph", obj.vertex_count, [[u, v] for u, v in obj.sorted_edges()]
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def serialize(obj) -> str:
+    kind, n, rows = _rows(obj)
+    return "\n".join([f"{kind} {n}"] + [" ".join(map(str, row)) for row in rows]) + "\n"
+
+
+def to_json_obj(obj) -> dict:
+    kind, n, rows = _rows(obj)
+    return {"kind": kind, "vertex_count": n, _KINDS[kind][0]: rows}
+
+
+def serialize_json(obj, indent=None) -> str:
+    return json.dumps(to_json_obj(obj), indent=indent) + "\n"
+
+
 def dump(obj, fmt: str = "text") -> str:
     if fmt == "json":
         return serialize_json(obj)
@@ -298,41 +209,26 @@ def dump(obj, fmt: str = "text") -> str:
     raise ValueError(f"unknown format {fmt!r}")
 
 
+# DOT line of a row, keyed by its third column or, for two-column rows,
+# by the kind
+_DOT_ARCS = {
+    "digraph": "{u} -> {v};",
+    "graph": "{u} -- {v};",
+    "b": "{u} -> {v} [color=blue];",
+    "r": "{u} -> {v} [color=red];",
+    "fwd": "{u} -> {v};",
+    "bwd": "{v} -> {u};",
+    "both": "{u} -> {v} [dir=both];",
+}
+
+
 def to_dot(obj) -> str:
     """DOT text for external rendering; colors and reversibility shown."""
-    lines = []
-    if isinstance(obj, ColoredDigraph):
-        lines.append("digraph G {")
-        palette = {ArcColor.BLUE: "blue", ArcColor.RED: "red"}
-        for v in range(obj.vertex_count):
-            lines.append(f"  {v};")
-        for (u, v), c in sorted(obj.color.items()):
-            lines.append(f"  {u} -> {v} [color={palette[c]}];")
-    elif isinstance(obj, Digraph):
-        lines.append("digraph G {")
-        for v in range(obj.vertex_count):
-            lines.append(f"  {v};")
-        for (u, v) in sorted(obj.arcs):
-            lines.append(f"  {u} -> {v};")
-    elif isinstance(obj, Orientation):
-        lines.append("digraph G {")
-        for v in range(obj.base.vertex_count):
-            lines.append(f"  {v};")
-        for (u, v) in obj.base.sorted_edges():
-            d = obj.assignment[(u, v)]
-            if d is EdgeDirection.FORWARD:
-                lines.append(f"  {u} -> {v};")
-            elif d is EdgeDirection.BACKWARD:
-                lines.append(f"  {v} -> {u};")
-            else:
-                lines.append(f"  {u} -> {v} [dir=both];")
-    elif isinstance(obj, UndirectedGraph):
-        lines.append("graph G {")
-        for v in range(obj.vertex_count):
-            lines.append(f"  {v};")
-        for (u, v) in obj.sorted_edges():
-            lines.append(f"  {u} -- {v};")
-    else:
-        raise TypeError(f"cannot render {type(obj).__name__}")
+    kind, n, rows = _rows(obj)
+    lines = ["graph G {" if kind == "graph" else "digraph G {"]
+    lines += [f"  {v};" for v in range(n)]
+    for row in rows:
+        template = _DOT_ARCS[row[2] if len(row) == 3 else kind]
+        lines.append("  " + template.format(u=row[0], v=row[1]))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -8,7 +8,6 @@ one such chain.
 
 from __future__ import annotations
 
-import random
 from enum import Enum
 from typing import Iterable, Iterator
 
@@ -21,8 +20,6 @@ __all__ = [
     "antichain_leq",
     "compare_antichains",
     "max_chain_of_antichains",
-    "all_posets",
-    "random_poset",
 ]
 
 
@@ -193,48 +190,3 @@ def max_chain_of_antichains(poset: Poset) -> list[frozenset[int]]:
         current = frozenset(y for y in current if not poset.leq(y, x)) | {x}
         chain.append(current)
     return chain
-
-
-# -- instance generation (testing and CLI support) ------------------------
-
-
-def random_poset(seed: int, size: int, density: float = 0.4) -> Poset:
-    """Reflexive-transitive closure of a random DAG, deterministic by seed."""
-    rng = random.Random(seed)
-    order = list(range(size))
-    rng.shuffle(order)
-    pairs = []
-    for i in range(size):
-        for j in range(i + 1, size):
-            if rng.random() < density:
-                pairs.append((order[i], order[j]))
-    return Poset(size, pairs)
-
-
-def all_posets(size: int) -> Iterator[Poset]:
-    """Every partial order on {0, ..., size-1}, exhaustively.
-
-    Runs through all antisymmetric transitive strict relations; practical
-    only for very small sizes (219 posets on 4 labeled elements).
-    """
-    cells = [(a, b) for a in range(size) for b in range(size) if a != b]
-    for bitsel in range(1 << len(cells)):
-        rel = [[False] * size for _ in range(size)]
-        for i, (a, b) in enumerate(cells):
-            if (bitsel >> i) & 1:
-                rel[a][b] = True
-        ok = True
-        for a in range(size):
-            if not ok:
-                break
-            for b in range(size):
-                if rel[a][b] and rel[b][a]:
-                    ok = False
-                    break
-                if rel[a][b]:
-                    for c in range(size):
-                        if rel[b][c] and not rel[a][c]:
-                            ok = False
-                            break
-        if ok:
-            yield Poset(size, [(a, b) for a in range(size) for b in range(size) if rel[a][b]])

@@ -1,8 +1,11 @@
-"""Shared hypothesis strategies."""
+"""Shared hypothesis strategies and seeded or exhaustive poset instances."""
+
+import random
+from typing import Iterator
 
 from hypothesis import strategies as st
 
-from kernelkit import ArcColor, ColoredDigraph, Digraph, UndirectedGraph
+from kernelkit import ArcColor, ColoredDigraph, Digraph, Poset, UndirectedGraph
 
 
 @st.composite
@@ -39,3 +42,45 @@ def vertex_subsets(draw, n):
     if n == 0:
         return []
     return draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n))
+
+
+def random_poset(seed: int, size: int, density: float = 0.4) -> Poset:
+    """Reflexive-transitive closure of a random DAG, deterministic by seed."""
+    rng = random.Random(seed)
+    order = list(range(size))
+    rng.shuffle(order)
+    pairs = []
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                pairs.append((order[i], order[j]))
+    return Poset(size, pairs)
+
+
+def all_posets(size: int) -> Iterator[Poset]:
+    """Every partial order on {0, ..., size-1}, exhaustively.
+
+    Runs through all antisymmetric transitive strict relations; practical
+    only for very small sizes (219 posets on 4 labeled elements).
+    """
+    cells = [(a, b) for a in range(size) for b in range(size) if a != b]
+    for bitsel in range(1 << len(cells)):
+        rel = [[False] * size for _ in range(size)]
+        for i, (a, b) in enumerate(cells):
+            if (bitsel >> i) & 1:
+                rel[a][b] = True
+        ok = True
+        for a in range(size):
+            if not ok:
+                break
+            for b in range(size):
+                if rel[a][b] and rel[b][a]:
+                    ok = False
+                    break
+                if rel[a][b]:
+                    for c in range(size):
+                        if rel[b][c] and not rel[a][c]:
+                            ok = False
+                            break
+        if ok:
+            yield Poset(size, [(a, b) for a in range(size) for b in range(size) if rel[a][b]])

@@ -34,11 +34,9 @@ from kernelkit.oracle import (
 )
 from kernelkit.poset import (
     Poset,
-    all_posets,
     antichain_leq,
     compare_antichains,
     max_chain_of_antichains,
-    random_poset,
     Comparison,
 )
 from kernelkit.redblue import (
@@ -51,6 +49,7 @@ from kernelkit.redblue import (
     solve_chain,
     solve_fixpoint,
 )
+from strategies import all_posets, random_poset
 
 
 def report(number: int, text: str) -> None:

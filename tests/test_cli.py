@@ -383,6 +383,28 @@ class TestGraphConvert:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize(
+        "kind,field,row",
+        [
+            ("digraph", "arcs", [0, 1, 7]),
+            ("cdigraph", "arcs", [0, 1, "b", 7]),
+            ("graph", "edges", [0, 1, 7]),
+            ("orientation", "edges", [0, 1, "fwd", 7]),
+        ],
+    )
+    def test_json_row_with_a_trailing_field_exits_two(
+        self, capsys, monkeypatch, kind, field, row
+    ):
+        document = {"kind": kind, "vertex_count": 2, field: [row]}
+        code, out, err = run_cli(
+            capsys,
+            ["graph", "convert", "-", "--to", "text"],
+            stdin=json.dumps(document),
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and f"bad {kind!r} JSON object" in err
+
 
 class TestConsoleEntry:
     def test_module_invocation(self):

@@ -3,7 +3,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelkit import c7_counterexample
-from kernelkit.digraph import EdgeDirection, Orientation
+from kernelkit.digraph import (
+    ColoredDigraph,
+    Digraph,
+    EdgeDirection,
+    Orientation,
+    UndirectedGraph,
+)
 from kernelkit.errors import GraphParseError
 from kernelkit import io
 from strategies import colored_digraphs, digraphs, undirected_graphs
@@ -34,16 +40,37 @@ class TestParseErrors:
         "text,line,fragment",
         [
             ("digraph x\n", 1, "not an integer"),
-            ("digraph 2\n0\n", 2, "expected"),
-            ("digraph 2\n0 2\n", 2, "outside"),
-            ("digraph 2\n0 1\n0 1\n", 3, "duplicate"),
-            ("digraph 2\n1 1\n", 2, "loop"),
-            ("cdigraph 2\n0 1\n", 2, "missing color"),
-            ("cdigraph 2\n0 1 g\n", 2, "unknown color"),
-            ("graph 3\n# fine\n0 1\n1 0\n", 4, "duplicate"),
-            ("orientation 3\n1 0 fwd\n", 2, "u < v"),
-            ("orientation 3\n0 1 sideways\n", 2, "unknown direction"),
+            ("digraph -1\n", 1, "negative"),
+            ("digraph 2 1\n", 1, "malformed header"),
             ("wat 3\n", 1, "unknown kind"),
+            ("digraph 2\n0\n", 2, "expected"),
+            ("digraph 2\n0 1 b\n", 2, "expected"),
+            ("digraph 2\n0 x\n", 2, "not an integer"),
+            ("digraph 2\n0 2\n", 2, "outside"),
+            ("digraph 2\n1 1\n", 2, "loop"),
+            ("digraph 2\n0 1\n0 1\n", 3, "duplicate"),
+            ("cdigraph 2\n0 1\n", 2, "missing color"),
+            ("cdigraph 2\n0 1 b r\n", 2, "expected"),
+            ("cdigraph 2\nx 1 b\n", 2, "not an integer"),
+            ("cdigraph 2\n0 1 b\n-1 0 r\n", 3, "outside"),
+            ("cdigraph 2\n0 0 b\n", 2, "loop"),
+            ("cdigraph 2\n0 1 b\n1 0 b\n0 1 r\n", 4, "duplicate arc (0, 1)"),
+            ("cdigraph 2\n0 1 g\n", 2, "unknown color"),
+            ("graph 3\n0\n", 2, "expected"),
+            ("graph 3\n0 1 2\n", 2, "expected"),
+            ("graph 3\n0 y\n", 2, "not an integer"),
+            ("graph 3\n0 3\n", 2, "outside"),
+            ("graph 3\n2 2\n", 2, "self-edge"),
+            ("graph 3\n# fine\n0 1\n1 0\n", 4, "duplicate"),
+            ("graph 3\n0 2\n1 2\n2 0\n", 4, "duplicate edge (0, 2)"),
+            ("orientation 3\n0 1\n", 2, "'0 1'"),
+            ("orientation 3\n0 1 fwd bwd\n", 2, "expected"),
+            ("orientation 3\n0 z fwd\n", 2, "not an integer"),
+            ("orientation 3\n0 3 fwd\n", 2, "outside"),
+            ("orientation 3\n1 0 fwd\n", 2, "u < v"),
+            ("orientation 3\n1 1 fwd\n", 2, "u < v"),
+            ("orientation 3\n0 1 fwd\n0 1 bwd\n", 3, "duplicate edge (0, 1)"),
+            ("orientation 3\n0 1 sideways\n", 2, "unknown direction"),
         ],
     )
     def test_error_names_line(self, text, line, fragment):
@@ -59,6 +86,79 @@ class TestParseErrors:
     def test_json_needs_kind(self):
         with pytest.raises(GraphParseError, match="kind"):
             io.parse_json("{}")
+
+
+def _golden_digraph():
+    return Digraph(4, [(0, 1), (1, 2), (2, 0), (1, 0)])
+
+
+def _golden_cdigraph():
+    return ColoredDigraph.from_colored_arcs(4, [(0, 1, "b"), (1, 0, "r"), (2, 1, "r")])
+
+
+def _golden_graph():
+    return UndirectedGraph(4, [(0, 1), (1, 2), (2, 0)])
+
+
+def _golden_orientation():
+    base = UndirectedGraph(4, [(0, 1), (0, 2), (1, 2)])
+    return Orientation(
+        base,
+        {
+            (0, 1): EdgeDirection.FORWARD,
+            (0, 2): EdgeDirection.BACKWARD,
+            (1, 2): EdgeDirection.BOTH,
+        },
+    )
+
+
+# One small object per kind, vertex 3 isolated in each: the exact text,
+# JSON and DOT renderings.
+GOLDEN = [
+    (
+        _golden_digraph,
+        "digraph 4\n0 1\n1 0\n1 2\n2 0\n",
+        '{"kind": "digraph", "vertex_count": 4, "arcs": [[0, 1], [1, 0], [1, 2], [2, 0]]}\n',
+        "digraph G {\n  0;\n  1;\n  2;\n  3;\n"
+        "  0 -> 1;\n  1 -> 0;\n  1 -> 2;\n  2 -> 0;\n}\n",
+    ),
+    (
+        _golden_cdigraph,
+        "cdigraph 4\n0 1 b\n1 0 r\n2 1 r\n",
+        '{"kind": "cdigraph", "vertex_count": 4, '
+        '"arcs": [[0, 1, "b"], [1, 0, "r"], [2, 1, "r"]]}\n',
+        "digraph G {\n  0;\n  1;\n  2;\n  3;\n"
+        "  0 -> 1 [color=blue];\n  1 -> 0 [color=red];\n  2 -> 1 [color=red];\n}\n",
+    ),
+    (
+        _golden_graph,
+        "graph 4\n0 1\n0 2\n1 2\n",
+        '{"kind": "graph", "vertex_count": 4, "edges": [[0, 1], [0, 2], [1, 2]]}\n',
+        "graph G {\n  0;\n  1;\n  2;\n  3;\n  0 -- 1;\n  0 -- 2;\n  1 -- 2;\n}\n",
+    ),
+    (
+        _golden_orientation,
+        "orientation 4\n0 1 fwd\n0 2 bwd\n1 2 both\n",
+        '{"kind": "orientation", "vertex_count": 4, '
+        '"edges": [[0, 1, "fwd"], [0, 2, "bwd"], [1, 2, "both"]]}\n',
+        "digraph G {\n  0;\n  1;\n  2;\n  3;\n"
+        "  0 -> 1;\n  2 -> 0;\n  1 -> 2 [dir=both];\n}\n",
+    ),
+]
+
+
+class TestGoldenFormats:
+    @pytest.mark.parametrize("build,text,json_text,dot", GOLDEN)
+    def test_exact_renderings(self, build, text, json_text, dot):
+        obj = build()
+        assert io.serialize(obj) == text
+        assert io.serialize_json(obj) == json_text
+        assert io.to_dot(obj) == dot
+
+    @pytest.mark.parametrize("build,text,json_text,dot", GOLDEN)
+    def test_both_formats_parse_back(self, build, text, json_text, dot):
+        assert io.parse(text) == build()
+        assert io.parse_json(json_text) == build()
 
 
 class TestRoundTrips:

@@ -6,12 +6,11 @@ from kernelkit.errors import ContractError
 from kernelkit.poset import (
     Comparison,
     Poset,
-    all_posets,
     antichain_leq,
     compare_antichains,
     max_chain_of_antichains,
-    random_poset,
 )
+from strategies import all_posets, random_poset
 
 
 class TestPoset:
