@@ -132,14 +132,20 @@ def _parse_vertex_spec(spec: str) -> list[int]:
             data = None
         if isinstance(data, dict):
             for key in ("result", "kernel", "witness"):
-                if key in data and data[key] is not None:
-                    return [int(v) for v in data[key]]
-            raise GraphParseError("JSON on stdin has no result/kernel/witness field")
+                if data.get(key) is not None:
+                    data = data[key]
+                    break
+            else:
+                raise GraphParseError("JSON on stdin has no result/kernel/witness field")
         if isinstance(data, list):
-            return [int(v) for v in data]
+            if not all(type(v) is int for v in data):
+                raise GraphParseError(f"vertex list {json.dumps(data)} holds a non-integer")
+            return data
         spec = raw
-    spec = spec.replace(",", " ").strip()
-    return [int(tok) for tok in spec.split()] if spec else []
+    try:
+        return [int(tok) for tok in spec.replace(",", " ").split()]
+    except ValueError:
+        raise GraphParseError(f"vertex list {spec!r} holds a non-integer") from None
 
 
 def _violations_json(report: redblue.ConditionReport) -> list[dict]:
@@ -273,6 +279,8 @@ def cmd_redblue_solve_fixpoint(args, out: _Output) -> int:
 
 
 def cmd_redblue_gen(args, out: _Output) -> int:
+    if args.n < 0:
+        raise ContractError(f"--n must be non-negative, got {args.n}")
     if args.generator == "ssw":
         cd = redblue.generate_ssw_instance(args.seed, args.n, density=args.density)
     elif args.generator == "comparability":
@@ -282,7 +290,9 @@ def cmd_redblue_gen(args, out: _Output) -> int:
     elif args.generator == "path":
         cd = redblue.generate_path_instance(args.seed, args.n, density=args.density)
     else:
-        budget = _budget(args) or 400
+        budget = _budget(args)
+        if budget is None:
+            budget = 400
         cd = redblue.generate_chain_instance(
             args.seed, args.n, budget=budget, density=args.density
         )

@@ -138,8 +138,17 @@ def from_json_obj(data: dict):
         raise GraphParseError(f"unknown kind {kind!r}")
     field, _, _, build = _KINDS[kind]
     try:
-        # a row of the wrong width fails to unpack in the builder
-        return build(int(data["vertex_count"]), data.get(field, []))
+        n = data["vertex_count"]
+        if type(n) is not int:
+            raise TypeError(f"vertex_count {json.dumps(n)} is not an integer")
+        rows = data.get(field, [])
+        # a row of the wrong width fails to unpack in the builder, which
+        # takes JSON booleans for the integers 0 and 1
+        obj = build(n, rows)
+        for row in rows:
+            if type(row[0]) is not int or type(row[1]) is not int:
+                raise TypeError(f"row {json.dumps(row)} holds a vertex that is not an integer")
+        return obj
     except (KeyError, IndexError, TypeError, ValueError, BoundsError) as exc:
         raise GraphParseError(f"bad {kind!r} JSON object: {exc}") from None
 

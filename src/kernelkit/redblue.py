@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional
 
 from .digraph import (
@@ -81,8 +82,9 @@ class ConditionReport:
         return self.satisfied
 
 
-def _report(violations: list) -> ConditionReport:
-    return ConditionReport(satisfied=not violations, violations=tuple(violations))
+def _report(scan, first_only: bool) -> ConditionReport:
+    violations = tuple(islice(scan, 1 if first_only else None))
+    return ConditionReport(satisfied=not violations, violations=violations)
 
 
 def check_chain_conditions(
@@ -96,28 +98,29 @@ def check_chain_conditions(
     three vertices are distinct: a monochromatic two-cycle is no chain, so
     opposite same-color arcs are fine on their own.
     """
-    n = cd.vertex_count
-    blue_out, blue_in = cd._blue_out, cd._blue_in
-    red_out, red_in = cd._red_out, cd._red_in
-    violations: list[tuple[str, tuple[int, ...]]] = []
-    for v in range(n):
+    scan = _chain_violations(cd._blue_out, cd._blue_in, cd._red_out, cd._red_in)
+    return _report(scan, first_only)
+
+
+def _chain_violations(
+    blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
+):
+    """Yield every chain-closure violation (rule, (u, v, w)) in scan order:
+    v ascending, its blue chains before its red ones, then u and w
+    ascending."""
+    for v in range(len(blue_out)):
         for u in bits_of(blue_in[v]):
             # heads w the chain u -> v -> w leaves unanswered, ascending
             for w in bits_of(
                 blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
             ):
-                violations.append((RULE_BLUE_CHAIN, (u, v, w)))
-                if first_only:
-                    return _report(violations)
+                yield RULE_BLUE_CHAIN, (u, v, w)
         for u in bits_of(red_in[v]):
             open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
             if (blue_out[v] >> u) & 1:
                 open_heads &= ~blue_in[u]
             for w in bits_of(open_heads):
-                violations.append((RULE_RED_CHAIN, (u, v, w)))
-                if first_only:
-                    return _report(violations)
-    return _report(violations)
+                yield RULE_RED_CHAIN, (u, v, w)
 
 
 def _some_directed_cycle(digraph: Digraph) -> Optional[tuple[int, ...]]:
@@ -158,20 +161,16 @@ def check_path_conditions(
     """Check that no color contains a directed cycle and that every directed
     path (v1, v2, v3, v4) with a red first arc and a blue last arc (v4 = v1
     allowed) induces another arc not ending at v2."""
-    d = cd.digraph
-    violations: list[tuple[str, tuple[int, ...]]] = []
+    return _report(_path_violations(cd), first_only)
+
+
+def _path_violations(cd: ColoredDigraph):
     for color in (ArcColor.BLUE, ArcColor.RED):
         cycle = _some_directed_cycle(cd.restriction(color))
         if cycle is not None:
-            violations.append((RULE_MONO_CYCLE, cycle))
-            if first_only:
-                return _report(violations)
-
-    for quad in _open_paths(d._out, cd._red_in, cd._blue_out):
-        violations.append((RULE_OPEN_PATH, quad))
-        if first_only:
-            return _report(violations)
-    return _report(violations)
+            yield RULE_MONO_CYCLE, cycle
+    for quad in _open_paths(cd.digraph._out, cd._red_in, cd._blue_out):
+        yield RULE_OPEN_PATH, quad
 
 
 def _open_paths(out: list[int], red_in: list[int], blue_out: list[int]):
@@ -263,18 +262,49 @@ def _require_family(cd: ColoredDigraph, i_mask: int, label: str) -> None:
         )
 
 
-def _unabsorbed_mask(d: Digraph, i_mask: int) -> int:
-    """Vertices neither in the set nor sending an arc into it."""
-    return ((1 << d.vertex_count) - 1) & ~(i_mask | union_of(d._in, i_mask))
+def _unanswered_red(cd: ColoredDigraph) -> list[int]:
+    """Each vertex's red out-neighbors that send no arc back."""
+    inn = cd.digraph._in
+    return [red & ~inn[v] for v, red in enumerate(cd._red_out)]
 
 
-def _init_vertex_within(cd: ColoredDigraph, u_mask: int) -> Optional[int]:
-    """Least vertex of U whose unanswered red arcs within U are none."""
+def _improvements(cd: ColoredDigraph, blocked: list[int], i_mask: int = 0):
+    """Improve the independent set `i_mask` until it is a kernel, yielding
+    each new set with its action.
+
+    A step takes the least unabsorbed vertex v whose `blocked[v]` misses
+    the unabsorbed set U, and adds it to the set ("add") or swaps it in
+    for the members with an arc into v ("swap").  `blocked` is each
+    vertex's unanswered red arcs for the chain conditions and all its red
+    arcs for the path conditions, so from the empty set the first pick is
+    the solver's initial vertex.  Each new set is checked to be
+    independent with every red arc answered, and the last one to be a
+    kernel.
+    """
     d = cd.digraph
-    for v in bits_of(u_mask):
-        if not cd._red_out[v] & u_mask & ~d._in[v]:
-            return v
-    return None
+    n = cd.vertex_count
+    full = (1 << n) - 1
+    while True:
+        unabsorbed = full & ~(i_mask | union_of(d._in, i_mask))
+        if not unabsorbed:
+            break
+        v = next((x for x in bits_of(unabsorbed) if not blocked[x] & unabsorbed), None)
+        if v is None:
+            raise ConditionsViolatedError(
+                "no unabsorbed vertex has all its red arcs answered within the "
+                "unabsorbed set: conditions violated"
+            )
+        if d._in[v] & i_mask:
+            i_mask, action = (i_mask & ~d._in[v]) | (1 << v), "swap"
+        else:
+            i_mask, action = i_mask | (1 << v), "add"
+        try:
+            _require_family(cd, i_mask, "improved set")
+        except ContractError as exc:
+            raise InternalInvariantError(f"improvement left the family: {exc}") from exc
+        yield VertexSet.from_mask(n, i_mask), action
+    if not is_kernel(d, VertexSet.from_mask(n, i_mask)):
+        raise InternalInvariantError("the improvement loop stopped short of a kernel")
 
 
 def find_initial_independent(cd: ColoredDigraph) -> VertexSet:
@@ -287,64 +317,32 @@ def find_initial_independent(cd: ColoredDigraph) -> VertexSet:
     n = cd.vertex_count
     if n == 0:
         raise ContractError("empty digraph has no vertices to pick from")
-    d = cd.digraph
-    r_out = [cd._red_out[v] & ~d._in[v] for v in range(n)]
-    unanswered = Digraph(
-        n, [(v, w) for v in range(n) for w in bits_of(r_out[v])]
+    unanswered = _unanswered_red(cd)
+    scc = strongly_connected_components(
+        Digraph(n, [(v, w) for v in range(n) for w in bits_of(unanswered[v])])
     )
-    scc = strongly_connected_components(unanswered)
     for comp in scc.components:
         if len(comp) > 1:
             raise ConditionsViolatedError(
                 f"unanswered red arcs contain a cycle through {comp}: "
                 f"chain conditions violated"
             )
-    v = min(x for x in range(n) if r_out[x] == 0)
-    if cd._red_out[v] & ~d._in[v]:
-        raise InternalInvariantError("chosen sink leaves a red arc unanswered")
-    return VertexSet(n, [v])
+    return VertexSet(n, [unanswered.index(0)])
 
 
-def _apply_step(d: Digraph, i_mask: int, v: int) -> tuple[int, str]:
-    if not d._in[v] & i_mask:
-        return i_mask | (1 << v), "add"
-    return (i_mask & ~d._in[v]) | (1 << v), "swap"
-
-
-def improve_step(
-    cd: ColoredDigraph, independent, check: bool = True
-) -> tuple[VertexSet, str]:
+def improve_step(cd: ColoredDigraph, independent) -> tuple[VertexSet, str]:
     """One improvement: add or swap in the least qualifying unabsorbed
     vertex; the result is again independent with all red arcs answered.
 
-    Preconditions (verified when `check`): the input is independent, all
-    its red arcs are answered, and it is not yet a kernel.
+    Preconditions, all verified: the input is independent, all its red
+    arcs are answered, and it is not yet a kernel.
     """
-    d = cd.digraph
-    n = cd.vertex_count
-    i_mask = _subset_mask(n, independent)
-    if check:
-        _require_family(cd, i_mask, "input set")
-        if is_kernel(d, VertexSet.from_mask(n, i_mask)):
-            raise ContractError("input set is already a kernel")
-    u_mask = _unabsorbed_mask(d, i_mask)
-    if not u_mask:
+    i_mask = _subset_mask(cd.vertex_count, independent)
+    _require_family(cd, i_mask, "input set")
+    step = next(_improvements(cd, _unanswered_red(cd), i_mask), None)
+    if step is None:
         raise ContractError("input set is already a kernel")
-    v = _init_vertex_within(cd, u_mask)
-    if v is None:
-        raise ConditionsViolatedError(
-            "no unabsorbed vertex has all its red arcs answered within the "
-            "unabsorbed set: chain conditions violated"
-        )
-    new_mask, action = _apply_step(d, i_mask, v)
-    if check:
-        try:
-            _require_family(cd, new_mask, "improved set")
-        except ContractError as exc:
-            raise InternalInvariantError(
-                f"improvement left the family: {exc}"
-            ) from exc
-    return VertexSet.from_mask(n, new_mask), action
+    return step
 
 
 @dataclass(frozen=True)
@@ -383,7 +381,12 @@ class SolveTrace:
         }
 
 
-def solve_chain(cd: ColoredDigraph, check: bool = True) -> SolveTrace:
+def _trace(n: int, iterations: list[SolveIteration]) -> SolveTrace:
+    result = iterations[-1].independent if iterations else VertexSet(n)
+    return SolveTrace(iterations=tuple(iterations), result=result)
+
+
+def solve_chain(cd: ColoredDigraph) -> SolveTrace:
     """Kernel solver for the chain-closure conditions.
 
     Starts from the initial singleton and improves until a kernel appears.
@@ -391,42 +394,33 @@ def solve_chain(cd: ColoredDigraph, check: bool = True) -> SolveTrace:
     vertex_count improvements can happen; exceeding that bound (or a
     non-increasing potential) is a bug, not an input error.
     """
-    if check:
-        report = check_chain_conditions(cd)
-        if not report.satisfied:
-            raise ConditionsViolatedError(
-                f"chain conditions violated: {report.violations[0]}", report=report
-            )
+    report = check_chain_conditions(cd)
+    if not report.satisfied:
+        raise ConditionsViolatedError(
+            f"chain conditions violated: {report.violations[0]}", report=report
+        )
     n = cd.vertex_count
-    if n == 0:
-        return SolveTrace(iterations=(), result=VertexSet(0))
-    d = cd.digraph
     context = blue_component_order(cd)
-    current = find_initial_independent(cd)
-    potential = antichain_potential(cd, current, context)
-    iterations = [SolveIteration(current, potential, "init")]
-    while not is_kernel(d, current):
+    iterations: list[SolveIteration] = []
+    for current, action in _improvements(cd, _unanswered_red(cd)):
         if len(iterations) > n:
             raise InternalInvariantError(
                 f"more than {n} improvement steps: the antichain chain bound failed"
             )
-        current, action = improve_step(cd, current, check=check)
-        new_potential = antichain_potential(cd, current, context)
-        verdict = compare_antichains(
-            context[1], potential.antichain, new_potential.antichain
-        )
-        if verdict is not Comparison.LESS:
-            raise InternalInvariantError(
-                f"antichain potential did not strictly increase ({verdict.value})"
+        potential = antichain_potential(cd, current, context)
+        if iterations:
+            verdict = compare_antichains(
+                context[1], iterations[-1].potential.antichain, potential.antichain
             )
-        potential = new_potential
-        iterations.append(SolveIteration(current, new_potential, action))
-    return SolveTrace(iterations=tuple(iterations), result=current)
+            if verdict is not Comparison.LESS:
+                raise InternalInvariantError(
+                    f"antichain potential did not strictly increase ({verdict.value})"
+                )
+        iterations.append(SolveIteration(current, potential, action if iterations else "init"))
+    return _trace(n, iterations)
 
 
-def solve_fixpoint(
-    cd: ColoredDigraph, budget: Optional[int] = None, check: bool = True
-) -> SolveTrace:
+def solve_fixpoint(cd: ColoredDigraph, budget: Optional[int] = None) -> SolveTrace:
     """Kernel solver for the path conditions.
 
     Same improvement loop, but the new vertex is simply the least red-sink
@@ -436,53 +430,23 @@ def solve_fixpoint(
     n * 2**n); exhausting it raises BudgetExceededError carrying the trace
     so far.
     """
-    if check:
-        report = check_path_conditions(cd)
-        if not report.satisfied:
-            raise ConditionsViolatedError(
-                f"path conditions violated: {report.violations[0]}", report=report
-            )
+    report = check_path_conditions(cd)
+    if not report.satisfied:
+        raise ConditionsViolatedError(
+            f"path conditions violated: {report.violations[0]}", report=report
+        )
     n = cd.vertex_count
-    if n == 0:
-        return SolveTrace(iterations=(), result=VertexSet(0))
     if budget is None:
         budget = n * (1 << n)
-    d = cd.digraph
-    red_sinks = [v for v in range(n) if cd._red_out[v] == 0]
-    if not red_sinks:
-        raise ConditionsViolatedError(
-            "every vertex has an outgoing red arc: red restriction is cyclic"
-        )
-    current = VertexSet(n, [red_sinks[0]])
-    iterations = [SolveIteration(current, None, "init")]
-    while not is_kernel(d, current):
-        if len(iterations) - 1 >= budget:
+    iterations: list[SolveIteration] = []
+    for current, action in _improvements(cd, cd._red_out):
+        if len(iterations) > max(budget, 0):
             raise BudgetExceededError(
                 f"no kernel after {budget} improvement steps",
                 partial=tuple(iterations),
             )
-        i_mask = current.mask
-        u_mask = _unabsorbed_mask(d, i_mask)
-        v = None
-        for x in bits_of(u_mask):
-            if not cd._red_out[x] & u_mask:
-                v = x
-                break
-        if v is None:
-            raise ConditionsViolatedError(
-                "unabsorbed set has no red-sink: red restriction is cyclic"
-            )
-        new_mask, action = _apply_step(d, i_mask, v)
-        if check:
-            try:
-                _require_family(cd, new_mask, "improved set")
-            except ContractError as exc:
-                raise InternalInvariantError(
-                    f"improvement left the family: {exc}"
-                ) from exc
-        current = VertexSet.from_mask(n, new_mask)
-        iterations.append(SolveIteration(current, None, action))
-    return SolveTrace(iterations=tuple(iterations), result=current)
+        iterations.append(SolveIteration(current, None, action if iterations else "init"))
+    return _trace(n, iterations)
 
 
 # -- instance generators ----------------------------------------------------
@@ -635,30 +599,40 @@ def generate_chain_instance(
 ) -> Optional[ColoredDigraph]:
     """Random colored digraph repaired toward the chain conditions.
 
-    Violations are fixed by forcing the first alternative (adding or
-    recoloring the closing arc) or dropping one arc of an offending
-    monochromatic two-cycle.  Gives up after `budget` repairs and returns
-    None.
+    Each repair takes the first violation u -> v -> w in
+    `check_chain_conditions` order and forces its first alternative: the
+    closing arc u -> w is added in the chain's color, or recolored if it
+    has the other one.  Repairs edit the arc masks in place; the instance
+    is built once and re-verified against the chain conditions.  Gives up
+    after `budget` repairs and returns None.
     """
     rng = random.Random(("chain", seed, n, density).__repr__())
-    arcs: dict[tuple[int, int], ArcColor] = {}
+    out = {color: [0] * n for color in ArcColor}
+    inn = {color: [0] * n for color in ArcColor}
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < density:
-                arcs[(u, v)] = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
+                color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
+                out[color][u] |= 1 << v
+                inn[color][v] |= 1 << u
+    blue, red = ArcColor.BLUE, ArcColor.RED
     for _ in range(budget):
-        cd = ColoredDigraph.from_colored_arcs(
-            n, [(u, v, c) for (u, v), c in arcs.items()]
-        )
-        report = check_chain_conditions(cd, first_only=True)
-        if report.satisfied:
-            return cd
-        rule, (u, v, w) = report.violations[0]
-        if u == w:
-            del arcs[(v, u)]
-        else:
-            arcs[(u, w)] = ArcColor.BLUE if rule == RULE_BLUE_CHAIN else ArcColor.RED
-    return None
+        violation = next(_chain_violations(out[blue], inn[blue], out[red], inn[red]), None)
+        if violation is None:
+            break
+        rule, (u, _, w) = violation
+        keep, drop = (blue, red) if rule == RULE_BLUE_CHAIN else (red, blue)
+        out[keep][u] |= 1 << w
+        inn[keep][w] |= 1 << u
+        out[drop][u] &= ~(1 << w)
+        inn[drop][w] &= ~(1 << u)
+    else:
+        return None
+    rows = [(u, v, color) for color in ArcColor for u in range(n) for v in bits_of(out[color][u])]
+    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    if not check_chain_conditions(cd, first_only=True).satisfied:
+        raise InternalInvariantError("repaired instance fails the chain conditions")
+    return cd
 
 
 def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDigraph:

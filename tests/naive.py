@@ -337,9 +337,8 @@ def naive_open_paths(n, arcs):
 
 
 def naive_chain_violations(n, arcs):
-    """Every (rule, (u, v, w)) chain-closure violation in the chain check's
-    scan order; `arcs` maps (tail, head) to "b" or "r"."""
-    found = []
+    """Yield every (rule, (u, v, w)) chain-closure violation in the chain
+    check's scan order; `arcs` maps (tail, head) to "b" or "r"."""
     for v in range(n):
         for color, other, rule in (("b", "r", "blue-chain"), ("r", "b", "red-chain")):
             tails = sorted(u for (u, x), c in arcs.items() if x == v and c == color)
@@ -353,8 +352,26 @@ def naive_chain_violations(n, arcs):
                     else:
                         answered = arcs.get((v, u)) == other == arcs.get((w, u))
                     if not answered:
-                        found.append((rule, (u, v, w)))
-    return found
+                        yield rule, (u, v, w)
+
+
+def naive_chain_rows(seed, n, budget=400, density=0.25):
+    """The chain generator rescanning the whole instance after each repair,
+    which sets the closing arc u -> w of the first violation to the
+    chain's color; None when `budget` repairs leave a violation."""
+    rng = random.Random(("chain", seed, n, density).__repr__())
+    arcs = {}
+    for u in range(n):
+        for v in range(n):
+            if u != v and rng.random() < density:
+                arcs[(u, v)] = "b" if rng.random() < 0.5 else "r"
+    for _ in range(budget):
+        witness = next(naive_chain_violations(n, arcs), None)
+        if witness is None:
+            return sorted((u, v, c) for (u, v), c in arcs.items())
+        rule, (u, _, w) = witness
+        arcs[(u, w)] = "b" if rule == "blue-chain" else "r"
+    return None
 
 
 def naive_path_rows(seed, n, density=0.3):
@@ -378,6 +395,53 @@ def naive_path_rows(seed, n, density=0.3):
             return sorted((u, v, c) for (u, v), c in arcs.items())
         _, _, v3, v4 = witness
         del arcs[(v3, v4)]
+
+
+# -- reference improvement loop -----------------------------------------------
+
+
+def naive_solver_iterations(n, arcs, conditions):
+    """The iterations of `solve_chain` (conditions "chain") or
+    `solve_fixpoint` ("path"), as the solvers computed them before they
+    shared one loop: start from the least vertex with no blocking red
+    arc, then repeatedly add the least unabsorbed vertex with no blocking
+    red arc into the unabsorbed set, or swap it in for its in-neighbours
+    in the set.  A red arc blocks when it has no arc back (chain) or
+    always (path).  `arcs` maps (tail, head) to "b" or "r"; the result
+    has the layout of the trace's JSON iterations, with the least vertex
+    of each touched blue component as the chain solver's potential."""
+    inn = {v: {u for (u, w) in arcs if w == v} for v in range(n)}
+    blocked = {
+        v: {w for (u, w), c in arcs.items() if u == v and c == "r"}
+        - (inn[v] if conditions == "chain" else set())
+        for v in range(n)
+    }
+    least = {}
+    for component in naive_sccs(n, [a for a, c in arcs.items() if c == "b"]):
+        for v in component:
+            least[v] = min(component)
+    steps = []
+    current = set()
+    while True:
+        unabsorbed = set(range(n)) - current - {u for x in current for u in inn[x]}
+        if not unabsorbed:
+            return steps
+        if not steps:
+            v = min(x for x in range(n) if not blocked[x])
+            current, action = {v}, "init"
+        else:
+            v = min(x for x in unabsorbed if not blocked[x] & unabsorbed)
+            if inn[v] & current:
+                current, action = (current - inn[v]) | {v}, "swap"
+            else:
+                current, action = current | {v}, "add"
+        steps.append(
+            {
+                "independent": sorted(current),
+                "potential": sorted({least[x] for x in current}) if conditions == "chain" else None,
+                "action": action,
+            }
+        )
 
 
 # -- reference chord construction --------------------------------------------

@@ -83,6 +83,39 @@ class TestOracleCommands:
         assert code == 0
 
 
+class TestVertexLists:
+    @pytest.mark.parametrize(
+        "argv, stdin",
+        [
+            (["oracle", "check", "GRAPH", "--kernel", "0,x"], None),
+            (["oracle", "check", "GRAPH", "--kernel", "-"], '{"result": ["a"]}'),
+            (["oracle", "check", "GRAPH", "--kernel", "-"], '{"result": [true]}'),
+            (["oracle", "check", "GRAPH", "--kernel", "-"], "[false, 1]"),
+            (["poset", "compare", "POSET", "--a", "0,q", "--b", "1"], None),
+        ],
+        ids=["text-token", "json-string", "json-true", "json-list-false", "poset"],
+    )
+    def test_non_integer_vertex_exits_two(self, capsys, monkeypatch, tmp_path, argv, stdin):
+        (tmp_path / "g.txt").write_text("digraph 2\n0 1\n")
+        (tmp_path / "p.txt").write_text("poset 2\n0 1\n")
+        files = {"GRAPH": str(tmp_path / "g.txt"), "POSET": str(tmp_path / "p.txt")}
+        argv = [files.get(arg, arg) for arg in argv]
+        code, out, err = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "non-integer" in err
+
+    def test_json_report_on_stdin(self, capsys, monkeypatch, tmp_path):
+        (tmp_path / "g.txt").write_text("digraph 2\n0 1\n")
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "check", str(tmp_path / "g.txt"), "--kernel", "-", "--format", "json"],
+            stdin='{"result": null, "kernel": [1]}',
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out) == {"check": "kernel", "vertices": [1], "holds": True}
+
+
 class TestCounterexamplePipeline:
     def test_c7_into_oracle_find(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["antihole", "c7"])
@@ -169,6 +202,20 @@ class TestRedblueCommands:
         )
         assert code == 0
         assert out.startswith("# seed 11\n")
+
+    @pytest.mark.parametrize("generator", ["ssw", "comparability", "chain", "path"])
+    def test_gen_negative_n_exits_two(self, capsys, generator):
+        code, out, err = run_cli(capsys, ["redblue", "gen", generator, "--n", "-5"])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "--n" in err
+
+    def test_gen_chain_honours_a_zero_budget(self, capsys):
+        code, out, _ = run_cli(
+            capsys,
+            ["redblue", "gen", "chain", "--n", "6", "--budget", "0", "--format", "json"],
+        )
+        assert code == 3
+        assert json.loads(out) == {"error": "no instance within 0 repairs", "seed": 0}
 
 
 class TestChordsCommands:
@@ -404,6 +451,33 @@ class TestGraphConvert:
         )
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and f"bad {kind!r} JSON object" in err
+
+
+    @pytest.mark.parametrize(
+        "kind,field,row",
+        [
+            ("digraph", "arcs", [False, True]),
+            ("cdigraph", "arcs", [0, True, "b"]),
+            ("graph", "edges", [True, 0]),
+            ("orientation", "edges", [False, 1, "fwd"]),
+        ],
+    )
+    def test_json_non_integer_vertex_exits_two(self, capsys, monkeypatch, kind, field, row):
+        # JSON true and false used to be read as vertices 1 and 0, and a
+        # fractional vertex_count was truncated
+        for document in (
+            {"kind": kind, "vertex_count": 2, field: [row]},
+            {"kind": kind, "vertex_count": 2.9, field: []},
+            {"kind": kind, "vertex_count": True, field: []},
+        ):
+            code, out, err = run_cli(
+                capsys,
+                ["graph", "convert", "-", "--to", "text"],
+                stdin=json.dumps(document),
+                monkeypatch=monkeypatch,
+            )
+            assert code == 2 and out == ""
+            assert err.count("\n") == 1 and "not an integer" in err
 
 
 class TestConsoleEntry:

@@ -82,7 +82,7 @@ class TestChainConditions:
     @given(colored_digraphs(max_n=7))
     def test_matches_naive_scan(self, cd):
         arcs = {arc: c.value for arc, c in cd.color.items()}
-        want = naive.naive_chain_violations(cd.vertex_count, arcs)
+        want = list(naive.naive_chain_violations(cd.vertex_count, arcs))
         assert list(check_chain_conditions(cd).violations) == want
         first = check_chain_conditions(cd, first_only=True).violations
         assert list(first) == want[:1]
@@ -298,6 +298,24 @@ class TestGeneratorsMatchReferences:
         for seed in range(8):
             assert _rows(generate_path_instance(seed, n)) == naive.naive_path_rows(seed, n)
 
+    def test_chain(self):
+        # n = 3..15, and both outcomes: an instance or None after the budget
+        outcomes = set()
+        for seed in range(300):
+            n = 3 + seed % 13
+            got = generate_chain_instance(seed, n)
+            want = naive.naive_chain_rows(seed, n)
+            assert (got if got is None else _rows(got)) == want
+            outcomes.add(got is None)
+        assert outcomes == {True, False}
+
+    @pytest.mark.parametrize("budget", [0, 1, 2, 5, 20])
+    def test_chain_budget(self, budget):
+        for seed in range(40):
+            got = generate_chain_instance(seed, 3 + seed % 5, budget=budget)
+            want = naive.naive_chain_rows(seed, 3 + seed % 5, budget=budget)
+            assert (got if got is None else _rows(got)) == want
+
     @pytest.mark.parametrize(
         "generator, n, arcs",
         [
@@ -310,6 +328,39 @@ class TestGeneratorsMatchReferences:
     def test_command_line_sizes_keep_their_arc_counts(self, generator, n, arcs):
         # `redblue gen KIND --n N` at its default density and seed
         assert len(generator(0, n, density=0.35).digraph.arcs) == arcs
+
+
+class TestSolversMatchReference:
+    """Both solvers against naive.py's loop, which starts from the initial
+    vertex instead of from the empty set."""
+
+    @staticmethod
+    def expected(cd, conditions):
+        arcs = {arc: c.value for arc, c in cd.color.items()}
+        steps = naive.naive_solver_iterations(cd.vertex_count, arcs, conditions)
+        return {"iterations": steps, "result": steps[-1]["independent"] if steps else []}
+
+    @pytest.mark.parametrize(
+        "generator", [generate_ssw_instance, generate_comparability_instance, generate_chain_instance]
+    )
+    def test_chain(self, generator):
+        solved = 0
+        for seed in range(60):
+            cd = generator(seed, 3 + seed % 10)
+            if cd is None:
+                continue
+            assert solve_chain(cd).to_json_obj() == self.expected(cd, "chain")
+            solved += 1
+        assert solved >= 20
+
+    def test_fixpoint(self):
+        for seed in range(60):
+            cd = generate_path_instance(seed, 3 + seed % 8)
+            assert solve_fixpoint(cd).to_json_obj() == self.expected(cd, "path")
+
+    def test_empty_digraph(self):
+        for solve in (solve_chain, solve_fixpoint):
+            assert solve(colored(0, [])).to_json_obj() == {"iterations": [], "result": []}
 
 
 class TestLemmaProperties:
