@@ -2,19 +2,24 @@
 exhaustive enumeration of clique-acyclic orientations, and the solvability
 verification machinery built on top of it.
 
-The enumeration backtracks over edges in lexicographic (min, max) order; a
-branch dies as soon as some clique whose edges are all decided has no
-vertex receiving arcs from every other clique member.  "Fully decided" is
-detected in O(1) per step from a precomputed list of cliques keyed by
-their last edge, each with a lookup table over its edge-direction
-patterns.
+One search core, `_leaves`, enumerates edge-direction assignments in
+lexicographic digit order over the edges in (min, max) order.  It runs on
+an explicit stack with one mask of digits still to try per edge.  Each
+clique is compiled into an allowed-digit table for its last edge, indexed
+by the digits of its other edges, so the digits allowed at an edge are the
+AND over the cliques ending there and a digit that would leave some clique
+without a vertex receiving arcs from all the others is never tried.  In
+simple mode only the triangles get tables: a tournament with no directed
+triangle is transitive, so larger cliques then have such a vertex too.
+The core keeps the in-neighbour masks of the partial orientation up to
+date along the path, so each leaf goes to the kernel oracle as it stands.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
 acts on edge-direction assignments, and only the lexicographically least
-assignment of each orbit is emitted.  Long runs partition the backtracking
-tree by a fixed-depth prefix of edge assignments into independent tasks
-(the parallelism and checkpointing unit); counts and verdicts do not
-depend on the partitioning or the worker count.
+assignment of each orbit is emitted.  Long runs partition the search tree
+by a fixed-depth prefix of edge assignments into independent tasks (the
+parallelism and checkpointing unit); counts and verdicts do not depend on
+the partitioning or the worker count.
 """
 
 from __future__ import annotations
@@ -188,55 +193,77 @@ def canonical_orientation_key(orientation: Orientation, labeling: AntiholeLabeli
     return canonical_digits(orientation_digits(orientation, edges), dihedral_edge_actions(labeling))
 
 
-# -- clique tables and the backtracking core --------------------------------
+# -- allowed-digit tables and the sweep core ---------------------------------
 
 
 def _clique_completions(graph: UndirectedGraph, num_values: int):
-    """Per edge index: cliques whose last edge it is, each as
-    (edge ids, positional weights, acceptance table over patterns)."""
+    """Per edge index: the cliques whose last edge it is, each as (ids of
+    its other edges, their positional weights, table).  The table maps the
+    pattern of the other edges' digits to the bit mask of digits of the
+    last edge that leave the clique a vertex receiving arcs from all the
+    others."""
     edges = graph.sorted_edges()
     eindex = {e: i for i, e in enumerate(edges)}
     n = graph.vertex_count
     adjacency = [graph.adjacency_mask(v) for v in range(n)]
     completions: list[list] = [[] for _ in edges]
     for clique in all_clique_masks(n, adjacency, min_size=3):
+        # a simple orientation of a clique is a tournament, and a tournament
+        # with no directed triangle is transitive, so it has a sink: in
+        # simple mode the triangles decide every larger clique
+        if num_values == 2 and len(clique) > 3:
+            continue
         eids = sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
-        k = len(eids)
-        weights = tuple(num_values**p for p in range(k))
-        table = bytearray(num_values**k)
-        for pattern in range(len(table)):
-            ins = {v: set() for v in clique}
+        members = sum(1 << v for v in clique)
+        size = num_values ** (len(eids) - 1)
+        table = bytearray(size)
+        for pattern in range(size * num_values):
+            inn = dict.fromkeys(clique, 0)
             rest = pattern
-            for p in range(k):
-                digit = rest % num_values
-                rest //= num_values
-                u, v = edges[eids[p]]
+            for eid in eids:
+                rest, digit = divmod(rest, num_values)
+                u, v = edges[eid]
                 if digit != 1:
-                    ins[v].add(u)
+                    inn[v] |= 1 << u
                 if digit != 0:
-                    ins[u].add(v)
-            others = set(clique)
-            table[pattern] = 1 if any(ins[x] >= others - {x} for x in clique) else 0
-        completions[eids[-1]].append((tuple(eids), weights, bytes(table)))
+                    inn[u] |= 1 << v
+            if any(members & ~inn[x] == 1 << x for x in clique):
+                # the last edge's digit is the most significant one
+                table[pattern % size] |= 1 << (pattern // size)
+        weights = tuple(num_values**p for p in range(len(eids) - 1))
+        completions[eids[-1]].append((tuple(eids[:-1]), weights, bytes(table)))
     return edges, completions
 
 
-def _enumerate_leaves(
-    edge_count: int,
-    completions,
-    num_values: int,
-    prefix: tuple[int, ...] = (),
-    actions=None,
-) -> Iterator[tuple[int, ...]]:
-    """Yield accepted full assignments in lexicographic digit order.
+def _leaves(
+    n: int, edges, completions, num_values: int, prefix: tuple[int, ...] = (), actions=None
+) -> Iterator[tuple[list[int], list[int]]]:
+    """Yield the accepted assignments in lexicographic digit order as the
+    live (digits, in-neighbour masks) lists of the search, which a consumer
+    copies to keep.  `pending[e]` holds the digits still to try at edge e.
 
     With `actions`, prefix comparisons against every group image prune
     assignments that provably exceed an orbit sibling; at the last edge the
     comparison covers the whole assignment, so exactly one representative
     per orbit, the lexicographically least, survives.
     """
-    assign = [0] * edge_count
-    value_range = tuple(range(num_values))
+    m = len(edges)
+    assign = [0] * m
+    inn = [0] * n
+    if m == 0:
+        yield assign, inn
+        return
+    every_digit = (1 << num_values) - 1
+    pending = [0] * m
+
+    def allowed(e: int) -> int:
+        digits = every_digit if e >= len(prefix) else 1 << prefix[e]
+        for others, weights, table in completions[e]:
+            pattern = 0
+            for eid, weight in zip(others, weights):
+                pattern += assign[eid] * weight
+            digits &= table[pattern]
+        return digits
 
     def symmetric_prune(depth: int) -> bool:
         for inv, flip in actions:
@@ -254,31 +281,33 @@ def _enumerate_leaves(
                     return True
         return False
 
-    def rec(e: int) -> Iterator[tuple[int, ...]]:
-        if e == edge_count:
-            yield tuple(assign)
-            return
-        values = (prefix[e],) if e < len(prefix) else value_range
-        for digit in values:
-            assign[e] = digit
-            ok = True
-            for eids, weights, table in completions[e]:
-                pattern = 0
-                for p in range(len(eids)):
-                    pattern += assign[eids[p]] * weights[p]
-                if not table[pattern]:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            if actions is not None and symmetric_prune(e):
-                continue
-            yield from rec(e + 1)
-
-    if edge_count == 0:
-        yield ()
-        return
-    yield from rec(0)
+    e = 0
+    pending[0] = allowed(0)
+    while True:
+        # the previous digit at e, if any, leaves the in-masks
+        u, v = edges[e]
+        inn[v] &= ~(1 << u)
+        inn[u] &= ~(1 << v)
+        digits = pending[e]
+        if not digits:
+            if e == 0:
+                return
+            e -= 1
+            continue
+        digit = (digits & -digits).bit_length() - 1
+        pending[e] = digits & (digits - 1)
+        assign[e] = digit
+        if digit != 1:
+            inn[v] |= 1 << u
+        if digit != 0:
+            inn[u] |= 1 << v
+        if actions is not None and symmetric_prune(e):
+            continue
+        if e + 1 == m:
+            yield assign, inn
+            continue
+        e += 1
+        pending[e] = allowed(e)
 
 
 def _check_sweep_input(
@@ -303,14 +332,14 @@ def enumerate_simple_clique_acyclic_orientations(
 ) -> Iterator[Orientation]:
     """Stream every simple clique-acyclic orientation of `graph`.
 
-    `prefix` restricts the run to one subtree of the backtracking tree (the
+    `prefix` restricts the run to one subtree of the search tree (the
     work-splitting hook).  Symmetry reduction needs the anti-hole labeling
     and emits one orientation per dihedral orbit.
     """
     _check_sweep_input(graph, symmetry_reduction, labeling)
     actions = dihedral_edge_actions(labeling) if symmetry_reduction else None
     edges, completions = _clique_completions(graph, 2)
-    for digits in _enumerate_leaves(len(edges), completions, 2, prefix, actions):
+    for digits, _ in _leaves(graph.vertex_count, edges, completions, 2, prefix, actions):
         yield digits_to_orientation(digits, graph, edges)
 
 
@@ -353,17 +382,6 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool, prefix_depth: int) -> s
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _oracle_masks(n: int, edges, digits) -> list[int]:
-    """In-neighbour masks of the orientation given by `digits`."""
-    inn = [0] * n
-    for (u, v), digit in zip(edges, digits):
-        if digit != 1:
-            inn[v] |= 1 << u
-        if digit != 0:
-            inn[u] |= 1 << v
-    return inn
-
-
 def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool):
     """What every prefix task of a sweep shares: the clique tables, the
     kernel candidates and the symmetry actions (None without symmetry)."""
@@ -385,14 +403,12 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
     completions, candidates, actions = tables
     full = (1 << n) - 1
     examined = 0
-    for digits in _enumerate_leaves(
-        len(edges), completions, num_values, tuple(task_prefix), actions
-    ):
+    for digits, inn in _leaves(n, edges, completions, num_values, task_prefix, actions):
         if leaf_budget is not None and examined >= leaf_budget:
             return examined, None, True
         examined += 1
-        if not kernel_exists_masks(full, _oracle_masks(n, edges, digits), candidates):
-            return examined, digits, False
+        if not kernel_exists_masks(full, inn, candidates):
+            return examined, tuple(digits), False
     return examined, None, False
 
 

@@ -75,10 +75,18 @@ def _env_budget():
         raise ContractError(f"KERNELKIT_BUDGET must be an integer, got {raw!r}") from None
 
 
+def _at_least(value, name: str, low: int = 0):
+    """Refuse an integer setting below `low` as bad input, so that a
+    negative budget or cap never reads as an exhausted one."""
+    if value is not None and value < low:
+        raise ContractError(f"{name} must be at least {low}, got {value}")
+    return value
+
+
 def _budget(args):
     if getattr(args, "budget", None) is not None:
-        return args.budget
-    return _env_budget()
+        return _at_least(args.budget, "--budget")
+    return _at_least(_env_budget(), "KERNELKIT_BUDGET")
 
 
 class _Output:
@@ -161,7 +169,7 @@ def _violations_json(report: redblue.ConditionReport) -> list[dict]:
 def cmd_oracle_find(args, out: _Output) -> int:
     digraph = _as_digraph(_load_graph(args.input))
     report = oracle.find_kernel_bruteforce(
-        digraph, cap=args.cap, count_all=args.count
+        digraph, cap=_at_least(args.cap, "--cap"), count_all=args.count
     )
     payload = {
         "exists": report.exists,
@@ -175,7 +183,7 @@ def cmd_oracle_find(args, out: _Output) -> int:
 
 def cmd_oracle_enumerate(args, out: _Output) -> int:
     digraph = _as_digraph(_load_graph(args.input))
-    kernels = oracle.enumerate_kernels(digraph, cap=args.cap)
+    kernels = oracle.enumerate_kernels(digraph, cap=_at_least(args.cap, "--cap"))
     out.emit(
         {"count": len(kernels), "kernels": [list(k.members()) for k in kernels]}
     )
@@ -208,7 +216,9 @@ def cmd_oracle_clique_acyclic(args, out: _Output) -> int:
     if isinstance(obj, ColoredDigraph):
         obj = obj.digraph
     obj = _expect(obj, (Digraph, Orientation), "input")
-    verdict = oracle.is_clique_acyclic(obj, budget=args.clique_budget)
+    verdict = oracle.is_clique_acyclic(
+        obj, budget=_at_least(args.clique_budget, "--clique-budget")
+    )
     out.emit(
         {
             "clique_acyclic": verdict.holds,
@@ -279,8 +289,9 @@ def cmd_redblue_solve_fixpoint(args, out: _Output) -> int:
 
 
 def cmd_redblue_gen(args, out: _Output) -> int:
-    if args.n < 0:
-        raise ContractError(f"--n must be non-negative, got {args.n}")
+    _at_least(args.n, "--n")
+    if not 0 <= args.density <= 1:
+        raise ContractError(f"--density must lie in [0, 1], got {args.density}")
     if args.generator == "ssw":
         cd = redblue.generate_ssw_instance(args.seed, args.n, density=args.density)
     elif args.generator == "comparability":
@@ -313,7 +324,7 @@ def cmd_chords_check(args, out: _Output) -> int:
         "gsnl": chords.check_gsnl_condition,
         "duchet": chords.check_duchet_condition,
     }[args.which]
-    report = checker(digraph, max_len=args.max_len, budget=_budget(args))
+    report = checker(digraph, max_len=_at_least(args.max_len, "--max-len"), budget=_budget(args))
     out.emit(report.to_json_obj())
     return EXIT_OK if report.satisfied else EXIT_VERDICT_FAILS
 
@@ -322,7 +333,7 @@ def cmd_chords_solve(args, out: _Output) -> int:
     digraph = _expect(_load_graph(args.input), Digraph, "input")
     try:
         kernel = chords.find_kernel_via_chords(
-            digraph, max_len=args.max_len, budget=_budget(args)
+            digraph, max_len=_at_least(args.max_len, "--max-len"), budget=_budget(args)
         )
     except ConditionsViolatedError as exc:
         payload = {"satisfied": False}
@@ -367,7 +378,7 @@ def cmd_antihole_verify(args, out: _Output) -> int:
         mode=args.mode,
         symmetry_reduction=args.symmetry,
         labeling=labeling,
-        jobs=args.jobs,
+        jobs=_at_least(args.jobs, "--jobs", 1),
         budget=_budget(args),
         checkpoint=args.checkpoint,
         prefix_depth=args.prefix_depth,

@@ -11,7 +11,8 @@ The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
 base graph, simple or with reversible edges, has that graph as its
 underlying graph, so the kernel candidates are the base graph's maximal
 independent sets: the sweep computes that fixed list once per run and
-tests each leaf's in-masks against it.
+tests against it the in-neighbour masks its search keeps along the path,
+so a leaf costs no mask rebuild.
 """
 
 from __future__ import annotations
@@ -37,7 +38,6 @@ __all__ = [
     "PredicateReport",
     "find_kernel_bruteforce",
     "enumerate_kernels",
-    "kernel_exists",
     "kernel_exists_masks",
     "find_nonempty_semi_kernel",
     "kernel_via_semikernel_recursion",
@@ -79,25 +79,15 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
-def maximal_independent_set_masks(
-    n: int, adjacency: list[int], split: Optional[tuple[int, int]] = None
-) -> Iterator[int]:
+def maximal_independent_set_masks(n: int, adjacency: list[int]) -> Iterator[int]:
     """Yield bitmasks of all maximal independent sets, lexicographically by
-    sorted member tuple (include-first backtracking order).
-
-    `split` = (depth, index) deterministically restricts the first `depth`
-    include/exclude branch decisions to the bits of `index`, partitioning
-    the backtracking tree for concurrent workers; the union over all
-    2**depth indices is the full enumeration.
-    """
-    forced_depth, forced_index = split if split is not None else (0, 0)
+    sorted member tuple (include-first backtracking order)."""
     if n == 0:
-        if forced_index == 0:
-            yield 0
+        yield 0
         return
     full = (1 << n) - 1
 
-    def rec(v: int, chosen: int, pending: int, decision: int) -> Iterator[int]:
+    def rec(v: int, chosen: int, pending: int) -> Iterator[int]:
         # pending holds excluded-but-free vertices not yet dominated by a
         # chosen neighbor; any that can never be dominated kills the branch.
         rest = full & ~((1 << v) - 1)
@@ -105,26 +95,16 @@ def maximal_independent_set_masks(
             if not adjacency[u] & (chosen | rest):
                 return
         if v == n:
-            # leaves with unconsumed forced bits belong to the all-zero
-            # remainder index, so the split indices partition the output
-            if pending == 0 and forced_index >> decision == 0:
+            if pending == 0:
                 yield chosen
             return
         if adjacency[v] & chosen:
-            yield from rec(v + 1, chosen, pending, decision)
+            yield from rec(v + 1, chosen, pending)
             return
-        branches = (True, False)
-        if decision < forced_depth:
-            branches = (bool((forced_index >> decision) & 1),)
-        for include in branches:
-            if include:
-                yield from rec(
-                    v + 1, chosen | (1 << v), pending & ~adjacency[v], decision + 1
-                )
-            else:
-                yield from rec(v + 1, chosen, pending | (1 << v), decision + 1)
+        yield from rec(v + 1, chosen | (1 << v), pending & ~adjacency[v])
+        yield from rec(v + 1, chosen, pending | (1 << v))
 
-    yield from rec(0, 0, 0, 0)
+    yield from rec(0, 0, 0)
 
 
 def _adjacency(digraph: Digraph) -> list[int]:
@@ -135,7 +115,6 @@ def find_kernel_bruteforce(
     digraph: Digraph,
     cap: int = DEFAULT_VERTEX_CAP,
     count_all: bool = False,
-    split: Optional[tuple[int, int]] = None,
 ) -> KernelReport:
     """Search maximal independent sets for a kernel.
 
@@ -148,7 +127,7 @@ def find_kernel_bruteforce(
     full = (1 << n) - 1
     witness = None
     count = 0
-    for mask in maximal_independent_set_masks(n, _adjacency(digraph), split=split):
+    for mask in maximal_independent_set_masks(n, _adjacency(digraph)):
         if mask | union_of(digraph._in, mask) == full:
             count += 1
             if witness is None:
@@ -162,10 +141,6 @@ def find_kernel_bruteforce(
     )
 
 
-def kernel_exists(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> bool:
-    return find_kernel_bruteforce(digraph, cap=cap).exists
-
-
 def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
     """Existence-only kernel oracle on raw masks; the hot path for the
     orientation sweeps.
@@ -176,18 +151,14 @@ def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
     return any(s | union_of(in_masks, s) == full for s in candidates)
 
 
-def enumerate_kernels(
-    digraph: Digraph,
-    cap: int = DEFAULT_VERTEX_CAP,
-    split: Optional[tuple[int, int]] = None,
-) -> list[VertexSet]:
+def enumerate_kernels(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> list[VertexSet]:
     """All kernels, in lexicographic order of their sorted member tuples."""
     n = digraph.vertex_count
     _check_cap(n, cap)
     full = (1 << n) - 1
     return [
         VertexSet.from_mask(n, mask)
-        for mask in maximal_independent_set_masks(n, _adjacency(digraph), split=split)
+        for mask in maximal_independent_set_masks(n, _adjacency(digraph))
         if mask | union_of(digraph._in, mask) == full
     ]
 

@@ -6,7 +6,7 @@ definitions rather than against the code under test.
 """
 
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 
 def _bits(mask):
@@ -166,12 +166,15 @@ def naive_cliques(n, edges):
     return cliques
 
 
-def naive_clique_acyclic(n, arcs):
+def naive_clique_acyclic(n, arcs, cliques=None):
     """Every clique of the underlying adjacency must have a vertex with
-    arcs from all other clique members."""
+    arcs from all other clique members.  `cliques` may pass in the
+    underlying graph's `naive_cliques`, for callers testing many
+    orientations of one graph."""
     arc_set = set(arcs)
-    edges = {(min(u, v), max(u, v)) for (u, v) in arcs}
-    for clique in naive_cliques(n, edges):
+    if cliques is None:
+        cliques = naive_cliques(n, {(min(u, v), max(u, v)) for (u, v) in arcs})
+    for clique in cliques:
         ok = any(
             all((y, x) in arc_set for y in clique if y != x) for x in clique
         )
@@ -202,6 +205,33 @@ def naive_simple_orientations(n, edges):
         for i, (u, v) in enumerate(edges):
             arcs.append((u, v) if (mask >> i) & 1 == 0 else (v, u))
         yield arcs
+
+
+def naive_orientations(edges, num_values=2):
+    """(digits, arcs) for every edge-direction assignment, digits in
+    lexicographic order: per edge (u, v), u < v, digit 0 is u -> v, 1 is
+    v -> u and 2 (with `num_values` 3) is both arcs."""
+    edges = sorted(edges)
+    for digits in product(range(num_values), repeat=len(edges)):
+        arcs = []
+        for (u, v), digit in zip(edges, digits):
+            if digit != 1:
+                arcs.append((u, v))
+            if digit != 0:
+                arcs.append((v, u))
+        yield digits, arcs
+
+
+def naive_in_masks(n, edges, digits):
+    """In-neighbour masks of the orientation `digits` gives the sorted
+    `edges`, rebuilt from scratch."""
+    inn = [0] * n
+    for (u, v), digit in zip(edges, digits):
+        if digit != 1:
+            inn[v] |= 1 << u
+        if digit != 0:
+            inn[u] |= 1 << v
+    return inn
 
 
 # -- reference generators ----------------------------------------------------

@@ -1,8 +1,9 @@
 import json
 import os
+from itertools import product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import naive
@@ -15,6 +16,8 @@ from kernelkit import (
 )
 from kernelkit.antiholes import (
     AntiholeLabeling,
+    _clique_completions,
+    _leaves,
     c7_counterexample,
     canonical_digits,
     canonical_orientation_key,
@@ -147,6 +150,64 @@ class TestEnumeration:
                     )
                 )
         assert sorted(pieces) == sorted(whole)
+        # general mode: the tasks of every depth, in task order, are the
+        # whole enumeration
+        g, _ = gen_antihole(6)
+        whole = core_leaves(g, 3)
+        for depth in (1, 2, 3):
+            pieces = []
+            for prefix in product(range(3), repeat=depth):
+                pieces.extend(core_leaves(g, 3, prefix=prefix))
+            assert pieces == whole
+
+
+def core_leaves(graph, num_values, symmetry=False, prefix=()):
+    """The sweep core's leaf sequence, checking the in-masks it keeps at
+    every leaf against masks rebuilt from the digits."""
+    n = graph.vertex_count
+    edges, completions = _clique_completions(graph, num_values)
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    leaves = []
+    for digits, inn in _leaves(n, edges, completions, num_values, prefix, actions):
+        assert inn == naive.naive_in_masks(n, edges, digits)
+        leaves.append(tuple(digits))
+    return leaves
+
+
+def naive_leaves(graph, num_values, symmetry=False):
+    """Every clique-acyclic assignment, or the least of each dihedral orbit,
+    in lexicographic order."""
+    n = graph.vertex_count
+    cliques = naive.naive_cliques(n, graph.edges)
+    accepted = [
+        digits
+        for digits, arcs in naive.naive_orientations(graph.edges, num_values)
+        if naive.naive_clique_acyclic(n, arcs, cliques)
+    ]
+    if symmetry:
+        actions = dihedral_edge_actions(AntiholeLabeling(n))
+        return sorted({canonical_digits(x, actions) for x in accepted})
+    return sorted(accepted)
+
+
+class TestSweepCore:
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
+    @pytest.mark.parametrize(
+        "n, num_values",
+        [(5, 2), (6, 2), (7, 2), (5, 3), (6, 3)],
+        ids=["c5-simple", "c6-simple", "c7-simple", "c5-general", "c6-general"],
+    )
+    def test_leaf_sequence_matches_the_naive_filter(self, n, num_values, symmetry):
+        g, _ = gen_antihole(n)
+        assert core_leaves(g, num_values, symmetry) == naive_leaves(g, num_values, symmetry)
+
+    @settings(max_examples=40, deadline=None)
+    @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]))
+    # K4 in general mode needs its own table: its triangles do not decide it
+    @example(UndirectedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]), 3)
+    def test_leaf_sequence_on_arbitrary_graphs(self, g, num_values):
+        assume(num_values ** len(g.edges) <= 2**12)
+        assert core_leaves(g, num_values) == naive_leaves(g, num_values)
 
 
 class TestSymmetry:

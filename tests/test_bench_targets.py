@@ -1,0 +1,41 @@
+"""The benchmark's traced run wraps kernelkit functions by module and
+attribute name (`perfbench/spans.py`).  A target that no longer resolves
+turns its per-layer metrics into "absent" instead of failing, so a rename
+in the package is caught here."""
+
+import importlib
+import types
+from pathlib import Path
+
+import pytest
+
+SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
+
+
+def _load_spans():
+    # executed from its source text, so nothing is written under perfbench/
+    module = types.ModuleType("perfbench_spans")
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), module.__dict__)
+    return module
+
+
+_spans = _load_spans()
+TARGETS = [(module, attr) for _, module, attr, _ in _spans.SPAN_TARGETS] + [
+    (module, attr) for _, module, attr in _spans.COUNT_TARGETS
+]
+
+
+@pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
+def test_wrap_target_resolves(module, attr):
+    owner = importlib.import_module(module)
+    for part in attr.split("."):
+        owner = getattr(owner, part)
+    assert callable(owner)
+
+
+def test_sweep_oracle_is_bound_in_antiholes():
+    # the traced run patches the name the sweep calls through
+    import kernelkit.antiholes
+    import kernelkit.oracle
+
+    assert kernelkit.antiholes.kernel_exists_masks is kernelkit.oracle.kernel_exists_masks

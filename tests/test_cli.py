@@ -116,6 +116,59 @@ class TestVertexLists:
         assert json.loads(out) == {"check": "kernel", "vertices": [1], "holds": True}
 
 
+class TestOutOfRangeSettings:
+    """A negative budget, cap or length is bad input (exit 2), never an
+    exhausted budget (exit 3) or a silent no-op."""
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["redblue", "gen", "chain", "--n", "6", "--budget", "-1"], "--budget"),
+            (["redblue", "solve-fixpoint", "CD", "--budget", "-2"], "--budget"),
+            (["antihole", "verify-simple", "--n", "5", "--budget", "-1"], "--budget"),
+            (["antihole", "search-witness", "--n", "5", "--budget", "-4"], "--budget"),
+            (["chords", "check", "GRAPH", "--budget", "-1"], "--budget"),
+            (["chords", "check", "GRAPH", "--max-len", "-1"], "--max-len"),
+            (["chords", "solve", "GRAPH", "--max-len", "-1"], "--max-len"),
+            (["oracle", "find", "GRAPH", "--cap", "-1"], "--cap"),
+            (["oracle", "enumerate", "GRAPH", "--cap", "-1"], "--cap"),
+            (["oracle", "clique-acyclic", "GRAPH", "--clique-budget", "-1"], "--clique-budget"),
+            (["antihole", "verify-simple", "--n", "5", "--jobs", "-3"], "--jobs"),
+            (["antihole", "verify-simple", "--n", "5", "--jobs", "0"], "--jobs"),
+            (["redblue", "gen", "ssw", "--n", "5", "--density", "nan"], "--density"),
+            (["redblue", "gen", "path", "--n", "5", "--density", "-0.1"], "--density"),
+            (["redblue", "gen", "chain", "--n", "5", "--density", "1.5"], "--density"),
+        ],
+        ids=[
+            "gen-chain-budget", "solve-fixpoint-budget", "verify-budget",
+            "search-budget", "chords-budget", "chords-check-max-len",
+            "chords-solve-max-len", "find-cap", "enumerate-cap", "clique-budget",
+            "jobs-negative", "jobs-zero", "density-nan", "density-negative",
+            "density-above-one",
+        ],
+    )
+    def test_exits_two_with_one_line(self, capsys, tmp_path, argv, flag):
+        (tmp_path / "g.txt").write_text(THREE_CYCLE_TEXT)
+        (tmp_path / "c.txt").write_text(THREE_VERTEX_CD)
+        files = {"GRAPH": str(tmp_path / "g.txt"), "CD": str(tmp_path / "c.txt")}
+        code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in argv])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and flag in err
+
+    def test_negative_env_budget(self, capsys, monkeypatch):
+        monkeypatch.setenv("KERNELKIT_BUDGET", "-1")
+        code, out, err = run_cli(
+            capsys, ["chords", "check", "-"], stdin=THREE_CYCLE_TEXT, monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "KERNELKIT_BUDGET" in err
+
+    @pytest.mark.parametrize("density", ["0", "1"])
+    def test_density_bounds_are_legal(self, capsys, density):
+        code, _, _ = run_cli(capsys, ["redblue", "gen", "ssw", "--n", "5", "--density", density])
+        assert code == 0
+
+
 class TestCounterexamplePipeline:
     def test_c7_into_oracle_find(self, capsys, monkeypatch):
         code, out, _ = run_cli(capsys, ["antihole", "c7"])

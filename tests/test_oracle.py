@@ -71,17 +71,6 @@ class TestFindKernel:
         got = {frozenset(k.members()) for k in enumerate_kernels(d)}
         assert got == set(naive.naive_kernels(d.vertex_count, sorted(d.arcs)))
 
-    @settings(max_examples=60, deadline=None)
-    @given(digraphs(max_n=7))
-    def test_split_hint_partitions_enumeration(self, d):
-        whole = [k.members() for k in enumerate_kernels(d)]
-        parts = []
-        for index in range(4):
-            parts.extend(
-                k.members() for k in enumerate_kernels(d, split=(2, index))
-            )
-        assert sorted(parts) == sorted(whole)
-
 
 class TestMaximalIndependentSets:
     @settings(max_examples=100, deadline=None)
