@@ -16,10 +16,13 @@ date along the path, so each leaf goes to the kernel oracle as it stands.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
 acts on edge-direction assignments, and only the lexicographically least
-assignment of each orbit is emitted.  Long runs partition the search tree
-by a fixed-depth prefix of edge assignments into independent tasks (the
-parallelism and checkpointing unit); counts and verdicts do not depend on
-the partitioning or the worker count.
+assignment of each orbit is emitted; the comparisons with the group
+images resume along the search path instead of restarting at each node.
+Long runs split the search into tasks (the parallelism and checkpointing
+unit) at the live prefixes of the pruned tree, 8 edges deep in simple
+mode and 4 in general mode by default; in task order they give exactly
+the leaves of the whole run, so counts and verdicts do not depend on the
+depth or the worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 from typing import Iterator, Optional
 
@@ -242,10 +245,13 @@ def _leaves(
     live (digits, in-neighbour masks) lists of the search, which a consumer
     copies to keep.  `pending[e]` holds the digits still to try at edge e.
 
-    With `actions`, prefix comparisons against every group image prune
-    assignments that provably exceed an orbit sibling; at the last edge the
+    With `actions`, the assignment is compared with each group image and
+    pruned once an image is provably smaller; at the last edge the
     comparison covers the whole assignment, so exactly one representative
-    per orbit, the lexicographically least, survives.
+    per orbit, the lexicographically least, survives.  `ties[e]` holds the
+    elements whose image still ties with the path above edge e, each with
+    the first position not yet compared; edge e resumes from there and a
+    sibling digit re-reads the entry, so backtracking needs no undo.
     """
     m = len(edges)
     assign = [0] * m
@@ -255,6 +261,7 @@ def _leaves(
         return
     every_digit = (1 << num_values) - 1
     pending = [0] * m
+    ties = [[(inv, flip, 0) for inv, flip in actions or ()]] + [None] * m
 
     def allowed(e: int) -> int:
         digits = every_digit if e >= len(prefix) else 1 << prefix[e]
@@ -265,20 +272,23 @@ def _leaves(
             digits &= table[pattern]
         return digits
 
-    def symmetric_prune(depth: int) -> bool:
-        for inv, flip in actions:
-            for j in range(depth + 1):
-                i = inv[j]
-                if i > depth:
-                    break
-                y = assign[i]
+    def symmetric_prune(e: int) -> bool:
+        live = []
+        for inv, flip, j in ties[e]:
+            # positions below j tie; compare on while both sides are known
+            while j <= e and inv[j] <= e:
+                y = assign[inv[j]]
                 if y != 2:
                     y ^= flip[j]
-                x = assign[j]
-                if x < y:
+                if assign[j] != y:
                     break
-                if x > y:
-                    return True
+                j += 1
+            else:
+                live.append((inv, flip, j))
+                continue
+            if assign[j] > y:
+                return True
+        ties[e + 1] = live
         return False
 
     e = 0
@@ -377,8 +387,9 @@ class SearchOutcome:
     orientations_examined: int
 
 
-def _graph_key(n: int, edges, mode: str, symmetry: bool, prefix_depth: int) -> str:
-    payload = repr((n, tuple(edges), mode, symmetry, prefix_depth)).encode()
+def _graph_key(n: int, edges, mode: str, symmetry: bool, tasks) -> str:
+    # the task list fixes what a checkpoint's task cursor points at
+    payload = repr((n, tuple(edges), mode, symmetry, tasks)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -394,6 +405,16 @@ def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool):
     )
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
     return completions, candidates, actions
+
+
+def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[tuple[int, ...]]:
+    """The accepted assignments of the first `depth` edges, in order: a
+    prefix the tables or the symmetry kill never becomes a task."""
+    completions, _, actions = tables
+    return [
+        tuple(digits)
+        for digits, _ in _leaves(n, edges[:depth], completions[:depth], num_values, (), actions)
+    ]
 
 
 def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
@@ -469,13 +490,14 @@ def verify_kernel_solvable(
 
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
-    prefix tasks, which share clique tables and kernel candidates built once
-    per call; `jobs` workers process them, results are consumed in task
-    order, so counts and the verdict are identical for any worker count and
-    any `prefix_depth`.  `budget` caps the number of orientations examined
-    and is tested before each one (budgeted runs execute sequentially);
-    `checkpoint` names a JSON file updated after each completed task so an
-    interrupted run resumes.
+    tasks at the live prefixes of length `prefix_depth`, which share clique
+    tables and kernel candidates built once per call; `jobs` workers
+    process them, results are consumed in task order, so counts and the
+    verdict are identical for any worker count and any `prefix_depth`.
+    `budget` caps the number of orientations examined and is tested before
+    each one (budgeted runs execute sequentially); `checkpoint` names a
+    JSON file updated after each completed task so an interrupted run
+    resumes.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
@@ -486,10 +508,11 @@ def verify_kernel_solvable(
     edges = tuple(graph.sorted_edges())
     n = graph.vertex_count
     if prefix_depth is None:
-        prefix_depth = min(len(edges), 6 if num_values == 2 else 4)
+        prefix_depth = min(len(edges), 8 if num_values == 2 else 4)
     prefix_depth = min(prefix_depth, len(edges))
-    signature = _graph_key(n, edges, mode, symmetry_reduction, prefix_depth)
-    tasks = list(product(range(num_values), repeat=prefix_depth))
+    tables = _sweep_tables(graph, num_values, symmetry_reduction)
+    tasks = _live_prefixes(n, edges, num_values, tables, prefix_depth)
+    signature = _graph_key(n, edges, mode, symmetry_reduction, tasks)
 
     start_task = 0
     examined = 0
@@ -536,7 +559,6 @@ def verify_kernel_solvable(
 
     if budget is not None:
         jobs = 1
-    tables = _sweep_tables(graph, num_values, symmetry_reduction)
 
     total = examined
 

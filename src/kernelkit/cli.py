@@ -292,6 +292,8 @@ def cmd_redblue_gen(args, out: _Output) -> int:
     _at_least(args.n, "--n")
     if not 0 <= args.density <= 1:
         raise ContractError(f"--density must lie in [0, 1], got {args.density}")
+    if args.budget is not None and args.generator != "chain":
+        raise ContractError("--budget applies only to the chain generator")
     if args.generator == "ssw":
         cd = redblue.generate_ssw_instance(args.seed, args.n, density=args.density)
     elif args.generator == "comparability":
@@ -549,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--density", type=float, default=0.35)
-    p.add_argument("--budget", type=int)
+    p.add_argument("--budget", type=int, help="repairs, chain generator only (default 400)")
     _common(p, needs_input=False)
     p.set_defaults(func=cmd_redblue_gen)
 
@@ -591,7 +593,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--budget", type=int)
     p.add_argument("--checkpoint")
-    p.add_argument("--prefix-depth", type=int, dest="prefix_depth")
+    p.add_argument("--prefix-depth", type=int, dest="prefix_depth",
+                   help="task prefix length in edges (default 8 simple, 4 general)")
     _common(p, needs_input=False)
     p.set_defaults(func=cmd_antihole_verify)
 

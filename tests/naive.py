@@ -527,3 +527,71 @@ def naive_chord_kernel(n, arcs):
         return result
 
     return kernel(frozenset(range(n)))
+
+
+# -- reference sweep with the full-rescan symmetry prune ---------------------
+
+
+def reference_leaves(n, edges, completions, num_values, prefix=(), actions=None):
+    """The sweep core as first written on an explicit stack: the same
+    allowed-digit tables, but at every node the symmetry prune compares
+    the assignment with each group image from position 0.  Yields
+    (digits, in-masks) copies in lexicographic digit order."""
+    m = len(edges)
+    assign = [0] * m
+    inn = [0] * n
+    if m == 0:
+        yield (), tuple(inn)
+        return
+    every_digit = (1 << num_values) - 1
+    pending = [0] * m
+
+    def allowed(e):
+        digits = every_digit if e >= len(prefix) else 1 << prefix[e]
+        for others, weights, table in completions[e]:
+            pattern = sum(assign[eid] * weight for eid, weight in zip(others, weights))
+            digits &= table[pattern]
+        return digits
+
+    def symmetric_prune(depth):
+        for inv, flip in actions:
+            for j in range(depth + 1):
+                i = inv[j]
+                if i > depth:
+                    break
+                y = assign[i]
+                if y != 2:
+                    y ^= flip[j]
+                x = assign[j]
+                if x < y:
+                    break
+                if x > y:
+                    return True
+        return False
+
+    e = 0
+    pending[0] = allowed(0)
+    while True:
+        u, v = edges[e]
+        inn[v] &= ~(1 << u)
+        inn[u] &= ~(1 << v)
+        digits = pending[e]
+        if not digits:
+            if e == 0:
+                return
+            e -= 1
+            continue
+        digit = (digits & -digits).bit_length() - 1
+        pending[e] = digits & (digits - 1)
+        assign[e] = digit
+        if digit != 1:
+            inn[v] |= 1 << u
+        if digit != 0:
+            inn[u] |= 1 << v
+        if actions is not None and symmetric_prune(e):
+            continue
+        if e + 1 == m:
+            yield tuple(assign), tuple(inn)
+            continue
+        e += 1
+        pending[e] = allowed(e)

@@ -18,6 +18,8 @@ from kernelkit.antiholes import (
     AntiholeLabeling,
     _clique_completions,
     _leaves,
+    _live_prefixes,
+    _sweep_tables,
     c7_counterexample,
     canonical_digits,
     canonical_orientation_key,
@@ -159,6 +161,20 @@ class TestEnumeration:
             for prefix in product(range(3), repeat=depth):
                 pieces.extend(core_leaves(g, 3, prefix=prefix))
             assert pieces == whole
+        # the live-prefix tasks of a sweep, in task order, are the whole
+        # enumeration in both modes, with and without symmetry
+        for (n, num_values), symmetry in product([(7, 2), (6, 3)], (False, True)):
+            g, _ = gen_antihole(n)
+            whole = core_leaves(g, num_values, symmetry)
+            edges = tuple(g.sorted_edges())
+            tables = _sweep_tables(g, num_values, symmetry)
+            for depth in range(9):
+                tasks = _live_prefixes(n, edges, num_values, tables, depth)
+                assert tasks == sorted(set(tasks))
+                pieces = []
+                for task in tasks:
+                    pieces.extend(core_leaves(g, num_values, symmetry, prefix=task))
+                assert pieces == whole
 
 
 def core_leaves(graph, num_values, symmetry=False, prefix=()):
@@ -208,6 +224,23 @@ class TestSweepCore:
     def test_leaf_sequence_on_arbitrary_graphs(self, g, num_values):
         assume(num_values ** len(g.edges) <= 2**12)
         assert core_leaves(g, num_values) == naive_leaves(g, num_values)
+
+    @pytest.mark.parametrize("prefix", [(), (0,), (1, 0), (0, 0, 1)], ids=str)
+    @pytest.mark.parametrize(
+        "n, num_values, orbits", [(8, 2, 1030), (6, 3, 1448)], ids=["c8-simple", "c6-general"]
+    )
+    def test_incremental_prune_matches_the_full_rescan(self, n, num_values, orbits, prefix):
+        g, labeling = gen_antihole(n)
+        edges, completions = _clique_completions(g, num_values)
+        actions = dihedral_edge_actions(labeling)
+        got = [
+            (tuple(digits), tuple(inn))
+            for digits, inn in _leaves(n, edges, completions, num_values, prefix, actions)
+        ]
+        wanted = list(naive.reference_leaves(n, edges, completions, num_values, prefix, actions))
+        assert got == wanted
+        if not prefix:
+            assert len(got) == orbits
 
 
 class TestSymmetry:
@@ -291,6 +324,12 @@ class TestVerify:
             for depth in (0, 3, 9)
         }
         assert len(counts) == 1
+        g, labeling = gen_antihole(8)
+        for depth in (0, 6, 8, 12):
+            verdict = verify_kernel_solvable(
+                g, symmetry_reduction=True, labeling=labeling, prefix_depth=depth
+            )
+            assert verdict.orientations_examined == 1030
 
     def test_symmetry_reduction_same_verdict(self):
         g, labeling = gen_antihole(7)
@@ -323,6 +362,26 @@ class TestVerify:
         fresh = verify_kernel_solvable(g, symmetry_reduction=True, labeling=labeling)
         assert resumed.verdict == fresh.verdict == "solvable"
         assert resumed.orientations_examined == fresh.orientations_examined
+
+    @pytest.mark.parametrize("budget, depth", [(1000, 13), (2000, 13), (4000, None)])
+    def test_budgeted_symmetric_run_hands_work_on(self, tmp_path, budget, depth):
+        # the live prefixes spread the orbit representatives over many
+        # tasks, so a budget stops after some completed task and the resume
+        # does not start over; at the default depth the first task holds
+        # 3,573 of C9-bar's 7,963 orbits, at depth 13 it holds 858
+        checkpoint = tmp_path / "run.json"
+        g, labeling = gen_antihole(9)
+        run = dict(
+            symmetry_reduction=True, labeling=labeling, prefix_depth=depth,
+            checkpoint=str(checkpoint),
+        )
+        first = verify_kernel_solvable(g, budget=budget, **run)
+        assert first.verdict == "exhausted_budget"
+        state = json.loads(checkpoint.read_text())
+        assert state["next_task"] > 0 and state["examined"] > 0
+        resumed = verify_kernel_solvable(g, **run)
+        assert resumed.verdict == "solvable"
+        assert resumed.orientations_examined == 7963
 
     def test_parallel_run_with_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "par.json"

@@ -1,3 +1,4 @@
+import hashlib
 import io as std_io
 import json
 import os
@@ -7,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from kernelkit import gen_antihole
 from kernelkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -22,6 +24,16 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def fresh_python(*argv):
+    """Run a fresh interpreter with this checkout's `src/` on its path."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+    )
 
 
 class TestOracleCommands:
@@ -262,6 +274,15 @@ class TestRedblueCommands:
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "--n" in err
 
+    @pytest.mark.parametrize("generator", ["ssw", "comparability", "path"])
+    def test_gen_budget_outside_chain_exits_two(self, capsys, generator):
+        code, out, err = run_cli(
+            capsys, ["redblue", "gen", generator, "--n", "4", "--budget", "-1"]
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "--budget applies only to the chain generator" in err
+
     def test_gen_chain_honours_a_zero_budget(self, capsys):
         code, out, _ = run_cli(
             capsys,
@@ -370,6 +391,27 @@ class TestAntiholeCommands:
         )
         assert code == 2
         assert err.count("\n") == 1 and "not valid JSON" in err
+
+    def test_fixed_product_checkpoint_exits_two(self, capsys, tmp_path):
+        # a checkpoint of the fixed-product task scheme, whose task cursor
+        # pointed into all 2**depth prefixes, must not resume a live-prefix run
+        g, _ = gen_antihole(9)
+        payload = repr((9, tuple(g.sorted_edges()), "simple", True, 6)).encode()
+        checkpoint = tmp_path / "run.json"
+        checkpoint.write_text(json.dumps({
+            "signature": hashlib.sha256(payload).hexdigest()[:16],
+            "prefix_depth": 6,
+            "next_task": 1,
+            "examined": 7697,
+            "elapsed_seconds": 1.0,
+            "counterexample": None,
+        }))
+        code, out, err = run_cli(capsys, [
+            "antihole", "verify-simple", "--n", "9", "--symmetry",
+            "--prefix-depth", "6", "--checkpoint", str(checkpoint),
+        ])
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1 and "belongs to a different run" in err
 
     @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])
     def test_zero_budget_examines_nothing(self, capsys, command):
@@ -535,11 +577,7 @@ class TestGraphConvert:
 
 class TestConsoleEntry:
     def test_module_invocation(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "kernelkit", "antihole", "c7"],
-            capture_output=True,
-            text=True,
-        )
+        proc = fresh_python("-m", "kernelkit", "antihole", "c7")
         assert proc.returncode == 0
         assert proc.stdout.startswith("digraph 7\n")
 
@@ -559,20 +597,11 @@ class TestDeepInputs:
 
     LENGTH = 1_200
 
-    @staticmethod
-    def fresh_python(*argv):
-        env = dict(os.environ)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
-        )
-
     def test_chords_solve_on_a_long_path(self, tmp_path):
         n = self.LENGTH
         path = tmp_path / "path.txt"
         path.write_text(f"digraph {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
-        proc = self.fresh_python(
+        proc = fresh_python(
             "-m", "kernelkit", "chords", "solve", str(path), "--format", "json"
         )
         assert proc.returncode == 0, proc.stderr
@@ -587,5 +616,5 @@ class TestDeepInputs:
             "assert sys.getrecursionlimit() < n\n"
             "assert cycles == [tuple(range(n))], len(cycles)\n"
         )
-        proc = self.fresh_python("-c", script)
+        proc = fresh_python("-c", script)
         assert proc.returncode == 0, proc.stderr
