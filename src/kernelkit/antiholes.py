@@ -42,6 +42,7 @@ from .digraph import (
     EdgeDirection,
     Orientation,
     UndirectedGraph,
+    bits_of,
 )
 from .errors import ContractError, InternalInvariantError, SizeCapError
 from .oracle import (
@@ -210,14 +211,14 @@ def _clique_completions(graph: UndirectedGraph, num_values: int):
     n = graph.vertex_count
     adjacency = [graph.adjacency_mask(v) for v in range(n)]
     completions: list[list] = [[] for _ in edges]
-    for clique in all_clique_masks(n, adjacency, min_size=3):
+    for members in all_clique_masks(n, adjacency):
+        clique = tuple(bits_of(members))
         # a simple orientation of a clique is a tournament, and a tournament
         # with no directed triangle is transitive, so it has a sink: in
         # simple mode the triangles decide every larger clique
         if num_values == 2 and len(clique) > 3:
             continue
         eids = sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
-        members = sum(1 << v for v in clique)
         size = num_values ** (len(eids) - 1)
         table = bytearray(size)
         for pattern in range(size * num_values):

@@ -423,28 +423,29 @@ def cmd_antihole_near_sink(args, out: _Output) -> int:
 # -- poset commands ----------------------------------------------------------
 
 
+def _int_tokens(tokens: list[str], lineno: int, skip: int = 0) -> list[int]:
+    try:
+        return [int(token) for token in tokens[skip:]]
+    except ValueError:
+        raise GraphParseError(f"non-integer token in {' '.join(tokens)!r}", lineno) from None
+
+
 def _parse_poset(text: str) -> Poset:
-    header = None
-    pairs = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        body = raw.split("#", 1)[0].strip()
-        if not body:
-            continue
-        tokens = body.split()
-        try:
-            if header is None:
-                if len(tokens) != 2 or tokens[0] != "poset":
-                    raise GraphParseError("expected 'poset <n>' header", lineno)
-                header = int(tokens[1])
-                continue
-            if len(tokens) != 2:
-                raise GraphParseError(f"expected '<a> <b>', got {body!r}", lineno)
-            pairs.append((int(tokens[0]), int(tokens[1])))
-        except ValueError:
-            raise GraphParseError(f"non-integer token in {body!r}", lineno) from None
-    if header is None:
+    lines = io._content_lines(text)
+    lineno, tokens = next(lines, (None, None))
+    if lineno is None:
         raise GraphParseError("empty input, expected a poset")
-    return Poset(header, pairs)
+    if len(tokens) != 2 or tokens[0] != "poset":
+        raise GraphParseError("expected 'poset <n>' header", lineno)
+    (size,) = _int_tokens(tokens, lineno, skip=1)
+    if size < 0:
+        raise GraphParseError(f"poset size {size} is negative", lineno)
+    pairs = []
+    for lineno, tokens in lines:
+        if len(tokens) != 2:
+            raise GraphParseError(f"expected '<a> <b>', got {' '.join(tokens)!r}", lineno)
+        pairs.append(tuple(_int_tokens(tokens, lineno)))
+    return Poset(size, pairs)
 
 
 def cmd_poset_max_chain(args, out: _Output) -> int:
@@ -640,6 +641,10 @@ def main(argv=None) -> int:
     out = _Output(args)
     try:
         return args.func(args, out)
+    except OSError as exc:
+        # a missing input, a directory for a file, an unwritable output
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except KernelKitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         if isinstance(exc, (SizeCapError, BudgetExceededError)):

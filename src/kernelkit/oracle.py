@@ -5,7 +5,9 @@ Kernel search walks maximal independent sets rather than all subsets:
 absorption forces every kernel to be a maximal independent set, which
 raises the practical size cap far above 2^n scanning.  All witnesses are
 selected lexicographically (least sorted member tuple first) so golden
-tests stay reproducible.
+tests stay reproducible.  One enumerator on an explicit stack, `_lex_sets`,
+yields the maximal independent sets, the independent sets and the cliques
+in that order, so no input depth meets Python's recursion limit.
 
 The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
 base graph, simple or with reversible edges, has that graph as its
@@ -79,36 +81,74 @@ def _check_cap(n: int, cap: int) -> None:
         )
 
 
+def _lex_sets(n: int, compatible: list[int], maximal: bool = False) -> Iterator[int]:
+    """Yield, as masks, every non-empty set of pairwise compatible
+    vertices, lexicographically by sorted member tuple; with `maximal`,
+    only the sets no further vertex can join.
+
+    `compatible[v]` masks the vertices that may share a set with v, v
+    itself excluded; the relation must be symmetric.  The stack holds one
+    frame per depth: (members, vertices compatible with every member,
+    candidates above the last member still untried).  Under `maximal` a
+    branch dies once a skipped, still-joinable vertex has nothing left
+    among the candidates that could block it.
+    """
+    full = (1 << n) - 1
+    stack = [(0, full, full)]
+    while stack:
+        members, common, candidates = stack[-1]
+        if not candidates:
+            stack.pop()
+            continue
+        low = candidates & -candidates
+        v = low.bit_length() - 1
+        rest = candidates ^ low
+        # under `maximal`, a v that no later candidate blocks stays
+        # joinable in every sibling still to come
+        if maximal and not rest & ~compatible[v]:
+            rest = 0
+        stack[-1] = (members, common, rest)
+        chosen = members | low
+        joinable = common & compatible[v]
+        later = joinable >> (v + 1) << (v + 1)
+        if maximal:
+            if not joinable:
+                yield chosen
+                continue
+            if any(not later & ~compatible[w] for w in bits_of(joinable ^ later)):
+                continue
+        else:
+            yield chosen
+        if later:
+            stack.append((chosen, joinable, later))
+
+
+def _independence(n: int, adjacency: list[int]) -> list[int]:
+    full = (1 << n) - 1
+    return [full & ~(adjacency[v] | 1 << v) for v in range(n)]
+
+
 def maximal_independent_set_masks(n: int, adjacency: list[int]) -> Iterator[int]:
     """Yield bitmasks of all maximal independent sets, lexicographically by
-    sorted member tuple (include-first backtracking order)."""
+    sorted member tuple."""
     if n == 0:
         yield 0
-        return
-    full = (1 << n) - 1
-
-    def rec(v: int, chosen: int, pending: int) -> Iterator[int]:
-        # pending holds excluded-but-free vertices not yet dominated by a
-        # chosen neighbor; any that can never be dominated kills the branch.
-        rest = full & ~((1 << v) - 1)
-        for u in bits_of(pending):
-            if not adjacency[u] & (chosen | rest):
-                return
-        if v == n:
-            if pending == 0:
-                yield chosen
-            return
-        if adjacency[v] & chosen:
-            yield from rec(v + 1, chosen, pending)
-            return
-        yield from rec(v + 1, chosen | (1 << v), pending & ~adjacency[v])
-        yield from rec(v + 1, chosen, pending | (1 << v))
-
-    yield from rec(0, 0, 0)
+    yield from _lex_sets(n, _independence(n, adjacency), maximal=True)
 
 
 def _adjacency(digraph: Digraph) -> list[int]:
     return [digraph._out[v] | digraph._in[v] for v in range(digraph.vertex_count)]
+
+
+def _kernel_masks(digraph: Digraph, cap: int) -> Iterator[int]:
+    """Kernel masks in lexicographic order: the maximal independent sets
+    that absorb every other vertex."""
+    n = digraph.vertex_count
+    _check_cap(n, cap)
+    full = (1 << n) - 1
+    for mask in maximal_independent_set_masks(n, _adjacency(digraph)):
+        if mask | union_of(digraph._in, mask) == full:
+            yield mask
 
 
 def find_kernel_bruteforce(
@@ -122,23 +162,11 @@ def find_kernel_bruteforce(
     `count_all` the full enumeration runs and the report carries the exact
     number of kernels.
     """
-    n = digraph.vertex_count
-    _check_cap(n, cap)
-    full = (1 << n) - 1
-    witness = None
-    count = 0
-    for mask in maximal_independent_set_masks(n, _adjacency(digraph)):
-        if mask | union_of(digraph._in, mask) == full:
-            count += 1
-            if witness is None:
-                witness = VertexSet.from_mask(n, mask)
-                if not count_all:
-                    return KernelReport(exists=True, witness=witness)
-    return KernelReport(
-        exists=witness is not None,
-        witness=witness,
-        count=count if count_all else None,
-    )
+    kernels = _kernel_masks(digraph, cap)
+    first = next(kernels, None)
+    witness = None if first is None else VertexSet.from_mask(digraph.vertex_count, first)
+    count = (first is not None) + sum(1 for _ in kernels) if count_all else None
+    return KernelReport(exists=first is not None, witness=witness, count=count)
 
 
 def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
@@ -154,27 +182,7 @@ def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
 def enumerate_kernels(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> list[VertexSet]:
     """All kernels, in lexicographic order of their sorted member tuples."""
     n = digraph.vertex_count
-    _check_cap(n, cap)
-    full = (1 << n) - 1
-    return [
-        VertexSet.from_mask(n, mask)
-        for mask in maximal_independent_set_masks(n, _adjacency(digraph))
-        if mask | union_of(digraph._in, mask) == full
-    ]
-
-
-def _independent_set_masks_lex(n: int, adjacency: list[int]) -> Iterator[int]:
-    """All non-empty independent sets, lexicographically by sorted tuple."""
-
-    def rec(start: int, chosen: int) -> Iterator[int]:
-        for v in range(start, n):
-            if adjacency[v] & chosen:
-                continue
-            m = chosen | (1 << v)
-            yield m
-            yield from rec(v + 1, m)
-
-    yield from rec(0, 0)
+    return [VertexSet.from_mask(n, mask) for mask in _kernel_masks(digraph, cap)]
 
 
 def find_nonempty_semi_kernel(
@@ -183,7 +191,7 @@ def find_nonempty_semi_kernel(
     """Lexicographically least non-empty semi-kernel, or None if none exists."""
     n = digraph.vertex_count
     _check_cap(n, cap)
-    for mask in _independent_set_masks_lex(n, _adjacency(digraph)):
+    for mask in _lex_sets(n, _independence(n, _adjacency(digraph))):
         # an independent set reaches only outside vertices
         if not union_of(digraph._out, mask) & ~union_of(digraph._in, mask):
             return VertexSet.from_mask(n, mask)
@@ -232,34 +240,19 @@ def kernel_via_semikernel_recursion(
 
 
 def all_clique_masks(
-    n: int,
-    adjacency: list[int],
-    min_size: int = 1,
-    budget: int = DEFAULT_CLIQUE_BUDGET,
-) -> Iterator[tuple[int, ...]]:
-    """Yield every clique (as a sorted vertex tuple) of `min_size` or more.
+    n: int, adjacency: list[int], budget: int = DEFAULT_CLIQUE_BUDGET
+) -> Iterator[int]:
+    """Yield the mask of every clique of three or more vertices,
+    lexicographically by sorted member tuple.
 
-    Cliques are extended in increasing vertex order, so the output is
-    deterministic.  Exceeding `budget` enumerated cliques raises
-    SizeCapError.
+    Every clique enumerated, of any size, counts against `budget`; going
+    past it raises SizeCapError.
     """
-    count = 0
-
-    def extend(members: list[int], candidates: int) -> Iterator[tuple[int, ...]]:
-        nonlocal count
-        for v in bits_of(candidates):
-            count += 1
-            if count > budget:
-                raise SizeCapError(
-                    f"clique enumeration exceeded its budget of {budget}"
-                )
-            members.append(v)
-            if len(members) >= min_size:
-                yield tuple(members)
-            yield from extend(members, candidates & adjacency[v] & ~((1 << (v + 1)) - 1))
-            members.pop()
-
-    yield from extend([], (1 << n) - 1)
+    for count, mask in enumerate(_lex_sets(n, adjacency), 1):
+        if count > budget:
+            raise SizeCapError(f"clique enumeration exceeded its budget of {budget}")
+        if mask.bit_count() >= 3:
+            yield mask
 
 
 def is_clique_acyclic(obj, budget: int = DEFAULT_CLIQUE_BUDGET) -> PredicateReport:
@@ -270,18 +263,14 @@ def is_clique_acyclic(obj, budget: int = DEFAULT_CLIQUE_BUDGET) -> PredicateRepo
     in either direction.  All cliques are examined, not only maximal ones:
     the dominated vertex of a clique need not dominate any sub-clique.
     Cliques of size one or two always qualify, so only size three and up
-    are enumerated (and counted against `budget`).
+    are tested, but every clique enumerated, of any size, counts against
+    `budget`.
     """
     digraph = obj.to_digraph() if isinstance(obj, Orientation) else obj
-    n = digraph.vertex_count
-    adjacency = _adjacency(digraph)
     inn = digraph._in
-    for clique in all_clique_masks(n, adjacency, min_size=3, budget=budget):
-        mask = 0
-        for v in clique:
-            mask |= 1 << v
-        if not any(mask & ~inn[x] == (1 << x) for x in clique):
-            return PredicateReport(holds=False, witness=clique)
+    for mask in all_clique_masks(digraph.vertex_count, _adjacency(digraph), budget):
+        if not any(mask & ~inn[x] == 1 << x for x in bits_of(mask)):
+            return PredicateReport(holds=False, witness=tuple(bits_of(mask)))
     return PredicateReport(holds=True)
 
 

@@ -595,3 +595,58 @@ def reference_leaves(n, edges, completions, num_values, prefix=(), actions=None)
             continue
         e += 1
         pending[e] = allowed(e)
+
+
+# -- the oracle's former recursive enumerators, kept as order references --
+# Each takes per-vertex adjacency masks and yields vertex-set masks in the
+# order the oracle promises: lexicographic by sorted member tuple.
+
+
+def recursive_maximal_independent_sets(n, adjacency):
+    if n == 0:
+        yield 0
+        return
+    full = (1 << n) - 1
+
+    def rec(v, chosen, pending):
+        rest = full & ~((1 << v) - 1)
+        for u in _bits(pending):
+            if not adjacency[u] & (chosen | rest):
+                return
+        if v == n:
+            if pending == 0:
+                yield chosen
+            return
+        if adjacency[v] & chosen:
+            yield from rec(v + 1, chosen, pending)
+            return
+        yield from rec(v + 1, chosen | (1 << v), pending & ~adjacency[v])
+        yield from rec(v + 1, chosen, pending | (1 << v))
+
+    yield from rec(0, 0, 0)
+
+
+def recursive_independent_sets(n, adjacency):
+    """Every non-empty independent set."""
+
+    def rec(start, chosen):
+        for v in range(start, n):
+            if adjacency[v] & chosen:
+                continue
+            m = chosen | (1 << v)
+            yield m
+            yield from rec(v + 1, m)
+
+    yield from rec(0, 0)
+
+
+def recursive_cliques(n, adjacency):
+    """Every non-empty clique."""
+
+    def extend(chosen, candidates):
+        for v in _bits(candidates):
+            m = chosen | (1 << v)
+            yield m
+            yield from extend(m, candidates & adjacency[v] & ~((1 << (v + 1)) - 1))
+
+    yield from extend(0, (1 << n) - 1)

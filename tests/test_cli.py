@@ -485,6 +485,50 @@ class TestPosetCommands:
         assert code == 0
         assert json.loads(out)["relation"] == "less"
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("poset -1\n", "line 1: poset size -1 is negative"),
+            ("# sizes\n\nposet -3 # none\n", "line 3: poset size -3 is negative"),
+            ("graph 3\n", "line 1: expected 'poset <n>' header"),
+            ("poset 2\n0 1 2\n", "line 2: expected '<a> <b>', got '0 1 2'"),
+            ("poset 2\n0 y\n", "line 2: non-integer token in '0 y'"),
+        ],
+        ids=["negative", "negative-after-comments", "header", "width", "token"],
+    )
+    def test_bad_poset_exits_two(self, capsys, monkeypatch, text, message):
+        code, out, err = run_cli(
+            capsys, ["poset", "max-chain", "-"], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+
+class TestFileErrors:
+    """A file that cannot be read or written is bad input: one line, exit 2."""
+
+    def assert_one_line(self, capsys, argv):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_missing_input(self, capsys, tmp_path):
+        self.assert_one_line(capsys, ["oracle", "find", str(tmp_path / "missing.txt")])
+
+    def test_directory_as_input(self, capsys, tmp_path):
+        self.assert_one_line(capsys, ["oracle", "find", str(tmp_path)])
+
+    def test_output_in_a_missing_directory(self, capsys, tmp_path):
+        source = tmp_path / "d.txt"
+        source.write_text(THREE_CYCLE_TEXT)
+        target = tmp_path / "missing" / "x"
+        self.assert_one_line(capsys, ["graph", "convert", str(source), "--output", str(target)])
+
+    def test_directory_as_checkpoint(self, capsys, tmp_path):
+        self.assert_one_line(
+            capsys, ["antihole", "verify-simple", "--n", "5", "--checkpoint", str(tmp_path)]
+        )
+
 
 class TestGraphConvert:
     def test_text_to_json_roundtrip(self, capsys, monkeypatch):
@@ -618,3 +662,41 @@ class TestDeepInputs:
         )
         proc = fresh_python("-c", script)
         assert proc.returncode == 0, proc.stderr
+
+    # Oracle legs: a lowered recursion limit stands in for the default one
+    # at n = 1,200, so each leg stays fast.
+    DEEP = 300
+
+    def deep_oracle(self, tmp_path, text, *argv):
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        script = (
+            "import sys\n"
+            "sys.setrecursionlimit(200)\n"
+            "from kernelkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        return fresh_python("-c", script, "oracle", *argv, str(path), "--format", "json")
+
+    def test_oracle_find_on_a_reversed_path(self, tmp_path):
+        n = self.DEEP
+        text = f"digraph {n}\n" + "".join(f"{i + 1} {i}\n" for i in range(n - 1))
+        proc = self.deep_oracle(tmp_path, text, "find", "--cap", "5000")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["witness"] == list(range(0, n, 2))
+
+    def test_oracle_enumerate_on_an_arc_free_digraph(self, tmp_path):
+        n = self.DEEP
+        proc = self.deep_oracle(tmp_path, f"digraph {n}\n", "enumerate", "--cap", "5000")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {"count": 1, "kernels": [list(range(n))]}
+
+    def test_oracle_clique_budget_on_a_transitive_tournament(self, tmp_path):
+        n = self.DEEP
+        text = f"digraph {n}\n" + "".join(
+            f"{u} {v}\n" for u in range(n) for v in range(u + 1, n)
+        )
+        proc = self.deep_oracle(tmp_path, text, "clique-acyclic", "--clique-budget", "5000")
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

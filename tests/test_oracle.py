@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,6 +13,9 @@ from kernelkit import (
     is_kernel,
 )
 from kernelkit.oracle import (
+    _independence,
+    _lex_sets,
+    all_clique_masks,
     enumerate_kernels,
     find_kernel_bruteforce,
     find_nonempty_semi_kernel,
@@ -95,6 +100,62 @@ class TestMaximalIndependentSets:
         assert set(got) == maximal
         assert len(got) == len(maximal)
         assert got == sorted(got, key=lambda s: tuple(sorted(s)))
+
+
+def _seeded_adjacency(seed, n):
+    rng = random.Random(seed)
+    density = rng.random()
+    adjacency = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adjacency[u] |= 1 << v
+                adjacency[v] |= 1 << u
+    return adjacency
+
+
+class TestEnumeratorOrder:
+    """The one explicit-stack enumerator against the recursive generators
+    it replaced, order-exactly."""
+
+    @staticmethod
+    def assert_same_sequences(n, adjacency):
+        assert list(maximal_independent_set_masks(n, adjacency)) == list(
+            naive.recursive_maximal_independent_sets(n, adjacency)
+        )
+        assert list(_lex_sets(n, _independence(n, adjacency))) == list(
+            naive.recursive_independent_sets(n, adjacency)
+        )
+        cliques = list(naive.recursive_cliques(n, adjacency))
+        assert list(_lex_sets(n, adjacency)) == cliques
+        assert list(all_clique_masks(n, adjacency)) == [
+            m for m in cliques if bin(m).count("1") >= 3
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(undirected_graphs(max_n=10))
+    def test_small_graphs(self, g):
+        n = g.vertex_count
+        self.assert_same_sequences(n, [g.adjacency_mask(v) for v in range(n)])
+
+    @pytest.mark.parametrize("n", range(11, 17))
+    def test_seeded_graphs_up_to_sixteen(self, n):
+        for seed in range(8):
+            self.assert_same_sequences(n, _seeded_adjacency(1000 * n + seed, n))
+
+    def test_empty_graph_has_the_empty_set_as_its_one_mis(self):
+        assert list(maximal_independent_set_masks(0, [])) == [0]
+
+    def test_clique_budget_counts_every_clique(self):
+        # K3 has seven non-empty cliques: three singletons, three edges
+        # and the triangle
+        k3 = [0b110, 0b101, 0b011]
+        with pytest.raises(SizeCapError):
+            list(all_clique_masks(3, k3, budget=6))
+        assert list(all_clique_masks(3, k3, budget=7)) == [0b111]
+        with pytest.raises(SizeCapError):
+            is_clique_acyclic(transitive_tournament(3), budget=6)
+        assert is_clique_acyclic(transitive_tournament(3), budget=7).holds
 
 
 class TestKernelExistsMasks:
