@@ -18,11 +18,13 @@ Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
 acts on edge-direction assignments, and only the lexicographically least
 assignment of each orbit is emitted; the comparisons with the group
 images resume along the search path instead of restarting at each node.
-Long runs split the search into tasks (the parallelism and checkpointing
-unit) at the live prefixes of the pruned tree, 8 edges deep in simple
-mode and 4 in general mode by default; in task order they give exactly
-the leaves of the whole run, so counts and verdicts do not depend on the
-depth or the worker count.
+Long runs split the search into tasks (the parallelism unit) at the live
+prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
+mode; in task order they give exactly the leaves of the whole run, so
+counts and verdicts do not depend on the worker count.  The core can
+start from any assignment by seeding its stack along it, so a checkpoint
+records the first unexamined assignment and a resumed run continues from
+exactly there.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import json
 import math
 import os
 import time
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -240,11 +243,16 @@ def _clique_completions(graph: UndirectedGraph, num_values: int):
 
 
 def _leaves(
-    n: int, edges, completions, num_values: int, prefix: tuple[int, ...] = (), actions=None
+    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the accepted assignments in lexicographic digit order as the
     live (digits, in-neighbour masks) lists of the search, which a consumer
     copies to keep.  `pending[e]` holds the digits still to try at edge e.
+
+    It yields the whole run's leaves from `start` on that share its first
+    `fixed` digits, the stack seeded along `start` with the digits above
+    start[e] pending past `fixed`; a `start` the tables or the symmetry
+    prune reject raises ContractError at the call.
 
     With `actions`, the assignment is compared with each group image and
     pruned once an image is provably smaller; at the last edge the
@@ -257,15 +265,12 @@ def _leaves(
     m = len(edges)
     assign = [0] * m
     inn = [0] * n
-    if m == 0:
-        yield assign, inn
-        return
     every_digit = (1 << num_values) - 1
     pending = [0] * m
     ties = [[(inv, flip, 0) for inv, flip in actions or ()]] + [None] * m
 
     def allowed(e: int) -> int:
-        digits = every_digit if e >= len(prefix) else 1 << prefix[e]
+        digits = every_digit
         for others, weights, table in completions[e]:
             pattern = 0
             for eid, weight in zip(others, weights):
@@ -292,33 +297,52 @@ def _leaves(
         ties[e + 1] = live
         return False
 
-    e = 0
-    pending[0] = allowed(0)
-    while True:
-        # the previous digit at e, if any, leaves the in-masks
-        u, v = edges[e]
-        inn[v] &= ~(1 << u)
-        inn[u] &= ~(1 << v)
-        digits = pending[e]
-        if not digits:
-            if e == 0:
-                return
-            e -= 1
-            continue
-        digit = (digits & -digits).bit_length() - 1
-        pending[e] = digits & (digits - 1)
+    for e, digit in enumerate(start):
+        digits = allowed(e) if e < m else 0
+        if digit not in range(num_values) or not digits >> digit & 1:
+            raise ContractError(f"start {list(start)} is not a live path at edge {e}")
+        pending[e] = digits & -(2 << digit) if e >= fixed else 0
         assign[e] = digit
+        u, v = edges[e]
         if digit != 1:
             inn[v] |= 1 << u
         if digit != 0:
             inn[u] |= 1 << v
         if actions is not None and symmetric_prune(e):
-            continue
-        if e + 1 == m:
+            raise ContractError(f"start {list(start)} is not a live path at edge {e}")
+
+    def walk():
+        e = len(start)
+        if e < m:
+            pending[e] = allowed(e)
+        else:
             yield assign, inn
-            continue
-        e += 1
-        pending[e] = allowed(e)
+            e -= 1
+        while e >= 0:
+            # the previous digit at e, if any, leaves the in-masks
+            u, v = edges[e]
+            inn[v] &= ~(1 << u)
+            inn[u] &= ~(1 << v)
+            digits = pending[e]
+            if not digits:
+                e -= 1
+                continue
+            digit = (digits & -digits).bit_length() - 1
+            pending[e] = digits & (digits - 1)
+            assign[e] = digit
+            if digit != 1:
+                inn[v] |= 1 << u
+            if digit != 0:
+                inn[u] |= 1 << v
+            if actions is not None and symmetric_prune(e):
+                continue
+            if e + 1 == m:
+                yield assign, inn
+                continue
+            e += 1
+            pending[e] = allowed(e)
+
+    return walk()
 
 
 def _check_sweep_input(
@@ -343,14 +367,16 @@ def enumerate_simple_clique_acyclic_orientations(
 ) -> Iterator[Orientation]:
     """Stream every simple clique-acyclic orientation of `graph`.
 
-    `prefix` restricts the run to one subtree of the search tree (the
-    work-splitting hook).  Symmetry reduction needs the anti-hole labeling
-    and emits one orientation per dihedral orbit.
+    `prefix` restricts the run to one subtree of the search tree; a prefix
+    the clique tables or the symmetry prune reject raises ContractError.
+    Symmetry reduction needs the anti-hole labeling and emits one
+    orientation per dihedral orbit.
     """
     _check_sweep_input(graph, symmetry_reduction, labeling)
     actions = dihedral_edge_actions(labeling) if symmetry_reduction else None
     edges, completions = _clique_completions(graph, 2)
-    for digits, _ in _leaves(graph.vertex_count, edges, completions, 2, prefix, actions):
+    n = graph.vertex_count
+    for digits, _ in _leaves(n, edges, completions, 2, prefix, len(prefix), actions):
         yield digits_to_orientation(digits, graph, edges)
 
 
@@ -388,9 +414,8 @@ class SearchOutcome:
     orientations_examined: int
 
 
-def _graph_key(n: int, edges, mode: str, symmetry: bool, tasks) -> str:
-    # the task list fixes what a checkpoint's task cursor points at
-    payload = repr((n, tuple(edges), mode, symmetry, tasks)).encode()
+def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
+    payload = repr((n, tuple(edges), mode, symmetry)).encode()
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -414,30 +439,36 @@ def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[t
     completions, _, actions = tables
     return [
         tuple(digits)
-        for digits, _ in _leaves(n, edges[:depth], completions[:depth], num_values, (), actions)
+        for digits, _ in _leaves(
+            n, edges[:depth], completions[:depth], num_values, actions=actions
+        )
     ]
 
 
 def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Enumerate one prefix subtree; returns (examined, first kernel-free
-    assignment or None, whether the leaf budget stopped the task)."""
-    n, edges, num_values, tables, task_prefix, leaf_budget = args
+    """Enumerate one prefix subtree from `start`, whose first `depth` digits
+    pin it; returns (examined, stop, kernel_free), where `stop` is None once
+    the subtree is done, else the kernel-free assignment or, at a budget
+    stop, the first unexamined one."""
+    n, edges, num_values, tables, start, depth, leaf_budget = args
     completions, candidates, actions = tables
     full = (1 << n) - 1
     examined = 0
-    for digits, inn in _leaves(n, edges, completions, num_values, task_prefix, actions):
+    for digits, inn in _leaves(n, edges, completions, num_values, start, depth, actions):
         if leaf_budget is not None and examined >= leaf_budget:
-            return examined, None, True
+            return examined, tuple(digits), False
         examined += 1
         if not kernel_exists_masks(full, inn, candidates):
-            return examined, tuple(digits), False
+            return examined, tuple(digits), True
     return examined, None, False
 
 
 def _load_checkpoint(
-    path: Path, signature: str, edge_count: int, num_values: int
+    path: Optional[Path], signature: str, edge_count: int, depth: int, num_values: int
 ) -> Optional[dict]:
-    if not path.exists():
+    """The checkpoint's state with its digit lists as tuples: `next` is a
+    task prefix or a whole assignment, the counterexample a whole one."""
+    if path is None or not path.exists():
         return None
     try:
         state = json.loads(path.read_text())
@@ -450,30 +481,31 @@ def _load_checkpoint(
             f"checkpoint {path} belongs to a different run "
             f"(signature {state.get('signature')!r}, expected {signature!r})"
         )
-    for key in ("next_task", "examined"):
-        value = state.get(key)
-        if type(value) is not int or value < 0:
+
+    def check(key: str, fits, wanted: str):
+        value = state.get(key, "missing")
+        if not fits(value):
             raise ContractError(
-                f"checkpoint {path} is incomplete: {key} is {value!r}, "
-                f"expected a non-negative integer"
+                f"checkpoint {path} is corrupt: {key} is {value!r}, expected {wanted}"
             )
-    counterexample = state.get("counterexample")
-    if counterexample is not None and not (
-        isinstance(counterexample, list)
-        and len(counterexample) == edge_count
-        and all(type(d) is int and 0 <= d < num_values for d in counterexample)
-    ):
-        raise ContractError(
-            f"checkpoint {path} is corrupt: counterexample is {counterexample!r}, "
-            f"expected null or {edge_count} digits below {num_values}"
-        )
-    elapsed = state.get("elapsed_seconds")
-    if type(elapsed) not in (int, float) or not 0 <= elapsed < math.inf:
-        raise ContractError(
-            f"checkpoint {path} is corrupt: elapsed_seconds is {elapsed!r}, "
-            f"expected a non-negative number"
-        )
+        return value
+
+    check("examined", lambda v: type(v) is int and v >= 0, "a non-negative integer")
+    check("elapsed_seconds", lambda v: type(v) in (int, float) and 0 <= v < math.inf,
+          "a non-negative number")
+    for key, lengths in (("next", {depth, edge_count}), ("counterexample", {edge_count})):
+        digits = check(key, lambda v: v is None or (
+            isinstance(v, list)
+            and len(v) in lengths
+            and all(type(d) is int and 0 <= d < num_values for d in v)
+        ), f"null or {' or '.join(map(str, sorted(lengths)))} digits below {num_values}")
+        state[key] = None if digits is None else tuple(digits)
     return state
+
+
+# the edges a task's prefix pins: a deeper split balances the workers
+# better but pays a prefix walk and a fresh search core per task
+TASK_DEPTH = {"simple": 8, "general": 4}
 
 
 def verify_kernel_solvable(
@@ -484,126 +516,108 @@ def verify_kernel_solvable(
     jobs: int = 1,
     budget: Optional[int] = None,
     checkpoint: Optional[str] = None,
-    prefix_depth: Optional[int] = None,
     graph_id: str = "graph",
 ) -> SolvabilityVerdict:
     """Run the kernel oracle over every (simple) clique-acyclic orientation.
 
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
-    tasks at the live prefixes of length `prefix_depth`, which share clique
-    tables and kernel candidates built once per call; `jobs` workers
-    process them, results are consumed in task order, so counts and the
-    verdict are identical for any worker count and any `prefix_depth`.
-    `budget` caps the number of orientations examined and is tested before
-    each one (budgeted runs execute sequentially); `checkpoint` names a
-    JSON file updated after each completed task so an interrupted run
-    resumes.
+    tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
+    share clique tables and kernel candidates built once per call; `jobs`
+    workers process them, results are consumed in task order, so counts
+    and the verdict are identical for any worker count.  `budget` caps the
+    number of orientations examined and is tested before each one
+    (budgeted runs execute sequentially).  `checkpoint` names a JSON file
+    updated after each task and at a budget stop, whose `next` holds the
+    first unexamined orientation (or the next task's prefix), where a
+    resumed run continues.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
     _check_sweep_input(graph, symmetry_reduction, labeling)
-    if prefix_depth is not None and prefix_depth < 0:
-        raise ContractError(f"prefix depth must be non-negative, got {prefix_depth}")
     num_values = 2 if mode == "simple" else 3
     edges = tuple(graph.sorted_edges())
     n = graph.vertex_count
-    if prefix_depth is None:
-        prefix_depth = min(len(edges), 8 if num_values == 2 else 4)
-    prefix_depth = min(prefix_depth, len(edges))
+    depth = min(TASK_DEPTH[mode], len(edges))
     tables = _sweep_tables(graph, num_values, symmetry_reduction)
-    tasks = _live_prefixes(n, edges, num_values, tables, prefix_depth)
-    signature = _graph_key(n, edges, mode, symmetry_reduction, tasks)
+    tasks = _live_prefixes(n, edges, num_values, tables, depth)
+    signature = _graph_key(n, edges, mode, symmetry_reduction)
 
-    start_task = 0
-    examined = 0
-    elapsed_before = 0.0
     checkpoint_path = Path(checkpoint) if checkpoint else None
-    if checkpoint_path is not None:
-        state = _load_checkpoint(checkpoint_path, signature, len(edges), num_values)
-        if state is not None:
-            start_task = state["next_task"]
-            examined = state["examined"]
-            elapsed_before = state["elapsed_seconds"]
-            if state.get("counterexample") is not None:
-                digits = tuple(state["counterexample"])
-                return _verdict_from_digits(
-                    graph, edges, mode, digits, examined, elapsed_before, graph_id
-                )
-            if start_task >= len(tasks):
-                return SolvabilityVerdict(
-                    graph_id, mode, "solvable", None, examined, elapsed_before
-                )
+    state = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values) or {
+        "next": tasks[0], "examined": 0, "elapsed_seconds": 0.0, "counterexample": None
+    }
+    total, elapsed_before, cursor = state["examined"], state["elapsed_seconds"], state["next"]
+    if state["counterexample"] is not None:
+        return _verdict_from_digits(
+            graph, edges, mode, state["counterexample"], total, elapsed_before, graph_id
+        )
+    if cursor is None:
+        return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
+    completions, _, actions = tables
+    try:
+        _leaves(n, edges, completions, num_values, cursor, depth, actions)
+    except ContractError as exc:
+        raise ContractError(f"checkpoint {checkpoint_path} is corrupt: next ({exc})") from None
+    # the core accepted the cursor, so its first `depth` digits are a live
+    # prefix: one of the tasks
+    first_task = bisect_left(tasks, cursor[:depth])
 
     started = time.monotonic()
 
-    def save_checkpoint(next_task: int, count: int, counterexample=None) -> None:
-        # `count` must cover completed tasks only, so a re-run of the task
-        # under the cursor never double-counts after a resume
+    def save_checkpoint(resume_at, count: int, counterexample=None) -> None:
         if checkpoint_path is None:
             return
         # a crash mid-write must leave the previous checkpoint intact
         partial = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
-        partial.write_text(
-            json.dumps(
-                {
-                    "signature": signature,
-                    "prefix_depth": prefix_depth,
-                    "next_task": next_task,
-                    "examined": count,
-                    "elapsed_seconds": elapsed_before + time.monotonic() - started,
-                    "counterexample": list(counterexample) if counterexample else None,
-                }
-            )
-        )
+        partial.write_text(json.dumps({
+            "signature": signature,
+            "next": None if resume_at is None else list(resume_at),
+            "examined": count,
+            "elapsed_seconds": elapsed_before + time.monotonic() - started,
+            "counterexample": list(counterexample) if counterexample else None,
+        }))
         os.replace(partial, checkpoint_path)
 
     if budget is not None:
         jobs = 1
 
-    total = examined
-
     def task_args(index: int):
         # read when the task starts, so it sees the budget earlier tasks left
         remaining = None if budget is None else budget - total
-        return (n, edges, num_values, tables, tasks[index], remaining)
+        start = cursor if index == first_task else tasks[index]
+        return (n, edges, num_values, tables, start, depth, remaining)
 
-    args = (task_args(index) for index in range(start_task, len(tasks)))
+    args = (task_args(index) for index in range(first_task, len(tasks)))
+    # after task i the next unexamined orientation is in task i + 1
+    following = tasks[1:] + [None]
     pool = None
     if jobs > 1:
         import multiprocessing
 
         pool = multiprocessing.Pool(processes=jobs)
-    counter_digits = None
-    budget_hit = False
+    stop = None
     try:
         results = map(_verify_task, args) if pool is None else pool.imap(_verify_task, args)
-        for index, (task_examined, digits, hit) in enumerate(results, start_task):
+        for index, (task_examined, digits, kernel_free) in enumerate(results, first_task):
             total += task_examined
             if digits is not None:
-                counter_digits = digits
-                save_checkpoint(index + 1, total, digits)
+                stop = digits, kernel_free
                 break
-            if hit:
-                budget_hit = True
-                save_checkpoint(index, total - task_examined)
-                break
-            save_checkpoint(index + 1, total)
+            save_checkpoint(following[index], total)
     finally:
         if pool is not None:
             pool.terminate()
 
     elapsed = elapsed_before + time.monotonic() - started
-    if counter_digits is not None:
-        return _verdict_from_digits(
-            graph, edges, mode, counter_digits, total, elapsed, graph_id
-        )
-    if budget_hit:
-        return SolvabilityVerdict(
-            graph_id, mode, "exhausted_budget", None, total, elapsed
-        )
-    save_checkpoint(len(tasks), total)
-    return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed)
+    if stop is None:
+        return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed)
+    digits, kernel_free = stop
+    if kernel_free:
+        save_checkpoint(None, total, digits)
+        return _verdict_from_digits(graph, edges, mode, digits, total, elapsed, graph_id)
+    save_checkpoint(digits, total)
+    return SolvabilityVerdict(graph_id, mode, "exhausted_budget", None, total, elapsed)
 
 
 def _verdict_from_digits(

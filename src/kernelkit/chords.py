@@ -12,7 +12,7 @@ everything here is exponential by design.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 from .digraph import (
     Digraph,
@@ -145,7 +145,7 @@ def have_consecutive_heads(c1: Chord, c2: Chord, cycle_length: int) -> bool:
     return gap in (1, cycle_length - 1)
 
 
-def satisfied_rule(chords: list[Chord], length: int) -> str:
+def satisfied_rule(chords: Sequence[Chord], length: int) -> str:
     """First chord rule the cycle meets, in the fixed rule order."""
     for i, c1 in enumerate(chords):
         for c2 in chords[i + 1 :]:
@@ -196,6 +196,19 @@ class ChordConditionReport:
         }
 
 
+def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordConditionReport:
+    """Tag every odd directed cycle with `rule_of(cycle, chords)`; the
+    verdict holds iff no cycle is tagged `none`."""
+    entries = []
+    for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget):
+        chords = tuple(chords_of_cycle(digraph, cycle))
+        entries.append(CycleReport(cycle=cycle, chords=chords, rule=rule_of(cycle, chords)))
+    first_failing = next((c.cycle for c in entries if c.rule == RULE_NONE), None)
+    return ChordConditionReport(
+        satisfied=first_failing is None, cycles=tuple(entries), first_failing=first_failing
+    )
+
+
 def check_chord_conditions(
     digraph: Digraph,
     max_len: Optional[int] = None,
@@ -214,21 +227,12 @@ def check_chord_conditions(
     `none`.  `max_len` defaults to the vertex count: the condition
     quantifies over all odd directed cycles.
     """
-    entries = []
-    first_failing = None
-    for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget):
-        chords = chords_of_cycle(digraph, cycle)
+
+    def rule_of(cycle, chords):
         rule = satisfied_rule(chords, len(cycle))
-        if rule not in rules:
-            rule = RULE_NONE
-        entries.append(CycleReport(cycle=cycle, chords=tuple(chords), rule=rule))
-        if rule == RULE_NONE and first_failing is None:
-            first_failing = cycle
-    return ChordConditionReport(
-        satisfied=first_failing is None,
-        cycles=tuple(entries),
-        first_failing=first_failing,
-    )
+        return rule if rule in rules else RULE_NONE
+
+    return _odd_cycle_report(digraph, max_len, budget, rule_of)
 
 
 def check_gsnl_condition(
@@ -244,26 +248,12 @@ def check_duchet_condition(
     digraph: Digraph, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> ChordConditionReport:
     """Every odd directed cycle must have at least two reversible arcs."""
-    entries = []
-    first_failing = None
-    for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget):
-        length = len(cycle)
-        reversible = sum(
-            1
-            for i in range(length)
-            if digraph.has_arc(cycle[(i + 1) % length], cycle[i])
-        )
-        rule = RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
-        entries.append(
-            CycleReport(cycle=cycle, chords=tuple(chords_of_cycle(digraph, cycle)), rule=rule)
-        )
-        if rule == RULE_NONE and first_failing is None:
-            first_failing = cycle
-    return ChordConditionReport(
-        satisfied=first_failing is None,
-        cycles=tuple(entries),
-        first_failing=first_failing,
-    )
+
+    def rule_of(cycle, chords):
+        reversible = sum(digraph.has_arc(v, u) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+        return RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
+
+    return _odd_cycle_report(digraph, max_len, budget, rule_of)
 
 
 # -- the constructive procedure ---------------------------------------------

@@ -383,7 +383,6 @@ def cmd_antihole_verify(args, out: _Output) -> int:
         jobs=_at_least(args.jobs, "--jobs", 1),
         budget=_budget(args),
         checkpoint=args.checkpoint,
-        prefix_depth=args.prefix_depth,
         graph_id=graph_id,
     )
     out.emit(verdict.to_json_obj())
@@ -590,12 +589,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("input", nargs="?", help="graph file, or use --n")
     p.add_argument("--n", type=int, help="verify the n-vertex anti-hole")
     p.add_argument("--mode", choices=("simple", "general"), default="simple")
-    p.add_argument("--symmetry", action="store_true")
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--budget", type=int)
-    p.add_argument("--checkpoint")
-    p.add_argument("--prefix-depth", type=int, dest="prefix_depth",
-                   help="task prefix length in edges (default 8 simple, 4 general)")
+    p.add_argument("--symmetry", action="store_true",
+                   help="examine one orientation per dihedral orbit (anti-holes only)")
+    p.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (default 1; a budget runs in one)")
+    p.add_argument("--budget", type=int,
+                   help="examine at most this many orientations, then exit 3 "
+                        "(default KERNELKIT_BUDGET, else no limit)")
+    p.add_argument("--checkpoint", metavar="FILE",
+                   help="JSON file that records progress; a rerun resumes from it")
     _common(p, needs_input=False)
     p.set_defaults(func=cmd_antihole_verify)
 

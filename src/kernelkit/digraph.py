@@ -185,9 +185,6 @@ class Digraph:
     def in_neighbors(self, v: int) -> VertexSet:
         return VertexSet.from_mask(self.vertex_count, self.in_mask(v))
 
-    def closed_out_neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_mask(self.vertex_count, self.out_mask(v) | (1 << v))
-
     def closed_in_neighbors(self, v: int) -> VertexSet:
         return VertexSet.from_mask(self.vertex_count, self.in_mask(v) | (1 << v))
 
@@ -228,10 +225,6 @@ class Digraph:
             if u in index and v in index
         ]
         return Digraph(len(labels), arcs), labels
-
-    def underlying_graph(self) -> "UndirectedGraph":
-        edges = {(min(u, v), max(u, v)) for (u, v) in self.arcs}
-        return UndirectedGraph(self.vertex_count, edges)
 
     def __eq__(self, other) -> bool:
         return (

@@ -76,14 +76,12 @@ class Poset:
     def up_mask(self, a: int) -> int:
         return self._up[a]
 
-    def relation_pairs(self) -> list[tuple[int, int]]:
-        return [(a, b) for a in range(self.size) for b in bits_of(self._up[a])]
-
     def is_antichain(self, members: Iterable[int]) -> bool:
         elems = sorted(set(members))
-        for i, a in enumerate(elems):
+        for a in elems:
             if not 0 <= a < self.size:
                 raise ContractError(f"element {a} outside [0, {self.size})")
+        for i, a in enumerate(elems):
             for b in elems[i + 1 :]:
                 if (self._up[a] >> b) & 1 or (self._up[b] >> a) & 1:
                     return False

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 from itertools import product
 
 import pytest
@@ -13,9 +14,11 @@ from kernelkit import (
     Orientation,
     SizeCapError,
     UndirectedGraph,
+    antiholes,
 )
 from kernelkit.antiholes import (
     AntiholeLabeling,
+    TASK_DEPTH,
     _clique_completions,
     _leaves,
     _live_prefixes,
@@ -36,6 +39,7 @@ from kernelkit.antiholes import (
 from kernelkit.oracle import (
     find_kernel_bruteforce,
     is_clique_acyclic,
+    kernel_exists_masks,
     kernel_via_semikernel_recursion,
 )
 from strategies import undirected_graphs
@@ -159,7 +163,7 @@ class TestEnumeration:
         for depth in (1, 2, 3):
             pieces = []
             for prefix in product(range(3), repeat=depth):
-                pieces.extend(core_leaves(g, 3, prefix=prefix))
+                pieces.extend(core_leaves(g, 3, start=prefix))
             assert pieces == whole
         # the live-prefix tasks of a sweep, in task order, are the whole
         # enumeration in both modes, with and without symmetry
@@ -173,18 +177,21 @@ class TestEnumeration:
                 assert tasks == sorted(set(tasks))
                 pieces = []
                 for task in tasks:
-                    pieces.extend(core_leaves(g, num_values, symmetry, prefix=task))
+                    pieces.extend(core_leaves(g, num_values, symmetry, start=task))
                 assert pieces == whole
 
 
-def core_leaves(graph, num_values, symmetry=False, prefix=()):
-    """The sweep core's leaf sequence, checking the in-masks it keeps at
-    every leaf against masks rebuilt from the digits."""
+def core_leaves(graph, num_values, symmetry=False, start=(), fixed=None):
+    """The sweep core's leaf sequence from `start`, whose first `fixed`
+    digits (all by default) pin the subtree, checking the in-masks it
+    keeps at every leaf against masks rebuilt from the digits."""
     n = graph.vertex_count
     edges, completions = _clique_completions(graph, num_values)
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    if fixed is None:
+        fixed = len(start)
     leaves = []
-    for digits, inn in _leaves(n, edges, completions, num_values, prefix, actions):
+    for digits, inn in _leaves(n, edges, completions, num_values, start, fixed, actions):
         assert inn == naive.naive_in_masks(n, edges, digits)
         leaves.append(tuple(digits))
     return leaves
@@ -233,14 +240,49 @@ class TestSweepCore:
         g, labeling = gen_antihole(n)
         edges, completions = _clique_completions(g, num_values)
         actions = dihedral_edge_actions(labeling)
+        k = len(prefix)
+        live = naive.reference_leaves(n, edges[:k], completions[:k], num_values, prefix, actions)
+        if not any(live):
+            # the prune kills the prefix itself, which the seeded core refuses
+            with pytest.raises(ContractError, match="not a live path"):
+                _leaves(n, edges, completions, num_values, prefix, k, actions)
+            return
         got = [
             (tuple(digits), tuple(inn))
-            for digits, inn in _leaves(n, edges, completions, num_values, prefix, actions)
+            for digits, inn in _leaves(n, edges, completions, num_values, prefix, k, actions)
         ]
         wanted = list(naive.reference_leaves(n, edges, completions, num_values, prefix, actions))
         assert got == wanted
         if not prefix:
             assert len(got) == orbits
+
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
+    @pytest.mark.parametrize("n, num_values", [(7, 2), (6, 3)], ids=["c7-simple", "c6-general"])
+    def test_seeded_start_continues_the_whole_run(self, n, num_values, symmetry):
+        g, _ = gen_antihole(n)
+        whole = core_leaves(g, num_values, symmetry)
+        rng = random.Random(n * 10 + symmetry)
+        for leaf in rng.sample(whole, 8):
+            # a leaf or a prefix of one is a lower bound; `fixed` pins its
+            # first digits as a task prefix would
+            start = leaf[: rng.choice([len(leaf), rng.randrange(len(leaf))])]
+            for fixed in {0, min(3, len(start)), len(start)}:
+                wanted = [x for x in whole if x >= start and x[:fixed] == start[:fixed]]
+                assert core_leaves(g, num_values, symmetry, start, fixed) == wanted
+
+    @pytest.mark.parametrize(
+        "start, symmetry",
+        [((0,) * 15, False), ((0, 2), False), ((-1,), False), ((1,), True),
+         # the directed triangle 0 -> 2 -> 4 -> 0
+         ((0, 0, 1, 0, 0, 0, 0, 0, 0), False)],
+        ids=["too-long", "digit-2", "negative-digit", "orbit", "triangle"],
+    )
+    def test_dead_start_is_refused_at_the_call(self, start, symmetry):
+        g, labeling = gen_antihole(7)
+        edges, completions = _clique_completions(g, 2)
+        actions = dihedral_edge_actions(labeling) if symmetry else None
+        with pytest.raises(ContractError, match="start"):
+            _leaves(7, edges, completions, 2, start, 0, actions)
 
 
 class TestSymmetry:
@@ -317,18 +359,17 @@ class TestVerify:
         assert sequential.verdict == parallel.verdict
         assert sequential.orientations_examined == parallel.orientations_examined
 
-    def test_partition_independence(self):
+    def test_partition_independence(self, monkeypatch):
         g, _ = gen_antihole(7)
-        counts = {
-            verify_kernel_solvable(g, prefix_depth=depth).orientations_examined
-            for depth in (0, 3, 9)
-        }
+        counts = set()
+        for depth in (0, 3, 9):
+            monkeypatch.setitem(TASK_DEPTH, "simple", depth)
+            counts.add(verify_kernel_solvable(g).orientations_examined)
         assert len(counts) == 1
         g, labeling = gen_antihole(8)
         for depth in (0, 6, 8, 12):
-            verdict = verify_kernel_solvable(
-                g, symmetry_reduction=True, labeling=labeling, prefix_depth=depth
-            )
+            monkeypatch.setitem(TASK_DEPTH, "simple", depth)
+            verdict = verify_kernel_solvable(g, symmetry_reduction=True, labeling=labeling)
             assert verdict.orientations_examined == 1030
 
     def test_symmetry_reduction_same_verdict(self):
@@ -355,7 +396,7 @@ class TestVerify:
         assert first.verdict == "exhausted_budget"
         assert first.orientations_examined == 300
         state = json.loads(checkpoint.read_text())
-        assert state["next_task"] >= 0
+        assert state["examined"] == 300 and len(state["next"]) == 27
         resumed = verify_kernel_solvable(
             g, symmetry_reduction=True, labeling=labeling, checkpoint=str(checkpoint)
         )
@@ -363,25 +404,28 @@ class TestVerify:
         assert resumed.verdict == fresh.verdict == "solvable"
         assert resumed.orientations_examined == fresh.orientations_examined
 
-    @pytest.mark.parametrize("budget, depth", [(1000, 13), (2000, 13), (4000, None)])
-    def test_budgeted_symmetric_run_hands_work_on(self, tmp_path, budget, depth):
-        # the live prefixes spread the orbit representatives over many
-        # tasks, so a budget stops after some completed task and the resume
-        # does not start over; at the default depth the first task holds
-        # 3,573 of C9-bar's 7,963 orbits, at depth 13 it holds 858
+    # the first task holds 3,573 of C9-bar's 7,963 orbits, so most of
+    # these budgets stop inside a task and one stops on its last leaf
+    @pytest.mark.parametrize("budget", [1, 1000, 2000, 3573, 4000])
+    def test_budgeted_symmetric_run_hands_work_on(self, tmp_path, monkeypatch, budget):
         checkpoint = tmp_path / "run.json"
         g, labeling = gen_antihole(9)
-        run = dict(
-            symmetry_reduction=True, labeling=labeling, prefix_depth=depth,
-            checkpoint=str(checkpoint),
-        )
+        run = dict(symmetry_reduction=True, labeling=labeling, checkpoint=str(checkpoint))
         first = verify_kernel_solvable(g, budget=budget, **run)
         assert first.verdict == "exhausted_budget"
         state = json.loads(checkpoint.read_text())
-        assert state["next_task"] > 0 and state["examined"] > 0
+        assert state["examined"] == budget and len(state["next"]) == 27
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return kernel_exists_masks(*args)
+
+        monkeypatch.setattr(antiholes, "kernel_exists_masks", counted)
         resumed = verify_kernel_solvable(g, **run)
         assert resumed.verdict == "solvable"
         assert resumed.orientations_examined == 7963
+        assert len(calls) == 7963 - budget
 
     def test_parallel_run_with_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "par.json"
@@ -416,7 +460,7 @@ class TestVerify:
         if content is None:
             verify_kernel_solvable(g, checkpoint=str(checkpoint))
             state = json.loads(checkpoint.read_text())
-            del state["next_task"], state["examined"]
+            del state["next"], state["examined"]
             content = json.dumps(state)
         checkpoint.write_text(content)
         with pytest.raises(ContractError, match="checkpoint"):
@@ -430,6 +474,12 @@ class TestVerify:
             ("counterexample", [0] * 13),
             ("counterexample", [0] * 13 + [True]),
             ("counterexample", "0101"),
+            ("next", [0] * 15),
+            ("next", [0] * 13 + [2]),
+            ("next", [True] + [0] * 13),
+            ("next", [-1] + [0] * 7),
+            # the directed triangle 0 -> 2 -> 4 -> 0 past the task prefix
+            ("next", [0, 0, 1] + [0] * 11),
             ("elapsed_seconds", "soon"),
             ("elapsed_seconds", -1.0),
             ("elapsed_seconds", None),
@@ -466,20 +516,20 @@ class TestVerify:
 
     def test_budget_met_by_a_tasks_last_leaf_is_not_redone(self, tmp_path):
         g, _ = gen_antihole(7)
-        probe = tmp_path / "probe.json"
-        verify_kernel_solvable(g, budget=300, checkpoint=str(probe))
-        completed = json.loads(probe.read_text())
-        assert completed["examined"] > 0
-        # a budget equal to the leaves of the completed tasks ends exactly
-        # on the last leaf of a task, which counts as completed
+        edges = tuple(g.sorted_edges())
+        tables = _sweep_tables(g, 2, False)
+        first, second = _live_prefixes(7, edges, 2, tables, TASK_DEPTH["simple"])[:2]
+        leaves = core_leaves(g, 2)
+        # a budget equal to the first task's leaves ends exactly on its last
+        # leaf, which counts as examined; the next one opens the second task
+        budget = sum(1 for leaf in leaves if leaf[:8] == first)
         checkpoint = tmp_path / "run.json"
-        verdict = verify_kernel_solvable(
-            g, budget=completed["examined"], checkpoint=str(checkpoint)
-        )
+        verdict = verify_kernel_solvable(g, budget=budget, checkpoint=str(checkpoint))
         assert verdict.verdict == "exhausted_budget"
         state = json.loads(checkpoint.read_text())
-        assert state["examined"] == completed["examined"]
-        assert state["next_task"] == completed["next_task"]
+        assert state["examined"] == budget
+        assert tuple(state["next"]) == leaves[budget]
+        assert leaves[budget][:8] == second
 
     def test_failed_checkpoint_write_keeps_the_previous_one(self, tmp_path, monkeypatch):
         checkpoint = tmp_path / "run.json"

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from kernelkit import gen_antihole
+from kernelkit.antiholes import _live_prefixes, _sweep_tables
 from kernelkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -369,13 +370,6 @@ class TestAntiholeCommands:
         assert code == 3
         assert json.loads(out)["status"] == "unknown"
 
-    def test_negative_prefix_depth_exits_two(self, capsys):
-        code, _, err = run_cli(
-            capsys, ["antihole", "verify-simple", "--n", "5", "--prefix-depth", "-3"]
-        )
-        assert code == 2
-        assert err.count("\n") == 1 and "prefix depth" in err
-
     def test_non_integer_env_budget_exits_two(self, capsys, monkeypatch):
         monkeypatch.setenv("KERNELKIT_BUDGET", "abc")
         code, _, err = run_cli(capsys, ["antihole", "search-witness", "--n", "5"])
@@ -392,26 +386,39 @@ class TestAntiholeCommands:
         assert code == 2
         assert err.count("\n") == 1 and "not valid JSON" in err
 
-    def test_fixed_product_checkpoint_exits_two(self, capsys, tmp_path):
-        # a checkpoint of the fixed-product task scheme, whose task cursor
-        # pointed into all 2**depth prefixes, must not resume a live-prefix run
-        g, _ = gen_antihole(9)
-        payload = repr((9, tuple(g.sorted_edges()), "simple", True, 6)).encode()
+    @staticmethod
+    def refuse_task_index_checkpoint(capsys, tmp_path, signed, depth, examined):
+        """Resume a C9-bar --symmetry run from a checkpoint whose cursor is
+        a task index, signed over the run and `signed`: it must exit 2."""
+        edges = tuple(gen_antihole(9)[0].sorted_edges())
+        payload = repr((9, edges, "simple", True, signed)).encode()
         checkpoint = tmp_path / "run.json"
         checkpoint.write_text(json.dumps({
             "signature": hashlib.sha256(payload).hexdigest()[:16],
-            "prefix_depth": 6,
+            "prefix_depth": depth,
             "next_task": 1,
-            "examined": 7697,
+            "examined": examined,
             "elapsed_seconds": 1.0,
             "counterexample": None,
         }))
         code, out, err = run_cli(capsys, [
             "antihole", "verify-simple", "--n", "9", "--symmetry",
-            "--prefix-depth", "6", "--checkpoint", str(checkpoint),
+            "--checkpoint", str(checkpoint),
         ])
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and "belongs to a different run" in err
+
+    def test_fixed_product_checkpoint_exits_two(self, capsys, tmp_path):
+        # the fixed-product task scheme signed the depth; its cursor pointed
+        # into all 2**depth prefixes
+        self.refuse_task_index_checkpoint(capsys, tmp_path, 6, 6, 7697)
+
+    def test_task_index_checkpoint_exits_two(self, capsys, tmp_path):
+        # the live-prefix scheme signed its task list; a leaf-exact run
+        # must not read its cursor
+        g, _ = gen_antihole(9)
+        tasks = _live_prefixes(9, tuple(g.sorted_edges()), 2, _sweep_tables(g, 2, True), 8)
+        self.refuse_task_index_checkpoint(capsys, tmp_path, tasks, 8, 3573)
 
     @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])
     def test_zero_budget_examines_nothing(self, capsys, command):
@@ -484,6 +491,18 @@ class TestPosetCommands:
         )
         assert code == 0
         assert json.loads(out)["relation"] == "less"
+
+    def test_compare_with_an_element_past_the_poset_exits_two(self, capsys, monkeypatch):
+        # the element past the end sat behind a valid one and was indexed
+        # before its range was checked
+        code, out, err = run_cli(
+            capsys,
+            ["poset", "compare", "-", "--a", "", "--b", "0,1"],
+            stdin="poset 1\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: element 1 outside [0, 1)\n"
 
     @pytest.mark.parametrize(
         "text, message",

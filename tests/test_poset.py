@@ -28,6 +28,11 @@ class TestPoset:
         assert p.is_antichain({1, 2})
         assert not p.is_antichain({0, 1})
 
+    @pytest.mark.parametrize("members", [{0, 3}, {2, 5}, {-1, 0}], ids=str)
+    def test_antichain_with_an_outside_element_rejected(self, members):
+        with pytest.raises(ContractError, match="outside"):
+            Poset(3, [(0, 1)]).is_antichain(members)
+
     def test_linear_extension_respects_order(self):
         p = Poset(4, [(2, 0), (0, 3)])
         order = p.linear_extension()
