@@ -14,6 +14,16 @@ triangle is transitive, so larger cliques then have such a vertex too.
 The core keeps the in-neighbour masks of the partial orientation up to
 date along the path, so each leaf goes to the kernel oracle as it stands.
 
+The kernel candidates are the base graph's maximal independent sets, the
+same for every leaf, and once the last edge incident to a candidate is
+decided, whether it absorbs the other vertices is fixed below.  So a
+sweep without symmetry tests each candidate once, at the node that
+decides its closing edge; where it absorbs, every leaf below has a
+kernel, and the sweep adds the subtree's leaf count, a dynamic program
+over the same tables memoised on the digits later tables still read,
+instead of walking it.  Only the leaves no candidate certifies, or a
+budget stop keeps from skipping, reach the kernel oracle.
+
 Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
 acts on edge-direction assignments, and only the lexicographically least
 assignment of each orbit is emitted; the comparisons with the group
@@ -38,7 +48,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, Optional
+from typing import Iterator, NamedTuple, Optional
 
 from .digraph import (
     Digraph,
@@ -242,8 +252,20 @@ def _clique_completions(graph: UndirectedGraph, num_values: int):
     return edges, completions
 
 
+def _allowed(completions_e, assign, every_digit: int) -> int:
+    """The digits the clique tables ending at an edge allow under `assign`."""
+    digits = every_digit
+    for others, weights, table in completions_e:
+        pattern = 0
+        for eid, weight in zip(others, weights):
+            pattern += assign[eid] * weight
+        digits &= table[pattern]
+    return digits
+
+
 def _leaves(
-    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None
+    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None,
+    prune=None,
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the accepted assignments in lexicographic digit order as the
     live (digits, in-neighbour masks) lists of the search, which a consumer
@@ -261,6 +283,11 @@ def _leaves(
     elements whose image still ties with the path above edge e, each with
     the first position not yet compared; edge e resumes from there and a
     sibling digit re-reads the entry, so backtracking needs no undo.
+
+    `prune` holds one subtree-prune hook or None per edge: `prune[e](e,
+    assign, inn)` is called once a walk node has assigned edge e, never
+    along the seeded `start` path, whose subtrees hold leaves before
+    `start`; a positive return skips the node's subtree.
     """
     m = len(edges)
     assign = [0] * m
@@ -268,15 +295,6 @@ def _leaves(
     every_digit = (1 << num_values) - 1
     pending = [0] * m
     ties = [[(inv, flip, 0) for inv, flip in actions or ()]] + [None] * m
-
-    def allowed(e: int) -> int:
-        digits = every_digit
-        for others, weights, table in completions[e]:
-            pattern = 0
-            for eid, weight in zip(others, weights):
-                pattern += assign[eid] * weight
-            digits &= table[pattern]
-        return digits
 
     def symmetric_prune(e: int) -> bool:
         live = []
@@ -298,7 +316,7 @@ def _leaves(
         return False
 
     for e, digit in enumerate(start):
-        digits = allowed(e) if e < m else 0
+        digits = _allowed(completions[e], assign, every_digit) if e < m else 0
         if digit not in range(num_values) or not digits >> digit & 1:
             raise ContractError(f"start {list(start)} is not a live path at edge {e}")
         pending[e] = digits & -(2 << digit) if e >= fixed else 0
@@ -314,7 +332,7 @@ def _leaves(
     def walk():
         e = len(start)
         if e < m:
-            pending[e] = allowed(e)
+            pending[e] = _allowed(completions[e], assign, every_digit)
         else:
             yield assign, inn
             e -= 1
@@ -336,11 +354,15 @@ def _leaves(
                 inn[u] |= 1 << v
             if actions is not None and symmetric_prune(e):
                 continue
+            if prune is not None:
+                hook = prune[e]
+                if hook is not None and hook(e, assign, inn):
+                    continue
             if e + 1 == m:
                 yield assign, inn
                 continue
             e += 1
-            pending[e] = allowed(e)
+            pending[e] = _allowed(completions[e], assign, every_digit)
 
     return walk()
 
@@ -419,24 +441,120 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool):
-    """What every prefix task of a sweep shares: the clique tables, the
-    kernel candidates and the symmetry actions (None without symmetry)."""
+class _SweepTables(NamedTuple):
+    """What every prefix task of a sweep shares.
+
+    `candidates` are the kernel candidates, `actions` the symmetry actions
+    (None without symmetry).  `closing[e]` holds the candidates whose last
+    incident edge is e: once e is decided, whether one absorbs is fixed
+    for every leaf below.  `frontier[e]` holds the edges below e that a
+    table of an edge at or past e reads, with packing weights: their
+    digits decide how many leaves lie below a node at edge e.
+    """
+
+    completions: list
+    candidates: tuple[int, ...]
+    actions: Optional[list]
+    closing: tuple[tuple[int, ...], ...]
+    frontier: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+
+
+def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _SweepTables:
+    """Build the tables once per sweep, for every task to share."""
     n = graph.vertex_count
-    _, completions = _clique_completions(graph, num_values)
+    edges, completions = _clique_completions(graph, num_values)
     # every leaf orients `graph`, so its maximal independent sets are the
     # kernel candidates of every leaf
     candidates = tuple(
         maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
     )
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    return completions, candidates, actions
+    closing: list[list[int]] = [[] for _ in edges]
+    for s in candidates:
+        incident = [e for e, (u, v) in enumerate(edges) if (s >> u | s >> v) & 1]
+        if incident:
+            closing[incident[-1]].append(s)
+    last_read = [-1] * len(edges)
+    for e, cliques in enumerate(completions):
+        for others, _, _ in cliques:
+            for eid in others:
+                last_read[eid] = e
+    frontier = []
+    for e in range(len(edges) + 1):
+        eids = tuple(eid for eid in range(e) if last_read[eid] >= e)
+        frontier.append((eids, tuple(num_values**eid for eid in eids)))
+    return _SweepTables(
+        completions, candidates, actions, tuple(map(tuple, closing)), tuple(frontier)
+    )
+
+
+def _subtree_counter(completions, frontier, num_values: int):
+    """`count(assign, e)`: the number of leaves that share the first e
+    digits of `assign`, by a dynamic program over the allowed-digit tables
+    memoised on (edge, frontier digits); the memo lives with the counter."""
+    m = len(completions)
+    every_digit = (1 << num_values) - 1
+    memo: list[dict[int, int]] = [{} for _ in range(m)] + [{0: 1}]
+    # the key of a child of a node at edge f is the node's key less the
+    # frontier edges no table past f reads, plus f's own digit if one does
+    step = []
+    drops = []
+    for f in range(m):
+        kept = frontier[f + 1][0]
+        step.append(num_values**f if f in kept else 0)
+        drops.append(tuple((eid, w) for eid, w in zip(*frontier[f]) if eid not in kept))
+
+    def count(assign, e: int) -> int:
+        eids, weights = frontier[e]
+        top = 0
+        for eid, weight in zip(eids, weights):
+            top += assign[eid] * weight
+        known = memo[e].get(top)
+        if known is not None:
+            return known
+        work = list(assign)
+        keys = [0] * m
+        bases = [0] * m
+        totals = [0] * m
+        pending: list = [None] * m
+        keys[e] = top
+        f = e
+        while True:
+            digits = pending[f]
+            if digits is None:
+                digits = _allowed(completions[f], work, every_digit)
+                base = keys[f]
+                for eid, weight in drops[f]:
+                    base -= work[eid] * weight
+                bases[f] = base
+                totals[f] = 0
+            if not digits:
+                memo[f][keys[f]] = totals[f]
+                if f == e:
+                    return totals[e]
+                f -= 1
+                totals[f] += totals[f + 1]
+                continue
+            low = digits & -digits
+            pending[f] = digits ^ low
+            digit = low.bit_length() - 1
+            work[f] = digit
+            child = bases[f] + digit * step[f]
+            known = memo[f + 1].get(child)
+            if known is not None:
+                totals[f] += known
+                continue
+            f += 1
+            keys[f] = child
+            pending[f] = None
+
+    return count
 
 
 def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[tuple[int, ...]]:
     """The accepted assignments of the first `depth` edges, in order: a
     prefix the tables or the symmetry kill never becomes a task."""
-    completions, _, actions = tables
+    completions, actions = tables.completions, tables.actions
     return [
         tuple(digits)
         for digits, _ in _leaves(
@@ -449,12 +567,31 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
     """Enumerate one prefix subtree from `start`, whose first `depth` digits
     pin it; returns (examined, stop, kernel_free), where `stop` is None once
     the subtree is done, else the kernel-free assignment or, at a budget
-    stop, the first unexamined one."""
+    stop, the first unexamined one.  Without symmetry, `certify` counts
+    the subtree below a node where a candidate closing there absorbs,
+    unless that would overrun the budget, and the core skips it."""
     n, edges, num_values, tables, start, depth, leaf_budget = args
-    completions, candidates, actions = tables
+    completions, candidates, actions, closing, frontier = tables
     full = (1 << n) - 1
     examined = 0
-    for digits, inn in _leaves(n, edges, completions, num_values, start, depth, actions):
+    hooks = None
+    if actions is None:
+        count = _subtree_counter(completions, frontier, num_values)
+
+        def certify(e: int, assign, inn) -> int:
+            nonlocal examined
+            if kernel_exists_masks(full, inn, closing[e]):
+                leaves = count(assign, e + 1)
+                if leaf_budget is None or examined + leaves <= leaf_budget:
+                    examined += leaves
+                    return leaves
+            return 0
+
+        hooks = [certify if closed else None for closed in closing]
+
+    for digits, inn in _leaves(
+        n, edges, completions, num_values, start, depth, actions, hooks
+    ):
         if leaf_budget is not None and examined >= leaf_budget:
             return examined, tuple(digits), False
         examined += 1
@@ -525,9 +662,13 @@ def verify_kernel_solvable(
     tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
     share clique tables and kernel candidates built once per call; `jobs`
     workers process them, results are consumed in task order, so counts
-    and the verdict are identical for any worker count.  `budget` caps the
-    number of orientations examined and is tested before each one
-    (budgeted runs execute sequentially).  `checkpoint` names a JSON file
+    and the verdict are identical for any worker count.  Without symmetry
+    each kernel candidate is tested at the node that decides its closing
+    edge, and a subtree in which it absorbs is counted, not walked; every
+    leaf still reached goes to the full oracle.  `budget` caps the
+    number of orientations examined and is tested before each one; a
+    counted subtree that would overrun it is walked instead (budgeted runs
+    execute sequentially).  `checkpoint` names a JSON file
     updated after each task and at a budget stop, whose `next` holds the
     first unexamined orientation (or the next task's prefix), where a
     resumed run continues.
@@ -554,7 +695,7 @@ def verify_kernel_solvable(
         )
     if cursor is None:
         return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
-    completions, _, actions = tables
+    completions, actions = tables.completions, tables.actions
     try:
         _leaves(n, edges, completions, num_values, cursor, depth, actions)
     except ContractError as exc:

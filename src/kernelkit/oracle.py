@@ -14,7 +14,8 @@ base graph, simple or with reversible edges, has that graph as its
 underlying graph, so the kernel candidates are the base graph's maximal
 independent sets: the sweep computes that fixed list once per run and
 tests against it the in-neighbour masks its search keeps along the path,
-so a leaf costs no mask rebuild.
+so a leaf costs no mask rebuild.  The same call tests the few candidates
+whose last edge a search node has just decided.
 """
 
 from __future__ import annotations
@@ -173,10 +174,16 @@ def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
     """Existence-only kernel oracle on raw masks; the hot path for the
     orientation sweeps.
 
-    `candidates` must hold every maximal independent set of the digraph's
-    underlying graph; a candidate is a kernel iff it absorbs the rest.
+    Whether some candidate absorbs every vertex outside it.  With every
+    maximal independent set of the digraph's underlying graph as
+    `candidates` that is whether a kernel exists; with some of them, a yes
+    still names a kernel.
     """
-    return any(s | union_of(in_masks, s) == full for s in candidates)
+    # a plain loop: a generator under any() costs more than the test itself
+    for s in candidates:
+        if s | union_of(in_masks, s) == full:
+            return True
+    return False
 
 
 def enumerate_kernels(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> list[VertexSet]:

@@ -213,13 +213,18 @@ def naive_orientations(edges, num_values=2):
     v -> u and 2 (with `num_values` 3) is both arcs."""
     edges = sorted(edges)
     for digits in product(range(num_values), repeat=len(edges)):
-        arcs = []
-        for (u, v), digit in zip(edges, digits):
-            if digit != 1:
-                arcs.append((u, v))
-            if digit != 0:
-                arcs.append((v, u))
-        yield digits, arcs
+        yield digits, naive_arcs(edges, digits)
+
+
+def naive_arcs(edges, digits):
+    """The arcs `digits` gives the sorted `edges`."""
+    arcs = []
+    for (u, v), digit in zip(edges, digits):
+        if digit != 1:
+            arcs.append((u, v))
+        if digit != 0:
+            arcs.append((v, u))
+    return arcs
 
 
 def naive_in_masks(n, edges, digits):

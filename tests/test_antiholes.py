@@ -1,7 +1,9 @@
 import json
 import os
 import random
-from itertools import product
+import tempfile
+from itertools import islice, product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -19,9 +21,11 @@ from kernelkit import (
 from kernelkit.antiholes import (
     AntiholeLabeling,
     TASK_DEPTH,
+    _allowed,
     _clique_completions,
     _leaves,
     _live_prefixes,
+    _subtree_counter,
     _sweep_tables,
     c7_counterexample,
     canonical_digits,
@@ -283,6 +287,31 @@ class TestSweepCore:
         actions = dihedral_edge_actions(labeling) if symmetry else None
         with pytest.raises(ContractError, match="start"):
             _leaves(7, edges, completions, 2, start, 0, actions)
+
+    def test_prune_hook_skips_subtrees_off_the_start_path(self):
+        g, _ = gen_antihole(7)
+        edges, completions = _clique_completions(g, 2)
+        whole = core_leaves(g, 2)
+        start = whole[len(whole) // 3]
+        calls = []
+
+        def hook(e, assign, inn):
+            assert inn == naive.naive_in_masks(7, edges[: e + 1], assign)
+            calls.append(tuple(assign[: e + 1]))
+            return assign[e] == 1
+
+        # the hook sits on edges 5 and 9 only
+        hooks = [hook if e in (5, 9) else None for e in range(len(edges))]
+        got = [tuple(x) for x, _ in _leaves(7, edges, completions, 2, start, 3, None, hooks)]
+        # the start path is never offered, so its own subtrees survive
+        assert start[:6] not in calls and start[:10] not in calls
+        assert got == [
+            x for x in whole
+            if x >= start and x[:3] == start[:3]
+            and (x[5] == 0 or x[:6] == start[:6])
+            and (x[9] == 0 or x[:10] == start[:10])
+        ]
+        assert {len(p) for p in calls} == {6, 10}
 
 
 class TestSymmetry:
@@ -615,6 +644,112 @@ class TestSearchWitness:
         assert outcome.status == status
         assert outcome.orientations_examined == verdict.orientations_examined
         assert outcome.orientation == verdict.counterexample
+
+
+C7_GENERAL_WITNESS = (0, 1, 0, 1, 0, 1, 0, 1, 0, 1, 0, 0, 1, 0)
+
+
+def reference_sweep(graph, num_values, budget):
+    """`verify_kernel_solvable` as a plain loop: every leaf of the reference
+    core goes to the definition of a kernel.  Returns (verdict, examined,
+    digits), the digits the witness or, at a budget stop, the first
+    unexamined leaf."""
+    n = graph.vertex_count
+    edges, completions = _clique_completions(graph, num_values)
+    examined = 0
+    for digits, _ in naive.reference_leaves(n, edges, completions, num_values):
+        if budget is not None and examined >= budget:
+            return "exhausted_budget", examined, digits
+        examined += 1
+        arcs = naive.naive_arcs(edges, digits)
+        if not any(naive.naive_is_kernel(n, arcs, s) for s in naive.subsets(n)):
+            return "counterexample", examined, digits
+    return "solvable", examined, None
+
+
+class TestKernelCertificate:
+    """Subtrees in which a candidate already absorbs are counted, not
+    walked; every count, witness and checkpoint stays leaf-exact."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]), st.none() | st.integers(0, 300))
+    @example(gen_antihole(5)[0], 3, None)
+    @example(gen_antihole(5)[0], 3, 7)
+    @example(gen_antihole(6)[0], 2, 40)
+    def test_sweep_matches_a_plain_oracle_loop(self, g, num_values, budget):
+        assume(num_values ** len(g.edges) <= 2**9)
+        wanted, wanted_examined, wanted_digits = reference_sweep(g, num_values, budget)
+        mode = "simple" if num_values == 2 else "general"
+        with tempfile.TemporaryDirectory() as scratch:
+            checkpoint = Path(scratch) / "run.json"
+            verdict = verify_kernel_solvable(g, mode, budget=budget, checkpoint=str(checkpoint))
+            state = json.loads(checkpoint.read_text())
+        assert (verdict.verdict, verdict.orientations_examined) == (wanted, wanted_examined)
+        if wanted == "counterexample":
+            assert orientation_digits(verdict.counterexample, g.sorted_edges()) == wanted_digits
+        if wanted == "exhausted_budget":
+            assert tuple(state["next"]) == wanted_digits
+
+    # each budget stops inside a subtree the certificate counts at once: 2
+    # leaves from leaf 224 (closing edge 12), 12 from 13,576 and 27 from
+    # 15,639 (closing edge 10)
+    @pytest.mark.parametrize("budget", [225, 13580, 15650])
+    def test_budget_stop_inside_a_certified_subtree(self, tmp_path, budget):
+        g, _ = gen_antihole(7)
+        edges, completions = _clique_completions(g, 3)
+        checkpoint = tmp_path / "run.json"
+        first = verify_kernel_solvable(g, "general", budget=budget, checkpoint=str(checkpoint))
+        assert first.verdict == "exhausted_budget"
+        assert first.orientations_examined == budget
+        wanted_next = tuple(next(islice(_leaves(7, edges, completions, 3), budget, None))[0])
+        assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
+        resumed = verify_kernel_solvable(g, "general", checkpoint=str(checkpoint))
+        assert resumed.verdict == "counterexample"
+        assert resumed.orientations_examined == 320957
+        assert orientation_digits(resumed.counterexample, edges) == C7_GENERAL_WITNESS
+
+    def test_c7_general_witness_is_unchanged(self):
+        g, _ = gen_antihole(7)
+        verdict = verify_kernel_solvable(g, "general", jobs=2)
+        assert verdict.orientations_examined == 320957
+        assert orientation_digits(verdict.counterexample, g.sorted_edges()) == C7_GENERAL_WITNESS
+
+    # the two largest trees are walked only from `walk_from` edges down;
+    # their whole-tree counts are checked instead: the sweep's 143,334, and
+    # 2,851,303 clique-acyclic general orientations of C7-bar, which a BDD
+    # model count also finds
+    @pytest.mark.parametrize(
+        "n, num_values, walk_from, whole",
+        [(5, 2, 0, None), (6, 2, 0, None), (7, 2, 0, None), (8, 2, 0, None),
+         (9, 2, 10, 143334), (5, 3, 0, None), (6, 3, 0, None), (7, 3, 6, 2851303)],
+        ids=["c5-simple", "c6-simple", "c7-simple", "c8-simple", "c9-simple",
+             "c5-general", "c6-general", "c7-general"],
+    )
+    def test_subtree_count_matches_the_walk(self, n, num_values, walk_from, whole):
+        g, _ = gen_antihole(n)
+        tables = _sweep_tables(g, num_values, False)
+        assert sorted(s for closed in tables.closing for s in closed) == sorted(tables.candidates)
+        m = len(tables.completions)
+        count = _subtree_counter(tables.completions, tables.frontier, num_values)
+        if whole is not None:
+            assert count([0] * m, 0) == whole
+        rng = random.Random(n * 10 + num_values)
+        every_digit = (1 << num_values) - 1
+        for _ in range(2):
+            # a random live prefix of every depth, one descent at a time
+            prefix = []
+            for depth in range(m + 1):
+                if depth >= walk_from:
+                    wanted = len(core_leaves(g, num_values, start=tuple(prefix)))
+                    assert count(prefix + [0] * (m - depth), depth) == wanted
+                if depth < m:
+                    # a digit the tables allow can still lead nowhere
+                    digits = _allowed(tables.completions[depth], prefix, every_digit)
+                    prefix.append(rng.choice([
+                        d for d in range(num_values)
+                        if digits >> d & 1
+                        and count(prefix + [d] + [0] * (m - depth - 1), depth + 1)
+                    ]))
 
 
 class TestFindNearSink:
