@@ -4,15 +4,18 @@ verification machinery built on top of it.
 
 One search core, `_leaves`, enumerates edge-direction assignments in
 lexicographic digit order over the edges in (min, max) order.  It runs on
-an explicit stack with one mask of digits still to try per edge.  Each
-clique is compiled into an allowed-digit table for its last edge, indexed
-by the digits of its other edges, so the digits allowed at an edge are the
-AND over the cliques ending there and a digit that would leave some clique
-without a vertex receiving arcs from all the others is never tried.  In
-simple mode only the triangles get tables: a tournament with no directed
-triangle is transitive, so larger cliques then have such a vertex too.
-The core keeps the in-neighbour masks of the partial orientation up to
-date along the path, so each leaf goes to the kernel oracle as it stands.
+an explicit stack with one mask of digits still to try per edge, and
+keeps the in- and out-neighbour masks of the partial orientation up to
+date along the path.  Each clique is tested at its last edge, where every
+other edge of it is decided, by a few mask operations on those masks: a
+digit that would leave the clique without a vertex receiving arcs from
+all the others is never tried.  The triangles closing at an edge are
+tested together on the mask of their third vertices; in general mode a
+larger clique is tested on its members' in-masks.  In simple mode the
+triangles suffice: a tournament with no directed triangle is transitive,
+so larger cliques then have such a vertex too.  No table is built, so
+the cost of a clique does not grow with the patterns of its edges.  Each
+leaf goes to the kernel oracle with the in-masks as they stand.
 
 The kernel candidates are the base graph's maximal independent sets, the
 same for every leaf, and once the last edge incident to a candidate is
@@ -20,9 +23,9 @@ decided, whether it absorbs the other vertices is fixed below.  So a
 sweep without symmetry tests each candidate once, at the node that
 decides its closing edge; where it absorbs, every leaf below has a
 kernel, and the sweep adds the subtree's leaf count, a dynamic program
-over the same tables memoised on the digits later tables still read,
-instead of walking it.  Only the leaves no candidate certifies, or a
-budget stop keeps from skipping, reach the kernel oracle.
+over the same clique tests memoised on the digits later tests still
+read, instead of walking it.  Only the leaves no candidate certifies, or
+a budget stop keeps from skipping, reach the kernel oracle.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
 acts on edge-direction assignments, and only the lexicographically least
@@ -210,56 +213,80 @@ def canonical_orientation_key(orientation: Orientation, labeling: AntiholeLabeli
     return canonical_digits(orientation_digits(orientation, edges), dihedral_edge_actions(labeling))
 
 
-# -- allowed-digit tables and the sweep core ---------------------------------
+# -- clique tests and the sweep core -----------------------------------------
 
 
 def _clique_completions(graph: UndirectedGraph, num_values: int):
-    """Per edge index: the cliques whose last edge it is, each as (ids of
-    its other edges, their positional weights, table).  The table maps the
-    pattern of the other edges' digits to the bit mask of digits of the
-    last edge that leave the clique a vertex receiving arcs from all the
-    others."""
+    """Per edge index e = (u, v): the cliques whose last edge it is, as
+    (thirds, larger, others).  `thirds` masks the third vertices of the
+    triangles closing at e; `larger` holds each clique of four or more
+    vertices closing there as its mask and its members other than u and v;
+    `others` holds the ids of those cliques' other edges, whose digits
+    decide which digits e may take.
+
+    In simple mode `larger` stays empty: a simple orientation of a clique
+    is a tournament, and a tournament with no directed triangle is
+    transitive, so it has a sink and the triangles decide every clique.
+    """
     edges = graph.sorted_edges()
     eindex = {e: i for i, e in enumerate(edges)}
     n = graph.vertex_count
     adjacency = [graph.adjacency_mask(v) for v in range(n)]
-    completions: list[list] = [[] for _ in edges]
+    thirds = [0] * len(edges)
+    larger: list[list] = [[] for _ in edges]
+    others: list[set[int]] = [set() for _ in edges]
     for members in all_clique_masks(n, adjacency):
         clique = tuple(bits_of(members))
-        # a simple orientation of a clique is a tournament, and a tournament
-        # with no directed triangle is transitive, so it has a sink: in
-        # simple mode the triangles decide every larger clique
         if num_values == 2 and len(clique) > 3:
             continue
-        eids = sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
-        size = num_values ** (len(eids) - 1)
-        table = bytearray(size)
-        for pattern in range(size * num_values):
-            inn = dict.fromkeys(clique, 0)
-            rest = pattern
-            for eid in eids:
-                rest, digit = divmod(rest, num_values)
-                u, v = edges[eid]
-                if digit != 1:
-                    inn[v] |= 1 << u
-                if digit != 0:
-                    inn[u] |= 1 << v
-            if any(members & ~inn[x] == 1 << x for x in clique):
-                # the last edge's digit is the most significant one
-                table[pattern % size] |= 1 << (pattern // size)
-        weights = tuple(num_values**p for p in range(len(eids) - 1))
-        completions[eids[-1]].append((tuple(eids[:-1]), weights, bytes(table)))
+        *read, last = sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
+        u, v = edges[last]
+        if len(clique) == 3:
+            thirds[last] |= members & ~(1 << u | 1 << v)
+        else:
+            larger[last].append((members, tuple(x for x in clique if x not in (u, v))))
+        others[last].update(read)
+    completions = [
+        (thirds[e], tuple(larger[e]), tuple(sorted(others[e]))) for e in range(len(edges))
+    ]
     return edges, completions
 
 
-def _allowed(completions_e, assign, every_digit: int) -> int:
-    """The digits the clique tables ending at an edge allow under `assign`."""
+def _live_digits(completion, u: int, v: int, inn, out, every_digit: int) -> int:
+    """The digits edge (u, v) may take, its own arcs not yet in `inn` and
+    `out`: those that leave each clique closing at it a vertex receiving
+    arcs from all the others.
+
+    Every other edge of such a clique is decided, so a member x other than
+    u and v either receives from all the others already, which settles
+    the clique, or never will.  Else u must become that vertex, which
+    takes an arc v -> u (digit 1 or 2), or v must, which takes u -> v
+    (digit 0 or 2).  For a triangle with third vertex w that reads: w in
+    both out-masks settles it, and otherwise digit 0 needs w in inn[v],
+    digit 1 needs w in inn[u] and digit 2 either; `thirds` tests all the
+    triangles at once.
+    """
+    thirds, larger, _ = completion
     digits = every_digit
-    for others, weights, table in completions_e:
-        pattern = 0
-        for eid, weight in zip(others, weights):
-            pattern += assign[eid] * weight
-        digits &= table[pattern]
+    bad = thirds & ~(out[u] & out[v])
+    if bad & ~inn[v]:
+        digits &= ~1
+    if bad & ~inn[u]:
+        digits &= ~2
+    if bad & ~inn[u] & ~inn[v]:
+        digits &= ~4
+    uv = 1 << u | 1 << v
+    for members, rest in larger:
+        for x in rest:
+            if members & ~inn[x] == 1 << x:
+                break
+        else:
+            live = 0
+            if members & ~inn[u] == uv:
+                live |= 6
+            if members & ~inn[v] == uv:
+                live |= 5
+            digits &= live
     return digits
 
 
@@ -269,12 +296,13 @@ def _leaves(
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the accepted assignments in lexicographic digit order as the
     live (digits, in-neighbour masks) lists of the search, which a consumer
-    copies to keep.  `pending[e]` holds the digits still to try at edge e.
+    copies to keep.  `pending[e]` holds the digits still to try at edge e;
+    `inn` and `out` hold the arcs of the edges assigned so far.
 
     It yields the whole run's leaves from `start` on that share its first
     `fixed` digits, the stack seeded along `start` with the digits above
-    start[e] pending past `fixed`; a `start` the tables or the symmetry
-    prune reject raises ContractError at the call.
+    start[e] pending past `fixed`; a `start` the clique tests or the
+    symmetry prune reject raises ContractError at the call.
 
     With `actions`, the assignment is compared with each group image and
     pruned once an image is provably smaller; at the last edge the
@@ -285,16 +313,20 @@ def _leaves(
     sibling digit re-reads the entry, so backtracking needs no undo.
 
     `prune` holds one subtree-prune hook or None per edge: `prune[e](e,
-    assign, inn)` is called once a walk node has assigned edge e, never
-    along the seeded `start` path, whose subtrees hold leaves before
+    assign, inn, out)` is called once a walk node has assigned edge e,
+    never along the seeded `start` path, whose subtrees hold leaves before
     `start`; a positive return skips the node's subtree.
     """
     m = len(edges)
     assign = [0] * m
     inn = [0] * n
+    out = [0] * n
     every_digit = (1 << num_values) - 1
     pending = [0] * m
     ties = [[(inv, flip, 0) for inv, flip in actions or ()]] + [None] * m
+    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    thirds = [completion[0] for completion in completions]
+    larger = [completion[1] for completion in completions]
 
     def symmetric_prune(e: int) -> bool:
         live = []
@@ -316,31 +348,39 @@ def _leaves(
         return False
 
     for e, digit in enumerate(start):
-        digits = _allowed(completions[e], assign, every_digit) if e < m else 0
+        if e < m:
+            u, v, bu, bv = ends[e]
+            digits = _live_digits(completions[e], u, v, inn, out, every_digit)
+        else:
+            digits = 0
         if digit not in range(num_values) or not digits >> digit & 1:
             raise ContractError(f"start {list(start)} is not a live path at edge {e}")
         pending[e] = digits & -(2 << digit) if e >= fixed else 0
         assign[e] = digit
-        u, v = edges[e]
         if digit != 1:
-            inn[v] |= 1 << u
+            inn[v] |= bu
+            out[u] |= bv
         if digit != 0:
-            inn[u] |= 1 << v
+            inn[u] |= bv
+            out[v] |= bu
         if actions is not None and symmetric_prune(e):
             raise ContractError(f"start {list(start)} is not a live path at edge {e}")
 
     def walk():
         e = len(start)
         if e < m:
-            pending[e] = _allowed(completions[e], assign, every_digit)
+            u, v = edges[e]
+            pending[e] = _live_digits(completions[e], u, v, inn, out, every_digit)
         else:
             yield assign, inn
             e -= 1
         while e >= 0:
-            # the previous digit at e, if any, leaves the in-masks
-            u, v = edges[e]
-            inn[v] &= ~(1 << u)
-            inn[u] &= ~(1 << v)
+            # the previous digit at e, if any, leaves the masks
+            u, v, bu, bv = ends[e]
+            inn[v] &= ~bu
+            inn[u] &= ~bv
+            out[u] &= ~bv
+            out[v] &= ~bu
             digits = pending[e]
             if not digits:
                 e -= 1
@@ -349,20 +389,42 @@ def _leaves(
             pending[e] = digits & (digits - 1)
             assign[e] = digit
             if digit != 1:
-                inn[v] |= 1 << u
+                inn[v] |= bu
+                out[u] |= bv
             if digit != 0:
-                inn[u] |= 1 << v
+                inn[u] |= bv
+                out[v] |= bu
             if actions is not None and symmetric_prune(e):
                 continue
             if prune is not None:
                 hook = prune[e]
-                if hook is not None and hook(e, assign, inn):
+                if hook is not None and hook(e, assign, inn, out):
                     continue
             if e + 1 == m:
                 yield assign, inn
                 continue
             e += 1
-            pending[e] = _allowed(completions[e], assign, every_digit)
+            # `_live_digits` inlined for the triangles: the hottest lines
+            # of a sweep
+            digits = every_digit
+            bad = thirds[e]
+            if larger[e]:
+                u, v = edges[e]
+                digits = _live_digits(completions[e], u, v, inn, out, every_digit)
+            elif bad:
+                u, v = edges[e]
+                bad &= ~(out[u] & out[v])
+                if bad:
+                    dead_0 = bad & ~inn[v]
+                    dead_1 = bad & ~inn[u]
+                    if dead_0 & dead_1:
+                        digits = 0
+                    else:
+                        if dead_0:
+                            digits &= 6
+                        if dead_1:
+                            digits &= 5
+            pending[e] = digits
 
     return walk()
 
@@ -390,7 +452,7 @@ def enumerate_simple_clique_acyclic_orientations(
     """Stream every simple clique-acyclic orientation of `graph`.
 
     `prefix` restricts the run to one subtree of the search tree; a prefix
-    the clique tables or the symmetry prune reject raises ContractError.
+    the clique tests or the symmetry prune reject raises ContractError.
     Symmetry reduction needs the anti-hole labeling and emits one
     orientation per dihedral orbit.
     """
@@ -444,18 +506,19 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
 class _SweepTables(NamedTuple):
     """What every prefix task of a sweep shares.
 
-    `candidates` are the kernel candidates, `actions` the symmetry actions
-    (None without symmetry).  `closing[e]` holds the candidates whose last
-    incident edge is e: once e is decided, whether one absorbs is fixed
-    for every leaf below.  `frontier[e]` holds the edges below e that a
-    table of an edge at or past e reads, with packing weights: their
-    digits decide how many leaves lie below a node at edge e.
+    `candidates` are the kernel candidates as (mask, members) pairs,
+    `actions` the symmetry actions (None without symmetry).  `closing[e]`
+    holds the candidates whose last incident edge is e: once e is decided,
+    whether one absorbs is fixed for every leaf below.  `frontier[e]`
+    holds the edges below e whose digits a clique test at or past e reads,
+    with packing weights: their digits decide how many leaves lie below a
+    node at edge e.
     """
 
     completions: list
-    candidates: tuple[int, ...]
+    candidates: tuple[tuple[int, tuple[int, ...]], ...]
     actions: Optional[list]
-    closing: tuple[tuple[int, ...], ...]
+    closing: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
     frontier: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
@@ -466,19 +529,20 @@ def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _S
     # every leaf orients `graph`, so its maximal independent sets are the
     # kernel candidates of every leaf
     candidates = tuple(
-        maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
+        (s, tuple(bits_of(s)))
+        for s in maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
     )
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    closing: list[list[int]] = [[] for _ in edges]
-    for s in candidates:
+    closing: list[list] = [[] for _ in edges]
+    for candidate in candidates:
+        s = candidate[0]
         incident = [e for e, (u, v) in enumerate(edges) if (s >> u | s >> v) & 1]
         if incident:
-            closing[incident[-1]].append(s)
+            closing[incident[-1]].append(candidate)
     last_read = [-1] * len(edges)
-    for e, cliques in enumerate(completions):
-        for others, _, _ in cliques:
-            for eid in others:
-                last_read[eid] = e
+    for e, (_, _, others) in enumerate(completions):
+        for eid in others:
+            last_read[eid] = e
     frontier = []
     for e in range(len(edges) + 1):
         eids = tuple(eid for eid in range(e) if last_read[eid] >= e)
@@ -488,23 +552,34 @@ def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _S
     )
 
 
-def _subtree_counter(completions, frontier, num_values: int):
-    """`count(assign, e)`: the number of leaves that share the first e
-    digits of `assign`, by a dynamic program over the allowed-digit tables
-    memoised on (edge, frontier digits); the memo lives with the counter."""
+def _subtree_counter(edges, completions, frontier, num_values: int):
+    """`count(assign, inn, out, e)`: the number of leaves that share the
+    first e digits of `assign`, whose arcs `inn` and `out` hold, by a
+    dynamic program over the clique tests memoised on (edge, frontier
+    digits); the memo and the work lists live with the counter."""
     m = len(completions)
     every_digit = (1 << num_values) - 1
     memo: list[dict[int, int]] = [{} for _ in range(m)] + [{0: 1}]
     # the key of a child of a node at edge f is the node's key less the
-    # frontier edges no table past f reads, plus f's own digit if one does
+    # frontier edges no test past f reads, plus f's own digit if one does
     step = []
     drops = []
     for f in range(m):
         kept = frontier[f + 1][0]
         step.append(num_values**f if f in kept else 0)
         drops.append(tuple((eid, w) for eid, w in zip(*frontier[f]) if eid not in kept))
+    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    thirds = [completion[0] for completion in completions]
+    larger = [completion[1] for completion in completions]
+    work: list[int] = []
+    inn: list[int] = []
+    out: list[int] = []
+    keys = [0] * m
+    bases = [0] * m
+    totals = [0] * m
+    pending: list = [None] * m
 
-    def count(assign, e: int) -> int:
+    def count(assign, in_masks, out_masks, e: int) -> int:
         eids, weights = frontier[e]
         top = 0
         for eid, weight in zip(eids, weights):
@@ -512,22 +587,45 @@ def _subtree_counter(completions, frontier, num_values: int):
         known = memo[e].get(top)
         if known is not None:
             return known
-        work = list(assign)
-        keys = [0] * m
-        bases = [0] * m
-        totals = [0] * m
-        pending: list = [None] * m
+        work[:] = assign
+        inn[:] = in_masks
+        out[:] = out_masks
         keys[e] = top
+        pending[e] = None
         f = e
         while True:
+            u, v, bu, bv = ends[f]
             digits = pending[f]
             if digits is None:
-                digits = _allowed(completions[f], work, every_digit)
+                # `_live_digits` inlined for the triangles, as in `_leaves`
+                digits = every_digit
+                bad = thirds[f]
+                if larger[f]:
+                    digits = _live_digits(completions[f], u, v, inn, out, every_digit)
+                elif bad:
+                    bad &= ~(out[u] & out[v])
+                    if bad:
+                        dead_0 = bad & ~inn[v]
+                        dead_1 = bad & ~inn[u]
+                        if dead_0 & dead_1:
+                            digits = 0
+                        else:
+                            if dead_0:
+                                digits &= 6
+                            if dead_1:
+                                digits &= 5
                 base = keys[f]
                 for eid, weight in drops[f]:
                     base -= work[eid] * weight
                 bases[f] = base
                 totals[f] = 0
+            else:
+                # the previous digit at f, if it was descended into,
+                # leaves the masks
+                inn[v] &= ~bu
+                inn[u] &= ~bv
+                out[u] &= ~bv
+                out[v] &= ~bu
             if not digits:
                 memo[f][keys[f]] = totals[f]
                 if f == e:
@@ -544,6 +642,12 @@ def _subtree_counter(completions, frontier, num_values: int):
             if known is not None:
                 totals[f] += known
                 continue
+            if digit != 1:
+                inn[v] |= bu
+                out[u] |= bv
+            if digit != 0:
+                inn[u] |= bv
+                out[v] |= bu
             f += 1
             keys[f] = child
             pending[f] = None
@@ -553,7 +657,8 @@ def _subtree_counter(completions, frontier, num_values: int):
 
 def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[tuple[int, ...]]:
     """The accepted assignments of the first `depth` edges, in order: a
-    prefix the tables or the symmetry kill never becomes a task."""
+    prefix the clique tests or the symmetry prune kill never becomes a
+    task."""
     completions, actions = tables.completions, tables.actions
     return [
         tuple(digits)
@@ -576,12 +681,13 @@ def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
     examined = 0
     hooks = None
     if actions is None:
-        count = _subtree_counter(completions, frontier, num_values)
+        count = _subtree_counter(edges, completions, frontier, num_values)
+        last = len(edges) - 1
 
-        def certify(e: int, assign, inn) -> int:
+        def certify(e: int, assign, inn, out) -> int:
             nonlocal examined
             if kernel_exists_masks(full, inn, closing[e]):
-                leaves = count(assign, e + 1)
+                leaves = 1 if e == last else count(assign, inn, out, e + 1)
                 if leaf_budget is None or examined + leaves <= leaf_budget:
                     examined += leaves
                     return leaves
@@ -660,7 +766,7 @@ def verify_kernel_solvable(
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
     tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
-    share clique tables and kernel candidates built once per call; `jobs`
+    share clique tests and kernel candidates built once per call; `jobs`
     workers process them, results are consumed in task order, so counts
     and the verdict are identical for any worker count.  Without symmetry
     each kernel candidate is tested at the node that decides its closing

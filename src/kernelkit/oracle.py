@@ -12,10 +12,12 @@ in that order, so no input depth meets Python's recursion limit.
 The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
 base graph, simple or with reversible edges, has that graph as its
 underlying graph, so the kernel candidates are the base graph's maximal
-independent sets: the sweep computes that fixed list once per run and
-tests against it the in-neighbour masks its search keeps along the path,
-so a leaf costs no mask rebuild.  The same call tests the few candidates
-whose last edge a search node has just decided.
+independent sets: the sweep computes that fixed list once per run, each
+candidate as its mask and its members, and tests against it the
+in-neighbour masks its search keeps along the path, ORing them over a
+candidate's members inline, so a leaf costs no mask rebuild and no call
+per candidate.  The same call tests the few candidates whose last edge a
+search node has just decided.
 """
 
 from __future__ import annotations
@@ -174,14 +176,18 @@ def kernel_exists_masks(full: int, in_masks: list[int], candidates) -> bool:
     """Existence-only kernel oracle on raw masks; the hot path for the
     orientation sweeps.
 
-    Whether some candidate absorbs every vertex outside it.  With every
-    maximal independent set of the digraph's underlying graph as
-    `candidates` that is whether a kernel exists; with some of them, a yes
-    still names a kernel.
+    Whether some candidate absorbs every vertex outside it.  Each
+    candidate is a (mask, members) pair, `members` the vertices of `mask`
+    in any order.  With every maximal independent set of the digraph's
+    underlying graph as `candidates` that is whether a kernel exists; with
+    some of them, a yes still names a kernel.
     """
-    # a plain loop: a generator under any() costs more than the test itself
-    for s in candidates:
-        if s | union_of(in_masks, s) == full:
+    # plain loops: a generator under any(), or a call per candidate, costs
+    # more than the test itself
+    for s, members in candidates:
+        for x in members:
+            s |= in_masks[x]
+        if s == full:
             return True
     return False
 

@@ -239,6 +239,15 @@ def naive_in_masks(n, edges, digits):
     return inn
 
 
+def naive_out_masks(n, edges, digits):
+    """Out-neighbour masks of the orientation `digits` gives the sorted
+    `edges`, rebuilt from scratch."""
+    out = [0] * n
+    for u, v in naive_arcs(edges, digits):
+        out[u] |= 1 << v
+    return out
+
+
 # -- reference generators ----------------------------------------------------
 #
 # The red-blue generators as first written: every step rebuilds from
@@ -537,26 +546,22 @@ def naive_chord_kernel(n, arcs):
 # -- reference sweep with the full-rescan symmetry prune ---------------------
 
 
-def reference_leaves(n, edges, completions, num_values, prefix=(), actions=None):
-    """The sweep core as first written on an explicit stack: the same
-    allowed-digit tables, but at every node the symmetry prune compares
-    the assignment with each group image from position 0.  Yields
-    (digits, in-masks) copies in lexicographic digit order."""
-    m = len(edges)
-    assign = [0] * m
-    inn = [0] * n
-    if m == 0:
-        yield (), tuple(inn)
-        return
-    every_digit = (1 << num_values) - 1
-    pending = [0] * m
-
-    def allowed(e):
-        digits = every_digit if e >= len(prefix) else 1 << prefix[e]
-        for others, weights, table in completions[e]:
-            pattern = sum(assign[eid] * weight for eid, weight in zip(others, weights))
-            digits &= table[pattern]
-        return digits
+def reference_leaves(n, edges, num_values, prefix=(), actions=None):
+    """The sweep core by definition: a depth-first walk over the digits of
+    the sorted `edges` in lexicographic order that keeps a digit only if
+    every clique whose edges are all decided still has a vertex receiving
+    arcs from all the others (`naive_clique_acyclic` on the arcs placed so
+    far), and with `actions` compares the assignment with each group image
+    from position 0 at every node.  The first digits are pinned to
+    `prefix`.  Yields (digits, in-masks) tuples in lexicographic digit
+    order."""
+    edges = sorted(edges)
+    index = {e: i for i, e in enumerate(edges)}
+    closing = [[] for _ in edges]
+    for clique in naive_cliques(n, edges):
+        if len(clique) >= 3:
+            closing[max(index[pair] for pair in combinations(clique, 2))].append(clique)
+    assign = []
 
     def symmetric_prune(depth):
         for inv, flip in actions:
@@ -574,32 +579,20 @@ def reference_leaves(n, edges, completions, num_values, prefix=(), actions=None)
                     return True
         return False
 
-    e = 0
-    pending[0] = allowed(0)
-    while True:
-        u, v = edges[e]
-        inn[v] &= ~(1 << u)
-        inn[u] &= ~(1 << v)
-        digits = pending[e]
-        if not digits:
-            if e == 0:
-                return
-            e -= 1
-            continue
-        digit = (digits & -digits).bit_length() - 1
-        pending[e] = digits & (digits - 1)
-        assign[e] = digit
-        if digit != 1:
-            inn[v] |= 1 << u
-        if digit != 0:
-            inn[u] |= 1 << v
-        if actions is not None and symmetric_prune(e):
-            continue
-        if e + 1 == m:
-            yield tuple(assign), tuple(inn)
-            continue
-        e += 1
-        pending[e] = allowed(e)
+    def walk(e):
+        if e == len(edges):
+            yield tuple(assign), tuple(naive_in_masks(n, edges, assign))
+            return
+        for digit in range(num_values) if e >= len(prefix) else [prefix[e]]:
+            assign.append(digit)
+            arcs = naive_arcs(edges, assign)
+            if naive_clique_acyclic(n, arcs, closing[e]) and not (
+                actions is not None and symmetric_prune(e)
+            ):
+                yield from walk(e + 1)
+            assign.pop()
+
+    yield from walk(0)
 
 
 # -- the oracle's former recursive enumerators, kept as order references --

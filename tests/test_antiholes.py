@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import random
@@ -21,7 +22,6 @@ from kernelkit import (
 from kernelkit.antiholes import (
     AntiholeLabeling,
     TASK_DEPTH,
-    _allowed,
     _clique_completions,
     _leaves,
     _live_prefixes,
@@ -57,6 +57,10 @@ def parity_orientation(n):
     for step in (2, 4, 6):
         arcs.extend((i, (i + step) % n) for i in range(n))
     return Orientation.from_digraph(labeling.graph(), Digraph(n, arcs))
+
+
+def complete_graph(k):
+    return UndirectedGraph(k, [(u, v) for u in range(k) for v in range(u + 1, k)])
 
 
 class TestGenAntihole:
@@ -231,7 +235,7 @@ class TestSweepCore:
     @settings(max_examples=40, deadline=None)
     @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]))
     # K4 in general mode needs its own table: its triangles do not decide it
-    @example(UndirectedGraph(4, [(u, v) for u in range(4) for v in range(u + 1, 4)]), 3)
+    @example(complete_graph(4), 3)
     def test_leaf_sequence_on_arbitrary_graphs(self, g, num_values):
         assume(num_values ** len(g.edges) <= 2**12)
         assert core_leaves(g, num_values) == naive_leaves(g, num_values)
@@ -245,7 +249,7 @@ class TestSweepCore:
         edges, completions = _clique_completions(g, num_values)
         actions = dihedral_edge_actions(labeling)
         k = len(prefix)
-        live = naive.reference_leaves(n, edges[:k], completions[:k], num_values, prefix, actions)
+        live = naive.reference_leaves(n, edges[:k], num_values, prefix, actions)
         if not any(live):
             # the prune kills the prefix itself, which the seeded core refuses
             with pytest.raises(ContractError, match="not a live path"):
@@ -255,7 +259,7 @@ class TestSweepCore:
             (tuple(digits), tuple(inn))
             for digits, inn in _leaves(n, edges, completions, num_values, prefix, k, actions)
         ]
-        wanted = list(naive.reference_leaves(n, edges, completions, num_values, prefix, actions))
+        wanted = list(naive.reference_leaves(n, edges, num_values, prefix, actions))
         assert got == wanted
         if not prefix:
             assert len(got) == orbits
@@ -295,8 +299,9 @@ class TestSweepCore:
         start = whole[len(whole) // 3]
         calls = []
 
-        def hook(e, assign, inn):
+        def hook(e, assign, inn, out):
             assert inn == naive.naive_in_masks(7, edges[: e + 1], assign)
+            assert out == naive.naive_out_masks(7, edges[: e + 1], assign)
             calls.append(tuple(assign[: e + 1]))
             return assign[e] == 1
 
@@ -312,6 +317,54 @@ class TestSweepCore:
             and (x[9] == 0 or x[:10] == start[:10])
         ]
         assert {len(p) for p in calls} == {6, 10}
+
+
+LEAF_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "leaf_digests.json").read_text()
+)
+
+
+def leaf_digest(graph, num_values, symmetry=False, limit=None):
+    """(leaves, SHA-256) of the core's first `limit` leaves (all by
+    default), each leaf hashed as the repr of its (digits, in-masks)
+    tuples, in order."""
+    n = graph.vertex_count
+    edges, completions = _clique_completions(graph, num_values)
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    digest = hashlib.sha256()
+    leaves = 0
+    for digits, inn in islice(_leaves(n, edges, completions, num_values, (), 0, actions), limit):
+        digest.update(repr((tuple(digits), tuple(inn))).encode())
+        leaves += 1
+    return [leaves, digest.hexdigest()]
+
+
+class TestLeafSequenceGolden:
+    """The leaf sequence is part of the behaviour contract: counts,
+    witnesses and checkpoints all follow from it.  The digests were taken
+    from the allowed-digit-table core that preceded the mask tests."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [f"c{n}-simple{s}" for n in (5, 6, 7, 8) for s in ("", "-symmetry")]
+        + [f"c{n}-general{s}" for n in (5, 6) for s in ("", "-symmetry")],
+    )
+    def test_antihole_leaf_sequence(self, key):
+        name, mode, *symmetry = key.split("-")
+        graph = gen_antihole(int(name[1:]))[0]
+        num_values = 2 if mode == "simple" else 3
+        assert leaf_digest(graph, num_values, bool(symmetry)) == LEAF_DIGESTS[key]
+
+    def test_first_leaves_of_c8_general(self):
+        # C8-bar's cliques of four vertices are each tested as a whole at
+        # their last edge
+        digest = leaf_digest(gen_antihole(8)[0], 3, limit=20000)
+        assert digest == LEAF_DIGESTS["c8-general-first-20000"]
+
+    def test_k5_general_matches_the_naive_filter(self):
+        leaves = core_leaves(complete_graph(5), 3)
+        assert len(leaves) == 29281
+        assert leaves == naive_leaves(complete_graph(5), 3)
 
 
 class TestSymmetry:
@@ -655,9 +708,9 @@ def reference_sweep(graph, num_values, budget):
     digits), the digits the witness or, at a budget stop, the first
     unexamined leaf."""
     n = graph.vertex_count
-    edges, completions = _clique_completions(graph, num_values)
+    edges = graph.sorted_edges()
     examined = 0
-    for digits, _ in naive.reference_leaves(n, edges, completions, num_values):
+    for digits, _ in naive.reference_leaves(n, edges, num_values):
         if budget is not None and examined >= budget:
             return "exhausted_budget", examined, digits
         examined += 1
@@ -727,28 +780,33 @@ class TestKernelCertificate:
     )
     def test_subtree_count_matches_the_walk(self, n, num_values, walk_from, whole):
         g, _ = gen_antihole(n)
+        edges = g.sorted_edges()
         tables = _sweep_tables(g, num_values, False)
         assert sorted(s for closed in tables.closing for s in closed) == sorted(tables.candidates)
-        m = len(tables.completions)
-        count = _subtree_counter(tables.completions, tables.frontier, num_values)
+        m = len(edges)
+        count = _subtree_counter(edges, tables.completions, tables.frontier, num_values)
+
+        def count_below(prefix):
+            masks = (naive.naive_in_masks(n, edges, prefix), naive.naive_out_masks(n, edges, prefix))
+            return count(prefix + [0] * (m - len(prefix)), *masks, len(prefix))
+
         if whole is not None:
-            assert count([0] * m, 0) == whole
+            assert count_below([]) == whole
         rng = random.Random(n * 10 + num_values)
-        every_digit = (1 << num_values) - 1
         for _ in range(2):
             # a random live prefix of every depth, one descent at a time
             prefix = []
             for depth in range(m + 1):
                 if depth >= walk_from:
                     wanted = len(core_leaves(g, num_values, start=tuple(prefix)))
-                    assert count(prefix + [0] * (m - depth), depth) == wanted
+                    assert count_below(prefix) == wanted
                 if depth < m:
-                    # a digit the tables allow can still lead nowhere
-                    digits = _allowed(tables.completions[depth], prefix, every_digit)
+                    # a digit the cliques allow can still lead nowhere
+                    cliques = [c for c in naive.naive_cliques(n, edges[: depth + 1]) if len(c) >= 3]
                     prefix.append(rng.choice([
                         d for d in range(num_values)
-                        if digits >> d & 1
-                        and count(prefix + [d] + [0] * (m - depth - 1), depth + 1)
+                        if naive.naive_clique_acyclic(n, naive.naive_arcs(edges, prefix + [d]), cliques)
+                        and count_below(prefix + [d])
                     ]))
 
 

@@ -27,13 +27,13 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
-def fresh_python(*argv):
+def fresh_python(*argv, timeout=300):
     """Run a fresh interpreter with this checkout's `src/` on its path."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return subprocess.run(
-        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=300
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=timeout
     )
 
 
@@ -436,6 +436,20 @@ class TestAntiholeCommands:
         )
         assert code == 3
         assert json.loads(out)["orientations_examined"] == 50
+
+    def test_k7_general_stops_at_its_budget(self, tmp_path):
+        # K7's one 7-clique has 21 edges: a table over the digits of the
+        # other 20 would take 3**20 bytes, the mask test none
+        path = tmp_path / "k7.txt"
+        path.write_text("graph 7\n" + "".join(
+            f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7)
+        ))
+        proc = fresh_python(
+            "-m", "kernelkit", "antihole", "verify-simple", str(path), "--mode", "general",
+            "--budget", "1000", "--format", "json", timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout)["orientations_examined"] == 1000
 
     @pytest.mark.parametrize(
         "field, value", [("counterexample", [9]), ("elapsed_seconds", "abc")]

@@ -176,7 +176,8 @@ class TestKernelExistsMasks:
                 arcs.append((v, u))
                 in_masks[u] |= 1 << v
         candidates = tuple(
-            maximal_independent_set_masks(n, [g.adjacency_mask(v) for v in range(n)])
+            (s, tuple(naive._bits(s)))
+            for s in maximal_independent_set_masks(n, [g.adjacency_mask(v) for v in range(n)])
         )
         assert kernel_exists_masks((1 << n) - 1, in_masks, candidates) == bool(
             naive.naive_kernels(n, arcs)
