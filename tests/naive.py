@@ -543,6 +543,95 @@ def naive_chord_kernel(n, arcs):
     return kernel(frozenset(range(n)))
 
 
+# -- reference chord rules ---------------------------------------------------
+
+
+def naive_chords(arcs, cycle):
+    """Every chord of `cycle` as (tail, head, tail position, head position,
+    span): an arc between two cycle vertices that is not a cycle arc, its
+    span the number of steps from tail to head along the cycle."""
+    length = len(cycle)
+    position = {v: i for i, v in enumerate(cycle)}
+    found = []
+    for (x, y) in arcs:
+        if x in position and y in position:
+            steps = 0
+            while cycle[(position[x] + steps) % length] != y:
+                steps += 1
+            if steps != 1:
+                found.append((x, y, position[x], position[y], steps))
+    return sorted(found, key=lambda c: (c[2], c[3]))
+
+
+def _appear_as(length, pattern):
+    """Whether the cycle positions in `pattern` are distinct and come up
+    in that order on a walk around the cycle from `pattern[0]`, in one of
+    the two directions."""
+    if len(set(pattern)) != len(pattern):
+        return False
+    for step in (1, -1):
+        walk = [(pattern[0] + step * k) % length for k in range(length)]
+        if [p for p in walk if p in pattern] == list(pattern):
+            return True
+    return False
+
+
+def naive_crossing(c1, c2, length):
+    """Chords (u, v) and (w, t) appear around the cycle as u, w, v, t."""
+    return _appear_as(length, (c1[2], c2[2], c1[3], c2[3]))
+
+
+def naive_nested(c1, c2, length):
+    """Chords (u, v) and (w, t) appear around the cycle as u, w, t, v."""
+    return _appear_as(length, (c1[2], c2[2], c2[3], c1[3]))
+
+
+def naive_consecutive_heads(c1, c2, length):
+    """The heads are one step apart around the cycle, either way."""
+    return c1[3] != c2[3] and (
+        (c1[3] + 1) % length == c2[3] or (c2[3] + 1) % length == c1[3]
+    )
+
+
+def naive_chord_rule(chords, length):
+    """First chord rule the cycle meets: two chords with consecutive heads,
+    then two odd chords neither crossing nor nested, then a short chord
+    crossing an odd one; "none" when it meets no rule."""
+    pairs = list(combinations(chords, 2))
+    if any(naive_consecutive_heads(c1, c2, length) for c1, c2 in pairs):
+        return "consecutive-heads"
+    if any(
+        c1[4] % 2 == 1
+        and c2[4] % 2 == 1
+        and not naive_crossing(c1, c2, length)
+        and not naive_nested(c1, c2, length)
+        for c1, c2 in pairs
+    ):
+        return "two-odd-noncrossing-nonnested"
+    if any(
+        short[4] == 2 and odd[4] % 2 == 1 and naive_crossing(short, odd, length)
+        for short, odd in permutations(chords, 2)
+    ):
+        return "crossing-short-odd"
+    return "none"
+
+
+def naive_odd_cycle_chords(n, arcs):
+    """Every odd directed cycle in lexicographic order, which is the order
+    the library lists them in, as (cycle, chords, first chord rule, number
+    of reversible cycle arcs)."""
+    arc_set = set(arcs)
+    table = []
+    for cycle in sorted(naive_cycles(n, arcs, parity="odd")):
+        length = len(cycle)
+        chords = naive_chords(arc_set, cycle)
+        reversible = sum(
+            (cycle[(i + 1) % length], cycle[i]) in arc_set for i in range(length)
+        )
+        table.append((cycle, chords, naive_chord_rule(chords, length), reversible))
+    return table
+
+
 # -- reference sweep with the full-rescan symmetry prune ---------------------
 
 

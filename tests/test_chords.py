@@ -14,7 +14,9 @@ from kernelkit import (
 )
 from kernelkit.chords import (
     RULE_CONSECUTIVE_HEADS,
+    RULE_CROSSING_SHORT_ODD,
     RULE_NONE,
+    RULE_TWO_ODD,
     RULE_TWO_REVERSIBLE,
     alternating_path_semi_kernel,
     are_crossing,
@@ -180,6 +182,59 @@ class TestCheckChordConditions:
         report = check_chord_conditions(CHORDED)
         (entry,) = report.cycles
         assert {(c.tail, c.head) for c in entry.chords} == {(4, 1), (0, 2)}
+
+
+class TestChordRulesMatchReference:
+    """The three condition checks against naive.py's chord rules, which
+    measure every chord by walking the cycle and test the pair predicates
+    by reading cycle positions in order."""
+
+    @staticmethod
+    def tag(check, rule, reversible):
+        if check is check_duchet_condition:
+            return RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
+        if check is check_gsnl_condition:
+            return rule if rule == RULE_CONSECUTIVE_HEADS else RULE_NONE
+        return rule
+
+    def assert_matches_reference(self, d):
+        """Compare every report of `d` with the reference; return the
+        first-rule tags the reference gave."""
+        table = naive.naive_odd_cycle_chords(d.vertex_count, sorted(d.arcs))
+        for check in (check_chord_conditions, check_gsnl_condition, check_duchet_condition):
+            report = check(d)
+            tags = [(cycle, self.tag(check, rule, rev)) for cycle, _, rule, rev in table]
+            first_failing = next((c for c, tag in tags if tag == RULE_NONE), None)
+            assert [(c.cycle, c.rule) for c in report.cycles] == tags
+            assert report.first_failing == first_failing
+            assert report.satisfied == (first_failing is None)
+            assert report.to_json_obj() == {
+                "satisfied": first_failing is None,
+                "cycles": [{"cycle": list(c), "rule": tag} for c, tag in tags],
+                "first_failing": list(first_failing) if first_failing else None,
+            }
+            for entry, (cycle, chords, _, _) in zip(report.cycles, table):
+                got = [(c.tail, c.head, c.tail_pos, c.head_pos, c.span) for c in entry.chords]
+                assert got == chords
+                assert entry.chords == tuple(chords_of_cycle(d, cycle))
+        return {rule for _, _, rule, _ in table}
+
+    @settings(max_examples=150, deadline=None)
+    @given(digraphs(min_n=3, max_n=8))
+    def test_random_digraphs(self, d):
+        self.assert_matches_reference(d)
+
+    def test_chorded_cycles_reach_every_rule(self):
+        # random digraphs almost always meet the first rule, so seeded
+        # directed 5- and 7-cycles with one to three chords cover the rest
+        rng = random.Random(12)
+        seen = set()
+        for _ in range(300):
+            n = rng.choice((5, 7))
+            ring = [(i, (i + 1) % n) for i in range(n)]
+            spare = [(u, v) for u in range(n) for v in range(n) if u != v and (u, v) not in ring]
+            seen |= self.assert_matches_reference(Digraph(n, ring + rng.sample(spare, rng.randint(1, 3))))
+        assert seen == {RULE_CONSECUTIVE_HEADS, RULE_TWO_ODD, RULE_CROSSING_SHORT_ODD, RULE_NONE}
 
 
 class TestAlternatingPathSemiKernel:
