@@ -11,7 +11,8 @@ everything here is exponential by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional, Sequence
 
 from .digraph import (
@@ -170,9 +171,16 @@ def satisfied_rule(chords: Sequence[Chord], length: int) -> str:
 
 @dataclass(frozen=True)
 class CycleReport:
+    """An odd cycle's rule tag.  Its chords are built on first read, since
+    most cycles are settled by their head positions alone."""
+
     cycle: tuple[int, ...]
-    chords: tuple[Chord, ...]
     rule: str
+    digraph: Digraph = field(repr=False)
+
+    @cached_property
+    def chords(self) -> tuple[Chord, ...]:
+        return tuple(chords_of_cycle(self.digraph, self.cycle))
 
 
 @dataclass(frozen=True)
@@ -197,16 +205,34 @@ class ChordConditionReport:
 
 
 def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordConditionReport:
-    """Tag every odd directed cycle with `rule_of(cycle, chords)`; the
-    verdict holds iff no cycle is tagged `none`."""
-    entries = []
-    for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget):
-        chords = tuple(chords_of_cycle(digraph, cycle))
-        entries.append(CycleReport(cycle=cycle, chords=chords, rule=rule_of(cycle, chords)))
+    """Tag every odd directed cycle with `rule_of(cycle)`; the verdict holds
+    iff no cycle is tagged `none`."""
+    entries = tuple(
+        CycleReport(cycle, rule_of(cycle), digraph)
+        for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget)
+    )
     first_failing = next((c.cycle for c in entries if c.rule == RULE_NONE), None)
     return ChordConditionReport(
-        satisfied=first_failing is None, cycles=tuple(entries), first_failing=first_failing
+        satisfied=first_failing is None, cycles=entries, first_failing=first_failing
     )
+
+
+def _heads_consecutive(inn: list[int], cycle: tuple[int, ...]) -> bool:
+    """Whether two chords of the cycle have heads on adjacent positions.
+
+    Bit i of `heads` is set iff some chord ends at cycle[i]: an arc into
+    it from a cycle vertex other than its cycle predecessor.  The rule
+    holds iff two adjacent bits are set, cyclically."""
+    cycle_mask = 0
+    for v in cycle:
+        cycle_mask |= 1 << v
+    heads = 0
+    before = cycle[-1]
+    for i, v in enumerate(cycle):
+        if inn[v] & cycle_mask & ~(1 << before):
+            heads |= 1 << i
+        before = v
+    return bool(heads & ((heads >> 1) | ((heads & 1) << (len(cycle) - 1))))
 
 
 def check_chord_conditions(
@@ -225,11 +251,17 @@ def check_chord_conditions(
     chords neither crossing nor nested, then a crossing short/odd pair) so
     tags are deterministic.  The verdict holds iff no cycle is tagged
     `none`.  `max_len` defaults to the vertex count: the condition
-    quantifies over all odd directed cycles.
+    quantifies over all odd directed cycles.  The first rule is decided on
+    head positions; only the cycles it leaves build their chords, and
+    each report's `chords` are built when first read.
     """
+    inn = digraph._in
 
-    def rule_of(cycle, chords):
-        rule = satisfied_rule(chords, len(cycle))
+    def rule_of(cycle):
+        if _heads_consecutive(inn, cycle):
+            rule = RULE_CONSECUTIVE_HEADS
+        else:
+            rule = satisfied_rule(chords_of_cycle(digraph, cycle), len(cycle))
         return rule if rule in rules else RULE_NONE
 
     return _odd_cycle_report(digraph, max_len, budget, rule_of)
@@ -249,7 +281,7 @@ def check_duchet_condition(
 ) -> ChordConditionReport:
     """Every odd directed cycle must have at least two reversible arcs."""
 
-    def rule_of(cycle, chords):
+    def rule_of(cycle):
         reversible = sum(digraph.has_arc(v, u) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
         return RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
 
