@@ -152,6 +152,11 @@ def satisfied_rule(chords: Sequence[Chord], length: int) -> str:
         for c2 in chords[i + 1 :]:
             if have_consecutive_heads(c1, c2, length):
                 return RULE_CONSECUTIVE_HEADS
+    return _later_rule(chords, length)
+
+
+def _later_rule(chords: Sequence[Chord], length: int) -> str:
+    """First of the rules after consecutive heads that the cycle meets."""
     for i, c1 in enumerate(chords):
         if not c1.is_odd:
             continue
@@ -261,7 +266,7 @@ def check_chord_conditions(
         if _heads_consecutive(inn, cycle):
             rule = RULE_CONSECUTIVE_HEADS
         else:
-            rule = satisfied_rule(chords_of_cycle(digraph, cycle), len(cycle))
+            rule = _later_rule(chords_of_cycle(digraph, cycle), len(cycle))
         return rule if rule in rules else RULE_NONE
 
     return _odd_cycle_report(digraph, max_len, budget, rule_of)

@@ -98,29 +98,57 @@ def check_chain_conditions(
     three vertices are distinct: a monochromatic two-cycle is no chain, so
     opposite same-color arcs are fine on their own.
     """
-    scan = _chain_violations(cd._blue_out, cd._blue_in, cd._red_out, cd._red_in)
+    masks = (cd._blue_out, cd._blue_in, cd._red_out, cd._red_in)
+    scan = (found for v in range(cd.vertex_count) for found in _violations_at(v, *masks))
     return _report(scan, first_only)
 
 
-def _chain_violations(
-    blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
+def _violations_at(
+    v: int, blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
 ):
-    """Yield every chain-closure violation (rule, (u, v, w)) in scan order:
-    v ascending, its blue chains before its red ones, then u and w
-    ascending."""
-    for v in range(len(blue_out)):
-        for u in bits_of(blue_in[v]):
-            # heads w the chain u -> v -> w leaves unanswered, ascending
-            for w in bits_of(
-                blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
-            ):
-                yield RULE_BLUE_CHAIN, (u, v, w)
-        for u in bits_of(red_in[v]):
-            open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
-            if (blue_out[v] >> u) & 1:
-                open_heads &= ~blue_in[u]
-            for w in bits_of(open_heads):
-                yield RULE_RED_CHAIN, (u, v, w)
+    """Yield every chain-closure violation (rule, (u, v, w)) with middle v
+    in scan order: blue chains before red ones, then u and w ascending.
+    The full scan takes v ascending."""
+    for u in bits_of(blue_in[v]):
+        # heads w the chain u -> v -> w leaves unanswered, ascending
+        for w in bits_of(
+            blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
+        ):
+            yield RULE_BLUE_CHAIN, (u, v, w)
+    for u in bits_of(red_in[v]):
+        open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
+        if (blue_out[v] >> u) & 1:
+            open_heads &= ~blue_in[u]
+        for w in bits_of(open_heads):
+            yield RULE_RED_CHAIN, (u, v, w)
+
+
+def _chain_middles_through(
+    u: int, w: int, blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
+) -> int:
+    """The middles whose chain-closure violations a change to the arc
+    u -> w, in either color, can alter: u and w, where it is a chain arc,
+    and the middles of the chains u -> m -> w and w -> m -> u, where it is
+    the closing arc or an answering one."""
+    return (
+        (1 << u)
+        | (1 << w)
+        | (blue_out[u] | red_out[u]) & (blue_in[w] | red_in[w])
+        | (blue_out[w] | red_out[w]) & (blue_in[u] | red_in[u])
+    )
+
+
+def _first_at(dirty: int, scan_at):
+    """The first item `scan_at(v)` yields for the least v in the mask
+    `dirty` that yields any, with `dirty` less the middles found clean
+    below it; (None, 0) when every middle is clean."""
+    while dirty:
+        low = dirty & -dirty
+        found = next(scan_at(low.bit_length() - 1), None)
+        if found is not None:
+            return found, dirty
+        dirty ^= low
+    return None, 0
 
 
 def _some_directed_cycle(digraph: Digraph) -> Optional[tuple[int, ...]]:
@@ -169,33 +197,42 @@ def _path_violations(cd: ColoredDigraph):
         cycle = _some_directed_cycle(cd.restriction(color))
         if cycle is not None:
             yield RULE_MONO_CYCLE, cycle
-    for quad in _open_paths(cd.digraph._out, cd._red_in, cd._blue_out):
-        yield RULE_OPEN_PATH, quad
+    masks = (cd.digraph._out, cd._red_in, cd._blue_out)
+    for v2 in range(cd.vertex_count):
+        for quad in _open_paths_at(v2, *masks):
+            yield RULE_OPEN_PATH, quad
 
 
-def _open_paths(out: list[int], red_in: list[int], blue_out: list[int]):
+def _open_paths_at(v2: int, out: list[int], red_in: list[int], blue_out: list[int]):
     """Yield every path (v1, v2, v3, v4) with a red first arc and a blue
     last arc that induces no arc besides its own and those into v2, in
-    scan order: v2, then v1, v3, v4 ascending."""
-    for v2 in range(len(out)):
-        b2 = 1 << v2
-        for v1 in bits_of(red_in[v2]):
-            b1 = 1 << v1
-            for v3 in bits_of(out[v2] & ~b1):
-                b3 = 1 << v3
-                if out[v1] & b3 or out[v2] & b1:
-                    continue
-                heads = blue_out[v3] & ~b2
-                if out[v3] & b1:
-                    # an extra arc for every v4 but v1 itself
-                    heads &= b1
-                for v4 in bits_of(heads):
-                    b4 = 1 << v4
-                    # v4 == v1 closes the path: no arc is left to test
-                    if v4 == v1 or not (
-                        out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
-                    ):
-                        yield (v1, v2, v3, v4)
+    scan order: v1, v3, v4 ascending.  The full scan takes v2
+    ascending."""
+    b2 = 1 << v2
+    for v1 in bits_of(red_in[v2]):
+        b1 = 1 << v1
+        for v3 in bits_of(out[v2] & ~b1):
+            b3 = 1 << v3
+            if out[v1] & b3 or out[v2] & b1:
+                continue
+            heads = blue_out[v3] & ~b2
+            if out[v3] & b1:
+                # an extra arc for every v4 but v1 itself
+                heads &= b1
+            for v4 in bits_of(heads):
+                b4 = 1 << v4
+                # v4 == v1 closes the path: no arc is left to test
+                if v4 == v1 or not (
+                    out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
+                ):
+                    yield (v1, v2, v3, v4)
+
+
+def _path_middles_through(a: int, b: int, out: list[int], inn: list[int]) -> int:
+    """The middles v2 whose open paths (v1, v2, v3, v4) a change to the arc
+    a -> b can alter.  Such a path holds both a and b, so v2 is one of
+    them, or v1 or v3 is and v2 follows v1 or precedes v3."""
+    return (1 << a) | (1 << b) | out[a] | inn[a] | out[b] | inn[b]
 
 
 # -- the antichain potential ----------------------------------------------
@@ -602,33 +639,56 @@ def generate_chain_instance(
     Each repair takes the first violation u -> v -> w in
     `check_chain_conditions` order and forces its first alternative: the
     closing arc u -> w is added in the chain's color, or recolored if it
-    has the other one.  Repairs edit the arc masks in place; the instance
-    is built once and re-verified against the chain conditions.  Gives up
-    after `budget` repairs and returns None.
+    has the other one.  Repairs edit the arc masks in place, and only the
+    middles a repair can affect are tested again.  Returns None when
+    `budget` repairs leave a violation, or as soon as the repair revisits
+    an arc state: the repair is a function of that state, so from there
+    it cycles forever.  The instance is built once and re-verified
+    against the chain conditions.
     """
     rng = random.Random(("chain", seed, n, density).__repr__())
-    out = {color: [0] * n for color in ArcColor}
-    inn = {color: [0] * n for color in ArcColor}
+    blue_out, blue_in, red_out, red_in = ([0] * n for _ in range(4))
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < density:
-                color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
-                out[color][u] |= 1 << v
-                inn[color][v] |= 1 << u
-    blue, red = ArcColor.BLUE, ArcColor.RED
-    for _ in range(budget):
-        violation = next(_chain_violations(out[blue], inn[blue], out[red], inn[red]), None)
+                if rng.random() < 0.5:
+                    blue_out[u] |= 1 << v
+                    blue_in[v] |= 1 << u
+                else:
+                    red_out[u] |= 1 << v
+                    red_in[v] |= 1 << u
+
+    def scan_at(v):
+        return _violations_at(v, blue_out, blue_in, red_out, red_in)
+
+    # middles that may hold a violation
+    dirty = (1 << n) - 1
+    # Brent's cycle detection: one arc state, saved after 1, 2, 4, ... repairs
+    saved, save_at = (tuple(blue_out), tuple(red_out)), 1
+    for repairs in range(1, budget + 1):
+        violation, dirty = _first_at(dirty, scan_at)
         if violation is None:
             break
         rule, (u, _, w) = violation
-        keep, drop = (blue, red) if rule == RULE_BLUE_CHAIN else (red, blue)
-        out[keep][u] |= 1 << w
-        inn[keep][w] |= 1 << u
-        out[drop][u] &= ~(1 << w)
-        inn[drop][w] &= ~(1 << u)
+        keep_out, keep_in, drop_out, drop_in = (
+            (blue_out, blue_in, red_out, red_in)
+            if rule == RULE_BLUE_CHAIN
+            else (red_out, red_in, blue_out, blue_in)
+        )
+        keep_out[u] |= 1 << w
+        keep_in[w] |= 1 << u
+        drop_out[u] &= ~(1 << w)
+        drop_in[w] &= ~(1 << u)
+        dirty |= _chain_middles_through(u, w, blue_out, blue_in, red_out, red_in)
+        state = (tuple(blue_out), tuple(red_out))
+        if state == saved:
+            return None
+        if repairs == save_at:
+            saved, save_at = state, 2 * save_at
     else:
         return None
-    rows = [(u, v, color) for color in ArcColor for u in range(n) for v in bits_of(out[color][u])]
+    rows = [(u, v, ArcColor.BLUE) for u in range(n) for v in bits_of(blue_out[u])]
+    rows += [(u, v, ArcColor.RED) for u in range(n) for v in bits_of(red_out[u])]
     cd = ColoredDigraph.from_colored_arcs(n, rows)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("repaired instance fails the chain conditions")
@@ -642,7 +702,8 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
     rules out monochromatic cycles outright; remaining path violations are
     repaired by deleting the closing blue arc of the first one, which
     terminates because the arc count strictly decreases and creates no
-    cycle.  The output is re-verified against the path conditions.
+    cycle.  After a deletion only the middles it can affect are tested
+    again.  The output is re-verified against the path conditions.
     """
     rng = random.Random(("path", seed, n, density).__repr__())
     position = {}
@@ -650,9 +711,7 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
         order = list(range(n))
         rng.shuffle(order)
         position[color] = {v: i for i, v in enumerate(order)}
-    out = [0] * n
-    red_in = [0] * n
-    blue_out = [0] * n
+    out, inn, red_in, blue_out = ([0] * n for _ in range(4))
     for u in range(n):
         for v in range(n):
             if u == v or rng.random() >= density:
@@ -660,17 +719,26 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
             color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
             if position[color][u] < position[color][v]:
                 out[u] |= 1 << v
+                inn[v] |= 1 << u
                 if color is ArcColor.BLUE:
                     blue_out[u] |= 1 << v
                 else:
                     red_in[v] |= 1 << u
+
+    def scan_at(v2):
+        return _open_paths_at(v2, out, red_in, blue_out)
+
+    # middles that may hold an open path
+    dirty = (1 << n) - 1
     while True:
-        quad = next(_open_paths(out, red_in, blue_out), None)
+        quad, dirty = _first_at(dirty, scan_at)
         if quad is None:
             break
-        _, _, v3, v4 = quad
-        out[v3] &= ~(1 << v4)
-        blue_out[v3] &= ~(1 << v4)
+        _, _, a, b = quad
+        out[a] &= ~(1 << b)
+        inn[b] &= ~(1 << a)
+        blue_out[a] &= ~(1 << b)
+        dirty |= _path_middles_through(a, b, out, inn)
     rows = [
         (u, v, ArcColor.BLUE if (blue_out[u] >> v) & 1 else ArcColor.RED)
         for u in range(n)

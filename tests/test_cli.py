@@ -292,6 +292,19 @@ class TestRedblueCommands:
         assert code == 3
         assert json.loads(out) == {"error": "no instance within 0 repairs", "seed": 0}
 
+    def test_gen_chain_stops_when_its_repair_repeats(self, monkeypatch):
+        # seed 9 at n = 12 never settles: its repair revisits an arc state,
+        # which ends the run long before 10**9 repairs
+        monkeypatch.setenv("KERNELKIT_BUDGET", str(10**9))
+        proc = fresh_python(
+            "-m", "kernelkit", "redblue", "gen", "chain", "--seed", "9", "--n", "12",
+            "--format", "json", timeout=30,
+        )
+        assert proc.returncode == 3, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "error": f"no instance within {10**9} repairs", "seed": 9
+        }
+
 
 class TestChordsCommands:
     def test_check_failing_cycle(self, capsys, monkeypatch):

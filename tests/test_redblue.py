@@ -1,3 +1,6 @@
+import functools
+import random
+
 import pytest
 from hypothesis import given, settings
 
@@ -13,6 +16,10 @@ from kernelkit import (
 )
 from kernelkit.poset import Comparison, compare_antichains
 from kernelkit.redblue import (
+    _chain_middles_through,
+    _open_paths_at,
+    _path_middles_through,
+    _violations_at,
     RULE_BLUE_CHAIN,
     RULE_MONO_CYCLE,
     RULE_OPEN_PATH,
@@ -276,6 +283,87 @@ def _rows(cd):
     return sorted((u, v, c.value) for (u, v), c in cd.color.items())
 
 
+@functools.cache
+def _campaign_chain_attempts():
+    """(seed, n, reference outcome at budget 400) for a seeded sample of
+    the chain campaign's attempts, seeds 0-1,280 at n = 3 + seed % 10,
+    where about one in five returns None."""
+    seeds = sorted(random.Random(1281).sample(range(1281), 320))
+    return [(s, 3 + s % 10, naive.naive_chain_rows(s, 3 + s % 10)) for s in seeds]
+
+
+class TestRepairsRetestEnoughMiddles:
+    """The chain and path generators re-test only the middles that
+    `_chain_middles_through` and `_path_middles_through` name after a
+    change to one arc.  Every middle whose violations that change alters
+    must be among them: here for every arc of seeded random instances
+    added, deleted or recolored."""
+
+    @staticmethod
+    def instances():
+        rng = random.Random(3)
+        for _ in range(150):
+            n = rng.randint(3, 6)
+            density = rng.random()
+            arcs = {
+                (u, v): rng.choice("br")
+                for u in range(n)
+                for v in range(n)
+                if u != v and rng.random() < density
+            }
+            yield n, arcs
+
+    @staticmethod
+    def masks(n, arcs):
+        """out, inn, blue_out, blue_in, red_out, red_in"""
+        masks = [[0] * n for _ in range(6)]
+        for (u, v), color in arcs.items():
+            shift = 2 if color == "b" else 4
+            for i in (0, shift):
+                masks[i][u] |= 1 << v
+                masks[i + 1][v] |= 1 << u
+        return masks
+
+    def changes(self, n, arcs):
+        """(u, w, arcs with u -> w changed) for every change of every pair."""
+        for u in range(n):
+            for w in range(n):
+                if u == w:
+                    continue
+                for color in ("b", "r", None):
+                    if arcs.get((u, w)) != color:
+                        changed = {k: c for k, c in arcs.items() if k != (u, w)}
+                        if color is not None:
+                            changed[(u, w)] = color
+                        yield u, w, changed
+
+    def test_chain(self):
+        def violations(n, arcs):
+            _, _, *colored_masks = self.masks(n, arcs)
+            return [list(_violations_at(m, *colored_masks)) for m in range(n)], colored_masks
+
+        for n, arcs in self.instances():
+            before, _ = violations(n, arcs)
+            for u, w, changed in self.changes(n, arcs):
+                after, colored_masks = violations(n, changed)
+                reach = _chain_middles_through(u, w, *colored_masks)
+                for m in range(n):
+                    assert before[m] == after[m] or (reach >> m) & 1, (arcs, u, w, m)
+
+    def test_path(self):
+        def open_paths(n, arcs):
+            out, inn, blue_out, _, _, red_in = self.masks(n, arcs)
+            return [list(_open_paths_at(m, out, red_in, blue_out)) for m in range(n)], out, inn
+
+        for n, arcs in self.instances():
+            before, _, _ = open_paths(n, arcs)
+            for a, b, changed in self.changes(n, arcs):
+                after, out, inn = open_paths(n, changed)
+                reach = _path_middles_through(a, b, out, inn)
+                for m in range(n):
+                    assert before[m] == after[m] or (reach >> m) & 1, (arcs, a, b, m)
+
+
 class TestGeneratorsMatchReferences:
     """The incremental generators against the rebuild-everything loops of
     naive.py, which draw from the same seeded streams."""
@@ -308,6 +396,21 @@ class TestGeneratorsMatchReferences:
             assert (got if got is None else _rows(got)) == want
             outcomes.add(got is None)
         assert outcomes == {True, False}
+
+    def test_chain_on_campaign_attempts(self):
+        nones = 0
+        for seed, n, want in _campaign_chain_attempts():
+            got = generate_chain_instance(seed, n)
+            assert (got if got is None else _rows(got)) == want
+            nones += want is None
+        assert nones >= 40
+
+    def test_chain_repeat_stop_needs_no_budget(self):
+        # a repeated arc state means the repair cycles forever, so a budget
+        # of 10**9 must end where the reference ends at 400
+        for seed, n, want in _campaign_chain_attempts():
+            got = generate_chain_instance(seed, n, budget=10**9)
+            assert (got if got is None else _rows(got)) == want
 
     @pytest.mark.parametrize("budget", [0, 1, 2, 5, 20])
     def test_chain_budget(self, budget):
