@@ -228,15 +228,11 @@ def _heads_consecutive(inn: list[int], cycle: tuple[int, ...]) -> bool:
     Bit i of `heads` is set iff some chord ends at cycle[i]: an arc into
     it from a cycle vertex other than its cycle predecessor.  The rule
     holds iff two adjacent bits are set, cyclically."""
-    cycle_mask = 0
-    for v in cycle:
-        cycle_mask |= 1 << v
+    cycle_mask = sum(1 << v for v in cycle)
     heads = 0
-    before = cycle[-1]
     for i, v in enumerate(cycle):
-        if inn[v] & cycle_mask & ~(1 << before):
+        if inn[v] & cycle_mask & ~(1 << cycle[i - 1]):
             heads |= 1 << i
-        before = v
     return bool(heads & ((heads >> 1) | ((heads & 1) << (len(cycle) - 1))))
 
 

@@ -138,13 +138,13 @@ def _chain_middles_through(
     )
 
 
-def _first_at(dirty: int, scan_at):
-    """The first item `scan_at(v)` yields for the least v in the mask
-    `dirty` that yields any, with `dirty` less the middles found clean
-    below it; (None, 0) when every middle is clean."""
+def _first_at(dirty: int, scan_at, masks):
+    """The first item `scan_at(v, *masks)` yields for the least v in the
+    mask `dirty` that yields any, with `dirty` less the middles found
+    clean below it; (None, 0) when every middle is clean."""
     while dirty:
         low = dirty & -dirty
-        found = next(scan_at(low.bit_length() - 1), None)
+        found = next(scan_at(low.bit_length() - 1, *masks), None)
         if found is not None:
             return found, dirty
         dirty ^= low
@@ -647,48 +647,39 @@ def generate_chain_instance(
     against the chain conditions.
     """
     rng = random.Random(("chain", seed, n, density).__repr__())
-    blue_out, blue_in, red_out, red_in = ([0] * n for _ in range(4))
+    out = {color: [0] * n for color in ArcColor}
+    inn = {color: [0] * n for color in ArcColor}
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < density:
-                if rng.random() < 0.5:
-                    blue_out[u] |= 1 << v
-                    blue_in[v] |= 1 << u
-                else:
-                    red_out[u] |= 1 << v
-                    red_in[v] |= 1 << u
-
-    def scan_at(v):
-        return _violations_at(v, blue_out, blue_in, red_out, red_in)
-
+                color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
+                out[color][u] |= 1 << v
+                inn[color][v] |= 1 << u
+    blue, red = ArcColor.BLUE, ArcColor.RED
+    masks = (out[blue], inn[blue], out[red], inn[red])
     # middles that may hold a violation
     dirty = (1 << n) - 1
     # Brent's cycle detection: one arc state, saved after 1, 2, 4, ... repairs
-    saved, save_at = (tuple(blue_out), tuple(red_out)), 1
+    saved, save_at = (tuple(out[blue]), tuple(out[red])), 1
     for repairs in range(1, budget + 1):
-        violation, dirty = _first_at(dirty, scan_at)
+        violation, dirty = _first_at(dirty, _violations_at, masks)
         if violation is None:
             break
         rule, (u, _, w) = violation
-        keep_out, keep_in, drop_out, drop_in = (
-            (blue_out, blue_in, red_out, red_in)
-            if rule == RULE_BLUE_CHAIN
-            else (red_out, red_in, blue_out, blue_in)
-        )
-        keep_out[u] |= 1 << w
-        keep_in[w] |= 1 << u
-        drop_out[u] &= ~(1 << w)
-        drop_in[w] &= ~(1 << u)
-        dirty |= _chain_middles_through(u, w, blue_out, blue_in, red_out, red_in)
-        state = (tuple(blue_out), tuple(red_out))
+        keep, drop = (blue, red) if rule == RULE_BLUE_CHAIN else (red, blue)
+        out[keep][u] |= 1 << w
+        inn[keep][w] |= 1 << u
+        out[drop][u] &= ~(1 << w)
+        inn[drop][w] &= ~(1 << u)
+        dirty |= _chain_middles_through(u, w, *masks)
+        state = (tuple(out[blue]), tuple(out[red]))
         if state == saved:
             return None
         if repairs == save_at:
             saved, save_at = state, 2 * save_at
     else:
         return None
-    rows = [(u, v, ArcColor.BLUE) for u in range(n) for v in bits_of(blue_out[u])]
-    rows += [(u, v, ArcColor.RED) for u in range(n) for v in bits_of(red_out[u])]
+    rows = [(u, v, color) for color in ArcColor for u in range(n) for v in bits_of(out[color][u])]
     cd = ColoredDigraph.from_colored_arcs(n, rows)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("repaired instance fails the chain conditions")
@@ -724,14 +715,10 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
                     blue_out[u] |= 1 << v
                 else:
                     red_in[v] |= 1 << u
-
-    def scan_at(v2):
-        return _open_paths_at(v2, out, red_in, blue_out)
-
     # middles that may hold an open path
     dirty = (1 << n) - 1
     while True:
-        quad, dirty = _first_at(dirty, scan_at)
+        quad, dirty = _first_at(dirty, _open_paths_at, (out, red_in, blue_out))
         if quad is None:
             break
         _, _, a, b = quad
