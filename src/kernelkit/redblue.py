@@ -98,29 +98,31 @@ def check_chain_conditions(
     three vertices are distinct: a monochromatic two-cycle is no chain, so
     opposite same-color arcs are fine on their own.
     """
-    masks = (cd._blue_out, cd._blue_in, cd._red_out, cd._red_in)
-    scan = (found for v in range(cd.vertex_count) for found in _violations_at(v, *masks))
+    scan = _chain_violations(
+        range(cd.vertex_count), cd._blue_out, cd._blue_in, cd._red_out, cd._red_in
+    )
     return _report(scan, first_only)
 
 
-def _violations_at(
-    v: int, blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
+def _chain_violations(
+    middles, blue_out: list[int], blue_in: list[int], red_out: list[int], red_in: list[int]
 ):
-    """Yield every chain-closure violation (rule, (u, v, w)) with middle v
-    in scan order: blue chains before red ones, then u and w ascending.
-    The full scan takes v ascending."""
-    for u in bits_of(blue_in[v]):
-        # heads w the chain u -> v -> w leaves unanswered, ascending
-        for w in bits_of(
-            blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
-        ):
-            yield RULE_BLUE_CHAIN, (u, v, w)
-    for u in bits_of(red_in[v]):
-        open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
-        if (blue_out[v] >> u) & 1:
-            open_heads &= ~blue_in[u]
-        for w in bits_of(open_heads):
-            yield RULE_RED_CHAIN, (u, v, w)
+    """Yield every chain-closure violation (rule, (u, v, w)) with its
+    middle v in `middles`, in scan order: v in the order given, its blue
+    chains before its red ones, then u and w ascending."""
+    for v in middles:
+        for u in bits_of(blue_in[v]):
+            # heads w the chain u -> v -> w leaves unanswered, ascending
+            for w in bits_of(
+                blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
+            ):
+                yield RULE_BLUE_CHAIN, (u, v, w)
+        for u in bits_of(red_in[v]):
+            open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
+            if (blue_out[v] >> u) & 1:
+                open_heads &= ~blue_in[u]
+            for w in bits_of(open_heads):
+                yield RULE_RED_CHAIN, (u, v, w)
 
 
 def _chain_middles_through(
@@ -138,13 +140,13 @@ def _chain_middles_through(
     )
 
 
-def _first_at(dirty: int, scan_at, masks):
-    """The first item `scan_at(v, *masks)` yields for the least v in the
+def _first_at(dirty: int, scan, masks):
+    """The first item `scan((v,), *masks)` yields for the least v in the
     mask `dirty` that yields any, with `dirty` less the middles found
     clean below it; (None, 0) when every middle is clean."""
     while dirty:
         low = dirty & -dirty
-        found = next(scan_at(low.bit_length() - 1, *masks), None)
+        found = next(scan((low.bit_length() - 1,), *masks), None)
         if found is not None:
             return found, dirty
         dirty ^= low
@@ -197,35 +199,34 @@ def _path_violations(cd: ColoredDigraph):
         cycle = _some_directed_cycle(cd.restriction(color))
         if cycle is not None:
             yield RULE_MONO_CYCLE, cycle
-    masks = (cd.digraph._out, cd._red_in, cd._blue_out)
-    for v2 in range(cd.vertex_count):
-        for quad in _open_paths_at(v2, *masks):
-            yield RULE_OPEN_PATH, quad
+    for quad in _open_paths(range(cd.vertex_count), cd.digraph._out, cd._red_in, cd._blue_out):
+        yield RULE_OPEN_PATH, quad
 
 
-def _open_paths_at(v2: int, out: list[int], red_in: list[int], blue_out: list[int]):
-    """Yield every path (v1, v2, v3, v4) with a red first arc and a blue
-    last arc that induces no arc besides its own and those into v2, in
-    scan order: v1, v3, v4 ascending.  The full scan takes v2
-    ascending."""
-    b2 = 1 << v2
-    for v1 in bits_of(red_in[v2]):
-        b1 = 1 << v1
-        for v3 in bits_of(out[v2] & ~b1):
-            b3 = 1 << v3
-            if out[v1] & b3 or out[v2] & b1:
-                continue
-            heads = blue_out[v3] & ~b2
-            if out[v3] & b1:
-                # an extra arc for every v4 but v1 itself
-                heads &= b1
-            for v4 in bits_of(heads):
-                b4 = 1 << v4
-                # v4 == v1 closes the path: no arc is left to test
-                if v4 == v1 or not (
-                    out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
-                ):
-                    yield (v1, v2, v3, v4)
+def _open_paths(middles, out: list[int], red_in: list[int], blue_out: list[int]):
+    """Yield every path (v1, v2, v3, v4) with its middle v2 in `middles`,
+    a red first arc and a blue last arc, that induces no arc besides its
+    own and those into v2, in scan order: v2 in the order given, then v1,
+    v3, v4 ascending."""
+    for v2 in middles:
+        b2 = 1 << v2
+        for v1 in bits_of(red_in[v2]):
+            b1 = 1 << v1
+            for v3 in bits_of(out[v2] & ~b1):
+                b3 = 1 << v3
+                if out[v1] & b3 or out[v2] & b1:
+                    continue
+                heads = blue_out[v3] & ~b2
+                if out[v3] & b1:
+                    # an extra arc for every v4 but v1 itself
+                    heads &= b1
+                for v4 in bits_of(heads):
+                    b4 = 1 << v4
+                    # v4 == v1 closes the path: no arc is left to test
+                    if v4 == v1 or not (
+                        out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
+                    ):
+                        yield (v1, v2, v3, v4)
 
 
 def _path_middles_through(a: int, b: int, out: list[int], inn: list[int]) -> int:
@@ -662,7 +663,7 @@ def generate_chain_instance(
     # Brent's cycle detection: one arc state, saved after 1, 2, 4, ... repairs
     saved, save_at = (tuple(out[blue]), tuple(out[red])), 1
     for repairs in range(1, budget + 1):
-        violation, dirty = _first_at(dirty, _violations_at, masks)
+        violation, dirty = _first_at(dirty, _chain_violations, masks)
         if violation is None:
             break
         rule, (u, _, w) = violation
@@ -718,7 +719,7 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
     # middles that may hold an open path
     dirty = (1 << n) - 1
     while True:
-        quad, dirty = _first_at(dirty, _open_paths_at, (out, red_in, blue_out))
+        quad, dirty = _first_at(dirty, _open_paths, (out, red_in, blue_out))
         if quad is None:
             break
         _, _, a, b = quad

@@ -17,9 +17,9 @@ from kernelkit import (
 from kernelkit.poset import Comparison, compare_antichains
 from kernelkit.redblue import (
     _chain_middles_through,
-    _open_paths_at,
+    _chain_violations,
+    _open_paths,
     _path_middles_through,
-    _violations_at,
     RULE_BLUE_CHAIN,
     RULE_MONO_CYCLE,
     RULE_OPEN_PATH,
@@ -340,7 +340,7 @@ class TestRepairsRetestEnoughMiddles:
     def test_chain(self):
         def violations(n, arcs):
             _, _, *colored_masks = self.masks(n, arcs)
-            return [list(_violations_at(m, *colored_masks)) for m in range(n)], colored_masks
+            return [list(_chain_violations((m,), *colored_masks)) for m in range(n)], colored_masks
 
         for n, arcs in self.instances():
             before, _ = violations(n, arcs)
@@ -353,7 +353,7 @@ class TestRepairsRetestEnoughMiddles:
     def test_path(self):
         def open_paths(n, arcs):
             out, inn, blue_out, _, _, red_in = self.masks(n, arcs)
-            return [list(_open_paths_at(m, out, red_in, blue_out)) for m in range(n)], out, inn
+            return [list(_open_paths((m,), out, red_in, blue_out)) for m in range(n)], out, inn
 
         for n, arcs in self.instances():
             before, _, _ = open_paths(n, arcs)
