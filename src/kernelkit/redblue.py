@@ -140,19 +140,6 @@ def _chain_middles_through(
     )
 
 
-def _first_at(dirty: int, scan, masks):
-    """The first item `scan((v,), *masks)` yields for the least v in the
-    mask `dirty` that yields any, with `dirty` less the middles found
-    clean below it; (None, 0) when every middle is clean."""
-    while dirty:
-        low = dirty & -dirty
-        found = next(scan((low.bit_length() - 1,), *masks), None)
-        if found is not None:
-            return found, dirty
-        dirty ^= low
-    return None, 0
-
-
 def _some_directed_cycle(digraph: Digraph) -> Optional[tuple[int, ...]]:
     """A directed cycle as a vertex tuple starting at its least vertex, or
     None when the digraph is acyclic; deterministic."""
@@ -642,10 +629,11 @@ def generate_chain_instance(
     closing arc u -> w is added in the chain's color, or recolored if it
     has the other one.  Repairs edit the arc masks in place, and only the
     middles a repair can affect are tested again.  Returns None when
-    `budget` repairs leave a violation, or as soon as the repair revisits
-    an arc state: the repair is a function of that state, so from there
-    it cycles forever.  The instance is built once and re-verified
-    against the chain conditions.
+    `budget` repairs leave a violation, or once the repair is seen to
+    revisit an arc state (Brent's cycle detection over one saved state):
+    the repair is a function of that state, so from there it cycles
+    forever.  The instance is built once and re-verified against the
+    chain conditions.
     """
     rng = random.Random(("chain", seed, n, density).__repr__())
     out = {color: [0] * n for color in ArcColor}
@@ -660,13 +648,15 @@ def generate_chain_instance(
     masks = (out[blue], inn[blue], out[red], inn[red])
     # middles that may hold a violation
     dirty = (1 << n) - 1
-    # Brent's cycle detection: one arc state, saved after 1, 2, 4, ... repairs
+    # the arc state saved after 1, 2, 4, ... repairs
     saved, save_at = (tuple(out[blue]), tuple(out[red])), 1
     for repairs in range(1, budget + 1):
-        violation, dirty = _first_at(dirty, _chain_violations, masks)
+        violation = next(_chain_violations(bits_of(dirty), *masks), None)
         if violation is None:
             break
-        rule, (u, _, w) = violation
+        rule, (u, v, w) = violation
+        # the middles below v were found clean
+        dirty &= -(1 << v)
         keep, drop = (blue, red) if rule == RULE_BLUE_CHAIN else (red, blue)
         out[keep][u] |= 1 << w
         inn[keep][w] |= 1 << u
@@ -703,7 +693,10 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
         order = list(range(n))
         rng.shuffle(order)
         position[color] = {v: i for i, v in enumerate(order)}
-    out, inn, red_in, blue_out = ([0] * n for _ in range(4))
+    out = [0] * n
+    inn = [0] * n
+    red_in = [0] * n
+    blue_out = [0] * n
     for u in range(n):
         for v in range(n):
             if u == v or rng.random() >= density:
@@ -719,10 +712,12 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
     # middles that may hold an open path
     dirty = (1 << n) - 1
     while True:
-        quad, dirty = _first_at(dirty, _open_paths, (out, red_in, blue_out))
+        quad = next(_open_paths(bits_of(dirty), out, red_in, blue_out), None)
         if quad is None:
             break
-        _, _, a, b = quad
+        _, v2, a, b = quad
+        # the middles below v2 were found clean
+        dirty &= -(1 << v2)
         out[a] &= ~(1 << b)
         inn[b] &= ~(1 << a)
         blue_out[a] &= ~(1 << b)
