@@ -46,7 +46,6 @@ __all__ = [
     "alternating_path_semi_kernel",
     "chord_semi_kernel_strategy",
     "find_kernel_via_chords",
-    "satisfied_rule",
 ]
 
 RULE_CONSECUTIVE_HEADS = "consecutive-heads"
@@ -146,17 +145,9 @@ def have_consecutive_heads(c1: Chord, c2: Chord, cycle_length: int) -> bool:
     return gap in (1, cycle_length - 1)
 
 
-def satisfied_rule(chords: Sequence[Chord], length: int) -> str:
-    """First chord rule the cycle meets, in the fixed rule order."""
-    for i, c1 in enumerate(chords):
-        for c2 in chords[i + 1 :]:
-            if have_consecutive_heads(c1, c2, length):
-                return RULE_CONSECUTIVE_HEADS
-    return _later_rule(chords, length)
-
-
-def _later_rule(chords: Sequence[Chord], length: int) -> str:
-    """First of the rules after consecutive heads that the cycle meets."""
+def _odd_chord_rule(chords: Sequence[Chord], length: int) -> str:
+    """First odd-chord rule the cycle meets: two odd chords neither crossing
+    nor nested, then a short chord crossing an odd one."""
     for i, c1 in enumerate(chords):
         if not c1.is_odd:
             continue
@@ -174,18 +165,30 @@ def _later_rule(chords: Sequence[Chord], length: int) -> str:
     return RULE_NONE
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CycleReport:
     """An odd cycle's rule tag.  Its chords are built on first read, since
-    most cycles are settled by their head positions alone."""
+    most cycles are settled by their head positions alone.  Reports compare
+    and hash on (cycle, chords, rule); the digraph is keyword-only."""
 
     cycle: tuple[int, ...]
     rule: str
-    digraph: Digraph = field(repr=False)
+    digraph: Digraph = field(repr=False, kw_only=True)
 
     @cached_property
     def chords(self) -> tuple[Chord, ...]:
         return tuple(chords_of_cycle(self.digraph, self.cycle))
+
+    def _key(self) -> tuple:
+        return (self.cycle, self.chords, self.rule)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CycleReport):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -213,7 +216,7 @@ def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordCondit
     """Tag every odd directed cycle with `rule_of(cycle)`; the verdict holds
     iff no cycle is tagged `none`."""
     entries = tuple(
-        CycleReport(cycle, rule_of(cycle), digraph)
+        CycleReport(cycle, rule_of(cycle), digraph=digraph)
         for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget)
     )
     first_failing = next((c.cycle for c in entries if c.rule == RULE_NONE), None)
@@ -253,16 +256,20 @@ def check_chord_conditions(
     tags are deterministic.  The verdict holds iff no cycle is tagged
     `none`.  `max_len` defaults to the vertex count: the condition
     quantifies over all odd directed cycles.  The first rule is decided on
-    head positions; only the cycles it leaves build their chords, and
-    each report's `chords` are built when first read.
+    head positions; only the cycles it leaves build their chords, and only
+    when a later rule is asked for.  Each report's `chords` are built when
+    first read.
     """
     inn = digraph._in
+    later = RULE_TWO_ODD in rules or RULE_CROSSING_SHORT_ODD in rules
 
     def rule_of(cycle):
         if _heads_consecutive(inn, cycle):
             rule = RULE_CONSECUTIVE_HEADS
+        elif later:
+            rule = _odd_chord_rule(chords_of_cycle(digraph, cycle), len(cycle))
         else:
-            rule = _later_rule(chords_of_cycle(digraph, cycle), len(cycle))
+            return RULE_NONE
         return rule if rule in rules else RULE_NONE
 
     return _odd_cycle_report(digraph, max_len, budget, rule_of)

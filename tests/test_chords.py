@@ -18,6 +18,7 @@ from kernelkit.chords import (
     RULE_NONE,
     RULE_TWO_ODD,
     RULE_TWO_REVERSIBLE,
+    CycleReport,
     alternating_path_semi_kernel,
     are_crossing,
     are_nested,
@@ -182,6 +183,15 @@ class TestCheckChordConditions:
         report = check_chord_conditions(CHORDED)
         (entry,) = report.cycles
         assert {(c.tail, c.head) for c in entry.chords} == {(4, 1), (0, 2)}
+
+    def test_cycle_reports_compare_on_cycle_chords_and_rule(self):
+        ring = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
+        same = CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=Digraph(5, sorted(CHORDED.arcs)))
+        entry = CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=CHORDED)
+        assert entry == same and hash(entry) == hash(same)
+        assert entry != CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=ring)
+        with pytest.raises(TypeError):
+            CycleReport(FIVE_CYCLE, entry.chords, RULE_CONSECUTIVE_HEADS)
 
 
 class TestChordRulesMatchReference:
