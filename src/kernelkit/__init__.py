@@ -69,7 +69,6 @@ from .chords import (
     check_gsnl_condition,
     classify_chord,
     find_kernel_via_chords,
-    have_consecutive_heads,
 )
 from .antiholes import (
     AntiholeLabeling,

@@ -27,10 +27,11 @@ over the same clique tests memoised on the digits later tests still
 read, instead of walking it.  Only the leaves no candidate certifies, or
 a budget stop keeps from skipping, reach the kernel oracle.
 
-Anti-hole runs can reduce by symmetry: the dihedral group of the labeling
-acts on edge-direction assignments, and only the lexicographically least
-assignment of each orbit is emitted; the comparisons with the group
-images resume along the search path instead of restarting at each node.
+Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
+acts on the edge-direction assignments of the n-vertex anti-hole, and only
+the lexicographically least assignment of each orbit is emitted; the
+comparisons with the group images resume along the search path instead
+of restarting at each node.
 Long runs split the search into tasks (the parallelism unit) at the live
 prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
 mode; in task order they give exactly the leaves of the whole run, so
@@ -204,9 +205,10 @@ def orbit_digits(digits: tuple[int, ...], actions) -> set[tuple[int, ...]]:
     return orbit
 
 
-def canonical_orientation_key(orientation: Orientation, labeling: AntiholeLabeling) -> tuple[int, ...]:
-    """Orbit representative of an orientation under the labeling's dihedral
+def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
+    """Orbit representative of an anti-hole orientation under the dihedral
     group, as the lexicographically least edge-direction string."""
+    labeling = AntiholeLabeling(orientation.base.vertex_count)
     edges = labeling.edges()
     if orientation.base != labeling.graph():
         raise ContractError("orientation does not live on the labeled anti-hole")
@@ -429,37 +431,32 @@ def _leaves(
     return walk()
 
 
-def _check_sweep_input(
-    graph: UndirectedGraph, symmetry_reduction: bool, labeling: Optional[AntiholeLabeling]
-) -> None:
+def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool) -> None:
     if len(graph.edges) > MAX_EDGES:
         raise SizeCapError(
             f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
         )
-    if symmetry_reduction:
-        if labeling is None:
-            raise ContractError("symmetry reduction needs the anti-hole labeling")
-        if labeling.graph() != graph:
-            raise ContractError("labeling does not match the graph")
+    n = graph.vertex_count
+    if symmetry_reduction and AntiholeLabeling(n).graph() != graph:
+        raise ContractError(f"symmetry reduction needs the {n}-vertex anti-hole")
 
 
 def enumerate_simple_clique_acyclic_orientations(
     graph: UndirectedGraph,
     symmetry_reduction: bool = False,
-    labeling: Optional[AntiholeLabeling] = None,
     prefix: tuple[int, ...] = (),
 ) -> Iterator[Orientation]:
     """Stream every simple clique-acyclic orientation of `graph`.
 
     `prefix` restricts the run to one subtree of the search tree; a prefix
     the clique tests or the symmetry prune reject raises ContractError.
-    Symmetry reduction needs the anti-hole labeling and emits one
-    orientation per dihedral orbit.
+    Symmetry reduction needs `graph` to be the n-vertex anti-hole and
+    emits one orientation per dihedral orbit.
     """
-    _check_sweep_input(graph, symmetry_reduction, labeling)
-    actions = dihedral_edge_actions(labeling) if symmetry_reduction else None
-    edges, completions = _clique_completions(graph, 2)
+    _check_sweep_input(graph, symmetry_reduction)
     n = graph.vertex_count
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry_reduction else None
+    edges, completions = _clique_completions(graph, 2)
     for digits, _ in _leaves(n, edges, completions, 2, prefix, len(prefix), actions):
         yield digits_to_orientation(digits, graph, edges)
 
@@ -755,7 +752,6 @@ def verify_kernel_solvable(
     graph: UndirectedGraph,
     mode: str = "simple",
     symmetry_reduction: bool = False,
-    labeling: Optional[AntiholeLabeling] = None,
     jobs: int = 1,
     budget: Optional[int] = None,
     checkpoint: Optional[str] = None,
@@ -767,7 +763,8 @@ def verify_kernel_solvable(
     counterexample, or `solvable` after exhaustion.  The run is split into
     tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
     share clique tests and kernel candidates built once per call; `jobs`
-    workers process them, results are consumed in task order, so counts
+    workers, never more than the tasks left, process them, results are
+    consumed in task order, so counts
     and the verdict are identical for any worker count.  Without symmetry
     each kernel candidate is tested at the node that decides its closing
     edge, and a subtree in which it absorbs is counted, not walked; every
@@ -777,11 +774,12 @@ def verify_kernel_solvable(
     execute sequentially).  `checkpoint` names a JSON file
     updated after each task and at a budget stop, whose `next` holds the
     first unexamined orientation (or the next task's prefix), where a
-    resumed run continues.
+    resumed run continues.  `symmetry_reduction` needs `graph` to be the
+    n-vertex anti-hole and examines one orientation per dihedral orbit.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
-    _check_sweep_input(graph, symmetry_reduction, labeling)
+    _check_sweep_input(graph, symmetry_reduction)
     num_values = 2 if mode == "simple" else 3
     edges = tuple(graph.sorted_edges())
     n = graph.vertex_count
@@ -826,8 +824,7 @@ def verify_kernel_solvable(
         }))
         os.replace(partial, checkpoint_path)
 
-    if budget is not None:
-        jobs = 1
+    workers = 1 if budget is not None else min(jobs, len(tasks) - first_task)
 
     def task_args(index: int):
         # read when the task starts, so it sees the budget earlier tasks left
@@ -839,10 +836,10 @@ def verify_kernel_solvable(
     # after task i the next unexamined orientation is in task i + 1
     following = tasks[1:] + [None]
     pool = None
-    if jobs > 1:
+    if workers > 1:
         import multiprocessing
 
-        pool = multiprocessing.Pool(processes=jobs)
+        pool = multiprocessing.Pool(processes=workers)
     stop = None
     try:
         results = map(_verify_task, args) if pool is None else pool.imap(_verify_task, args)
@@ -903,7 +900,7 @@ def search_clique_acyclic_no_kernel(
     return SearchOutcome(status, verdict.counterexample, verdict.orientations_examined)
 
 
-def find_near_sink(orientation: Orientation, labeling: Optional[AntiholeLabeling] = None) -> int:
+def find_near_sink(orientation: Orientation) -> int:
     """Least vertex of an anti-hole orientation whose two distance-two
     edges both point at it.
 
@@ -912,14 +909,12 @@ def find_near_sink(orientation: Orientation, labeling: Optional[AntiholeLabeling
     one is an internal invariant violation, not an input error.
     """
     n = orientation.base.vertex_count
-    if labeling is None:
-        labeling = AntiholeLabeling(n)
-    if labeling.graph() != orientation.base:
+    if AntiholeLabeling(n).graph() != orientation.base:
         raise ContractError("orientation does not live on the labeled anti-hole")
-    if labeling.n < 9 or labeling.n % 2 == 0:
+    if n < 9 or n % 2 == 0:
         raise ContractError(
             f"the two-steps-inward argument needs an odd anti-hole with at "
-            f"least 9 vertices, got {labeling.n}"
+            f"least 9 vertices, got {n}"
         )
     if not orientation.is_simple:
         raise ContractError("orientation is not simple")

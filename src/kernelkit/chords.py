@@ -11,8 +11,7 @@ everything here is exponential by design.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .digraph import (
@@ -39,7 +38,6 @@ __all__ = [
     "chords_of_cycle",
     "are_crossing",
     "are_nested",
-    "have_consecutive_heads",
     "check_chord_conditions",
     "check_gsnl_condition",
     "check_duchet_condition",
@@ -139,12 +137,6 @@ def are_nested(c1: Chord, c2: Chord, cycle_length: int) -> bool:
     return rw < rt < rv or rv < rt < rw
 
 
-def have_consecutive_heads(c1: Chord, c2: Chord, cycle_length: int) -> bool:
-    """Heads are distinct and sit on adjacent cycle positions, either order."""
-    gap = (c1.head_pos - c2.head_pos) % cycle_length
-    return gap in (1, cycle_length - 1)
-
-
 def _odd_chord_rule(chords: Sequence[Chord], length: int) -> str:
     """First odd-chord rule the cycle meets: two odd chords neither crossing
     nor nested, then a short chord crossing an odd one."""
@@ -165,30 +157,13 @@ def _odd_chord_rule(chords: Sequence[Chord], length: int) -> str:
     return RULE_NONE
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class CycleReport:
-    """An odd cycle's rule tag.  Its chords are built on first read, since
-    most cycles are settled by their head positions alone.  Reports compare
-    and hash on (cycle, chords, rule); the digraph is keyword-only."""
+    """An odd cycle's rule tag.  `chords_of_cycle(digraph, cycle)` gives
+    its chords."""
 
     cycle: tuple[int, ...]
     rule: str
-    digraph: Digraph = field(repr=False, kw_only=True)
-
-    @cached_property
-    def chords(self) -> tuple[Chord, ...]:
-        return tuple(chords_of_cycle(self.digraph, self.cycle))
-
-    def _key(self) -> tuple:
-        return (self.cycle, self.chords, self.rule)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, CycleReport):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 @dataclass(frozen=True)
@@ -216,7 +191,7 @@ def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordCondit
     """Tag every odd directed cycle with `rule_of(cycle)`; the verdict holds
     iff no cycle is tagged `none`."""
     entries = tuple(
-        CycleReport(cycle, rule_of(cycle), digraph=digraph)
+        CycleReport(cycle, rule_of(cycle))
         for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget)
     )
     first_failing = next((c.cycle for c in entries if c.rule == RULE_NONE), None)
@@ -257,8 +232,7 @@ def check_chord_conditions(
     `none`.  `max_len` defaults to the vertex count: the condition
     quantifies over all odd directed cycles.  The first rule is decided on
     head positions; only the cycles it leaves build their chords, and only
-    when a later rule is asked for.  Each report's `chords` are built when
-    first read.
+    when a later rule is asked for.
     """
     inn = digraph._in
     later = RULE_TWO_ODD in rules or RULE_CROSSING_SHORT_ODD in rules
@@ -435,18 +409,17 @@ def chord_semi_kernel_strategy(digraph: Digraph) -> VertexSet:
     return VertexSet.from_mask(n, _semi_kernel_from(out, inn, full, 0, below))
 
 
-def find_kernel_via_chords(
-    digraph: Digraph, max_len: Optional[int] = None, budget: Optional[int] = None
-) -> VertexSet:
+def find_kernel_via_chords(digraph: Digraph, budget: Optional[int] = None) -> VertexSet:
     """Kernel of a digraph whose odd cycles all satisfy a chord rule.
 
-    The condition is checked first (up to the enumeration budget) and a
-    failing cycle refuses the input.  The kernel is then assembled by the
+    The condition is checked first on every odd cycle, since the
+    construction is guaranteed only when all of them meet a rule; a failing
+    cycle refuses the input.  The kernel is then assembled by the
     semi-kernel recursion, with the alternating-path construction supplying
     each level's semi-kernel; the condition is inherited by induced
     subdigraphs, so it is not re-checked per level.
     """
-    report = check_chord_conditions(digraph, max_len=max_len, budget=budget)
+    report = check_chord_conditions(digraph, budget=budget)
     if not report.satisfied:
         raise ConditionsViolatedError(
             f"odd directed cycle {report.first_failing} satisfies no chord rule",

@@ -334,9 +334,7 @@ def cmd_chords_check(args, out: _Output) -> int:
 def cmd_chords_solve(args, out: _Output) -> int:
     digraph = _expect(_load_graph(args.input), Digraph, "input")
     try:
-        kernel = chords.find_kernel_via_chords(
-            digraph, max_len=_at_least(args.max_len, "--max-len"), budget=_budget(args)
-        )
+        kernel = chords.find_kernel_via_chords(digraph, budget=_budget(args))
     except ConditionsViolatedError as exc:
         payload = {"satisfied": False}
         if exc.report is not None:
@@ -352,12 +350,12 @@ def cmd_chords_solve(args, out: _Output) -> int:
 
 def _antihole_input(args):
     if args.n is not None:
-        graph, labeling = antiholes.gen_antihole(args.n)
-        return graph, labeling, f"antihole-{args.n}"
+        graph, _ = antiholes.gen_antihole(args.n)
+        return graph, f"antihole-{args.n}"
     if not args.input:
         raise GraphParseError("pass a graph file or --n")
     graph = _expect(_load_graph(args.input), UndirectedGraph, "input")
-    return graph, None, args.input
+    return graph, args.input
 
 
 def cmd_antihole_gen(args, out: _Output) -> int:
@@ -372,14 +370,11 @@ def cmd_antihole_c7(args, out: _Output) -> int:
 
 
 def cmd_antihole_verify(args, out: _Output) -> int:
-    graph, labeling, graph_id = _antihole_input(args)
-    if args.symmetry and labeling is None:
-        labeling = antiholes.AntiholeLabeling(graph.vertex_count)
+    graph, graph_id = _antihole_input(args)
     verdict = antiholes.verify_kernel_solvable(
         graph,
         mode=args.mode,
         symmetry_reduction=args.symmetry,
-        labeling=labeling,
         jobs=_at_least(args.jobs, "--jobs", 1),
         budget=_budget(args),
         checkpoint=args.checkpoint,
@@ -394,7 +389,7 @@ def cmd_antihole_verify(args, out: _Output) -> int:
 
 
 def cmd_antihole_search(args, out: _Output) -> int:
-    graph, _, _ = _antihole_input(args)
+    graph, _ = _antihole_input(args)
     outcome = antiholes.search_clique_acyclic_no_kernel(graph, budget=_budget(args))
     payload = {
         "status": outcome.status,
@@ -568,7 +563,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="kernel via the chord-rule construction")
     _common(p)
-    p.add_argument("--max-len", type=int, dest="max_len")
     p.add_argument("--budget", type=int)
     p.set_defaults(func=cmd_chords_solve)
 
@@ -592,7 +586,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--symmetry", action="store_true",
                    help="examine one orientation per dihedral orbit (anti-holes only)")
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker processes (default 1; a budget runs in one)")
+                   help="worker processes, at most one per task "
+                        "(default 1; a budget runs in one)")
     p.add_argument("--budget", type=int,
                    help="examine at most this many orientations, then exit 3 "
                         "(default KERNELKIT_BUDGET, else no limit)")

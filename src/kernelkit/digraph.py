@@ -182,9 +182,6 @@ class Digraph:
     def out_neighbors(self, v: int) -> VertexSet:
         return VertexSet.from_mask(self.vertex_count, self.out_mask(v))
 
-    def in_neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_mask(self.vertex_count, self.in_mask(v))
-
     def closed_in_neighbors(self, v: int) -> VertexSet:
         return VertexSet.from_mask(self.vertex_count, self.in_mask(v) | (1 << v))
 
@@ -617,22 +614,6 @@ class ColoredDigraph:
     @property
     def vertex_count(self) -> int:
         return self.digraph.vertex_count
-
-    def blue_out_mask(self, v: int) -> int:
-        self.digraph._check_vertex(v)
-        return self._blue_out[v]
-
-    def red_out_mask(self, v: int) -> int:
-        self.digraph._check_vertex(v)
-        return self._red_out[v]
-
-    def blue_in_mask(self, v: int) -> int:
-        self.digraph._check_vertex(v)
-        return self._blue_in[v]
-
-    def red_in_mask(self, v: int) -> int:
-        self.digraph._check_vertex(v)
-        return self._red_in[v]
 
     def restriction(self, color: ArcColor) -> Digraph:
         """The digraph keeping only the arcs of one color."""

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import random
 import tempfile
@@ -390,9 +391,7 @@ class TestSymmetry:
         }
         reduced = [
             orientation_digits(o, edges)
-            for o in enumerate_simple_clique_acyclic_orientations(
-                g, symmetry_reduction=True, labeling=labeling
-            )
+            for o in enumerate_simple_clique_acyclic_orientations(g, symmetry_reduction=True)
         ]
         expanded = set()
         for digits in reduced:
@@ -410,9 +409,7 @@ class TestSymmetry:
         )
         for image in orbit_digits(base, actions):
             o = digits_to_orientation(image, g, edges)
-            assert canonical_orientation_key(o, labeling) == canonical_digits(
-                base, actions
-            )
+            assert canonical_orientation_key(o) == canonical_digits(base, actions)
 
 
 class TestVerify:
@@ -426,13 +423,13 @@ class TestVerify:
         assert not find_kernel_bruteforce(d).exists
 
     def test_c7_counterexample_matches_known_orbit(self):
-        g, labeling = gen_antihole(7)
+        g, _ = gen_antihole(7)
         verdict = verify_kernel_solvable(g, graph_id="c7bar")
         assert verdict.verdict == "counterexample"
         circulant = Orientation.from_digraph(g, c7_counterexample())
-        assert canonical_orientation_key(
-            verdict.counterexample, labeling
-        ) == canonical_orientation_key(circulant, labeling)
+        assert canonical_orientation_key(verdict.counterexample) == (
+            canonical_orientation_key(circulant)
+        )
 
     def test_worker_count_independence(self):
         g, _ = gen_antihole(7)
@@ -441,6 +438,37 @@ class TestVerify:
         assert sequential.verdict == parallel.verdict
         assert sequential.orientations_examined == parallel.orientations_examined
 
+    def test_pool_is_no_larger_than_the_tasks(self, monkeypatch):
+        # a fake pool records its size and maps in this process, so no
+        # worker is started
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def imap(self, func, iterable):
+                return map(func, iterable)
+
+            def terminate(self):
+                pass
+
+        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        g, _ = gen_antihole(5)
+        edges = tuple(g.sorted_edges())
+        tasks = _live_prefixes(5, edges, 2, _sweep_tables(g, 2, False), len(edges))
+        assert len(tasks) == 32
+        sequential = verify_kernel_solvable(g)
+        wide = verify_kernel_solvable(g, jobs=500)
+        assert sizes == [32]
+        assert (wide.verdict, wide.orientations_examined) == (
+            sequential.verdict, sequential.orientations_examined
+        )
+        # one task runs in this process, with no pool at all
+        verdict = verify_kernel_solvable(UndirectedGraph(3, []), jobs=500)
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 1)
+        assert sizes == [32]
+
     def test_partition_independence(self, monkeypatch):
         g, _ = gen_antihole(7)
         counts = set()
@@ -448,30 +476,27 @@ class TestVerify:
             monkeypatch.setitem(TASK_DEPTH, "simple", depth)
             counts.add(verify_kernel_solvable(g).orientations_examined)
         assert len(counts) == 1
-        g, labeling = gen_antihole(8)
+        g, _ = gen_antihole(8)
         for depth in (0, 6, 8, 12):
             monkeypatch.setitem(TASK_DEPTH, "simple", depth)
-            verdict = verify_kernel_solvable(g, symmetry_reduction=True, labeling=labeling)
+            verdict = verify_kernel_solvable(g, symmetry_reduction=True)
             assert verdict.orientations_examined == 1030
 
     def test_symmetry_reduction_same_verdict(self):
-        g, labeling = gen_antihole(7)
-        verdict = verify_kernel_solvable(
-            g, symmetry_reduction=True, labeling=labeling
-        )
+        g, _ = gen_antihole(7)
+        verdict = verify_kernel_solvable(g, symmetry_reduction=True)
         assert verdict.verdict == "counterexample"
         circulant = Orientation.from_digraph(g, c7_counterexample())
-        assert canonical_orientation_key(
-            verdict.counterexample, labeling
-        ) == canonical_orientation_key(circulant, labeling)
+        assert canonical_orientation_key(verdict.counterexample) == (
+            canonical_orientation_key(circulant)
+        )
 
     def test_budget_then_resume(self, tmp_path):
         checkpoint = tmp_path / "run.json"
-        g, labeling = gen_antihole(9)
+        g, _ = gen_antihole(9)
         first = verify_kernel_solvable(
             g,
             symmetry_reduction=True,
-            labeling=labeling,
             budget=300,
             checkpoint=str(checkpoint),
         )
@@ -479,10 +504,8 @@ class TestVerify:
         assert first.orientations_examined == 300
         state = json.loads(checkpoint.read_text())
         assert state["examined"] == 300 and len(state["next"]) == 27
-        resumed = verify_kernel_solvable(
-            g, symmetry_reduction=True, labeling=labeling, checkpoint=str(checkpoint)
-        )
-        fresh = verify_kernel_solvable(g, symmetry_reduction=True, labeling=labeling)
+        resumed = verify_kernel_solvable(g, symmetry_reduction=True, checkpoint=str(checkpoint))
+        fresh = verify_kernel_solvable(g, symmetry_reduction=True)
         assert resumed.verdict == fresh.verdict == "solvable"
         assert resumed.orientations_examined == fresh.orientations_examined
 
@@ -491,8 +514,8 @@ class TestVerify:
     @pytest.mark.parametrize("budget", [1, 1000, 2000, 3573, 4000])
     def test_budgeted_symmetric_run_hands_work_on(self, tmp_path, monkeypatch, budget):
         checkpoint = tmp_path / "run.json"
-        g, labeling = gen_antihole(9)
-        run = dict(symmetry_reduction=True, labeling=labeling, checkpoint=str(checkpoint))
+        g, _ = gen_antihole(9)
+        run = dict(symmetry_reduction=True, checkpoint=str(checkpoint))
         first = verify_kernel_solvable(g, budget=budget, **run)
         assert first.verdict == "exhausted_budget"
         state = json.loads(checkpoint.read_text())
@@ -589,10 +612,8 @@ class TestVerify:
 
     @pytest.mark.parametrize("budget", [0, 1, 64])
     def test_budget_counts_leaves_exactly(self, budget):
-        g, labeling = gen_antihole(9)
-        verdict = verify_kernel_solvable(
-            g, symmetry_reduction=True, labeling=labeling, budget=budget
-        )
+        g, _ = gen_antihole(9)
+        verdict = verify_kernel_solvable(g, symmetry_reduction=True, budget=budget)
         assert verdict.verdict == "exhausted_budget"
         assert verdict.orientations_examined == budget
 
@@ -654,10 +675,8 @@ class TestVerify:
     def test_orbit_arithmetic_on_c9(self):
         # 7963 dihedral representatives times the full group order 18 is
         # exactly the unreduced count: no orientation has extra symmetry
-        g, labeling = gen_antihole(9)
-        reduced = verify_kernel_solvable(
-            g, symmetry_reduction=True, labeling=labeling
-        )
+        g, _ = gen_antihole(9)
+        reduced = verify_kernel_solvable(g, symmetry_reduction=True)
         assert reduced.verdict == "solvable"
         assert reduced.orientations_examined * 18 == 143334
 
@@ -812,10 +831,10 @@ class TestKernelCertificate:
 
 class TestFindNearSink:
     def test_enumerated_orientations_have_one(self):
-        g, labeling = gen_antihole(9)
+        g, _ = gen_antihole(9)
         count = 0
         for o in enumerate_simple_clique_acyclic_orientations(g):
-            vertex = find_near_sink(o, labeling)
+            vertex = find_near_sink(o)
             d = o.to_digraph()
             assert d.has_arc((vertex - 2) % 9, vertex)
             assert d.has_arc((vertex + 2) % 9, vertex)
@@ -828,10 +847,10 @@ class TestFindNearSink:
             find_near_sink(parity_orientation(9))
 
     def test_seven_rejected(self):
-        g, labeling = gen_antihole(7)
+        g, _ = gen_antihole(7)
         o = Orientation.from_digraph(g, c7_counterexample())
         with pytest.raises(ContractError, match="at least 9"):
-            find_near_sink(o, labeling)
+            find_near_sink(o)
 
 
 class TestSemiKernelRecursionOnAntiholes:

@@ -29,7 +29,6 @@ from kernelkit.chords import (
     chords_of_cycle,
     classify_chord,
     find_kernel_via_chords,
-    have_consecutive_heads,
 )
 from kernelkit.oracle import (
     find_kernel_bruteforce,
@@ -114,15 +113,6 @@ class TestChordPairs:
         assert not are_crossing(c1, c2, 5)
         assert not are_nested(c1, c2, 5)
 
-    def test_consecutive_heads(self):
-        assert have_consecutive_heads(self.chord(4, 1), self.chord(0, 2), 5)
-
-    def test_non_adjacent_heads(self):
-        assert not have_consecutive_heads(self.chord(0, 2), self.chord(1, 4), 5)
-
-    def test_equal_heads(self):
-        assert not have_consecutive_heads(self.chord(0, 2), self.chord(4, 2), 5)
-
 
 class TestCheckChordConditions:
     def test_no_odd_cycle_is_vacuous(self):
@@ -182,16 +172,24 @@ class TestCheckChordConditions:
     def test_cycle_reports_carry_their_chords(self):
         report = check_chord_conditions(CHORDED)
         (entry,) = report.cycles
-        assert {(c.tail, c.head) for c in entry.chords} == {(4, 1), (0, 2)}
+        chords = chords_of_cycle(CHORDED, entry.cycle)
+        assert {(c.tail, c.head) for c in chords} == {(4, 1), (0, 2)}
 
     def test_cycle_reports_compare_on_cycle_chords_and_rule(self):
+        # a report is a (cycle, rule) record: equal chords on the same cycle
+        # give equal reports, other chords give another rule
         ring = Digraph(5, [(i, (i + 1) % 5) for i in range(5)])
-        same = CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=Digraph(5, sorted(CHORDED.arcs)))
-        entry = CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=CHORDED)
+        copy = Digraph(5, sorted(CHORDED.arcs))
+        (entry,) = check_chord_conditions(CHORDED).cycles
+        (same,) = check_chord_conditions(copy).cycles
+        (bare,) = check_chord_conditions(ring).cycles
+        assert chords_of_cycle(copy, same.cycle) == chords_of_cycle(CHORDED, entry.cycle)
         assert entry == same and hash(entry) == hash(same)
-        assert entry != CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS, digraph=ring)
+        assert entry == CycleReport(FIVE_CYCLE, RULE_CONSECUTIVE_HEADS)
+        assert bare.cycle == entry.cycle and chords_of_cycle(ring, bare.cycle) == []
+        assert bare != entry and bare.rule == RULE_NONE
         with pytest.raises(TypeError):
-            CycleReport(FIVE_CYCLE, entry.chords, RULE_CONSECUTIVE_HEADS)
+            CycleReport(FIVE_CYCLE, chords_of_cycle(CHORDED, FIVE_CYCLE), RULE_CONSECUTIVE_HEADS)
 
 
 class TestChordRulesMatchReference:
@@ -224,9 +222,8 @@ class TestChordRulesMatchReference:
                 "first_failing": list(first_failing) if first_failing else None,
             }
             for entry, (cycle, chords, _, _) in zip(report.cycles, table):
-                got = [(c.tail, c.head, c.tail_pos, c.head_pos, c.span) for c in entry.chords]
-                assert got == chords
-                assert entry.chords == tuple(chords_of_cycle(d, cycle))
+                got = chords_of_cycle(d, entry.cycle)
+                assert [(c.tail, c.head, c.tail_pos, c.head_pos, c.span) for c in got] == chords
         return {rule for _, _, rule, _ in table}
 
     @settings(max_examples=150, deadline=None)

@@ -142,7 +142,6 @@ class TestOutOfRangeSettings:
             (["antihole", "search-witness", "--n", "5", "--budget", "-4"], "--budget"),
             (["chords", "check", "GRAPH", "--budget", "-1"], "--budget"),
             (["chords", "check", "GRAPH", "--max-len", "-1"], "--max-len"),
-            (["chords", "solve", "GRAPH", "--max-len", "-1"], "--max-len"),
             (["oracle", "find", "GRAPH", "--cap", "-1"], "--cap"),
             (["oracle", "enumerate", "GRAPH", "--cap", "-1"], "--cap"),
             (["oracle", "clique-acyclic", "GRAPH", "--clique-budget", "-1"], "--clique-budget"),
@@ -154,10 +153,9 @@ class TestOutOfRangeSettings:
         ],
         ids=[
             "gen-chain-budget", "solve-fixpoint-budget", "verify-budget",
-            "search-budget", "chords-budget", "chords-check-max-len",
-            "chords-solve-max-len", "find-cap", "enumerate-cap", "clique-budget",
-            "jobs-negative", "jobs-zero", "density-nan", "density-negative",
-            "density-above-one",
+            "search-budget", "chords-budget", "chords-check-max-len", "find-cap",
+            "enumerate-cap", "clique-budget", "jobs-negative", "jobs-zero",
+            "density-nan", "density-negative", "density-above-one",
         ],
     )
     def test_exits_two_with_one_line(self, capsys, tmp_path, argv, flag):
@@ -328,6 +326,16 @@ class TestChordsCommands:
         kernel = json.loads(out)["result"]
         assert kernel in ([1, 3], [2, 4])
 
+    def test_solve_checks_every_odd_cycle(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys,
+            ["chords", "solve", "-", "--format", "json"],
+            stdin=THREE_CYCLE_TEXT,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        assert json.loads(out) == {"satisfied": False, "first_failing": [0, 1, 2]}
+
     def test_budget_exit_code(self, capsys, monkeypatch):
         code, _, err = run_cli(
             capsys,
@@ -364,6 +372,16 @@ class TestAntiholeCommands:
         payload = json.loads(out)
         assert payload["verdict"] == "counterexample"
         assert payload["counterexample"]["kind"] == "orientation"
+
+    def test_symmetry_needs_the_antihole(self, capsys, monkeypatch):
+        code, out, err = run_cli(
+            capsys,
+            ["antihole", "verify-simple", "-", "--symmetry"],
+            stdin="graph 5\n0 1\n1 2\n2 3\n3 4\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err == "error: symmetry reduction needs the 5-vertex anti-hole\n"
 
     def test_search_witness_exhausted_on_k3(self, capsys, monkeypatch):
         code, out, _ = run_cli(
