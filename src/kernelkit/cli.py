@@ -111,7 +111,7 @@ class _Output:
             payload = io.to_json_obj(obj)
             if seed is not None:
                 payload["seed"] = seed
-            self._write(json.dumps(payload, indent=2) + "\n")
+            self._write(io.indented_json(payload))
         else:
             text = io.serialize(obj)
             if seed is not None:
@@ -327,7 +327,11 @@ def cmd_chords_check(args, out: _Output) -> int:
         "duchet": chords.check_duchet_condition,
     }[args.which]
     report = checker(digraph, max_len=_at_least(args.max_len, "--max-len"), budget=_budget(args))
-    out.emit(report.to_json_obj())
+    payload = report.to_json_obj()
+    if args.max_len is not None:
+        # the verdict then covers only the odd cycles of length <= max_len
+        payload = {"satisfied": payload.pop("satisfied"), "max_len": args.max_len, **payload}
+    out.emit(payload)
     return EXIT_OK if report.satisfied else EXIT_VERDICT_FAILS
 
 
@@ -473,6 +477,14 @@ def cmd_graph_convert(args, out: _Output) -> int:
 # -- parser wiring -----------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors print one `error:` line and exit 2, like any other bad
+    input; `add_subparsers` makes every subparser one of these."""
+
+    def error(self, message):
+        self.exit(EXIT_USAGE, f"error: {message}\n")
+
+
 def _common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
     if needs_input:
         parser.add_argument("input", help="input file, or - for stdin")
@@ -486,7 +498,7 @@ def _common(parser: argparse.ArgumentParser, needs_input: bool = True) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="kernelkit",
         description="Digraph kernel solvers, checkers and exhaustive verification.",
     )

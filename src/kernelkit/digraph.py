@@ -165,6 +165,16 @@ class Digraph:
         self._out = out
         self._in = inn
 
+    @classmethod
+    def _from_masks(cls, vertex_count: int, arcs: frozenset, out: list, inn: list) -> "Digraph":
+        """A digraph from parts its caller has already validated."""
+        d = cls.__new__(cls)
+        d.vertex_count = vertex_count
+        d.arcs = arcs
+        d._out = out
+        d._in = inn
+        return d
+
     # -- neighborhoods -------------------------------------------------
 
     def _check_vertex(self, v: int) -> None:
@@ -561,6 +571,10 @@ class ArcColor(Enum):
     RED = "r"
 
 
+# the letter of each color to its member; a member stands for itself
+_COLOR_OF = {c.value: c for c in ArcColor}
+
+
 class ColoredDigraph:
     """A digraph whose every arc carries exactly one of two colors.
 
@@ -570,46 +584,70 @@ class ColoredDigraph:
     __slots__ = ("digraph", "color", "_blue_out", "_red_out", "_blue_in", "_red_in")
 
     def __init__(self, digraph: Digraph, color):
-        colors: dict[tuple[int, int], ArcColor] = {}
-        for arc, c in dict(color).items():
-            u, v = arc
-            if (u, v) not in digraph.arcs:
-                raise ValueError(f"color given for non-arc ({u}, {v})")
-            if not isinstance(c, ArcColor):
-                c = ArcColor(c)
-            colors[(u, v)] = c
-        missing = digraph.arcs - colors.keys()
-        if missing:
+        self._build(
+            digraph.vertex_count, [(u, v, c) for (u, v), c in dict(color).items()]
+        )
+        if self.digraph.arcs != digraph.arcs:
+            extra = self.digraph.arcs - digraph.arcs
+            if extra:
+                raise ValueError(f"color given for non-arc {min(extra)}")
+            missing = digraph.arcs - self.digraph.arcs
             raise ValueError(f"arcs without a color: {sorted(missing)}")
-        n = digraph.vertex_count
-        blue_out = [0] * n
-        red_out = [0] * n
-        blue_in = [0] * n
-        red_in = [0] * n
-        for (u, v), c in colors.items():
-            if c is ArcColor.BLUE:
-                blue_out[u] |= 1 << v
-                blue_in[v] |= 1 << u
-            else:
-                red_out[u] |= 1 << v
-                red_in[v] |= 1 << u
         self.digraph = digraph
-        self.color = colors
-        self._blue_out = blue_out
-        self._red_out = red_out
-        self._blue_in = blue_in
-        self._red_in = red_in
 
     @classmethod
     def from_colored_arcs(
         cls, vertex_count: int, arcs: Iterable[tuple[int, int, object]]
     ) -> "ColoredDigraph":
-        pairs = []
-        colors = {}
-        for u, v, c in arcs:
-            pairs.append((u, v))
-            colors[(u, v)] = c if isinstance(c, ArcColor) else ArcColor(c)
-        return cls(Digraph(vertex_count, pairs), colors)
+        cd = cls.__new__(cls)
+        cd._build(vertex_count, arcs)
+        return cd
+
+    def _build(self, n: int, rows) -> None:
+        """The one validating pass over (u, v, color) rows: integer
+        vertices in [0, n), no loops, no duplicate arcs, a legal color.
+        It fills the color map, the digraph's masks and the color masks."""
+        if n < 0:
+            raise ValueError("vertex_count must be nonnegative")
+        out = [0] * n
+        inn = [0] * n
+        blue_out = [0] * n
+        red_out = [0] * n
+        blue_in = [0] * n
+        red_in = [0] * n
+        colors: dict[tuple[int, int], ArcColor] = {}
+        color_of = _COLOR_OF.get
+        blue = ArcColor.BLUE
+        for u, v, c in rows:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"arc ({u!r}, {v!r}) holds a vertex that is not an integer")
+            if not 0 <= u < n or not 0 <= v < n:
+                raise BoundsError(f"arc ({u}, {v}) outside [0, {n})")
+            if u == v:
+                raise ValueError(f"loop ({u}, {v}) not allowed")
+            head = 1 << v
+            if out[u] & head:
+                raise ValueError(f"duplicate arc ({u}, {v})")
+            # members skip the lookup: an Enum hashes in Python code
+            k = c if type(c) is ArcColor else color_of(c)
+            if k is None:
+                raise ValueError(f"{c!r} is not a valid ArcColor")
+            tail = 1 << u
+            out[u] |= head
+            inn[v] |= tail
+            if k is blue:
+                blue_out[u] |= head
+                blue_in[v] |= tail
+            else:
+                red_out[u] |= head
+                red_in[v] |= tail
+            colors[(u, v)] = k
+        self.digraph = Digraph._from_masks(n, frozenset(colors), out, inn)
+        self.color = colors
+        self._blue_out = blue_out
+        self._red_out = red_out
+        self._blue_in = blue_in
+        self._red_in = red_in
 
     @property
     def vertex_count(self) -> int:
@@ -617,10 +655,13 @@ class ColoredDigraph:
 
     def restriction(self, color: ArcColor) -> Digraph:
         """The digraph keeping only the arcs of one color."""
-        return Digraph(
-            self.vertex_count,
-            [a for a, c in self.color.items() if c is color],
-        )
+        color = ArcColor(color)
+        if color is ArcColor.BLUE:
+            out, inn = self._blue_out, self._blue_in
+        else:
+            out, inn = self._red_out, self._red_in
+        arcs = frozenset([a for a, c in self.color.items() if c is color])
+        return Digraph._from_masks(self.vertex_count, arcs, list(out), list(inn))
 
     def __eq__(self, other) -> bool:
         return (

@@ -14,6 +14,7 @@ serialization round-trip exactly; parse errors name the offending line.
 from __future__ import annotations
 
 import json
+from itertools import chain
 
 from .digraph import (
     ArcColor,
@@ -30,6 +31,7 @@ __all__ = [
     "parse_json",
     "serialize",
     "serialize_json",
+    "indented_json",
     "to_json_obj",
     "from_json_obj",
     "to_dot",
@@ -142,12 +144,14 @@ def from_json_obj(data: dict):
         if type(n) is not int:
             raise TypeError(f"vertex_count {json.dumps(n)} is not an integer")
         rows = data.get(field, [])
-        # a row of the wrong width fails to unpack in the builder, which
-        # takes JSON booleans for the integers 0 and 1
+        # a row of the wrong width fails to unpack in the builder; the
+        # colored one refuses non-integer vertices in its own pass, the
+        # others take JSON booleans for the integers 0 and 1
         obj = build(n, rows)
-        for row in rows:
-            if type(row[0]) is not int or type(row[1]) is not int:
-                raise TypeError(f"row {json.dumps(row)} holds a vertex that is not an integer")
+        if kind != "cdigraph":
+            for row in rows:
+                if type(row[0]) is not int or type(row[1]) is not int:
+                    raise TypeError(f"row {json.dumps(row)} holds a vertex that is not an integer")
         return obj
     except (KeyError, IndexError, TypeError, ValueError, BoundsError) as exc:
         raise GraphParseError(f"bad {kind!r} JSON object: {exc}") from None
@@ -208,6 +212,28 @@ def to_json_obj(obj) -> dict:
 
 def serialize_json(obj, indent=None) -> str:
     return json.dumps(to_json_obj(obj), indent=indent) + "\n"
+
+
+# one row as `json.dumps(..., indent=2)` lays it out, by row width
+_INDENTED_ROWS = {
+    2: "    [\n      %d,\n      %d\n    ]",
+    3: '    [\n      %d,\n      %d,\n      "%s"\n    ]',
+}
+
+
+def indented_json(payload: dict) -> str:
+    """`json.dumps(payload, indent=2) + "\n"` for a `to_json_obj` payload,
+    which may carry extra scalar fields.  `indent` turns off json's C
+    encoder, so the rows go through one %-template instead."""
+    field = _KINDS[payload["kind"]][0]
+    rows = payload[field]
+    if not rows:
+        return json.dumps(payload, indent=2) + "\n"
+    marker = f'"{field}": []'
+    head, _, tail = json.dumps({**payload, field: []}, indent=2).partition(marker)
+    template = ",\n".join([_INDENTED_ROWS[len(rows[0])]] * len(rows))
+    body = template % tuple(chain.from_iterable(rows))
+    return f'{head}"{field}": [\n{body}\n  ]{tail}\n'
 
 
 def dump(obj, fmt: str = "text") -> str:

@@ -6,6 +6,7 @@ from typing import Iterator
 from hypothesis import strategies as st
 
 from kernelkit import ArcColor, ColoredDigraph, Digraph, Poset, UndirectedGraph
+from kernelkit.digraph import EdgeDirection, Orientation
 
 
 @st.composite
@@ -35,6 +36,13 @@ def undirected_graphs(draw, min_n=0, max_n=6):
         return UndirectedGraph(n, [])
     edges = draw(st.lists(st.sampled_from(pairs), unique=True, max_size=len(pairs)))
     return UndirectedGraph(n, edges)
+
+
+@st.composite
+def orientations(draw, min_n=0, max_n=6):
+    base = draw(undirected_graphs(min_n=min_n, max_n=max_n))
+    directions = st.sampled_from(list(EdgeDirection))
+    return Orientation(base, {e: draw(directions) for e in base.sorted_edges()})
 
 
 @st.composite

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelkit import gen_antihole
+from kernelkit import gen_antihole, io, redblue
 from kernelkit.antiholes import _live_prefixes, _sweep_tables
 from kernelkit.cli import main
 
@@ -304,7 +304,89 @@ class TestRedblueCommands:
         }
 
 
+class TestGenJson:
+    @pytest.mark.parametrize(
+        "generator, build",
+        [
+            ("ssw", lambda: redblue.generate_ssw_instance(1, 12, density=0.35)),
+            ("comparability", lambda: redblue.generate_comparability_instance(1, 12, density=0.35)),
+            ("path", lambda: redblue.generate_path_instance(1, 12, density=0.35)),
+            ("chain", lambda: redblue.generate_chain_instance(1, 12, budget=400, density=0.35)),
+        ],
+    )
+    def test_json_output_loads_back_to_the_generators_instance(self, capsys, generator, build):
+        code, out, _ = run_cli(
+            capsys, ["redblue", "gen", generator, "--n", "12", "--seed", "1", "--format", "json"]
+        )
+        assert code == 0
+        expected = build()
+        assert expected is not None and expected.color
+        assert io.load_auto(out) == expected
+        assert json.loads(out)["seed"] == 1
+
+
+class TestArgparseErrors:
+    """argparse's own refusals exit 2 with one `error:` line, like any
+    other bad input."""
+
+    @pytest.mark.parametrize(
+        "argv, fragment",
+        [
+            (["chords", "solve", "GRAPH", "--max-len", "2"], "unrecognized arguments: --max-len 2"),
+            (["chords", "bogus", "GRAPH"], "invalid choice: 'bogus'"),
+            (["redblue", "check", "GRAPH", "--conditions", "x"], "invalid choice: 'x'"),
+        ],
+        ids=["unknown-flag", "unknown-subcommand", "bad-conditions"],
+    )
+    def test_exits_two_with_one_line(self, capsys, tmp_path, argv, fragment):
+        (tmp_path / "g.txt").write_text(THREE_CYCLE_TEXT)
+        with pytest.raises(SystemExit) as exc:
+            main([str(tmp_path / "g.txt") if arg == "GRAPH" else arg for arg in argv])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert fragment in captured.err
+
+    def test_help_still_prints_usage(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["chords", "check", "--help"])
+        captured = capsys.readouterr()
+        assert exc.value.code == 0 and captured.err == ""
+        assert captured.out.startswith("usage: kernelkit chords check")
+
+
 class TestChordsCommands:
+    def test_check_reports_its_max_len(self, capsys, monkeypatch):
+        # only the 3-cycle fails, so a check cut at length 2 holds; the
+        # report says where it was cut
+        code, out, _ = run_cli(
+            capsys,
+            ["chords", "check", "-", "--max-len", "2", "--format", "json"],
+            stdin=THREE_CYCLE_TEXT,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out) == {
+            "satisfied": True, "max_len": 2, "cycles": [], "first_failing": None
+        }
+        code, out, _ = run_cli(
+            capsys, ["chords", "check", "-", "--max-len", "2"],
+            stdin=THREE_CYCLE_TEXT, monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert out == "satisfied: True\nmax_len: 2\ncycles: []\nfirst_failing: None\n"
+
+    def test_check_without_max_len_has_no_such_field(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys, ["chords", "check", "-"], stdin=THREE_CYCLE_TEXT, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert out == (
+            "satisfied: False\n"
+            'cycles: [{"cycle": [0, 1, 2], "rule": "none"}]\n'
+            "first_failing: [0, 1, 2]\n"
+        )
+
     def test_check_failing_cycle(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,

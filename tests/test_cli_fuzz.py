@@ -1,6 +1,6 @@
 """Every CLI subcommand on small arbitrary arguments and stdin: each run
 ends in a documented exit code (argparse's SystemExit counting by its
-code) and never in a traceback."""
+code) and never in a traceback, and exit 2 prints exactly one line."""
 
 import argparse
 import contextlib
@@ -204,6 +204,9 @@ def test_every_subcommand_exits_with_a_documented_code(invocation):
         code, err = run_main(argv, stdin, env_budget)
     assert code in EXIT_CODES, (argv, code, err)
     assert "Traceback" not in err
+    # bad input, argparse's refusals included, is one line on stderr
+    if code == 2:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
 
 
 def test_the_table_names_every_subcommand():

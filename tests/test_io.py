@@ -1,9 +1,12 @@
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from kernelkit import c7_counterexample
 from kernelkit.digraph import (
+    ArcColor,
     ColoredDigraph,
     Digraph,
     EdgeDirection,
@@ -12,7 +15,7 @@ from kernelkit.digraph import (
 )
 from kernelkit.errors import GraphParseError
 from kernelkit import io
-from strategies import colored_digraphs, digraphs, undirected_graphs
+from strategies import colored_digraphs, digraphs, orientations, undirected_graphs
 
 
 class TestParseExamples:
@@ -86,6 +89,86 @@ class TestParseErrors:
     def test_json_needs_kind(self):
         with pytest.raises(GraphParseError, match="kind"):
             io.parse_json("{}")
+
+
+class TestJsonParseErrors:
+    """The JSON twin of the text errors for `cdigraph` rows: every one is
+    refused by the colored digraph's single construction pass."""
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[0, 2, "b"]],
+            [[-1, 0, "b"]],
+            [[1, 1, "r"]],
+            [[0, 1, "b"], [1, 0, "r"], [0, 1, "r"]],
+            [[0, 1, "g"]],
+            [[0, 1, ["b"]]],
+            [[True, 0, "b"]],
+            [[0, 1.0, "r"]],
+            [[0, 1]],
+            [[0, 1, "b", 7]],
+            [5],
+            [None],
+            None,
+        ],
+        ids=[
+            "out-of-range", "negative", "loop", "duplicate", "unknown-color",
+            "unhashable-color", "true-vertex", "float-vertex", "two-wide",
+            "four-wide", "non-list-row", "null-row", "null-rows",
+        ],
+    )
+    def test_bad_row_is_a_parse_error(self, rows):
+        document = json.dumps({"kind": "cdigraph", "vertex_count": 2, "arcs": rows})
+        with pytest.raises(GraphParseError, match="bad 'cdigraph' JSON object"):
+            io.parse_json(document)
+
+
+def _masks(n, arcs):
+    d = Digraph(n, arcs)
+    return d._out, d._in
+
+
+class TestColoredLoader:
+    @settings(max_examples=80, deadline=None)
+    @given(colored_digraphs())
+    def test_json_round_trip_fills_every_mask(self, cd):
+        back = io.from_json_obj(io.to_json_obj(cd))
+        assert back == cd
+        n = cd.vertex_count
+        assert (back.digraph._out, back.digraph._in) == _masks(n, cd.digraph.arcs)
+        blue = [a for a, c in cd.color.items() if c is ArcColor.BLUE]
+        red = [a for a, c in cd.color.items() if c is ArcColor.RED]
+        assert (back._blue_out, back._blue_in) == _masks(n, blue)
+        assert (back._red_out, back._red_in) == _masks(n, red)
+
+    @settings(max_examples=80, deadline=None)
+    @given(colored_digraphs(), st.sampled_from(list(ArcColor)))
+    def test_restriction_matches_a_validated_digraph(self, cd, color):
+        reference = Digraph(cd.vertex_count, [a for a, c in cd.color.items() if c is color])
+        kept = cd.restriction(color)
+        assert kept == reference
+        assert (kept._out, kept._in) == (reference._out, reference._in)
+
+
+class TestIndentedJson:
+    """`indented_json` writes the bytes of `json.dumps(payload, indent=2)`."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(digraphs(), colored_digraphs(), undirected_graphs(), orientations()),
+        st.one_of(st.none(), st.integers(-5, 10**6)),
+    )
+    def test_same_text_as_the_pure_python_encoder(self, obj, seed):
+        payload = io.to_json_obj(obj)
+        if seed is not None:
+            payload["seed"] = seed
+        assert io.indented_json(payload) == json.dumps(payload, indent=2) + "\n"
+
+    @pytest.mark.parametrize("obj", [Digraph(0), ColoredDigraph.from_colored_arcs(3, [])])
+    def test_zero_rows(self, obj):
+        payload = io.to_json_obj(obj)
+        assert io.indented_json(payload) == json.dumps(payload, indent=2) + "\n"
 
 
 def _golden_digraph():
