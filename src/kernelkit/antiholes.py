@@ -29,9 +29,10 @@ a budget stop keeps from skipping, reach the kernel oracle.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
-the lexicographically least assignment of each orbit is emitted; the
-comparisons with the group images resume along the search path instead
-of restarting at each node.
+the lexicographically least assignment of each orbit is emitted.  Each
+comparison with a group image waits on a wake-up list for the edge whose
+digit unblocks it, so a node resumes only the comparisons waiting on its
+own edge instead of walking every image still tied.
 Long runs split the search into tasks (the parallelism unit) at the live
 prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
 mode; in task order they give exactly the leaves of the whole run, so
@@ -309,10 +310,16 @@ def _leaves(
     With `actions`, the assignment is compared with each group image and
     pruned once an image is provably smaller; at the last edge the
     comparison covers the whole assignment, so exactly one representative
-    per orbit, the lexicographically least, survives.  `ties[e]` holds the
-    elements whose image still ties with the path above edge e, each with
-    the first position not yet compared; edge e resumes from there and a
-    sibling digit re-reads the entry, so backtracking needs no undo.
+    per orbit, the lexicographically least, survives.  A comparison that
+    ties up to position j is blocked until edge w = max(j, inv[j]) is
+    assigned, and waits in `wait[w]`; a node at edge e resumes only
+    `wait[e]`, and each entry prunes the node, drops out (its image is
+    larger) or moves to a later list.  A comparison blocked at or past the
+    last edge never resumes, so it is not queued: `edges` may be a prefix
+    of the edges the actions permute.  The moves go on the `moved` trail,
+    and the next node at edge e first takes back, last first, every move
+    made since `marks[e]`, the trail's length when its parent was done;
+    a sibling digit re-reads the untouched `wait[e]`.
 
     `prune` holds one subtree-prune hook or None per edge: `prune[e](e,
     assign, inn, out)` is called once a walk node has assigned edge e,
@@ -325,28 +332,43 @@ def _leaves(
     out = [0] * n
     every_digit = (1 << num_values) - 1
     pending = [0] * m
-    ties = [[(inv, flip, 0) for inv, flip in actions or ()]] + [None] * m
+    wait: list[list] = [[] for _ in range(m)]
+    for inv, flip in actions or ():
+        if inv[0] < m:
+            wait[inv[0]].append((inv, flip, 0))
+    moved: list[int] = []
+    marks = [0] * (m + 1)
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
     thirds = [completion[0] for completion in completions]
     larger = [completion[1] for completion in completions]
 
     def symmetric_prune(e: int) -> bool:
-        live = []
-        for inv, flip, j in ties[e]:
+        # the moves of the previous node at e and of its subtree
+        mark = marks[e]
+        while len(moved) > mark:
+            wait[moved.pop()].pop()
+        for inv, flip, j in wait[e]:
             # positions below j tie; compare on while both sides are known
-            while j <= e and inv[j] <= e:
+            while True:
                 y = assign[inv[j]]
                 if y != 2:
                     y ^= flip[j]
-                if assign[j] != y:
+                x = assign[j]
+                if x != y:
+                    if x > y:
+                        return True
                     break
                 j += 1
-            else:
-                live.append((inv, flip, j))
-                continue
-            if assign[j] > y:
-                return True
-        ties[e + 1] = live
+                if j == m:
+                    break
+                i = inv[j]
+                w = i if i > j else j
+                if w > e:
+                    if w < m:
+                        wait[w].append((inv, flip, j))
+                        moved.append(w)
+                    break
+        marks[e + 1] = len(moved)
         return False
 
     for e, digit in enumerate(start):

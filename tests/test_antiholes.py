@@ -265,6 +265,25 @@ class TestSweepCore:
         if not prefix:
             assert len(got) == orbits
 
+    @pytest.mark.parametrize("n, num_values", [(7, 2), (6, 3)], ids=["c7-simple", "c6-general"])
+    def test_truncated_edges_keep_the_whole_group(self, n, num_values):
+        # `_live_prefixes` runs the core on the first k edges with the
+        # actions of all of them: a comparison blocked at an image position
+        # past the k-th edge must wait for good, never index past the lists
+        g, labeling = gen_antihole(n)
+        edges, completions = _clique_completions(g, num_values)
+        actions = dihedral_edge_actions(labeling)
+        for k in range(len(edges) + 1):
+            got = [
+                (tuple(digits), tuple(inn))
+                for digits, inn in _leaves(
+                    n, edges[:k], completions[:k], num_values, actions=actions
+                )
+            ]
+            assert got == list(
+                naive.reference_leaves(n, edges[:k], num_values, (), actions)
+            ), k
+
     @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
     @pytest.mark.parametrize("n, num_values", [(7, 2), (6, 3)], ids=["c7-simple", "c6-general"])
     def test_seeded_start_continues_the_whole_run(self, n, num_values, symmetry):
@@ -343,12 +362,15 @@ def leaf_digest(graph, num_values, symmetry=False, limit=None):
 class TestLeafSequenceGolden:
     """The leaf sequence is part of the behaviour contract: counts,
     witnesses and checkpoints all follow from it.  The digests were taken
-    from the allowed-digit-table core that preceded the mask tests."""
+    from the allowed-digit-table core that preceded the mask tests; those
+    of C9-bar simple and C7-bar general under symmetry, the benchmark's
+    symmetric sweeps, from the orbit prune that preceded the wait lists."""
 
     @pytest.mark.parametrize(
         "key",
         [f"c{n}-simple{s}" for n in (5, 6, 7, 8) for s in ("", "-symmetry")]
-        + [f"c{n}-general{s}" for n in (5, 6) for s in ("", "-symmetry")],
+        + [f"c{n}-general{s}" for n in (5, 6) for s in ("", "-symmetry")]
+        + ["c9-simple-symmetry", "c7-general-symmetry"],
     )
     def test_antihole_leaf_sequence(self, key):
         name, mode, *symmetry = key.split("-")
