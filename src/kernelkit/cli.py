@@ -56,11 +56,7 @@ def _as_digraph(obj) -> Digraph:
 
 def _expect(obj, kinds, what: str):
     if not isinstance(obj, kinds):
-        names = (
-            kinds.__name__
-            if isinstance(kinds, type)
-            else "/".join(k.__name__ for k in kinds)
-        )
+        names = "/".join(k.__name__ for k in (kinds if isinstance(kinds, tuple) else (kinds,)))
         raise GraphParseError(f"{what} must be a {names}, got {type(obj).__name__}")
     return obj
 
@@ -104,24 +100,21 @@ class _Output:
                     value = json.dumps(value)
                 lines.append(f"{key}: {value}")
             text = "\n".join(lines) + "\n"
-        self._write(text)
+        self.emit_raw(text)
 
     def emit_graph(self, obj, seed=None) -> None:
         if self.fmt == "json":
             payload = io.to_json_obj(obj)
             if seed is not None:
                 payload["seed"] = seed
-            self._write(io.indented_json(payload))
+            self.emit_raw(io.indented_json(payload))
         else:
             text = io.serialize(obj)
             if seed is not None:
                 text = f"# seed {seed}\n{text}"
-            self._write(text)
+            self.emit_raw(text)
 
     def emit_raw(self, text: str) -> None:
-        self._write(text)
-
-    def _write(self, text: str) -> None:
         if self.path == "-":
             sys.stdout.write(text)
         else:
@@ -173,7 +166,7 @@ def cmd_oracle_find(args, out: _Output) -> int:
     )
     payload = {
         "exists": report.exists,
-        "witness": list(report.witness.members()) if report.witness else None,
+        "witness": list(report.witness.members()) if report.witness is not None else None,
     }
     if args.count:
         payload["count"] = report.count
@@ -219,24 +212,16 @@ def cmd_oracle_clique_acyclic(args, out: _Output) -> int:
     verdict = oracle.is_clique_acyclic(
         obj, budget=_at_least(args.clique_budget, "--clique-budget")
     )
-    out.emit(
-        {
-            "clique_acyclic": verdict.holds,
-            "violating_clique": list(verdict.witness) if verdict.witness else None,
-        }
-    )
+    witness = list(verdict.witness) if verdict.witness else None
+    out.emit({"clique_acyclic": verdict.holds, "violating_clique": witness})
     return EXIT_OK if verdict.holds else EXIT_VERDICT_FAILS
 
 
 def cmd_oracle_m_clique_acyclic(args, out: _Output) -> int:
     digraph = _as_digraph(_load_graph(args.input))
     verdict = oracle.is_M_clique_acyclic(digraph)
-    out.emit(
-        {
-            "m_clique_acyclic": verdict.holds,
-            "violating_triangle": list(verdict.witness) if verdict.witness else None,
-        }
-    )
+    witness = list(verdict.witness) if verdict.witness else None
+    out.emit({"m_clique_acyclic": verdict.holds, "violating_triangle": witness})
     return EXIT_OK if verdict.holds else EXIT_VERDICT_FAILS
 
 
@@ -294,21 +279,14 @@ def cmd_redblue_gen(args, out: _Output) -> int:
         raise ContractError(f"--density must lie in [0, 1], got {args.density}")
     if args.budget is not None and args.generator != "chain":
         raise ContractError("--budget applies only to the chain generator")
-    if args.generator == "ssw":
-        cd = redblue.generate_ssw_instance(args.seed, args.n, density=args.density)
-    elif args.generator == "comparability":
-        cd = redblue.generate_comparability_instance(
-            args.seed, args.n, density=args.density
-        )
-    elif args.generator == "path":
-        cd = redblue.generate_path_instance(args.seed, args.n, density=args.density)
+    if args.generator != "chain":
+        generate = getattr(redblue, f"generate_{args.generator}_instance")
+        cd = generate(args.seed, args.n, density=args.density)
     else:
         budget = _budget(args)
         if budget is None:
             budget = 400
-        cd = redblue.generate_chain_instance(
-            args.seed, args.n, budget=budget, density=args.density
-        )
+        cd = redblue.generate_chain_instance(args.seed, args.n, budget=budget, density=args.density)
         if cd is None:
             out.emit({"error": f"no instance within {budget} repairs", "seed": args.seed})
             return EXIT_BUDGET
@@ -410,9 +388,7 @@ def cmd_antihole_search(args, out: _Output) -> int:
 
 
 def cmd_antihole_near_sink(args, out: _Output) -> int:
-    orientation = _expect(
-        _load_graph(args.input), Orientation, "input"
-    )
+    orientation = _expect(_load_graph(args.input), Orientation, "input")
     vertex = antiholes.find_near_sink(orientation)
     out.emit({"vertex": vertex})
     return EXIT_OK
@@ -467,10 +443,7 @@ def cmd_poset_compare(args, out: _Output) -> int:
 
 def cmd_graph_convert(args, out: _Output) -> int:
     obj = _load_graph(args.input)
-    if args.to == "dot":
-        out.emit_raw(io.to_dot(obj))
-    else:
-        out.emit_raw(io.dump(obj, args.to))
+    out.emit_raw(io.to_dot(obj) if args.to == "dot" else io.dump(obj, args.to))
     return EXIT_OK
 
 

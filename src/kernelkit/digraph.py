@@ -7,6 +7,11 @@ Vertices are dense 0-based integers everywhere; files and reports use the
 same indices.  Vertex subsets are fixed-width bit sets so subset algebra,
 equality tests and the exhaustive searches stay cheap.  Every type here is
 immutable after construction and safe to share between workers.
+
+A `Digraph` stores only its per-vertex out- and in-masks, and a
+`ColoredDigraph` only its digraph and four colour masks.  `Digraph.arcs`
+and `ColoredDigraph.color` are views built from the masks on each access,
+for callers at the API edge; code inside the package reads the masks.
 """
 
 from __future__ import annotations
@@ -42,6 +47,11 @@ def bits_of(mask: int) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def _pairs(masks) -> list[tuple[int, int]]:
+    """(u, v) for every set bit v of masks[u], in (u, v) order."""
+    return [(u, v) for u, m in enumerate(masks) for v in bits_of(m)]
 
 
 def union_of(masks, subset: int) -> int:
@@ -142,38 +152,42 @@ class Digraph:
     present is called reversible.
     """
 
-    __slots__ = ("vertex_count", "arcs", "_out", "_in")
+    __slots__ = ("vertex_count", "_out", "_in")
 
     def __init__(self, vertex_count: int, arcs: Iterable[tuple[int, int]] = ()):
         if vertex_count < 0:
             raise ValueError("vertex_count must be nonnegative")
         out = [0] * vertex_count
         inn = [0] * vertex_count
-        seen: set[tuple[int, int]] = set()
         for u, v in arcs:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"arc ({u!r}, {v!r}) holds a vertex that is not an integer")
             if not 0 <= u < vertex_count or not 0 <= v < vertex_count:
                 raise BoundsError(f"arc ({u}, {v}) outside [0, {vertex_count})")
             if u == v:
                 raise ValueError(f"loop ({u}, {v}) not allowed")
-            if (u, v) in seen:
+            head = 1 << v
+            if out[u] & head:
                 raise ValueError(f"duplicate arc ({u}, {v})")
-            seen.add((u, v))
-            out[u] |= 1 << v
+            out[u] |= head
             inn[v] |= 1 << u
         self.vertex_count = vertex_count
-        self.arcs = frozenset(seen)
         self._out = out
         self._in = inn
 
     @classmethod
-    def _from_masks(cls, vertex_count: int, arcs: frozenset, out: list, inn: list) -> "Digraph":
-        """A digraph from parts its caller has already validated."""
+    def _from_masks(cls, vertex_count: int, out: list, inn: list) -> "Digraph":
+        """A digraph from masks its caller has already validated."""
         d = cls.__new__(cls)
         d.vertex_count = vertex_count
-        d.arcs = arcs
         d._out = out
         d._in = inn
         return d
+
+    @property
+    def arcs(self) -> frozenset[tuple[int, int]]:
+        """The arc set, built from the out-masks on each access."""
+        return frozenset(_pairs(self._out))
 
     # -- neighborhoods -------------------------------------------------
 
@@ -224,27 +238,31 @@ class Digraph:
         """Induced subdigraph plus the list mapping new indices to old ones."""
         labels = tuple(sorted(set(vertices)))
         index = {v: i for i, v in enumerate(labels)}
+        kept = 0
         for v in labels:
             self._check_vertex(v)
-        arcs = [
-            (index[u], index[v])
-            for (u, v) in self.arcs
-            if u in index and v in index
-        ]
-        return Digraph(len(labels), arcs), labels
+            kept |= 1 << v
+        out = [0] * len(labels)
+        inn = [0] * len(labels)
+        for i, u in enumerate(labels):
+            for v in bits_of(self._out[u] & kept):
+                j = index[v]
+                out[i] |= 1 << j
+                inn[j] |= 1 << i
+        return Digraph._from_masks(len(labels), out, inn), labels
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)
             and self.vertex_count == other.vertex_count
-            and self.arcs == other.arcs
+            and self._out == other._out
         )
 
     def __hash__(self) -> int:
-        return hash((self.vertex_count, self.arcs))
+        return hash((self.vertex_count, tuple(self._out)))
 
     def __repr__(self) -> str:
-        return f"Digraph({self.vertex_count}, {sorted(self.arcs)})"
+        return f"Digraph({self.vertex_count}, {_pairs(self._out)})"
 
 
 # -- predicates --------------------------------------------------------
@@ -340,18 +358,23 @@ def strongly_connected_components(digraph: Digraph) -> SccResult:
     # Tarjan finishes components in reverse topological order.
     sccs.reverse()
     component_of = [0] * n
+    members = [0] * len(sccs)
     for i, comp in enumerate(sccs):
         for v in comp:
             component_of[v] = i
-    cond = frozenset(
-        (component_of[u], component_of[v])
-        for (u, v) in digraph.arcs
-        if component_of[u] != component_of[v]
-    )
+            members[i] |= 1 << v
+    cond = set()
+    for u, rest in enumerate(out):
+        i = component_of[u]
+        rest &= ~members[i]
+        while rest:
+            low = rest & -rest
+            cond.add((i, component_of[low.bit_length() - 1]))
+            rest ^= low
     return SccResult(
         components=tuple(tuple(c) for c in sccs),
         component_of=tuple(component_of),
-        condensation_arcs=cond,
+        condensation_arcs=frozenset(cond),
     )
 
 
@@ -433,6 +456,8 @@ class UndirectedGraph:
         adj = [0] * vertex_count
         seen: set[tuple[int, int]] = set()
         for u, v in edges:
+            if type(u) is not int or type(v) is not int:
+                raise TypeError(f"edge ({u!r}, {v!r}) holds a vertex that is not an integer")
             if not 0 <= u < vertex_count or not 0 <= v < vertex_count:
                 raise BoundsError(f"edge ({u}, {v}) outside [0, {vertex_count})")
             if u == v:
@@ -537,13 +562,9 @@ class Orientation:
                 assignment[(u, v)] = EdgeDirection.BACKWARD
             else:
                 raise ValueError(f"edge ({u}, {v}) is not oriented by the digraph")
-        extra = {
-            (u, v)
-            for (u, v) in digraph.arcs
-            if (min(u, v), max(u, v)) not in base.edges
-        }
+        extra = _pairs([m & ~a for m, a in zip(digraph._out, base._adj)])
         if extra:
-            raise ValueError(f"digraph has arcs outside the base graph: {sorted(extra)}")
+            raise ValueError(f"digraph has arcs outside the base graph: {extra}")
         return cls(base, assignment)
 
     def __eq__(self, other) -> bool:
@@ -581,18 +602,19 @@ class ColoredDigraph:
     Opposite arcs may have different colors; a single arc has one color.
     """
 
-    __slots__ = ("digraph", "color", "_blue_out", "_red_out", "_blue_in", "_red_in")
+    __slots__ = ("digraph", "_blue_out", "_red_out", "_blue_in", "_red_in")
 
     def __init__(self, digraph: Digraph, color):
         self._build(
             digraph.vertex_count, [(u, v, c) for (u, v), c in dict(color).items()]
         )
-        if self.digraph.arcs != digraph.arcs:
-            extra = self.digraph.arcs - digraph.arcs
-            if extra:
-                raise ValueError(f"color given for non-arc {min(extra)}")
-            missing = digraph.arcs - self.digraph.arcs
-            raise ValueError(f"arcs without a color: {sorted(missing)}")
+        colored, given = self.digraph._out, digraph._out
+        extra = _pairs([c & ~g for c, g in zip(colored, given)])
+        if extra:
+            raise ValueError(f"color given for non-arc {extra[0]}")
+        missing = _pairs([g & ~c for c, g in zip(colored, given)])
+        if missing:
+            raise ValueError(f"arcs without a color: {missing}")
         self.digraph = digraph
 
     @classmethod
@@ -606,7 +628,7 @@ class ColoredDigraph:
     def _build(self, n: int, rows) -> None:
         """The one validating pass over (u, v, color) rows: integer
         vertices in [0, n), no loops, no duplicate arcs, a legal color.
-        It fills the color map, the digraph's masks and the color masks."""
+        It fills the digraph's masks and the color masks."""
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
         out = [0] * n
@@ -615,7 +637,6 @@ class ColoredDigraph:
         red_out = [0] * n
         blue_in = [0] * n
         red_in = [0] * n
-        colors: dict[tuple[int, int], ArcColor] = {}
         color_of = _COLOR_OF.get
         blue = ArcColor.BLUE
         for u, v, c in rows:
@@ -641,9 +662,7 @@ class ColoredDigraph:
             else:
                 red_out[u] |= head
                 red_in[v] |= tail
-            colors[(u, v)] = k
-        self.digraph = Digraph._from_masks(n, frozenset(colors), out, inn)
-        self.color = colors
+        self.digraph = Digraph._from_masks(n, out, inn)
         self._blue_out = blue_out
         self._red_out = red_out
         self._blue_in = blue_in
@@ -653,6 +672,15 @@ class ColoredDigraph:
     def vertex_count(self) -> int:
         return self.digraph.vertex_count
 
+    @property
+    def color(self) -> dict[tuple[int, int], ArcColor]:
+        """The color of every arc, built from the masks on each access."""
+        blue, red = self._blue_out, ArcColor.RED
+        return {
+            (u, v): ArcColor.BLUE if blue[u] >> v & 1 else red
+            for u, v in _pairs(self.digraph._out)
+        }
+
     def restriction(self, color: ArcColor) -> Digraph:
         """The digraph keeping only the arcs of one color."""
         color = ArcColor(color)
@@ -660,23 +688,20 @@ class ColoredDigraph:
             out, inn = self._blue_out, self._blue_in
         else:
             out, inn = self._red_out, self._red_in
-        arcs = frozenset([a for a, c in self.color.items() if c is color])
-        return Digraph._from_masks(self.vertex_count, arcs, list(out), list(inn))
+        return Digraph._from_masks(self.vertex_count, list(out), list(inn))
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, ColoredDigraph)
             and self.digraph == other.digraph
-            and self.color == other.color
+            and self._blue_out == other._blue_out
         )
 
     def __hash__(self) -> int:
-        return hash(
-            (self.digraph, tuple(sorted((a, c.value) for a, c in self.color.items())))
-        )
+        return hash((self.digraph, tuple(self._blue_out)))
 
     def __repr__(self) -> str:
         arcs = ", ".join(
-            f"{u}->{v}:{c.value}" for (u, v), c in sorted(self.color.items())
+            f"{u}->{v}:{c.value}" for (u, v), c in self.color.items()
         )
         return f"ColoredDigraph({self.vertex_count}, {arcs})"

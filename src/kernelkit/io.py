@@ -23,6 +23,7 @@ from .digraph import (
     EdgeDirection,
     Orientation,
     UndirectedGraph,
+    bits_of,
 )
 from .errors import BoundsError, GraphParseError
 
@@ -42,6 +43,9 @@ __all__ = [
 
 def _orientation(n: int, rows) -> Orientation:
     base = UndirectedGraph(n, [(u, v) for u, v, _ in rows])
+    for u, v, _ in rows:
+        if u >= v:
+            raise ValueError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
     return Orientation(base, {(u, v): d for u, v, d in rows})
 
 
@@ -143,16 +147,8 @@ def from_json_obj(data: dict):
         n = data["vertex_count"]
         if type(n) is not int:
             raise TypeError(f"vertex_count {json.dumps(n)} is not an integer")
-        rows = data.get(field, [])
-        # a row of the wrong width fails to unpack in the builder; the
-        # colored one refuses non-integer vertices in its own pass, the
-        # others take JSON booleans for the integers 0 and 1
-        obj = build(n, rows)
-        if kind != "cdigraph":
-            for row in rows:
-                if type(row[0]) is not int or type(row[1]) is not int:
-                    raise TypeError(f"row {json.dumps(row)} holds a vertex that is not an integer")
-        return obj
+        # the builder refuses rows of the wrong width or with non-integer vertices
+        return build(n, data.get(field, []))
     except (KeyError, IndexError, TypeError, ValueError, BoundsError) as exc:
         raise GraphParseError(f"bad {kind!r} JSON object: {exc}") from None
 
@@ -188,10 +184,16 @@ def _rows(obj):
     """(kind, vertex count, rows in file order) of a graph object; a row
     is [u, v] or [u, v, third-column value]."""
     if isinstance(obj, ColoredDigraph):
-        rows = [[u, v, c.value] for (u, v), c in sorted(obj.color.items())]
+        blue, b, r = obj._blue_out, ArcColor.BLUE.value, ArcColor.RED.value
+        rows = [
+            [u, v, b if blue[u] >> v & 1 else r]
+            for u, m in enumerate(obj.digraph._out)
+            for v in bits_of(m)
+        ]
         return "cdigraph", obj.vertex_count, rows
     if isinstance(obj, Digraph):
-        return "digraph", obj.vertex_count, [[u, v] for u, v in sorted(obj.arcs)]
+        rows = [[u, v] for u, m in enumerate(obj._out) for v in bits_of(m)]
+        return "digraph", obj.vertex_count, rows
     if isinstance(obj, Orientation):
         rows = [[u, v, obj.assignment[(u, v)].value] for u, v in obj.base.sorted_edges()]
         return "orientation", obj.base.vertex_count, rows

@@ -2,13 +2,14 @@ import hashlib
 import io as std_io
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from kernelkit import gen_antihole, io, redblue
+from kernelkit import ColoredDigraph, Digraph, gen_antihole, io, redblue
 from kernelkit.antiholes import _live_prefixes, _sweep_tables
 from kernelkit.cli import main
 
@@ -47,6 +48,16 @@ class TestOracleCommands:
         )
         assert code == 1
         assert json.loads(out) == {"exists": False, "witness": None}
+
+    def test_find_on_the_empty_digraph_reports_the_empty_kernel(self, capsys, monkeypatch):
+        code, out, _ = run_cli(
+            capsys,
+            ["oracle", "find", "-", "--format", "json"],
+            stdin="digraph 0\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out) == {"exists": True, "witness": []}
 
     def test_find_kernel_exits_zero(self, capsys, tmp_path):
         path = tmp_path / "d.dg"
@@ -763,6 +774,76 @@ class TestGraphConvert:
             )
             assert code == 2 and out == ""
             assert err.count("\n") == 1 and "not an integer" in err
+
+
+    @pytest.mark.parametrize(
+        "document",
+        [
+            "orientation 2\n1 0 fwd\n",
+            json.dumps({"kind": "orientation", "vertex_count": 2, "edges": [[1, 0, "fwd"]]}),
+        ],
+    )
+    def test_orientation_row_must_ascend(self, capsys, monkeypatch, document):
+        # the JSON row used to be flipped to `0 1 fwd` and accepted
+        code, out, err = run_cli(
+            capsys,
+            ["graph", "convert", "-", "--to", "text"],
+            stdin=document,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert err.count("\n") == 1
+        assert "edge endpoints must satisfy u < v, got (1, 0)" in err
+
+
+def _refuse_view(self):
+    raise AssertionError("a derived view was built on a command's path")
+
+
+class TestCommandsReadTheMasks:
+    """`Digraph.arcs` and `ColoredDigraph.color` are views for API
+    callers; the commands below never build them."""
+
+    def test_no_command_builds_a_derived_view(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.setattr(Digraph, "arcs", property(_refuse_view))
+        monkeypatch.setattr(ColoredDigraph, "color", property(_refuse_view))
+        ssw, chain, path = tmp_path / "ssw.json", tmp_path / "chain.txt", tmp_path / "path.txt"
+        dag = tmp_path / "dag.txt"
+        dag.write_text("digraph 7\n" + "".join(f"{u} {v}\n" for u, v in _seeded_dag(7, seed=5)))
+        commands = [
+            ["redblue", "gen", "ssw", "--n", "40", "--seed", "3", "--format", "json",
+             "--output", str(ssw)],
+            ["redblue", "gen", "chain", "--n", "8", "--seed", "1", "--output", str(chain)],
+            ["redblue", "gen", "path", "--n", "20", "--seed", "2", "--output", str(path)],
+            ["redblue", "check", str(ssw)],
+            ["redblue", "check", str(path), "--conditions", "path"],
+            ["redblue", "solve", str(chain)],
+            ["redblue", "solve-fixpoint", str(path)],
+            ["chords", "solve", str(dag)],
+        ] + [
+            ["graph", "convert", str(source), "--to", fmt]
+            for source in (ssw, chain, dag)
+            for fmt in ("json", "text", "dot")
+        ]
+        for argv in commands:
+            assert run_cli(capsys, argv)[0] == 0, argv
+        for source in (ssw, path, dag):
+            solver = ["chords"] if source == dag else ["redblue"]
+            solver += ["solve-fixpoint" if source == path else "solve", str(source), "--format", "json"]
+            code, report, _ = run_cli(capsys, solver)
+            assert code == 0
+            code, out, _ = run_cli(
+                capsys,
+                ["oracle", "check", str(source), "--kernel", "-"],
+                stdin=report,
+                monkeypatch=monkeypatch,
+            )
+            assert code == 0 and "holds: True" in out
+
+
+def _seeded_dag(n, seed):
+    rng = random.Random(seed)
+    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
 
 
 class TestConsoleEntry:

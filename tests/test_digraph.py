@@ -66,6 +66,27 @@ class TestDigraphConstruction:
         d = Digraph(2, [(0, 1), (1, 0)])
         assert d.is_reversible(0, 1)
 
+    def test_rejects_non_integer_vertices(self):
+        # booleans are ints to Python, but not vertices
+        with pytest.raises(TypeError, match="not an integer"):
+            Digraph(2, [(False, True)])
+        with pytest.raises(TypeError, match="not an integer"):
+            UndirectedGraph(2, [(True, 0)])
+
+    @settings(max_examples=60, deadline=None)
+    @given(digraphs())
+    def test_induced_relabels_the_arcs_inside(self, d):
+        keep = [v for v in range(d.vertex_count) if v % 3 != 1]
+        sub, labels = d.induced(reversed(keep))
+        assert labels == tuple(keep)
+        assert sub.arcs == frozenset(
+            (labels.index(u), labels.index(v)) for u, v in d.arcs if u in labels and v in labels
+        )
+        assert sub == Digraph(len(labels), sub.arcs)
+        assert [sub.in_mask(v) for v in range(len(labels))] == Digraph(
+            len(labels), sub.arcs
+        )._in
+
 
 class TestNeighborhoods:
     def test_out_neighbors_three_cycle(self):
@@ -255,6 +276,16 @@ class TestColoredDigraph:
     def test_rejects_color_on_non_arc(self):
         with pytest.raises(ValueError, match="non-arc"):
             ColoredDigraph(Digraph(2, [(0, 1)]), {(0, 1): "b", (1, 0): "r"})
+
+    def test_views_are_built_from_the_masks(self):
+        rows = [(2, 0, "r"), (0, 1, ArcColor.BLUE), (1, 0, "r")]
+        cd = ColoredDigraph.from_colored_arcs(3, rows)
+        assert cd.color == {(0, 1): ArcColor.BLUE, (1, 0): ArcColor.RED, (2, 0): ArcColor.RED}
+        assert cd.digraph.arcs == frozenset(cd.color)
+        same = ColoredDigraph(Digraph(3, [(1, 0), (2, 0), (0, 1)]), cd.color)
+        assert same == cd and hash(same) == hash(cd)
+        recolored = ColoredDigraph(cd.digraph, {**cd.color, (2, 0): ArcColor.BLUE})
+        assert recolored != cd and recolored.digraph == cd.digraph
 
     def test_opposite_arcs_can_differ(self):
         cd = ColoredDigraph.from_colored_arcs(2, [(0, 1, "b"), (1, 0, "r")])

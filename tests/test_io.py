@@ -1,10 +1,18 @@
+import hashlib
 import json
+import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kernelkit import c7_counterexample
+from kernelkit import (
+    c7_counterexample,
+    generate_comparability_instance,
+    generate_path_instance,
+    generate_ssw_instance,
+)
 from kernelkit.digraph import (
     ArcColor,
     ColoredDigraph,
@@ -242,6 +250,80 @@ class TestGoldenFormats:
     def test_both_formats_parse_back(self, build, text, json_text, dot):
         assert io.parse(text) == build()
         assert io.parse_json(json_text) == build()
+
+
+def _seeded_rows(seed, n, columns=()):
+    """Shuffled rows over n vertices, each unordered pair at most once in
+    each direction; `columns` seeds a random third column."""
+    rng = random.Random(seed)
+    rows = [
+        (u, v, rng.choice(columns)) if columns else (u, v)
+        for u in range(n)
+        for v in range(n)
+        if u != v and rng.random() < 0.4
+    ]
+    rng.shuffle(rows)
+    return rows
+
+
+def _seeded_instances():
+    """name -> builder of the objects whose renderings are pinned in
+    golden/io_digests.json."""
+    out = {
+        "ssw-200": lambda: generate_ssw_instance(0, 200),
+        "comparability-60": lambda: generate_comparability_instance(0, 60),
+        "path-80": lambda: generate_path_instance(0, 80),
+        "ssw-200-blue": lambda: generate_ssw_instance(0, 200).restriction(ArcColor.BLUE),
+        "path-80-red": lambda: generate_path_instance(0, 80).restriction(ArcColor.RED),
+        "directed-path-400": lambda: Digraph(400, [(i, i + 1) for i in range(399)]),
+        "empty-digraph": lambda: Digraph(0),
+        "empty-cdigraph": lambda: ColoredDigraph.from_colored_arcs(3, []),
+    }
+    for seed in range(3):
+        n = 6 + 2 * seed
+        out[f"digraph-{seed}"] = lambda s=seed, n=n: Digraph(n, _seeded_rows(s, n))
+        out[f"induced-{seed}"] = lambda s=seed, n=n: Digraph(n, _seeded_rows(s, n)).induced(
+            range(1, n, 2)
+        )[0]
+        out[f"cdigraph-{seed}"] = lambda s=seed, n=n: ColoredDigraph.from_colored_arcs(
+            n, _seeded_rows(s, n, ("b", "r", ArcColor.BLUE, ArcColor.RED))
+        )
+        out[f"cdigraph-dict-{seed}"] = lambda s=seed, n=n: ColoredDigraph(
+            Digraph(n, [(u, v) for u, v, _ in _seeded_rows(s, n, "br")]),
+            {(u, v): c for u, v, c in _seeded_rows(s, n, "br")},
+        )
+        out[f"graph-{seed}"] = lambda s=seed, n=n: UndirectedGraph(
+            n, [(u, v) for u, v in _seeded_rows(s, n) if u < v]
+        )
+        out[f"orientation-{seed}"] = lambda s=seed, n=n: io.parse(
+            f"orientation {n}\n"
+            + "".join(f"{u} {v} {d}\n" for u, v, d in _seeded_rows(s, n, ("fwd", "bwd", "both")) if u < v)
+        )
+    return out
+
+
+def _rendering_digests(obj):
+    return {
+        "text": hashlib.sha256(io.serialize(obj).encode()).hexdigest(),
+        "json": hashlib.sha256(io.indented_json(io.to_json_obj(obj)).encode()).hexdigest(),
+        "dot": hashlib.sha256(io.to_dot(obj).encode()).hexdigest(),
+    }
+
+
+IO_DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "io_digests.json").read_text()
+)
+
+
+class TestRenderingGolden:
+    """Text, indented JSON and DOT bytes of the benchmark's large
+    instances and of seeded small objects of every kind, pinned as
+    SHA-256 digests taken before the graph types dropped their stored
+    arc set and colour dict."""
+
+    @pytest.mark.parametrize("name", sorted(_seeded_instances()))
+    def test_rendering_bytes(self, name):
+        assert _rendering_digests(_seeded_instances()[name]()) == IO_DIGESTS[name]
 
 
 class TestRoundTrips:
