@@ -809,7 +809,9 @@ class TestCommandsReadTheMasks:
         monkeypatch.setattr(ColoredDigraph, "color", property(_refuse_view))
         ssw, chain, path = tmp_path / "ssw.json", tmp_path / "chain.txt", tmp_path / "path.txt"
         dag = tmp_path / "dag.txt"
-        dag.write_text("digraph 7\n" + "".join(f"{u} {v}\n" for u, v in _seeded_dag(7, seed=5)))
+        rng = random.Random(5)
+        rows = [f"{u} {v}\n" for u in range(7) for v in range(u + 1, 7) if rng.random() < 0.4]
+        dag.write_text("digraph 7\n" + "".join(rows))
         commands = [
             ["redblue", "gen", "ssw", "--n", "40", "--seed", "3", "--format", "json",
              "--output", str(ssw)],
@@ -817,9 +819,6 @@ class TestCommandsReadTheMasks:
             ["redblue", "gen", "path", "--n", "20", "--seed", "2", "--output", str(path)],
             ["redblue", "check", str(ssw)],
             ["redblue", "check", str(path), "--conditions", "path"],
-            ["redblue", "solve", str(chain)],
-            ["redblue", "solve-fixpoint", str(path)],
-            ["chords", "solve", str(dag)],
         ] + [
             ["graph", "convert", str(source), "--to", fmt]
             for source in (ssw, chain, dag)
@@ -827,23 +826,21 @@ class TestCommandsReadTheMasks:
         ]
         for argv in commands:
             assert run_cli(capsys, argv)[0] == 0, argv
-        for source in (ssw, path, dag):
-            solver = ["chords"] if source == dag else ["redblue"]
-            solver += ["solve-fixpoint" if source == path else "solve", str(source), "--format", "json"]
-            code, report, _ = run_cli(capsys, solver)
-            assert code == 0
+        for solve in (
+            ["redblue", "solve", str(ssw)],
+            ["redblue", "solve", str(chain)],
+            ["redblue", "solve-fixpoint", str(path)],
+            ["chords", "solve", str(dag)],
+        ):
+            code, report, _ = run_cli(capsys, solve + ["--format", "json"])
+            assert code == 0, solve
             code, out, _ = run_cli(
                 capsys,
-                ["oracle", "check", str(source), "--kernel", "-"],
+                ["oracle", "check", solve[2], "--kernel", "-"],
                 stdin=report,
                 monkeypatch=monkeypatch,
             )
-            assert code == 0 and "holds: True" in out
-
-
-def _seeded_dag(n, seed):
-    rng = random.Random(seed)
-    return [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.4]
+            assert code == 0 and "holds: True" in out, solve
 
 
 class TestConsoleEntry:
