@@ -575,7 +575,9 @@ def _subtree_counter(edges, completions, frontier, num_values: int):
     """`count(assign, inn, out, e)`: the number of leaves that share the
     first e digits of `assign`, whose arcs `inn` and `out` hold, by a
     dynamic program over the clique tests memoised on (edge, frontier
-    digits); the memo and the work lists live with the counter."""
+    digits).  It runs on the masks it is given and takes back every arc
+    it adds; it reads a frontier digit from the node's key, not from
+    `assign`, so all three lists are left as it found them."""
     m = len(completions)
     every_digit = (1 << num_values) - 1
     memo: list[dict[int, int]] = [{} for _ in range(m)] + [{0: 1}]
@@ -586,19 +588,16 @@ def _subtree_counter(edges, completions, frontier, num_values: int):
     for f in range(m):
         kept = frontier[f + 1][0]
         step.append(num_values**f if f in kept else 0)
-        drops.append(tuple((eid, w) for eid, w in zip(*frontier[f]) if eid not in kept))
+        drops.append(tuple(w for eid, w in zip(*frontier[f]) if eid not in kept))
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
     thirds = [completion[0] for completion in completions]
     larger = [completion[1] for completion in completions]
-    work: list[int] = []
-    inn: list[int] = []
-    out: list[int] = []
     keys = [0] * m
     bases = [0] * m
     totals = [0] * m
     pending: list = [None] * m
 
-    def count(assign, in_masks, out_masks, e: int) -> int:
+    def count(assign, inn, out, e: int) -> int:
         eids, weights = frontier[e]
         top = 0
         for eid, weight in zip(eids, weights):
@@ -606,9 +605,6 @@ def _subtree_counter(edges, completions, frontier, num_values: int):
         known = memo[e].get(top)
         if known is not None:
             return known
-        work[:] = assign
-        inn[:] = in_masks
-        out[:] = out_masks
         keys[e] = top
         pending[e] = None
         f = e
@@ -634,8 +630,8 @@ def _subtree_counter(edges, completions, frontier, num_values: int):
                             if dead_1:
                                 digits &= 5
                 base = keys[f]
-                for eid, weight in drops[f]:
-                    base -= work[eid] * weight
+                for weight in drops[f]:
+                    base -= base // weight % num_values * weight
                 bases[f] = base
                 totals[f] = 0
             else:
@@ -655,7 +651,6 @@ def _subtree_counter(edges, completions, frontier, num_values: int):
             low = digits & -digits
             pending[f] = digits ^ low
             digit = low.bit_length() - 1
-            work[f] = digit
             child = bases[f] + digit * step[f]
             known = memo[f + 1].get(child)
             if known is not None:

@@ -443,7 +443,8 @@ def cmd_poset_compare(args, out: _Output) -> int:
 
 def cmd_graph_convert(args, out: _Output) -> int:
     obj = _load_graph(args.input)
-    out.emit_raw(io.to_dot(obj) if args.to == "dot" else io.dump(obj, args.to))
+    write = {"text": io.serialize, "json": io.serialize_json, "dot": io.to_dot}[args.to]
+    out.emit_raw(write(obj))
     return EXIT_OK
 
 
@@ -530,7 +531,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("generator", choices=("ssw", "comparability", "chain", "path"))
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--density", type=float, default=0.35)
+    p.add_argument(
+        "--density", type=float, default=0.35,
+        help="density in [0, 1]; the 0.35 default applies to all four generators, "
+        "unlike the library's (comparability 0.45, chain 0.25, path 0.3)",
+    )
     p.add_argument("--budget", type=int, help="repairs, chain generator only (default 400)")
     _common(p, needs_input=False)
     p.set_defaults(func=cmd_redblue_gen)

@@ -112,23 +112,6 @@ class VertexSet:
     def __hash__(self) -> int:
         return hash((self.universe, self.mask))
 
-    def _coerce(self, other: "VertexSet") -> int:
-        if not isinstance(other, VertexSet) or other.universe != self.universe:
-            raise ValueError("vertex sets live in different universes")
-        return other.mask
-
-    def __or__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.universe, self.mask | self._coerce(other))
-
-    def __and__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.universe, self.mask & self._coerce(other))
-
-    def __sub__(self, other: "VertexSet") -> "VertexSet":
-        return VertexSet.from_mask(self.universe, self.mask & ~self._coerce(other))
-
-    def issubset(self, other: "VertexSet") -> bool:
-        return self.mask & ~self._coerce(other) == 0
-
     def __repr__(self) -> str:
         return f"VertexSet({self.universe}, {{{', '.join(map(str, self.members()))}}})"
 
@@ -195,37 +178,10 @@ class Digraph:
         if not 0 <= v < self.vertex_count:
             raise BoundsError(f"vertex {v} outside [0, {self.vertex_count})")
 
-    def out_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._out[v]
-
-    def in_mask(self, v: int) -> int:
-        self._check_vertex(v)
-        return self._in[v]
-
-    def out_neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_mask(self.vertex_count, self.out_mask(v))
-
-    def closed_in_neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_mask(self.vertex_count, self.in_mask(v) | (1 << v))
-
-    def out_neighborhood(self, subset) -> VertexSet:
-        """Union of out-neighbors of the subset, excluding the subset itself."""
-        m = _subset_mask(self.vertex_count, subset)
-        return VertexSet.from_mask(self.vertex_count, union_of(self._out, m) & ~m)
-
-    def in_neighborhood(self, subset) -> VertexSet:
-        """Union of in-neighbors of the subset, excluding the subset itself."""
-        m = _subset_mask(self.vertex_count, subset)
-        return VertexSet.from_mask(self.vertex_count, union_of(self._in, m) & ~m)
-
     def has_arc(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)
         return (self._out[u] >> v) & 1 == 1
-
-    def is_reversible(self, u: int, v: int) -> bool:
-        return self.has_arc(u, v) and self.has_arc(v, u)
 
     def adjacency_mask(self, v: int) -> int:
         """Vertices joined to v by an arc in either direction."""
@@ -476,9 +432,6 @@ class UndirectedGraph:
         if not 0 <= v < self.vertex_count:
             raise BoundsError(f"vertex {v} outside [0, {self.vertex_count})")
         return self._adj[v]
-
-    def neighbors(self, v: int) -> VertexSet:
-        return VertexSet.from_mask(self.vertex_count, self.adjacency_mask(v))
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

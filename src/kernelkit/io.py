@@ -8,7 +8,9 @@ u < v and the base graph is implied by the listed edges.
 
 JSON mirrors use the same field names under a `kind` discriminator, and
 each row holds exactly the fields of its text line.  Parsing and
-serialization round-trip exactly; parse errors name the offending line.
+serialization round-trip exactly.  The text reader checks only syntax;
+the values of a row, text or JSON, are checked by the graph type's own
+constructor, and a refused text row is reported at its line.
 """
 
 from __future__ import annotations
@@ -36,23 +38,28 @@ __all__ = [
     "to_json_obj",
     "from_json_obj",
     "to_dot",
-    "load",
-    "dump",
 ]
 
 
 def _orientation(n: int, rows) -> Orientation:
-    base = UndirectedGraph(n, [(u, v) for u, v, _ in rows])
-    for u, v, _ in rows:
-        if u >= v:
-            raise ValueError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
-    return Orientation(base, {(u, v): d for u, v, d in rows})
+    # one pass: each row is checked for u < v before the base graph checks it
+    assignment = {}
+
+    def edges():
+        for u, v, d in rows:
+            if u >= v:
+                raise ValueError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
+            assignment[(u, v)] = d
+            yield u, v
+
+    return Orientation(UndirectedGraph(n, edges()), assignment)
 
 
 # kind -> (row field, name and decoder of the optional third column,
-# builder taking the vertex count and the rows).  JSON rows go straight
-# to the builder, whose constructor validates them; text rows are checked
-# line by line first, so that an error names its line.
+# builder taking the vertex count and the rows).  The builder's
+# constructor is the one check of a row's values, for text and JSON
+# alike; text rows reach it one line at a time, so that a refused row is
+# reported at its line.
 _KINDS = {
     "digraph": ("arcs", None, None, Digraph),
     "cdigraph": ("arcs", "color", ArcColor, ColoredDigraph.from_colored_arcs),
@@ -88,18 +95,17 @@ def _parse_header(lines):
     return kind, n
 
 
-def _parse_vertex(token: str, n: int, lineno: int) -> int:
+def _parse_vertex(token: str, lineno: int) -> int:
     try:
-        v = int(token)
+        return int(token)
     except ValueError:
         raise GraphParseError(f"vertex {token!r} is not an integer", lineno) from None
-    if not 0 <= v < n:
-        raise GraphParseError(f"vertex {v} outside [0, {n})", lineno)
-    return v
 
 
 def parse(text: str):
-    """Parse any of the four text formats, dispatching on the header kind."""
+    """Parse any of the four text formats, dispatching on the header kind.
+    Only the syntax is checked here; the kind's builder checks each row's
+    values as it arrives, and a row it refuses is reported at its line."""
     lines = _content_lines(text)
     kind, n = _parse_header(lines)
     field, column, decoder, build = _KINDS[kind]
@@ -108,32 +114,32 @@ def parse(text: str):
     syntax = "<u> <v>"
     if decoder is not None:
         syntax += f" <{'|'.join(d.value for d in decoder)}>"
-    rows = []
-    seen = set()
-    for lineno, tokens in lines:
-        if len(tokens) != width:
-            if len(tokens) == 2:
-                raise GraphParseError(f"missing {column} on {noun} {' '.join(tokens)!r}", lineno)
-            raise GraphParseError(f"expected {syntax!r}, got {' '.join(tokens)!r}", lineno)
-        u = _parse_vertex(tokens[0], n, lineno)
-        v = _parse_vertex(tokens[1], n, lineno)
-        if kind == "orientation" and u >= v:
-            raise GraphParseError(f"edge endpoints must satisfy u < v, got ({u}, {v})", lineno)
-        if u == v:
-            loop = "loop" if noun == "arc" else "self-edge"
-            raise GraphParseError(f"{loop} ({u}, {v}) not allowed", lineno)
-        key = (min(u, v), max(u, v)) if kind == "graph" else (u, v)
-        if key in seen:
-            raise GraphParseError(f"duplicate {noun} {key}", lineno)
-        seen.add(key)
-        if decoder is None:
-            rows.append(key)
-            continue
-        try:
-            rows.append((u, v, decoder(tokens[2])))
-        except ValueError:
-            raise GraphParseError(f"unknown {column} {tokens[2]!r}", lineno) from None
-    return build(n, rows)
+    lineno = None
+
+    def rows():
+        nonlocal lineno
+        for lineno, tokens in lines:
+            if len(tokens) != width:
+                if len(tokens) == 2:
+                    raise GraphParseError(f"missing {column} on {noun} {' '.join(tokens)!r}", lineno)
+                raise GraphParseError(f"expected {syntax!r}, got {' '.join(tokens)!r}", lineno)
+            u = _parse_vertex(tokens[0], lineno)
+            v = _parse_vertex(tokens[1], lineno)
+            if decoder is None:
+                yield u, v
+                continue
+            try:
+                third = decoder(tokens[2])
+            except ValueError:
+                raise GraphParseError(f"unknown {column} {tokens[2]!r}", lineno) from None
+            yield u, v, third
+
+    try:
+        return build(n, rows())
+    except GraphParseError:
+        raise
+    except (ValueError, BoundsError) as exc:
+        raise GraphParseError(str(exc), lineno) from None
 
 
 def from_json_obj(data: dict):
@@ -159,15 +165,6 @@ def parse_json(text: str):
     except json.JSONDecodeError as exc:
         raise GraphParseError(f"invalid JSON: {exc}") from None
     return from_json_obj(data)
-
-
-def load(text: str, fmt: str = "text"):
-    """Parse `text` as either the line format or its JSON mirror."""
-    if fmt == "json":
-        return parse_json(text)
-    if fmt == "text":
-        return parse(text)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 def load_auto(text: str):
@@ -212,8 +209,8 @@ def to_json_obj(obj) -> dict:
     return {"kind": kind, "vertex_count": n, _KINDS[kind][0]: rows}
 
 
-def serialize_json(obj, indent=None) -> str:
-    return json.dumps(to_json_obj(obj), indent=indent) + "\n"
+def serialize_json(obj) -> str:
+    return json.dumps(to_json_obj(obj)) + "\n"
 
 
 # one row as `json.dumps(..., indent=2)` lays it out, by row width
@@ -236,14 +233,6 @@ def indented_json(payload: dict) -> str:
     template = ",\n".join([_INDENTED_ROWS[len(rows[0])]] * len(rows))
     body = template % tuple(chain.from_iterable(rows))
     return f'{head}"{field}": [\n{body}\n  ]{tail}\n'
-
-
-def dump(obj, fmt: str = "text") -> str:
-    if fmt == "json":
-        return serialize_json(obj)
-    if fmt == "text":
-        return serialize(obj)
-    raise ValueError(f"unknown format {fmt!r}")
 
 
 # DOT line of a row, keyed by its third column or, for two-column rows,

@@ -73,9 +73,6 @@ class Poset:
             raise ContractError(f"element pair ({a}, {b}) outside [0, {self.size})")
         return (self._up[a] >> b) & 1 == 1
 
-    def up_mask(self, a: int) -> int:
-        return self._up[a]
-
     def is_antichain(self, members: Iterable[int]) -> bool:
         elems = sorted(set(members))
         for a in elems:
@@ -120,8 +117,6 @@ class Poset:
                     placed |= 1 << a
                     remaining.discard(a)
                     break
-            else:
-                raise ContractError("relation has a cycle: not a partial order")
         return order
 
     def __eq__(self, other) -> bool:
@@ -141,34 +136,38 @@ class Poset:
         return f"Poset({self.size}, {strict})"
 
 
-def _antichain_frozen(poset: Poset, antichain) -> frozenset[int]:
+def _antichain_mask(poset: Poset, antichain) -> int:
     members = frozenset(antichain)
     if not poset.is_antichain(members):
         raise ContractError(f"{sorted(members)} is not an antichain of the poset")
-    return members
+    mask = 0
+    for x in members:
+        mask |= 1 << x
+    return mask
+
+
+def _leq_masks(up: list[int], a: int, b: int) -> bool:
+    return all(up[x] & b for x in bits_of(a))
 
 
 def antichain_leq(poset: Poset, a, b) -> bool:
     """True iff every element of `a` lies below some element of `b`."""
-    a = _antichain_frozen(poset, a)
-    b = _antichain_frozen(poset, b)
-    b_mask = 0
-    for x in b:
-        b_mask |= 1 << x
-    return all(poset.up_mask(x) & b_mask for x in a)
+    return _leq_masks(poset._up, _antichain_mask(poset, a), _antichain_mask(poset, b))
 
 
 def compare_antichains(poset: Poset, a, b) -> Comparison:
     """Four-way comparison of two antichains under the extended order."""
-    a = _antichain_frozen(poset, a)
-    b = _antichain_frozen(poset, b)
+    a = _antichain_mask(poset, a)
+    b = _antichain_mask(poset, b)
     if a == b:
         return Comparison.EQUAL
-    forward = antichain_leq(poset, a, b)
-    backward = antichain_leq(poset, b, a)
+    forward = _leq_masks(poset._up, a, b)
+    backward = _leq_masks(poset._up, b, a)
     if forward and backward:
         # antisymmetry of the extended order forbids this for distinct inputs
-        raise ContractError(f"antichains {sorted(a)} and {sorted(b)} violate antisymmetry")
+        raise ContractError(
+            f"antichains {list(bits_of(a))} and {list(bits_of(b))} violate antisymmetry"
+        )
     if forward:
         return Comparison.LESS
     if backward:

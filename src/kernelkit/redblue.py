@@ -40,6 +40,7 @@ from .errors import (
     ContractError,
     InternalInvariantError,
 )
+from .oracle import _first_weak_triangle, is_M_clique_acyclic
 from .poset import Comparison, Poset, compare_antichains
 
 __all__ = [
@@ -567,8 +568,6 @@ def generate_comparability_instance(
     such triangle in `is_M_clique_acyclic` order.  Arcs agreeing with the
     partial order are colored red, the others blue.
     """
-    from .oracle import _first_weak_triangle, is_M_clique_acyclic  # avoids a cycle
-
     rng = random.Random(("comparability", seed, n, density).__repr__())
     strict = _random_transitive_masks(rng, n, density)
     out = [0] * n

@@ -828,8 +828,17 @@ class TestKernelCertificate:
         count = _subtree_counter(edges, tables.completions, tables.frontier, num_values)
 
         def count_below(prefix):
-            masks = (naive.naive_in_masks(n, edges, prefix), naive.naive_out_masks(n, edges, prefix))
-            return count(prefix + [0] * (m - len(prefix)), *masks, len(prefix))
+            # the counter runs on the lists it is given and leaves them as
+            # it found them; the digits past the prefix are stale
+            lists = [
+                prefix + [num_values - 1] * (m - len(prefix)),
+                naive.naive_in_masks(n, edges, prefix),
+                naive.naive_out_masks(n, edges, prefix),
+            ]
+            before = [list(x) for x in lists]
+            total = count(*lists, len(prefix))
+            assert lists == before
+            return total
 
         if whole is not None:
             assert count_below([]) == whole

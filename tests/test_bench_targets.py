@@ -1,8 +1,11 @@
 """The benchmark's traced run wraps kernelkit functions by module and
 attribute name (`perfbench/spans.py`).  A target that no longer resolves
 turns its per-layer metrics into "absent" instead of failing, so a rename
-in the package is caught here."""
+in the package is caught here.  The workloads also call kernelkit's
+public names (`perfbench/workloads.py`), each checked here to resolve.
+Both files are read as text; nothing is written under perfbench/."""
 
+import ast
 import importlib
 import types
 from pathlib import Path
@@ -39,3 +42,19 @@ def test_sweep_oracle_is_bound_in_antiholes():
     import kernelkit.oracle
 
     assert kernelkit.antiholes.kernel_exists_masks is kernelkit.oracle.kernel_exists_masks
+
+
+WORKLOADS = SPANS.parent / "workloads.py"
+# every `kk.<name>` the workloads read, from the source's syntax tree
+KK_NAMES = sorted({
+    node.attr
+    for node in ast.walk(ast.parse(WORKLOADS.read_text()))
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "kk"
+})
+
+
+@pytest.mark.parametrize("name", KK_NAMES)
+def test_workload_name_resolves(name):
+    import kernelkit
+
+    assert hasattr(kernelkit, name)

