@@ -42,12 +42,13 @@ __all__ = [
 
 
 def _orientation(n: int, rows) -> Orientation:
-    # one pass: each row is checked for u < v before the base graph checks it
+    # one pass: each row is checked for u < v before the base graph checks
+    # it; a non-integer vertex is left to the base graph to refuse
     assignment = {}
 
     def edges():
         for u, v, d in rows:
-            if u >= v:
+            if type(u) is int and type(v) is int and u >= v:
                 raise ValueError(f"edge endpoints must satisfy u < v, got ({u}, {v})")
             assignment[(u, v)] = d
             yield u, v

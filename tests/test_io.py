@@ -179,6 +179,13 @@ class TestBadRowsInBothFormats:
             message = str(text_err.value).removeprefix(f"line {len(rows) + 2}: ")
             assert str(json_err.value).endswith(f": {message}")
 
+    @pytest.mark.parametrize("row", [["a", 1, "fwd"], [0, True, "fwd"], [0, 1.0, "bwd"]])
+    def test_orientation_vertex_must_be_an_integer(self, row):
+        # JSON only: the u < v test leaves a non-integer to the base graph
+        document = json.dumps({"kind": "orientation", "vertex_count": 3, "edges": [row]})
+        with pytest.raises(GraphParseError, match="not an integer"):
+            io.parse_json(document)
+
 
 def _masks(n, arcs):
     d = Digraph(n, arcs)
