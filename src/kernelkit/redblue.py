@@ -635,20 +635,20 @@ def generate_chain_instance(
     chain conditions.
     """
     rng = random.Random(("chain", seed, n, density).__repr__())
-    out = {color: [0] * n for color in ArcColor}
-    inn = {color: [0] * n for color in ArcColor}
+    blue_out, blue_in, red_out, red_in = masks = tuple([0] * n for _ in range(4))
     for u in range(n):
         for v in range(n):
             if u != v and rng.random() < density:
-                color = ArcColor.BLUE if rng.random() < 0.5 else ArcColor.RED
-                out[color][u] |= 1 << v
-                inn[color][v] |= 1 << u
-    blue, red = ArcColor.BLUE, ArcColor.RED
-    masks = (out[blue], inn[blue], out[red], inn[red])
+                if rng.random() < 0.5:
+                    blue_out[u] |= 1 << v
+                    blue_in[v] |= 1 << u
+                else:
+                    red_out[u] |= 1 << v
+                    red_in[v] |= 1 << u
     # middles that may hold a violation
     dirty = (1 << n) - 1
     # the arc state saved after 1, 2, 4, ... repairs
-    saved, save_at = (tuple(out[blue]), tuple(out[red])), 1
+    saved, save_at = (tuple(blue_out), tuple(red_out)), 1
     for repairs in range(1, budget + 1):
         violation = next(_chain_violations(bits_of(dirty), *masks), None)
         if violation is None:
@@ -656,20 +656,28 @@ def generate_chain_instance(
         rule, (u, v, w) = violation
         # the middles below v were found clean
         dirty &= -(1 << v)
-        keep, drop = (blue, red) if rule == RULE_BLUE_CHAIN else (red, blue)
-        out[keep][u] |= 1 << w
-        inn[keep][w] |= 1 << u
-        out[drop][u] &= ~(1 << w)
-        inn[drop][w] &= ~(1 << u)
+        if rule == RULE_BLUE_CHAIN:
+            keep_out, keep_in, drop_out, drop_in = masks
+        else:
+            drop_out, drop_in, keep_out, keep_in = masks
+        keep_out[u] |= 1 << w
+        keep_in[w] |= 1 << u
+        drop_out[u] &= ~(1 << w)
+        drop_in[w] &= ~(1 << u)
         dirty |= _chain_middles_through(u, w, *masks)
-        state = (tuple(out[blue]), tuple(out[red]))
+        state = (tuple(blue_out), tuple(red_out))
         if state == saved:
             return None
         if repairs == save_at:
             saved, save_at = state, 2 * save_at
     else:
         return None
-    rows = [(u, v, color) for color in ArcColor for u in range(n) for v in bits_of(out[color][u])]
+    rows = [
+        (u, v, color)
+        for color, out in ((ArcColor.BLUE, blue_out), (ArcColor.RED, red_out))
+        for u in range(n)
+        for v in bits_of(out[u])
+    ]
     cd = ColoredDigraph.from_colored_arcs(n, rows)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("repaired instance fails the chain conditions")

@@ -19,6 +19,7 @@ from kernelkit.chords import (
     RULE_TWO_ODD,
     RULE_TWO_REVERSIBLE,
     CycleReport,
+    _first_failing_odd_cycle,
     alternating_path_semi_kernel,
     are_crossing,
     are_nested,
@@ -30,6 +31,7 @@ from kernelkit.chords import (
     classify_chord,
     find_kernel_via_chords,
 )
+from kernelkit.digraph import strongly_connected_components
 from kernelkit.oracle import (
     find_kernel_bruteforce,
     is_M_clique_acyclic,
@@ -244,6 +246,72 @@ class TestChordRulesMatchReference:
         assert seen == {RULE_CONSECUTIVE_HEADS, RULE_TWO_ODD, RULE_CROSSING_SHORT_ODD, RULE_NONE}
 
 
+def reversible_digraph(rng):
+    """Fully reversible, 10 vertices, 22 of the 45 edges."""
+    pairs = [(u, v) for u in range(10) for v in range(u + 1, 10)]
+    return Digraph(10, [arc for u, v in rng.sample(pairs, 22) for arc in ((u, v), (v, u))])
+
+
+def chord_suite_digraph(rng):
+    """The chord suite's odd cycle with two consecutive-head chords, plus
+    up to two random chords and arcs to and from up to two extra
+    vertices."""
+    length = rng.choice((5, 7))
+    n = length + rng.randrange(3)
+    shift = rng.randrange(length)
+    arcs = {(i, (i + 1) % length) for i in range(length)}
+    arcs |= {((length - 1 + shift) % length, (1 + shift) % length), (shift, (2 + shift) % length)}
+    spare = [(u, v) for u in range(length) for v in range(length) if u != v and (u, v) not in arcs]
+    arcs.update(rng.sample(spare, rng.randint(0, 2)))
+    for v in range(length, n):
+        for u in range(length):
+            if rng.random() < 0.3:
+                arcs.add((u, v) if rng.random() < 0.7 else (v, u))
+    return Digraph(n, sorted(arcs))
+
+
+def random_digraph(rng):
+    """1-11 vertices at densities 0.15-0.7; the denser draws go to the
+    smaller digraphs (at most 3 expected out-arcs per vertex), which keeps
+    the full enumeration of the reference small."""
+    n = rng.randint(1, 11)
+    density = rng.uniform(0.15, min(0.7, 3 / n))
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    return Digraph(n, arcs)
+
+
+class TestFirstFailingOddCycle:
+    """The construction's verdict-only search against the full check."""
+
+    @pytest.mark.parametrize(
+        "make, count",
+        [(reversible_digraph, 100), (chord_suite_digraph, 1500), (random_digraph, 1500)],
+        ids=["reversible", "chord-suite", "random"],
+    )
+    def test_matches_full_check(self, make, count):
+        rng = random.Random(f"first-failing-{make.__name__}")
+        failing = acyclic = 0
+        for _ in range(count):
+            d = make(rng)
+            want = check_chord_conditions(d).first_failing
+            assert _first_failing_odd_cycle(d) == want, sorted(d.arcs)
+            acyclic += len(strongly_connected_components(d).components) == d.vertex_count
+            if want is None:
+                continue
+            failing += 1
+            with pytest.raises(ConditionsViolatedError) as err:
+                find_kernel_via_chords(d)
+            assert err.value.report.first_failing == want
+            assert err.value.report.cycles == (CycleReport(want, RULE_NONE),)
+        if make is reversible_digraph:
+            # every odd cycle of a reversible digraph has consecutive heads
+            assert failing == 0
+        else:
+            assert 0 < failing < count
+        if make is random_digraph:
+            assert acyclic > 0
+
+
 class TestAlternatingPathSemiKernel:
     def test_two_path(self):
         d = Digraph(2, [(0, 1)])
@@ -288,6 +356,7 @@ class TestFindKernelViaChords:
         with pytest.raises(ConditionsViolatedError) as err:
             find_kernel_via_chords(Digraph(3, [(0, 1), (1, 2), (2, 0)]))
         assert err.value.report.first_failing == (0, 1, 2)
+        assert err.value.report.cycles == (CycleReport((0, 1, 2), RULE_NONE),)
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7))

@@ -438,6 +438,33 @@ class TestChordsCommands:
         )
         assert code == 3
 
+    def test_solve_budget_counts_the_pruned_search(self, capsys, monkeypatch):
+        # the search stays inside strongly connected components, so a
+        # directed path takes no step, where `chords check` walks every
+        # simple path; a cycle still needs its steps
+        n = 400
+        path = f"digraph {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1))
+        code, out, _ = run_cli(
+            capsys,
+            ["chords", "solve", "-", "--budget", "1", "--format", "json"],
+            stdin=path,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        assert json.loads(out)["result"] == list(range(1, n, 2))
+        code, _, _ = run_cli(
+            capsys, ["chords", "check", "-", "--budget", "1"], stdin=path, monkeypatch=monkeypatch
+        )
+        assert code == 3
+        code, _, err = run_cli(
+            capsys,
+            ["chords", "solve", "-", "--budget", "1"],
+            stdin=THREE_CYCLE_TEXT,
+            monkeypatch=monkeypatch,
+        )
+        assert code == 3
+        assert err == "error: odd-cycle search exceeded budget of 1 steps\n"
+
     def test_env_budget_override(self, capsys, monkeypatch):
         monkeypatch.setenv("KERNELKIT_BUDGET", "1")
         code, _, _ = run_cli(

@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import random
 
 import pytest
@@ -418,6 +419,16 @@ class TestGeneratorsMatchReferences:
             got = generate_chain_instance(seed, 3 + seed % 5, budget=budget)
             want = naive.naive_chain_rows(seed, 3 + seed % 5, budget=budget)
             assert (got if got is None else _rows(got)) == want
+
+    def test_chain_digest(self):
+        # frozen from the generator's output, seeds 0-199 at n = 3..12:
+        # a change to its arc bookkeeping must give the same instances
+        digest = hashlib.sha256()
+        for seed in range(200):
+            for n in range(3, 13):
+                got = generate_chain_instance(seed, n)
+                digest.update(repr(got if got is None else _rows(got)).encode())
+        assert digest.hexdigest() == "9a7cd0dd97c75b781cdca4cb16e54405c768d26af4fce0e8b73703e68e0f8a36"
 
     @pytest.mark.parametrize(
         "generator, n, arcs",
