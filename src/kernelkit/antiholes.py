@@ -14,18 +14,23 @@ tested together on the mask of their third vertices; in general mode a
 larger clique is tested on its members' in-masks.  In simple mode the
 triangles suffice: a tournament with no directed triangle is transitive,
 so larger cliques then have such a vertex too.  No table is built, so
-the cost of a clique does not grow with the patterns of its edges.  Each
-leaf goes to the kernel oracle with the in-masks as they stand.
+the cost of a clique does not grow with the patterns of its edges.  In a
+symmetric sweep each leaf goes to the kernel oracle with the in-masks as
+they stand.
 
 The kernel candidates are the base graph's maximal independent sets, the
-same for every leaf, and once the last edge incident to a candidate is
-decided, whether it absorbs the other vertices is fixed below.  So a
-sweep without symmetry tests each candidate once, at the node that
-decides its closing edge; where it absorbs, every leaf below has a
-kernel, and the sweep adds the subtree's leaf count, a dynamic program
-over the same clique tests memoised on the digits later tests still
-read, instead of walking it.  Only the leaves no candidate certifies, or
-a budget stop keeps from skipping, reach the kernel oracle.
+same for every leaf.  A sweep without symmetry walks no leaf: a memoised
+dynamic program over the same tree counts them in the same order.  A
+node's state holds only what its subtree depends on: the digits of the
+decided edges of each clique not yet down to its last open edge, the
+digits each edge to come may no longer take (a node that leaves one of
+them none is empty), and per candidate the vertices outside it that
+nothing absorbs yet, until one of those has every edge to it decided
+(the candidate is dead) or one candidate absorbs everything (every leaf
+below has a kernel).  Each task counts its finished nodes once per
+state, stops at the first leaf with no kernel, and descends into a
+counted node only where the budget ends inside it, so every count,
+witness and budget stop is leaf-exact.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
@@ -155,7 +160,7 @@ def orientation_digits(orientation: Orientation, edges: list[tuple[int, int]]) -
 def digits_to_orientation(
     digits: tuple[int, ...], base: UndirectedGraph, edges: list[tuple[int, int]]
 ) -> Orientation:
-    return Orientation(base, {e: _DIGITS[d] for e, d in zip(edges, digits)})
+    return Orientation._from_checked(base, {e: _DIGITS[d] for e, d in zip(edges, digits)})
 
 
 def dihedral_edge_actions(labeling: AntiholeLabeling):
@@ -219,40 +224,45 @@ def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
 # -- clique tests and the sweep core -----------------------------------------
 
 
-def _clique_completions(graph: UndirectedGraph, num_values: int):
-    """Per edge index e = (u, v): the cliques whose last edge it is, as
-    (thirds, larger, others).  `thirds` masks the third vertices of the
-    triangles closing at e; `larger` holds each clique of four or more
-    vertices closing there as its mask and its members other than u and v;
-    `others` holds the ids of those cliques' other edges, whose digits
-    decide which digits e may take.
-
-    In simple mode `larger` stays empty: a simple orientation of a clique
-    is a tournament, and a tournament with no directed triangle is
-    transitive, so it has a sink and the triangles decide every clique.
-    """
-    edges = graph.sorted_edges()
-    eindex = {e: i for i, e in enumerate(edges)}
+def _tested_cliques(graph: UndirectedGraph, num_values: int):
+    """The cliques the clique tests read, as (mask, members, edge ids in
+    ascending order).  In simple mode only the triangles: a simple
+    orientation of a clique is a tournament, and a tournament with no
+    directed triangle is transitive, so it has a sink and the triangles
+    decide every clique."""
+    eindex = {e: i for i, e in enumerate(graph.sorted_edges())}
     n = graph.vertex_count
-    adjacency = [graph.adjacency_mask(v) for v in range(n)]
-    thirds = [0] * len(edges)
-    larger: list[list] = [[] for _ in edges]
-    others: list[set[int]] = [set() for _ in edges]
-    for members in all_clique_masks(n, adjacency):
+    for members in all_clique_masks(n, [graph.adjacency_mask(v) for v in range(n)]):
         clique = tuple(bits_of(members))
         if num_values == 2 and len(clique) > 3:
             continue
-        *read, last = sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
-        u, v = edges[last]
-        if len(clique) == 3:
-            thirds[last] |= members & ~(1 << u | 1 << v)
-        else:
-            larger[last].append((members, tuple(x for x in clique if x not in (u, v))))
-        others[last].update(read)
-    completions = [
-        (thirds[e], tuple(larger[e]), tuple(sorted(others[e]))) for e in range(len(edges))
-    ]
-    return edges, completions
+        yield members, clique, sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
+
+
+def _completion(edges, members: int, clique, last: int):
+    """The test of one clique at its last edge, in the (thirds, larger)
+    form `_live_digits` reads."""
+    u, v = edges[last]
+    if len(clique) == 3:
+        return members & ~(1 << u | 1 << v), ()
+    return 0, ((members, tuple(x for x in clique if x not in (u, v))),)
+
+
+def _clique_completions(graph: UndirectedGraph, num_values: int):
+    """Per edge index e = (u, v): the cliques whose last edge it is, as
+    (thirds, larger).  `thirds` masks the third vertices of the triangles
+    closing at e; `larger` holds each clique of four or more vertices
+    closing there, general mode only, as its mask and its members other
+    than u and v."""
+    edges = graph.sorted_edges()
+    thirds = [0] * len(edges)
+    larger: list[list] = [[] for _ in edges]
+    for members, clique, eids in _tested_cliques(graph, num_values):
+        last = eids[-1]
+        mask, more = _completion(edges, members, clique, last)
+        thirds[last] |= mask
+        larger[last].extend(more)
+    return edges, [(thirds[e], tuple(larger[e])) for e in range(len(edges))]
 
 
 def _live_digits(completion, u: int, v: int, inn, out, every_digit: int) -> int:
@@ -269,7 +279,7 @@ def _live_digits(completion, u: int, v: int, inn, out, every_digit: int) -> int:
     digit 1 needs w in inn[u] and digit 2 either; `thirds` tests all the
     triangles at once.
     """
-    thirds, larger, _ = completion
+    thirds, larger = completion
     digits = every_digit
     bad = thirds & ~(out[u] & out[v])
     if bad & ~inn[v]:
@@ -294,8 +304,7 @@ def _live_digits(completion, u: int, v: int, inn, out, every_digit: int) -> int:
 
 
 def _leaves(
-    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None,
-    prune=None,
+    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None
 ) -> Iterator[tuple[list[int], list[int]]]:
     """Yield the accepted assignments in lexicographic digit order as the
     live (digits, in-neighbour masks) lists of the search, which a consumer
@@ -320,11 +329,6 @@ def _leaves(
     and the next node at edge e first takes back, last first, every move
     made since `marks[e]`, the trail's length when its parent was done;
     a sibling digit re-reads the untouched `wait[e]`.
-
-    `prune` holds one subtree-prune hook or None per edge: `prune[e](e,
-    assign, inn, out)` is called once a walk node has assigned edge e,
-    never along the seeded `start` path, whose subtrees hold leaves before
-    `start`; a positive return skips the node's subtree.
     """
     m = len(edges)
     assign = [0] * m
@@ -420,10 +424,6 @@ def _leaves(
                 out[v] |= bu
             if actions is not None and symmetric_prune(e):
                 continue
-            if prune is not None:
-                hook = prune[e]
-                if hook is not None and hook(e, assign, inn, out):
-                    continue
             if e + 1 == m:
                 yield assign, inn
                 continue
@@ -526,19 +526,14 @@ class _SweepTables(NamedTuple):
     """What every prefix task of a sweep shares.
 
     `candidates` are the kernel candidates as (mask, members) pairs,
-    `actions` the symmetry actions (None without symmetry).  `closing[e]`
-    holds the candidates whose last incident edge is e: once e is decided,
-    whether one absorbs is fixed for every leaf below.  `frontier[e]`
-    holds the edges below e whose digits a clique test at or past e reads,
-    with packing weights: their digits decide how many leaves lie below a
-    node at edge e.
+    `actions` the symmetry actions (None without symmetry), and `dp` the
+    tables of `_dp_search` (None with symmetry).
     """
 
     completions: list
     candidates: tuple[tuple[int, tuple[int, ...]], ...]
     actions: Optional[list]
-    closing: tuple[tuple[tuple[int, tuple[int, ...]], ...], ...]
-    frontier: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+    dp: Optional[_DPTables]
 
 
 def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _SweepTables:
@@ -551,122 +546,238 @@ def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _S
         (s, tuple(bits_of(s)))
         for s in maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
     )
-    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    closing: list[list] = [[] for _ in edges]
-    for candidate in candidates:
-        s = candidate[0]
-        incident = [e for e, (u, v) in enumerate(edges) if (s >> u | s >> v) & 1]
-        if incident:
-            closing[incident[-1]].append(candidate)
-    last_read = [-1] * len(edges)
-    for e, (_, _, others) in enumerate(completions):
-        for eid in others:
-            last_read[eid] = e
-    frontier = []
-    for e in range(len(edges) + 1):
-        eids = tuple(eid for eid in range(e) if last_read[eid] >= e)
-        frontier.append((eids, tuple(num_values**eid for eid in eids)))
-    return _SweepTables(
-        completions, candidates, actions, tuple(map(tuple, closing)), tuple(frontier)
+    if symmetry:
+        actions = dihedral_edge_actions(AntiholeLabeling(n))
+        return _SweepTables(completions, candidates, actions, None)
+    return _SweepTables(completions, candidates, None, _dp_tables(graph, num_values, candidates))
+
+
+class _DPTables(NamedTuple):
+    """The state layout of `_dp_search` and its updates per edge e = (u, v)
+    and digit d.
+
+    A node's state is one int, and it is the node's memo key.  From bit 0
+    up it holds:
+    - a slot for the digit of each decided edge that lies in a clique
+      whose second-to-last edge is still open;
+    - a field for each edge yet to come that closes a clique, with the
+      digits it may no longer take.  A clique is tested as soon as its
+      second-to-last edge is decided, for the digits its last edge may
+      take, so its other digits need not stay;
+    - a field per kernel candidate: a live flag over its outside vertices
+      that no arc into it absorbs yet.  The field is cleared, the
+      candidate dead, once one of those has every edge to it decided;
+    - the certified bit, which replaces every candidate field once one
+      candidate absorbs all the vertices outside it.
+
+    Placing d at e ANDs in `clear[e][d]`, which drops the slots no open
+    clique reads any more, e's own field and the vertices d's arcs
+    absorb, and ORs in `put[e][d]`, d in e's slot if it stays.  Then it
+    certifies on the first (field, flag) of `certify[e][d]` left at its
+    flag alone, keeping only `edge_part`, the slots and digit fields;
+    ANDs in the kill mask of each (bit, kill) of `settle[e]` whose outside
+    vertex is still unabsorbed; and folds in the cliques whose
+    second-to-last edge e is.  `triangles[e]` holds (third vertex bit, u',
+    v', dead, full) with (u', v') the last edge, `dead` the masks of its
+    field indexed by (digit 0 dies) | (digit 1 dies) << 1, and `full` the
+    whole field; `larger[e]` holds (completion, u', v', offset of the
+    field) for `_live_digits`.  `at[e]` is the offset of e's field, or of
+    bits that stay clear, and `root` the state of the empty assignment.
+    """
+
+    clear: tuple
+    put: tuple
+    certify: tuple
+    settle: tuple
+    triangles: tuple
+    larger: tuple
+    at: tuple
+    root: int
+    certified: int
+    edge_part: int
+
+
+def _dp_tables(graph: UndirectedGraph, num_values: int, candidates) -> _DPTables:
+    """Lay out the states of a sweep without symmetry (`_DPTables`)."""
+    n = graph.vertex_count
+    edges = graph.sorted_edges()
+    m = len(edges)
+    eindex = {e: i for i, e in enumerate(edges)}
+    every_digit = (1 << num_values) - 1
+    cliques = list(_tested_cliques(graph, num_values))
+    keep_until = [-1] * m
+    for _, _, (*read, second, _) in cliques:
+        for eid in read:
+            keep_until[eid] = max(keep_until[eid], second)
+    width = (num_values - 1).bit_length()
+    kept = [eid for eid in range(m) if keep_until[eid] > eid]
+    slot = {eid: i * width for i, eid in enumerate(kept)}
+    closing = sorted({eids[-1] for _, _, eids in cliques})
+    at = {eid: len(kept) * width + i * num_values for i, eid in enumerate(closing)}
+    base = len(kept) * width + len(closing) * num_values
+    certified = 1 << base + len(candidates) * (n + 1)
+    clear_bits = [
+        sum(((1 << width) - 1) << slot[eid] for eid in kept if keep_until[eid] == e)
+        | (every_digit << at[e] if e in at else 0)
+        for e in range(m)
+    ]
+    triangles: list[list] = [[] for _ in edges]
+    larger: list[list] = [[] for _ in edges]
+    for members, clique, (*_, second, last) in cliques:
+        u, v = edges[last]
+        if len(clique) == 3:
+            # both directed digits dead kill the reversible one too
+            dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
+            third = members & ~(1 << u | 1 << v)
+            triangles[second].append((third, u, v, dead, every_digit << at[last]))
+        else:
+            larger[second].append((_completion(edges, members, clique, last), u, v, at[last]))
+
+    root = 0
+    # per edge and digit: the candidate bits its arcs absorb, and the
+    # (field, flag) of each candidate they absorb into
+    absorb = [[0, 0, 0] for _ in edges]
+    certify: list = [([], [], []) for _ in edges]
+    settle: list[list] = [[] for _ in edges]
+    for i, (s, _) in enumerate(candidates):
+        low = base + i * (n + 1)
+        field = (1 << n + 1) - 1 << low
+        flag = 1 << low + n
+        outside = (1 << n) - 1 & ~s
+        root |= flag | outside << low
+        for x in bits_of(outside):
+            last = max(eindex[min(x, y), max(x, y)] for y in bits_of(graph.adjacency_mask(x) & s))
+            settle[last].append((1 << low + x, ~field))
+        for e, (u, v) in enumerate(edges):
+            # u -> v (digits 0 and 2) absorbs u, v -> u (1 and 2) absorbs v
+            for tail, head, digits in ((u, v, (0, 2)), (v, u, (1, 2))):
+                if s >> head & 1:
+                    for d in digits:
+                        absorb[e][d] |= 1 << low + tail
+                        certify[e][d].append((field, flag))
+    return _DPTables(
+        tuple(tuple(~(clear_bits[e] | bits) for bits in absorb[e]) for e in range(m)),
+        tuple(tuple(d << slot[e] if e in slot else 0 for d in range(3)) for e in range(m)),
+        tuple(tuple(map(tuple, per_digit)) for per_digit in certify),
+        tuple(map(tuple, settle)),
+        tuple(map(tuple, triangles)),
+        tuple(map(tuple, larger)),
+        tuple(at.get(e, certified.bit_length()) for e in range(m)),
+        root,
+        certified,
+        (1 << base) - 1,
     )
 
 
-def _subtree_counter(edges, completions, frontier, num_values: int):
-    """`count(assign, inn, out, e)`: the number of leaves that share the
-    first e digits of `assign`, whose arcs `inn` and `out` hold, by a
-    dynamic program over the clique tests memoised on (edge, frontier
-    digits).  It runs on the masks it is given and takes back every arc
-    it adds; it reads a frontier digit from the node's key, not from
-    `assign`, so all three lists are left as it found them."""
-    m = len(completions)
+def _dp_search(
+    n: int, edges, num_values: int, dp: _DPTables, start=(), fixed: int = 0,
+    limit: Optional[int] = None,
+) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    """Count the leaves `_leaves(n, edges, ..., start, fixed)` yields by a
+    memoised dynamic program over the nodes of its tree, on an explicit
+    stack in the same leaf order.  Returns (counted, stop, kernel_free):
+    `stop` is None once every leaf is counted; else the first leaf with no
+    kernel, counted, or the leaf at which `counted` reached `limit`, not
+    counted.
+
+    A node's value depends only on its state (`_dp_tables`), so the leaf
+    count of a finished node is memoised on its state, one dict per depth;
+    the nodes along `start` are not, since they miss the leaves before it.
+    A node met again is added at once, unless it would pass `limit`: then
+    the search descends into it, and meets only memoised children there.
+    No memoised node holds a kernel-free leaf, since the search ends at
+    the first one.  Every leaf below a certified node has a kernel, and
+    every candidate is certified or dead at a leaf.
+    """
+    m = len(edges)
+    if not m:
+        # the one leaf is empty, and its one candidate, every vertex, absorbs
+        return (0, (), False) if limit is not None and limit <= 0 else (1, None, False)
+    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part = dp
     every_digit = (1 << num_values) - 1
-    memo: list[dict[int, int]] = [{} for _ in range(m)] + [{0: 1}]
-    # the key of a child of a node at edge f is the node's key less the
-    # frontier edges no test past f reads, plus f's own digit if one does
-    step = []
-    drops = []
-    for f in range(m):
-        kept = frontier[f + 1][0]
-        step.append(num_values**f if f in kept else 0)
-        drops.append(tuple(w for eid, w in zip(*frontier[f]) if eid not in kept))
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    thirds = [completion[0] for completion in completions]
-    larger = [completion[1] for completion in completions]
-    keys = [0] * m
-    bases = [0] * m
-    totals = [0] * m
-    pending: list = [None] * m
-
-    def count(assign, inn, out, e: int) -> int:
-        eids, weights = frontier[e]
-        top = 0
-        for eid, weight in zip(eids, weights):
-            top += assign[eid] * weight
-        known = memo[e].get(top)
-        if known is not None:
-            return known
-        keys[e] = top
-        pending[e] = None
-        f = e
-        while True:
-            u, v, bu, bv = ends[f]
-            digits = pending[f]
-            if digits is None:
-                # `_live_digits` inlined for the triangles, as in `_leaves`
-                digits = every_digit
-                bad = thirds[f]
-                if larger[f]:
-                    digits = _live_digits(completions[f], u, v, inn, out, every_digit)
-                elif bad:
-                    bad &= ~(out[u] & out[v])
-                    if bad:
-                        dead_0 = bad & ~inn[v]
-                        dead_1 = bad & ~inn[u]
-                        if dead_0 & dead_1:
-                            digits = 0
-                        else:
-                            if dead_0:
-                                digits &= 6
-                            if dead_1:
-                                digits &= 5
-                base = keys[f]
-                for weight in drops[f]:
-                    base -= base // weight % num_values * weight
-                bases[f] = base
-                totals[f] = 0
+    inn = [0] * n
+    out = [0] * n
+    assign = [0] * m
+    state = [root] + [0] * m
+    # a node at depth e < seeded lies on the path along `start`
+    seeded = len(start)
+    follow = [1 << d if e < fixed else every_digit & -(1 << d) for e, d in enumerate(start)]
+    pending = [follow[0] if start else every_digit] + [0] * (m - 1)
+    first = [0] * m
+    memo: list[dict[int, int]] = [{} for _ in range(m)]
+    counted = 0
+    e = 0
+    while True:
+        # the previous digit at e, if any, leaves the masks
+        u, v, bu, bv = ends[e]
+        inn[v] &= ~bu
+        inn[u] &= ~bv
+        out[u] &= ~bv
+        out[v] &= ~bu
+        digits = pending[e]
+        if not digits:
+            if e >= seeded:
+                memo[e][state[e]] = counted - first[e]
             else:
-                # the previous digit at f, if it was descended into,
-                # leaves the masks
-                inn[v] &= ~bu
-                inn[u] &= ~bv
-                out[u] &= ~bv
-                out[v] &= ~bu
-            if not digits:
-                memo[f][keys[f]] = totals[f]
-                if f == e:
-                    return totals[e]
-                f -= 1
-                totals[f] += totals[f + 1]
-                continue
-            low = digits & -digits
-            pending[f] = digits ^ low
-            digit = low.bit_length() - 1
-            child = bases[f] + digit * step[f]
-            known = memo[f + 1].get(child)
-            if known is not None:
-                totals[f] += known
-                continue
-            if digit != 1:
-                inn[v] |= bu
-                out[u] |= bv
-            if digit != 0:
-                inn[u] |= bv
-                out[v] |= bu
-            f += 1
-            keys[f] = child
-            pending[f] = None
-
-    return count
+                seeded = e
+            if not e:
+                return counted, None, False
+            e -= 1
+            continue
+        low = digits & -digits
+        pending[e] = digits ^ low
+        digit = low >> 1
+        assign[e] = digit
+        if digit != 1:
+            inn[v] |= bu
+            out[u] |= bv
+        if digit != 0:
+            inn[u] |= bv
+            out[v] |= bu
+        s = state[e] & clear[e][digit] | put[e][digit]
+        for field, flag in certify[e][digit]:
+            if s & field == flag:
+                s = s & edge_part | certified
+                break
+        for bit, kill in settle[e]:
+            if s & bit:
+                s &= kill
+        # a later edge left with no digit empties the child's subtree
+        empty = False
+        for w, a, b, dead, full in triangles[e]:
+            # `_live_digits` inlined for one triangle: the hottest lines
+            if not out[a] & out[b] & w:
+                s |= dead[(not inn[b] & w) | (not inn[a] & w) << 1]
+                if s & full == full:
+                    empty = True
+                    break
+        for completion, a, b, shift in larger[e]:
+            s |= (every_digit ^ _live_digits(completion, a, b, inn, out, every_digit)) << shift
+            if s >> shift & every_digit == every_digit:
+                empty = True
+        if empty:
+            continue
+        f = e + 1
+        if f == m:
+            if limit is not None and counted >= limit:
+                return counted, tuple(assign), False
+            counted += 1
+            if not s & certified:
+                return counted, tuple(assign), True
+            continue
+        value = memo[f].get(s)
+        if value is not None and (limit is None or counted + value <= limit):
+            counted += value
+            continue
+        digits = every_digit & ~(s >> at[f])
+        if f < seeded:
+            digits &= follow[f]
+        if digits:
+            e = f
+            state[e] = s
+            pending[e] = digits
+            first[e] = counted
 
 
 def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[tuple[int, ...]]:
@@ -683,39 +794,23 @@ def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[t
 
 
 def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Enumerate one prefix subtree from `start`, whose first `depth` digits
+    """Examine one prefix subtree from `start`, whose first `depth` digits
     pin it; returns (examined, stop, kernel_free), where `stop` is None once
     the subtree is done, else the kernel-free assignment or, at a budget
-    stop, the first unexamined one.  Without symmetry, `certify` counts
-    the subtree below a node where a candidate closing there absorbs,
-    unless that would overrun the budget, and the core skips it."""
+    stop, the first unexamined one.  With symmetry every representative
+    goes to the kernel oracle; without, `_dp_search` counts the leaves."""
     n, edges, num_values, tables, start, depth, leaf_budget = args
-    completions, candidates, actions, closing, frontier = tables
+    if tables.dp is not None:
+        return _dp_search(n, edges, num_values, tables.dp, start, depth, leaf_budget)
     full = (1 << n) - 1
     examined = 0
-    hooks = None
-    if actions is None:
-        count = _subtree_counter(edges, completions, frontier, num_values)
-        last = len(edges) - 1
-
-        def certify(e: int, assign, inn, out) -> int:
-            nonlocal examined
-            if kernel_exists_masks(full, inn, closing[e]):
-                leaves = 1 if e == last else count(assign, inn, out, e + 1)
-                if leaf_budget is None or examined + leaves <= leaf_budget:
-                    examined += leaves
-                    return leaves
-            return 0
-
-        hooks = [certify if closed else None for closed in closing]
-
     for digits, inn in _leaves(
-        n, edges, completions, num_values, start, depth, actions, hooks
+        n, edges, tables.completions, num_values, start, depth, tables.actions
     ):
         if leaf_budget is not None and examined >= leaf_budget:
             return examined, tuple(digits), False
         examined += 1
-        if not kernel_exists_masks(full, inn, candidates):
+        if not kernel_exists_masks(full, inn, tables.candidates):
             return examined, tuple(digits), True
     return examined, None, False
 
@@ -761,7 +856,9 @@ def _load_checkpoint(
 
 
 # the edges a task's prefix pins: a deeper split balances the workers
-# better but pays a prefix walk and a fresh search core per task
+# better but pays a prefix walk and a fresh search per task; without
+# symmetry each task also starts a fresh memo, which bounds the memory
+# but counts again a state that an earlier task met
 TASK_DEPTH = {"simple": 8, "general": 4}
 
 
@@ -774,25 +871,25 @@ def verify_kernel_solvable(
     checkpoint: Optional[str] = None,
     graph_id: str = "graph",
 ) -> SolvabilityVerdict:
-    """Run the kernel oracle over every (simple) clique-acyclic orientation.
+    """Decide whether every (simple) clique-acyclic orientation has a kernel.
 
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
     tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
     share clique tests and kernel candidates built once per call; `jobs`
     workers, never more than the tasks left, process them, results are
-    consumed in task order, so counts
-    and the verdict are identical for any worker count.  Without symmetry
-    each kernel candidate is tested at the node that decides its closing
-    edge, and a subtree in which it absorbs is counted, not walked; every
-    leaf still reached goes to the full oracle.  `budget` caps the
-    number of orientations examined and is tested before each one; a
-    counted subtree that would overrun it is walked instead (budgeted runs
-    execute sequentially).  `checkpoint` names a JSON file
-    updated after each task and at a budget stop, whose `next` holds the
-    first unexamined orientation (or the next task's prefix), where a
-    resumed run continues.  `symmetry_reduction` needs `graph` to be the
-    n-vertex anti-hole and examines one orientation per dihedral orbit.
+    consumed in task order, so counts and the verdict are identical for
+    any worker count.  With symmetry each representative goes to the
+    kernel oracle; without, `_dp_search` counts a task's orientations by
+    a memoised dynamic program and stops at the first without a kernel.
+    `budget` caps the number of orientations examined and is tested before
+    each one; the program descends into a counted subtree that would
+    overrun it, so the stop is exact (budgeted runs execute sequentially).
+    `checkpoint` names a JSON file updated after each task and at a budget
+    stop, whose `next` holds the first unexamined orientation (or the next
+    task's prefix), where a resumed run continues.  `symmetry_reduction`
+    needs `graph` to be the n-vertex anti-hole and examines one
+    orientation per dihedral orbit.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")

@@ -26,7 +26,7 @@ from kernelkit.antiholes import (
     _clique_completions,
     _leaves,
     _live_prefixes,
-    _subtree_counter,
+    _dp_search,
     _sweep_tables,
     c7_counterexample,
     canonical_digits,
@@ -311,32 +311,6 @@ class TestSweepCore:
         actions = dihedral_edge_actions(labeling) if symmetry else None
         with pytest.raises(ContractError, match="start"):
             _leaves(7, edges, completions, 2, start, 0, actions)
-
-    def test_prune_hook_skips_subtrees_off_the_start_path(self):
-        g, _ = gen_antihole(7)
-        edges, completions = _clique_completions(g, 2)
-        whole = core_leaves(g, 2)
-        start = whole[len(whole) // 3]
-        calls = []
-
-        def hook(e, assign, inn, out):
-            assert inn == naive.naive_in_masks(7, edges[: e + 1], assign)
-            assert out == naive.naive_out_masks(7, edges[: e + 1], assign)
-            calls.append(tuple(assign[: e + 1]))
-            return assign[e] == 1
-
-        # the hook sits on edges 5 and 9 only
-        hooks = [hook if e in (5, 9) else None for e in range(len(edges))]
-        got = [tuple(x) for x, _ in _leaves(7, edges, completions, 2, start, 3, None, hooks)]
-        # the start path is never offered, so its own subtrees survive
-        assert start[:6] not in calls and start[:10] not in calls
-        assert got == [
-            x for x in whole
-            if x >= start and x[:3] == start[:3]
-            and (x[5] == 0 or x[:6] == start[:6])
-            and (x[9] == 0 or x[:10] == start[:10])
-        ]
-        assert {len(p) for p in calls} == {6, 10}
 
 
 LEAF_DIGESTS = json.loads(
@@ -823,41 +797,82 @@ class TestKernelCertificate:
         g, _ = gen_antihole(n)
         edges = g.sorted_edges()
         tables = _sweep_tables(g, num_values, False)
-        assert sorted(s for closed in tables.closing for s in closed) == sorted(tables.candidates)
         m = len(edges)
-        count = _subtree_counter(edges, tables.completions, tables.frontier, num_values)
-
-        def count_below(prefix):
-            # the counter runs on the lists it is given and leaves them as
-            # it found them; the digits past the prefix are stale
-            lists = [
-                prefix + [num_values - 1] * (m - len(prefix)),
-                naive.naive_in_masks(n, edges, prefix),
-                naive.naive_out_masks(n, edges, prefix),
-            ]
-            before = [list(x) for x in lists]
-            total = count(*lists, len(prefix))
-            assert lists == before
-            return total
-
+        # from a certified root every leaf has a kernel, so the program
+        # counts the whole subtree
+        counting = tables.dp._replace(root=tables.dp.certified)
         if whole is not None:
-            assert count_below([]) == whole
+            assert _dp_search(n, edges, num_values, counting) == (whole, None, False)
+
+        def below(prefix):
+            return _leaves(n, edges, tables.completions, num_values, prefix, len(prefix))
+
+        def walk_below(prefix):
+            """The walk's leaf count below `prefix`, and the rank and digits
+            of the first leaf without a kernel, as `_dp_search` reports them."""
+            leaves = 0
+            first_free = None
+            for digits, inn in below(prefix):
+                leaves += 1
+                if first_free is None and not kernel_exists_masks(
+                    (1 << n) - 1, inn, tables.candidates
+                ):
+                    first_free = (leaves, tuple(digits), True)
+            return leaves, first_free or (leaves, None, False)
+
+        def has_leaf(prefix):
+            try:
+                return next(below(prefix), None) is not None
+            except ContractError:
+                return False
+
         rng = random.Random(n * 10 + num_values)
         for _ in range(2):
             # a random live prefix of every depth, one descent at a time
-            prefix = []
+            prefix = ()
             for depth in range(m + 1):
                 if depth >= walk_from:
-                    wanted = len(core_leaves(g, num_values, start=tuple(prefix)))
-                    assert count_below(prefix) == wanted
+                    count, first_free = walk_below(prefix)
+                    got = _dp_search(n, edges, num_values, counting, prefix, depth)
+                    assert got == (count, None, False)
+                    assert _dp_search(n, edges, num_values, tables.dp, prefix, depth) == first_free
                 if depth < m:
-                    # a digit the cliques allow can still lead nowhere
-                    cliques = [c for c in naive.naive_cliques(n, edges[: depth + 1]) if len(c) >= 3]
-                    prefix.append(rng.choice([
-                        d for d in range(num_values)
-                        if naive.naive_clique_acyclic(n, naive.naive_arcs(edges, prefix + [d]), cliques)
-                        and count_below(prefix + [d])
-                    ]))
+                    live = [d for d in range(num_values) if has_leaf(prefix + (d,))]
+                    prefix += (rng.choice(live),)
+
+
+class TestLargerCliques:
+    """No anti-hole up to C7-bar has a clique of four vertices, so complete
+    graphs carry the general-mode tests of larger cliques."""
+
+    @pytest.mark.parametrize(
+        "k, mode, examined",
+        [(4, "simple", 24), (4, "general", 543), (5, "simple", 120), (5, "general", 29281)],
+    )
+    def test_complete_graphs_are_solvable(self, k, mode, examined):
+        verdict = verify_kernel_solvable(complete_graph(k), mode)
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", examined)
+
+    @pytest.mark.parametrize("budget", [0, 1, 542, 9000, 29280])
+    def test_budget_stops_on_k5_general(self, tmp_path, budget):
+        g = complete_graph(5)
+        edges, completions = _clique_completions(g, 3)
+        checkpoint = tmp_path / "run.json"
+        first = verify_kernel_solvable(g, "general", budget=budget, checkpoint=str(checkpoint))
+        assert (first.verdict, first.orientations_examined) == ("exhausted_budget", budget)
+        wanted_next = tuple(next(islice(_leaves(5, edges, completions, 3), budget, None))[0])
+        assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
+        resumed = verify_kernel_solvable(g, "general", checkpoint=str(checkpoint))
+        assert (resumed.verdict, resumed.orientations_examined) == ("solvable", 29281)
+
+    def test_subtree_count_matches_the_walk_on_k5_general(self):
+        g = complete_graph(5)
+        edges = g.sorted_edges()
+        tables = _sweep_tables(g, 3, False)
+        for prefix in product(range(3), repeat=3):
+            wanted = sum(1 for _ in _leaves(5, edges, tables.completions, 3, prefix, 3))
+            # every leaf of K5 has a kernel
+            assert _dp_search(5, edges, 3, tables.dp, prefix, 3) == (wanted, None, False)
 
 
 class TestFindNearSink:
