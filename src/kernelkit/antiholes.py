@@ -704,6 +704,7 @@ def _dp_search(
     seeded = len(start)
     follow = [1 << d if e < fixed else every_digit & -(1 << d) for e, d in enumerate(start)]
     pending = [follow[0] if start else every_digit] + [0] * (m - 1)
+    # `counted` as each node on the stack was entered
     first = [0] * m
     memo: list[dict[int, int]] = [{} for _ in range(m)]
     counted = 0
