@@ -686,8 +686,8 @@ def _dp_search(
     A node met again is added at once, unless it would pass `limit`: then
     the search descends into it, and meets only memoised children there.
     No memoised node holds a kernel-free leaf, since the search ends at
-    the first one.  Every leaf below a certified node has a kernel, and
-    every candidate is certified or dead at a leaf.
+    the first one.  Every leaf below a certified node has a kernel, and a
+    leaf that is not certified has none: there every candidate is dead.
     """
     m = len(edges)
     if not m:
