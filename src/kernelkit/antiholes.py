@@ -160,7 +160,7 @@ def orientation_digits(orientation: Orientation, edges: list[tuple[int, int]]) -
 def digits_to_orientation(
     digits: tuple[int, ...], base: UndirectedGraph, edges: list[tuple[int, int]]
 ) -> Orientation:
-    return Orientation._from_checked(base, {e: _DIGITS[d] for e, d in zip(edges, digits)})
+    return Orientation(base, {e: _DIGITS[d] for e, d in zip(edges, digits)})
 
 
 def dihedral_edge_actions(labeling: AntiholeLabeling):
@@ -549,7 +549,8 @@ def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _S
     if symmetry:
         actions = dihedral_edge_actions(AntiholeLabeling(n))
         return _SweepTables(completions, candidates, actions, None)
-    return _SweepTables(completions, candidates, None, _dp_tables(graph, num_values, candidates))
+    dp = _dp_tables(graph, edges, completions, num_values, candidates)
+    return _SweepTables(completions, candidates, None, dp)
 
 
 class _DPTables(NamedTuple):
@@ -581,7 +582,9 @@ class _DPTables(NamedTuple):
     v', dead, full) with (u', v') the last edge, `dead` the masks of its
     field indexed by (digit 0 dies) | (digit 1 dies) << 1, and `full` the
     whole field; `larger[e]` holds (completion, u', v', offset of the
-    field) for `_live_digits`.  `at[e]` is the offset of e's field, or of
+    field, slots, index) for `_live_digits`, with `slots` the mask of the
+    slots of the clique's other decided edges, on which its verdict
+    depends, and `index` its number among the larger cliques.  `at[e]` is the offset of e's field, or of
     bits that stay clear, and `root` the state of the empty assignment.
     """
 
@@ -597,22 +600,32 @@ class _DPTables(NamedTuple):
     edge_part: int
 
 
-def _dp_tables(graph: UndirectedGraph, num_values: int, candidates) -> _DPTables:
-    """Lay out the states of a sweep without symmetry (`_DPTables`)."""
+def _dp_tables(
+    graph: UndirectedGraph, edges, completions, num_values: int, candidates
+) -> _DPTables:
+    """Lay out the states of a sweep without symmetry (`_DPTables`) from
+    the clique tests of `_clique_completions`."""
     n = graph.vertex_count
-    edges = graph.sorted_edges()
     m = len(edges)
     eindex = {e: i for i, e in enumerate(edges)}
     every_digit = (1 << num_values) - 1
-    cliques = list(_tested_cliques(graph, num_values))
+    # each tested clique, as its members and its edge ids in ascending order
+    cliques = []
+    for (u, v), (thirds, larger_at) in zip(edges, completions):
+        for members in [1 << u | 1 << v | 1 << w for w in bits_of(thirds)] + [
+            mask for mask, _ in larger_at
+        ]:
+            cliques.append(
+                (members, sorted(eindex[e] for e in combinations(bits_of(members), 2)))
+            )
     keep_until = [-1] * m
-    for _, _, (*read, second, _) in cliques:
+    for _, (*read, second, _) in cliques:
         for eid in read:
             keep_until[eid] = max(keep_until[eid], second)
     width = (num_values - 1).bit_length()
     kept = [eid for eid in range(m) if keep_until[eid] > eid]
     slot = {eid: i * width for i, eid in enumerate(kept)}
-    closing = sorted({eids[-1] for _, _, eids in cliques})
+    closing = sorted({eids[-1] for _, eids in cliques})
     at = {eid: len(kept) * width + i * num_values for i, eid in enumerate(closing)}
     base = len(kept) * width + len(closing) * num_values
     certified = 1 << base + len(candidates) * (n + 1)
@@ -623,15 +636,18 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates) -> _DPTables
     ]
     triangles: list[list] = [[] for _ in edges]
     larger: list[list] = [[] for _ in edges]
-    for members, clique, (*_, second, last) in cliques:
+    for members, (*read, second, last) in cliques:
         u, v = edges[last]
-        if len(clique) == 3:
+        if len(read) == 1:
             # both directed digits dead kill the reversible one too
             dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
             third = members & ~(1 << u | 1 << v)
             triangles[second].append((third, u, v, dead, every_digit << at[last]))
         else:
-            larger[second].append((_completion(edges, members, clique, last), u, v, at[last]))
+            completion = _completion(edges, members, tuple(bits_of(members)), last)
+            slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
+            index = sum(map(len, larger))
+            larger[second].append((completion, u, v, at[last], slots, index))
 
     root = 0
     # per edge and digit: the candidate bits its arcs absorb, and the
@@ -707,6 +723,9 @@ def _dp_search(
     # `counted` as each node on the stack was entered
     first = [0] * m
     memo: list[dict[int, int]] = [{} for _ in range(m)]
+    # per clique of four or more vertices, the digits its last edge may no
+    # longer take, keyed by the digits of its other edges
+    verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
     counted = 0
     e = 0
     while True:
@@ -753,10 +772,16 @@ def _dp_search(
                 if s & full == full:
                     empty = True
                     break
-        for completion, a, b, shift in larger[e]:
-            s |= (every_digit ^ _live_digits(completion, a, b, inn, out, every_digit)) << shift
+        for completion, a, b, shift, slots, index in larger[e]:
+            key = (state[e] & slots) << 2 | digit
+            dead = verdicts[index].get(key)
+            if dead is None:
+                live = _live_digits(completion, a, b, inn, out, every_digit)
+                dead = verdicts[index][key] = (every_digit ^ live) << shift
+            s |= dead
             if s >> shift & every_digit == every_digit:
                 empty = True
+                break
         if empty:
             continue
         f = e + 1

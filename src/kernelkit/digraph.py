@@ -483,19 +483,6 @@ class Orientation:
         self.base = base
         self.assignment = normalized
 
-    @classmethod
-    def _from_checked(cls, base: UndirectedGraph, assignment: dict) -> "Orientation":
-        """The orientation of `base` by an assignment keyed by exactly its
-        (min, max) edges, as the caller built it beside `base`; only the
-        directions are checked."""
-        orientation = cls.__new__(cls)
-        orientation.base = base
-        orientation.assignment = {
-            e: d if isinstance(d, EdgeDirection) else EdgeDirection(d)
-            for e, d in assignment.items()
-        }
-        return orientation
-
     @property
     def is_simple(self) -> bool:
         return all(d is not EdgeDirection.BOTH for d in self.assignment.values())

@@ -53,8 +53,7 @@ def _orientation(n: int, rows) -> Orientation:
             assignment[(u, v)] = d
             yield u, v
 
-    # the base graph refused every row that is not one of its edges
-    return Orientation._from_checked(UndirectedGraph(n, edges()), assignment)
+    return Orientation(UndirectedGraph(n, edges()), assignment)
 
 
 # kind -> (row field, name and token-to-member table of the optional

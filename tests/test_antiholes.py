@@ -736,8 +736,9 @@ def reference_sweep(graph, num_values, budget):
 
 
 class TestKernelCertificate:
-    """Subtrees in which a candidate already absorbs are counted, not
-    walked; every count, witness and checkpoint stays leaf-exact."""
+    """Without symmetry the leaves are counted by a program memoised on
+    subtree states, not walked; every count, witness and checkpoint stays
+    leaf-exact."""
 
     @settings(max_examples=60, deadline=None)
     @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]), st.none() | st.integers(0, 300))
@@ -758,9 +759,8 @@ class TestKernelCertificate:
         if wanted == "exhausted_budget":
             assert tuple(state["next"]) == wanted_digits
 
-    # each budget stops inside a subtree the certificate counts at once: 2
-    # leaves from leaf 224 (closing edge 12), 12 from 13,576 and 27 from
-    # 15,639 (closing edge 10)
+    # budgets that end inside a prefix task: the stop and the checkpoint's
+    # `next` are the leaf `_leaves` puts at that rank
     @pytest.mark.parametrize("budget", [225, 13580, 15650])
     def test_budget_stop_inside_a_certified_subtree(self, tmp_path, budget):
         g, _ = gen_antihole(7)
@@ -865,14 +865,34 @@ class TestLargerCliques:
         resumed = verify_kernel_solvable(g, "general", checkpoint=str(checkpoint))
         assert (resumed.verdict, resumed.orientations_examined) == ("solvable", 29281)
 
-    def test_subtree_count_matches_the_walk_on_k5_general(self):
-        g = complete_graph(5)
+    # K5, two cliques of four vertices sharing a triangle (K5 less an edge),
+    # and one whose edges interleave in edge order with those of outside
+    # triangles
+    @pytest.mark.parametrize(
+        "n, edges",
+        [
+            (5, [(u, v) for u in range(5) for v in range(u + 1, 5)]),
+            (5, [(u, v) for u in range(5) for v in range(u + 1, 5) if (u, v) != (0, 4)]),
+            (6, [(0, 2), (0, 3), (0, 5), (2, 3), (2, 5), (3, 5), (0, 1), (1, 2), (3, 4), (4, 5)]),
+        ],
+        ids=["k5", "k5-less-an-edge", "k4-among-triangles"],
+    )
+    def test_general_counts_match_the_walk(self, n, edges):
+        g = UndirectedGraph(n, edges)
         edges = g.sorted_edges()
         tables = _sweep_tables(g, 3, False)
+        # from a certified root every leaf counts
+        counting = tables.dp._replace(root=tables.dp.certified)
         for prefix in product(range(3), repeat=3):
-            wanted = sum(1 for _ in _leaves(5, edges, tables.completions, 3, prefix, 3))
-            # every leaf of K5 has a kernel
-            assert _dp_search(5, edges, 3, tables.dp, prefix, 3) == (wanted, None, False)
+            wanted = sum(1 for _ in _leaves(n, edges, tables.completions, 3, prefix, 3))
+            assert _dp_search(n, edges, 3, counting, prefix, 3) == (wanted, None, False)
+        walked = 0
+        first_free = None
+        for digits, inn in _leaves(n, edges, tables.completions, 3):
+            walked += 1
+            if first_free is None and not kernel_exists_masks((1 << n) - 1, inn, tables.candidates):
+                first_free = (walked, tuple(digits), True)
+        assert _dp_search(n, edges, 3, tables.dp) == (first_free or (walked, None, False))
 
 
 class TestFindNearSink:

@@ -237,13 +237,6 @@ class TestOrientation:
         with pytest.raises(ValueError, match="without direction"):
             Orientation(base, {(0, 1): EdgeDirection.FORWARD})
 
-    def test_checked_keys_build_the_same_orientation(self):
-        base = UndirectedGraph(3, [(0, 1), (1, 2)])
-        assignment = {(0, 1): "fwd", (1, 2): EdgeDirection.BOTH}
-        assert Orientation._from_checked(base, assignment) == Orientation(base, assignment)
-        with pytest.raises(ValueError, match="sideways"):
-            Orientation._from_checked(base, {(0, 1): "sideways", (1, 2): "fwd"})
-
     def test_from_digraph_rejects_unoriented_edge(self):
         base = UndirectedGraph(2, [(0, 1)])
         with pytest.raises(ValueError, match="not oriented"):
