@@ -27,10 +27,12 @@ digits each edge to come may no longer take (a node that leaves one of
 them none is empty), and per candidate the vertices outside it that
 nothing absorbs yet, until one of those has every edge to it decided
 (the candidate is dead) or one candidate absorbs everything (every leaf
-below has a kernel).  Each task counts its finished nodes once per
-state, stops at the first leaf with no kernel, and descends into a
-counted node only where the budget ends inside it, so every count,
-witness and budget stop is leaf-exact.
+below has a kernel).  A clique of four or more vertices is tested once
+per task for each pattern of its decided edges' digits, since its
+verdict depends on nothing else.  Each task counts its finished nodes
+once per state, stops at the first leaf with no kernel, and descends
+into a counted node only where the budget ends inside it, so every
+count, witness and budget stop is leaf-exact.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
