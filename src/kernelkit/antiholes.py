@@ -29,10 +29,12 @@ nothing absorbs yet, until one of those has every edge to it decided
 (the candidate is dead) or one candidate absorbs everything (every leaf
 below has a kernel).  A clique of four or more vertices is tested once
 per task for each pattern of its decided edges' digits, since its
-verdict depends on nothing else.  Each task counts its finished nodes
-once per state, stops at the first leaf with no kernel, and descends
-into a counted node only where the budget ends inside it, so every
-count, witness and budget stop is leaf-exact.
+verdict depends on nothing else.  A sweep counts its finished nodes once
+per state in one memo per process, which its prefix tasks share and
+which is cut back between tasks to a fixed number of entries; it stops
+at the first leaf with no kernel, and descends into a counted node only
+where the budget ends inside it, so every count, witness and budget stop
+is leaf-exact.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
@@ -689,7 +691,7 @@ def _dp_tables(
 
 def _dp_search(
     n: int, edges, num_values: int, dp: _DPTables, start=(), fixed: int = 0,
-    limit: Optional[int] = None,
+    limit: Optional[int] = None, memo: Optional[list[dict[int, int]]] = None,
 ) -> tuple[int, Optional[tuple[int, ...]], bool]:
     """Count the leaves `_leaves(n, edges, ..., start, fixed)` yields by a
     memoised dynamic program over the nodes of its tree, on an explicit
@@ -699,13 +701,15 @@ def _dp_search(
     counted.
 
     A node's value depends only on its state (`_dp_tables`), so the leaf
-    count of a finished node is memoised on its state, one dict per depth;
-    the nodes along `start` are not, since they miss the leaves before it.
-    A node met again is added at once, unless it would pass `limit`: then
-    the search descends into it, and meets only memoised children there.
-    No memoised node holds a kernel-free leaf, since the search ends at
-    the first one.  Every leaf below a certified node has a kernel, and a
-    leaf that is not certified has none: there every candidate is dead.
+    count of a finished node is memoised on its state in `memo`, one dict
+    per depth, which may hold the finished nodes of earlier calls on the
+    same tables (a fresh one by default).  The nodes along `start` are
+    neither memoised nor read from it, since they miss the leaves before
+    it.  A node met again is added at once, unless it would pass `limit`:
+    then the search descends into it, and meets mostly memoised children
+    there.  No memoised node holds a kernel-free leaf, since a search ends
+    at the first one.  Every leaf below a certified node has a kernel, and
+    a leaf that is not certified has none: there every candidate is dead.
     """
     m = len(edges)
     if not m:
@@ -724,7 +728,8 @@ def _dp_search(
     pending = [follow[0] if start else every_digit] + [0] * (m - 1)
     # `counted` as each node on the stack was entered
     first = [0] * m
-    memo: list[dict[int, int]] = [{} for _ in range(m)]
+    if memo is None:
+        memo = [{} for _ in range(m)]
     # per clique of four or more vertices, the digits its last edge may no
     # longer take, keyed by the digits of its other edges
     verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
@@ -794,13 +799,16 @@ def _dp_search(
             if not s & certified:
                 return counted, tuple(assign), True
             continue
-        value = memo[f].get(s)
-        if value is not None and (limit is None or counted + value <= limit):
-            counted += value
-            continue
-        digits = every_digit & ~(s >> at[f])
-        if f < seeded:
-            digits &= follow[f]
+        if f >= seeded:
+            value = memo[f].get(s)
+            if value is not None and (limit is None or counted + value <= limit):
+                counted += value
+                continue
+            digits = every_digit & ~(s >> at[f])
+        else:
+            # a node on the path along `start` misses the leaves before it,
+            # so no memoised count is read for it
+            digits = every_digit & ~(s >> at[f]) & follow[f]
         if digits:
             e = f
             state[e] = s
@@ -821,26 +829,61 @@ def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[t
     ]
 
 
-def _verify_task(args) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Examine one prefix subtree from `start`, whose first `depth` digits
-    pin it; returns (examined, stop, kernel_free), where `stop` is None once
-    the subtree is done, else the kernel-free assignment or, at a budget
-    stop, the first unexamined one.  With symmetry every representative
-    goes to the kernel oracle; without, `_dp_search` counts the leaves."""
-    n, edges, num_values, tables, start, depth, leaf_budget = args
-    if tables.dp is not None:
-        return _dp_search(n, edges, num_values, tables.dp, start, depth, leaf_budget)
-    full = (1 << n) - 1
-    examined = 0
-    for digits, inn in _leaves(
-        n, edges, tables.completions, num_values, start, depth, tables.actions
-    ):
-        if leaf_budget is not None and examined >= leaf_budget:
-            return examined, tuple(digits), False
-        examined += 1
-        if not kernel_exists_masks(full, inn, tables.candidates):
-            return examined, tuple(digits), True
-    return examined, None, False
+class _Sweep:
+    """The prefix tasks of one `verify_kernel_solvable` call in one
+    process: what they share and, without symmetry, the memo of
+    `_dp_search`, one dict per depth.  A state's count holds in every
+    task, so the memo outlives each task; it never outlives the call."""
+
+    def __init__(self, n: int, edges, num_values: int, tables: _SweepTables):
+        self.n, self.edges, self.num_values, self.tables = n, edges, num_values, tables
+        self.memo = None if tables.dp is None else [{} for _ in edges]
+
+    def run(self, task) -> tuple[int, Optional[tuple[int, ...]], bool]:
+        """Examine one prefix subtree from `start`, whose first `depth`
+        digits pin it; returns (examined, stop, kernel_free), where `stop`
+        is None once the subtree is done, else the kernel-free assignment
+        or, at a budget stop, the first unexamined one.  With symmetry
+        every representative goes to the kernel oracle; without,
+        `_dp_search` counts the leaves."""
+        start, depth, leaf_budget = task
+        n, edges, num_values, tables = self.n, self.edges, self.num_values, self.tables
+        if tables.dp is not None:
+            memo = self.memo
+            result = _dp_search(n, edges, num_values, tables.dp, start, depth, leaf_budget, memo)
+            # past the bound whole depths go, shallowest first: deep states
+            # recur across tasks most
+            size = sum(map(len, memo))
+            for states in memo:
+                if size <= MEMO_ENTRIES:
+                    break
+                size -= len(states)
+                states.clear()
+            return result
+        full = (1 << n) - 1
+        examined = 0
+        for digits, inn in _leaves(
+            n, edges, tables.completions, num_values, start, depth, tables.actions
+        ):
+            if leaf_budget is not None and examined >= leaf_budget:
+                return examined, tuple(digits), False
+            examined += 1
+            if not kernel_exists_masks(full, inn, tables.candidates):
+                return examined, tuple(digits), True
+        return examined, None, False
+
+
+# the sweep of a pool worker process, set once by the pool's initializer
+_worker: Optional[_Sweep] = None
+
+
+def _start_worker(sweep: _Sweep) -> None:
+    global _worker
+    _worker = sweep
+
+
+def _run_in_worker(task):
+    return _worker.run(task)
 
 
 def _load_checkpoint(
@@ -884,10 +927,11 @@ def _load_checkpoint(
 
 
 # the edges a task's prefix pins: a deeper split balances the workers
-# better but pays a prefix walk and a fresh search per task; without
-# symmetry each task also starts a fresh memo, which bounds the memory
-# but counts again a state that an earlier task met
+# better but pays a prefix walk and a fresh search per task
 TASK_DEPTH = {"simple": 8, "general": 4}
+# the memo entries a sweep without symmetry keeps from one task to the
+# next in each process; a task alone may grow the memo past it
+MEMO_ENTRIES = 10_240
 
 
 def verify_kernel_solvable(
@@ -910,6 +954,8 @@ def verify_kernel_solvable(
     any worker count.  With symmetry each representative goes to the
     kernel oracle; without, `_dp_search` counts a task's orientations by
     a memoised dynamic program and stops at the first without a kernel.
+    Its memo is shared by the tasks each process runs and cut back to
+    `MEMO_ENTRIES` after each task; it lives for this call only.
     `budget` caps the number of orientations examined and is tested before
     each one; the program descends into a counted subtree that would
     overrun it, so the stop is exact (budgeted runs execute sequentially).
@@ -971,20 +1017,21 @@ def verify_kernel_solvable(
     def task_args(index: int):
         # read when the task starts, so it sees the budget earlier tasks left
         remaining = None if budget is None else budget - total
-        start = cursor if index == first_task else tasks[index]
-        return (n, edges, num_values, tables, start, depth, remaining)
+        return (cursor if index == first_task else tasks[index]), depth, remaining
 
     args = (task_args(index) for index in range(first_task, len(tasks)))
     # after task i the next unexamined orientation is in task i + 1
     following = tasks[1:] + [None]
+    # each worker gets the sweep, with its own empty memo, once
+    sweep = _Sweep(n, edges, num_values, tables)
     pool = None
     if workers > 1:
         import multiprocessing
 
-        pool = multiprocessing.Pool(processes=workers)
+        pool = multiprocessing.Pool(workers, _start_worker, (sweep,))
     stop = None
     try:
-        results = map(_verify_task, args) if pool is None else pool.imap(_verify_task, args)
+        results = map(sweep.run, args) if pool is None else pool.imap(_run_in_worker, args)
         for index, (task_examined, digits, kernel_free) in enumerate(results, first_task):
             total += task_examined
             if digits is not None:
@@ -992,6 +1039,7 @@ def verify_kernel_solvable(
                 break
             save_checkpoint(following[index], total)
     finally:
+        sweep.memo = None
         if pool is not None:
             pool.terminate()
 

@@ -3,7 +3,7 @@
 Exit codes: 0 when the command succeeds and its verdict holds, 1 when a
 verdict fails with a witness (kernel absent, conditions violated,
 counterexample found), 2 on usage or parse errors, 3 when a budget or size
-cap ran out.  Reports are stable and machine-readable under
+cap ran out or the memory did.  Reports are stable and machine-readable under
 `--format json`.  The environment variable KERNELKIT_BUDGET overrides
 default budgets.
 """
@@ -639,6 +639,10 @@ def main(argv=None) -> int:
         if isinstance(exc, ConditionsViolatedError):
             return EXIT_VERDICT_FAILS
         return EXIT_USAGE
+    except MemoryError:
+        # a run too large for this machine is refused, as at a cap, only late
+        print("error: out of memory", file=sys.stderr)
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -440,8 +440,9 @@ class TestVerify:
         sizes = []
 
         class FakePool:
-            def __init__(self, processes):
+            def __init__(self, processes, initializer, initargs):
                 sizes.append(processes)
+                initializer(*initargs)
 
             def imap(self, func, iterable):
                 return map(func, iterable)
@@ -450,6 +451,8 @@ class TestVerify:
                 pass
 
         monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+        # the fake's initializer sets the worker sweep of this process
+        monkeypatch.setattr(antiholes, "_worker", None)
         g, _ = gen_antihole(5)
         edges = tuple(g.sorted_edges())
         tasks = _live_prefixes(5, edges, 2, _sweep_tables(g, 2, False), len(edges))
@@ -893,6 +896,122 @@ class TestLargerCliques:
             if first_free is None and not kernel_exists_masks((1 << n) - 1, inn, tables.candidates):
                 first_free = (walked, tuple(digits), True)
         assert _dp_search(n, edges, 3, tables.dp) == (first_free or (walked, None, False))
+
+
+def memo_sizes(monkeypatch):
+    """Record the size of the memo each sweep task starts with."""
+    sizes = []
+
+    def recording(*args):
+        sizes.append(sum(map(len, args[-1])))
+        return _dp_search(*args)
+
+    monkeypatch.setattr(antiholes, "_dp_search", recording)
+    return sizes
+
+
+def budget_stop_matches_the_walk(tmp_path, graph, mode, budget, whole):
+    """A budgeted run stops at `budget` with the leaf `_leaves` puts at that
+    rank as its checkpoint's `next`, and resumes to `whole` orientations."""
+    num_values = 2 if mode == "simple" else 3
+    edges, completions = _clique_completions(graph, num_values)
+    checkpoint = tmp_path / f"run-{budget}.json"
+    first = verify_kernel_solvable(graph, mode, budget=budget, checkpoint=str(checkpoint))
+    assert (first.verdict, first.orientations_examined) == ("exhausted_budget", budget)
+    leaves = _leaves(graph.vertex_count, edges, completions, num_values)
+    wanted_next = tuple(next(islice(leaves, budget, None))[0])
+    assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
+    resumed = verify_kernel_solvable(graph, mode, checkpoint=str(checkpoint))
+    assert (resumed.verdict, resumed.orientations_examined) == ("solvable", whole)
+
+
+class TestSharedMemo:
+    """Without symmetry the tasks a process runs share one memo, cut back
+    to `MEMO_ENTRIES` entries between tasks and fresh for every call."""
+
+    # starts mid-task, whose path nodes a memo filled by a whole run holds
+    # with the counts of their whole subtrees
+    @pytest.mark.parametrize(
+        "n, num_values, certified",
+        [(7, 2, False), (7, 2, True), (8, 2, True), (6, 3, True), (7, 3, False)],
+        ids=["c7-simple", "c7-simple-all", "c8-simple-all", "c6-general-all", "c7-general"],
+    )
+    def test_seeded_start_ignores_a_filled_memo(self, n, num_values, certified):
+        g, _ = gen_antihole(n)
+        edges = g.sorted_edges()
+        m = len(edges)
+        tables = _sweep_tables(g, num_values, False)
+        # from a certified root every leaf counts
+        dp = tables.dp._replace(root=tables.dp.certified) if certified else tables.dp
+        filled = [{} for _ in edges]
+        _dp_search(n, edges, num_values, dp, memo=filled)
+        depth = TASK_DEPTH["simple" if num_values == 2 else "general"]
+        leaves = list(islice(_leaves(n, edges, tables.completions, num_values), 3000))
+        rng = random.Random(n * 10 + num_values)
+        for _ in range(12):
+            start = tuple(rng.choice(leaves)[0])[:rng.randint(depth + 1, m)]
+            for fixed in (0, depth):
+                fresh = _dp_search(n, edges, num_values, dp, start, fixed)
+                shared = _dp_search(n, edges, num_values, dp, start, fixed, memo=filled)
+                assert shared == fresh
+                limit = rng.randrange(fresh[0] + 1)
+                assert _dp_search(n, edges, num_values, dp, start, fixed, limit, filled) == (
+                    _dp_search(n, edges, num_values, dp, start, fixed, limit)
+                )
+
+    # budgets that end in a late task, which earlier tasks' states enter
+    @pytest.mark.parametrize(
+        "graph, mode, budget, whole",
+        [(gen_antihole(8)[0], "simple", b, 16480) for b in (6000, 11111, 16479)]
+        + [(complete_graph(5), "general", b, 29281) for b in (9000, 20000, 29280)],
+        ids=["c8-simple-6000", "c8-simple-11111", "c8-simple-16479",
+             "k5-general-9000", "k5-general-20000", "k5-general-29280"],
+    )
+    def test_budget_stop_in_a_task_earlier_tasks_memoised(
+        self, tmp_path, monkeypatch, graph, mode, budget, whole
+    ):
+        sizes = memo_sizes(monkeypatch)
+        budget_stop_matches_the_walk(tmp_path, graph, mode, budget, whole)
+        # the resumed run's first task is the next to start from an empty
+        # memo; the task before it, where the budget ended, did not
+        stopped_at = sizes.index(0, 1) - 1
+        assert sizes[stopped_at] > 0
+
+    def test_sweeps_in_one_process_match_separate_runs(self, monkeypatch):
+        sizes = memo_sizes(monkeypatch)
+        g7, g8 = gen_antihole(7)[0], gen_antihole(8)[0]
+        runs = [
+            (g7, "simple", None, ("counterexample", 828)),
+            (g7, "general", None, ("counterexample", 320957)),
+            (g8, "simple", None, ("solvable", 16480)),
+            (complete_graph(5), "general", None, ("solvable", 29281)),
+            (g8, "simple", 9000, ("exhausted_budget", 9000)),
+            (gen_antihole(6)[0], "general", None, ("solvable", 16875)),
+        ]
+        for order in (runs, runs[::-1]):
+            for graph, mode, budget, wanted in order:
+                sizes.clear()
+                verdict = verify_kernel_solvable(graph, mode, budget=budget)
+                assert (verdict.verdict, verdict.orientations_examined) == wanted
+                # no state of an earlier call is kept
+                assert sizes[0] == 0
+
+    def test_eviction_keeps_counts_and_witnesses(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(antiholes, "MEMO_ENTRIES", 64)
+        sizes = memo_sizes(monkeypatch)
+        verdict = verify_kernel_solvable(gen_antihole(8)[0])
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 16480)
+        g7, _ = gen_antihole(7)
+        verdict = verify_kernel_solvable(g7, "general")
+        assert verdict.orientations_examined == 320957
+        assert orientation_digits(verdict.counterexample, g7.sorted_edges()) == C7_GENERAL_WITNESS
+        k5 = complete_graph(5)
+        verdict = verify_kernel_solvable(k5, "general")
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 29281)
+        for budget in (0, 1, 542, 9000, 29280):
+            budget_stop_matches_the_walk(tmp_path, k5, "general", budget, 29281)
+        # every task started within the bound, some with states kept
+        assert max(sizes) <= 64 and any(sizes)
 
 
 class TestFindNearSink:

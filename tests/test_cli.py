@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelkit import ColoredDigraph, Digraph, gen_antihole, io, redblue
+from kernelkit import ColoredDigraph, Digraph, antiholes, gen_antihole, io, redblue
 from kernelkit.antiholes import _live_prefixes, _sweep_tables
 from kernelkit.cli import main
 
@@ -615,6 +615,28 @@ class TestAntiholeCommands:
         code, _, err = run_cli(capsys, argv)
         assert code == 2
         assert err.count("\n") == 1 and field in err
+
+    def test_out_of_memory_exits_three(self, capsys, monkeypatch):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(antiholes, "verify_kernel_solvable", exhausted)
+        code, out, err = run_cli(capsys, ["antihole", "verify-simple", "--n", "9"])
+        assert (code, out, err) == (3, "", "error: out of memory\n")
+
+    @pytest.mark.parametrize(
+        "argv", [["--n", "9"], ["--n", "7", "--mode", "general"]], ids=["c9-simple", "c7-general"]
+    )
+    def test_jobs_do_not_change_the_report(self, capsys, argv):
+        reports = []
+        for jobs in ("1", "2"):
+            code, out, _ = run_cli(
+                capsys, ["antihole", "verify-simple", *argv, "--jobs", jobs, "--format", "json"]
+            )
+            report = json.loads(out)
+            del report["elapsed_ms"]
+            reports.append((code, report))
+        assert reports[0] == reports[1]
 
     def test_find_near_sink_rejects_seven(self, capsys, monkeypatch):
         c7_orientation = subprocess_output_c7()
