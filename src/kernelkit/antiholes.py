@@ -6,17 +6,18 @@ One search core, `_leaves`, enumerates edge-direction assignments in
 lexicographic digit order over the edges in (min, max) order.  It runs on
 an explicit stack with one mask of digits still to try per edge, and
 keeps the in- and out-neighbour masks of the partial orientation up to
-date along the path.  Each clique is tested at its last edge, where every
-other edge of it is decided, by a few mask operations on those masks: a
-digit that would leave the clique without a vertex receiving arcs from
-all the others is never tried.  The triangles closing at an edge are
-tested together on the mask of their third vertices; in general mode a
-larger clique is tested on its members' in-masks.  In simple mode the
-triangles suffice: a tournament with no directed triangle is transitive,
-so larger cliques then have such a vertex too.  No table is built, so
-the cost of a clique does not grow with the patterns of its edges.  In a
-symmetric sweep each leaf goes to the kernel oracle with the in-masks as
-they stand.
+date along the path.  Each triangle is tested once, as soon as its
+second-to-last edge is decided, by a few mask operations on those
+masks: one int per depth carries the digits each later edge may no
+longer take, so a digit that would leave a triangle without a vertex
+receiving arcs from both others is never tried, and a node that leaves
+a later edge no digit is dropped at once (a forward check).  In general
+mode a larger clique is tested at its last edge, on its members'
+in-masks.  In simple mode the triangles suffice: a tournament with no
+directed triangle is transitive, so larger cliques then have such a
+vertex too.  No table is built, so the cost of a clique does not grow
+with the patterns of its edges.  In a symmetric sweep each leaf goes to
+the kernel oracle with the in-masks as they stand.
 
 The kernel candidates are the base graph's maximal independent sets, the
 same for every leaf.  A sweep without symmetry walks no leaf: a memoised
@@ -228,70 +229,71 @@ def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
 # -- clique tests and the sweep core -----------------------------------------
 
 
-def _tested_cliques(graph: UndirectedGraph, num_values: int):
-    """The cliques the clique tests read, as (mask, members, edge ids in
-    ascending order).  In simple mode only the triangles: a simple
-    orientation of a clique is a tournament, and a tournament with no
-    directed triangle is transitive, so it has a sink and the triangles
-    decide every clique."""
-    eindex = {e: i for i, e in enumerate(graph.sorted_edges())}
+def _clique_completions(graph: UndirectedGraph, num_values: int):
+    """Per edge index e = (u, v): the clique tests it triggers, as
+    (forward, larger).  `forward` lists the triangles whose second-to-last
+    edge e is, as (third vertex bit, last edge, u', v') with (u', v') the
+    last edge's endpoints and the third vertex the one off it; `larger`
+    holds each clique of four or more vertices whose last edge e is, as
+    its mask and its members other than u and v.  In simple mode only the
+    triangles are tested: a simple orientation of a clique is a
+    tournament, and a tournament with no directed triangle is transitive,
+    so it has a sink and the triangles decide every clique."""
+    edges = graph.sorted_edges()
+    eindex = {e: i for i, e in enumerate(edges)}
     n = graph.vertex_count
+    forward: list[list] = [[] for _ in edges]
+    larger: list[list] = [[] for _ in edges]
     for members in all_clique_masks(n, [graph.adjacency_mask(v) for v in range(n)]):
         clique = tuple(bits_of(members))
-        if num_values == 2 and len(clique) > 3:
-            continue
-        yield members, clique, sorted(eindex[(a, b)] for a, b in combinations(clique, 2))
+        *_, second, last = sorted(eindex[pair] for pair in combinations(clique, 2))
+        u, v = edges[last]
+        if len(clique) == 3:
+            forward[second].append((members & ~(1 << u | 1 << v), last, u, v))
+        elif num_values == 3:
+            larger[last].append((members, tuple(x for x in clique if x not in (u, v))))
+    return edges, [(tuple(forward[e]), tuple(larger[e])) for e in range(len(edges))]
 
 
-def _completion(edges, members: int, clique, last: int):
-    """The test of one clique at its last edge, in the (thirds, larger)
-    form `_live_digits` reads."""
-    u, v = edges[last]
-    if len(clique) == 3:
-        return members & ~(1 << u | 1 << v), ()
-    return 0, ((members, tuple(x for x in clique if x not in (u, v))),)
+def _forward_tests(completions, at, num_values: int) -> list[tuple]:
+    """Per edge e: the tests of the triangles whose second-to-last edge e
+    is and whose last edge has a field at offset `at[last]`, as (third
+    vertex bit w, u', v', dead, full).
+
+    A node's state ORs in the digits each later edge may no longer take,
+    one field of `num_values` bits per edge.  Once e is decided, every
+    edge of the triangle but the last (u', v') is, so the test reads the
+    masks of the partial orientation: w in both out-masks settles the
+    triangle; otherwise digit 0 needs w in inn[v'], digit 1 needs w in
+    inn[u'] and digit 2 either.  `dead` holds the masks to OR in, indexed
+    by (digit 0 dies) | (digit 1 dies) << 1, and `full` the whole field:
+    a state that fills a field leaves that edge no digit.
+    """
+    every_digit = (1 << num_values) - 1
+    tests = []
+    for forward, _ in completions:
+        row = []
+        for w, last, u, v in forward:
+            if last in at:
+                # both directed digits dead kill the reversible one too
+                dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
+                row.append((w, u, v, dead, every_digit << at[last]))
+        tests.append(tuple(row))
+    return tests
 
 
-def _clique_completions(graph: UndirectedGraph, num_values: int):
-    """Per edge index e = (u, v): the cliques whose last edge it is, as
-    (thirds, larger).  `thirds` masks the third vertices of the triangles
-    closing at e; `larger` holds each clique of four or more vertices
-    closing there, general mode only, as its mask and its members other
-    than u and v."""
-    edges = graph.sorted_edges()
-    thirds = [0] * len(edges)
-    larger: list[list] = [[] for _ in edges]
-    for members, clique, eids in _tested_cliques(graph, num_values):
-        last = eids[-1]
-        mask, more = _completion(edges, members, clique, last)
-        thirds[last] |= mask
-        larger[last].extend(more)
-    return edges, [(thirds[e], tuple(larger[e])) for e in range(len(edges))]
-
-
-def _live_digits(completion, u: int, v: int, inn, out, every_digit: int) -> int:
-    """The digits edge (u, v) may take, its own arcs not yet in `inn` and
-    `out`: those that leave each clique closing at it a vertex receiving
-    arcs from all the others.
+def _live_digits(larger, u: int, v: int, inn, every_digit: int) -> int:
+    """The digits edge (u, v) may take, its own arcs not yet in `inn`:
+    those that leave each clique of `larger`, of four or more vertices
+    whose last edge (u, v) is, a vertex receiving arcs from all the others.
 
     Every other edge of such a clique is decided, so a member x other than
     u and v either receives from all the others already, which settles
     the clique, or never will.  Else u must become that vertex, which
     takes an arc v -> u (digit 1 or 2), or v must, which takes u -> v
-    (digit 0 or 2).  For a triangle with third vertex w that reads: w in
-    both out-masks settles it, and otherwise digit 0 needs w in inn[v],
-    digit 1 needs w in inn[u] and digit 2 either; `thirds` tests all the
-    triangles at once.
+    (digit 0 or 2).
     """
-    thirds, larger = completion
     digits = every_digit
-    bad = thirds & ~(out[u] & out[v])
-    if bad & ~inn[v]:
-        digits &= ~1
-    if bad & ~inn[u]:
-        digits &= ~2
-    if bad & ~inn[u] & ~inn[v]:
-        digits &= ~4
     uv = 1 << u | 1 << v
     for members, rest in larger:
         for x in rest:
@@ -313,12 +315,19 @@ def _leaves(
     """Yield the accepted assignments in lexicographic digit order as the
     live (digits, in-neighbour masks) lists of the search, which a consumer
     copies to keep.  `pending[e]` holds the digits still to try at edge e;
-    `inn` and `out` hold the arcs of the edges assigned so far.
+    `inn` and `out` hold the arcs of the edges assigned so far, and
+    `dead[e]` the digits each edge from e on may no longer take, one field
+    of `num_values` bits per edge (`_forward_tests`).  Each triangle is
+    tested once, at its second-to-last edge, into the field of its last
+    edge; a node that leaves a later edge no digit is dropped, and the
+    next edge's digits are what its field leaves.  A clique of four or
+    more vertices (general mode) is tested at its last edge.
 
     It yields the whole run's leaves from `start` on that share its first
     `fixed` digits, the stack seeded along `start` with the digits above
     start[e] pending past `fixed`; a `start` the clique tests or the
-    symmetry prune reject raises ContractError at the call.
+    symmetry prune reject raises ContractError at the call.  A `start`
+    whose subtree only the forward test empties is not refused.
 
     With `actions`, the assignment is compared with each group image and
     pruned once an image is provably smaller; at the last edge the
@@ -340,6 +349,10 @@ def _leaves(
     out = [0] * n
     every_digit = (1 << num_values) - 1
     pending = [0] * m
+    at = {f: f * num_values for f in range(m)}
+    tests = _forward_tests(completions, at, num_values)
+    larger = [completion[1] for completion in completions]
+    dead = [0] * (m + 1)
     wait: list[list] = [[] for _ in range(m)]
     for inv, flip in actions or ():
         if inv[0] < m:
@@ -347,8 +360,6 @@ def _leaves(
     moved: list[int] = []
     marks = [0] * (m + 1)
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    thirds = [completion[0] for completion in completions]
-    larger = [completion[1] for completion in completions]
 
     def symmetric_prune(e: int) -> bool:
         # the moves of the previous node at e and of its subtree
@@ -379,30 +390,42 @@ def _leaves(
         marks[e + 1] = len(moved)
         return False
 
+    def live_digits(e: int) -> int:
+        digits = every_digit & ~(dead[e] >> at[e])
+        if larger[e]:
+            u, v = edges[e]
+            digits &= _live_digits(larger[e], u, v, inn, every_digit)
+        return digits
+
+    # the forward test along `start` may empty its subtree, which is not
+    # a reason to refuse it
+    start_empty = False
     for e, digit in enumerate(start):
-        if e < m:
-            u, v, bu, bv = ends[e]
-            digits = _live_digits(completions[e], u, v, inn, out, every_digit)
-        else:
-            digits = 0
+        digits = live_digits(e) if e < m else 0
         if digit not in range(num_values) or not digits >> digit & 1:
             raise ContractError(f"start {list(start)} is not a live path at edge {e}")
         pending[e] = digits & -(2 << digit) if e >= fixed else 0
         assign[e] = digit
+        u, v, bu, bv = ends[e]
         if digit != 1:
             inn[v] |= bu
             out[u] |= bv
         if digit != 0:
             inn[u] |= bv
             out[v] |= bu
+        s = dead[e]
+        for w, a, b, kill, full in tests[e]:
+            if not out[a] & out[b] & w:
+                s |= kill[(not inn[b] & w) | (not inn[a] & w) << 1]
+                start_empty |= s & full == full
+        dead[e + 1] = s
         if actions is not None and symmetric_prune(e):
             raise ContractError(f"start {list(start)} is not a live path at edge {e}")
 
     def walk():
         e = len(start)
         if e < m:
-            u, v = edges[e]
-            pending[e] = _live_digits(completions[e], u, v, inn, out, every_digit)
+            pending[e] = 0 if start_empty else live_digits(e)
         else:
             yield assign, inn
             e -= 1
@@ -426,32 +449,27 @@ def _leaves(
             if digit != 0:
                 inn[u] |= bv
                 out[v] |= bu
-            if actions is not None and symmetric_prune(e):
+            # a later edge left with no digit empties the node's subtree:
+            # the hottest lines of a sweep
+            s = dead[e]
+            empty = False
+            for w, a, b, kill, full in tests[e]:
+                if not out[a] & out[b] & w:
+                    s |= kill[(not inn[b] & w) | (not inn[a] & w) << 1]
+                    if s & full == full:
+                        empty = True
+                        break
+            if empty or actions is not None and symmetric_prune(e):
                 continue
             if e + 1 == m:
                 yield assign, inn
                 continue
             e += 1
-            # `_live_digits` inlined for the triangles: the hottest lines
-            # of a sweep
-            digits = every_digit
-            bad = thirds[e]
+            dead[e] = s
+            digits = every_digit & ~(s >> at[e])
             if larger[e]:
                 u, v = edges[e]
-                digits = _live_digits(completions[e], u, v, inn, out, every_digit)
-            elif bad:
-                u, v = edges[e]
-                bad &= ~(out[u] & out[v])
-                if bad:
-                    dead_0 = bad & ~inn[v]
-                    dead_1 = bad & ~inn[u]
-                    if dead_0 & dead_1:
-                        digits = 0
-                    else:
-                        if dead_0:
-                            digits &= 6
-                        if dead_1:
-                            digits &= 5
+                digits &= _live_digits(larger[e], u, v, inn, every_digit)
             pending[e] = digits
 
     return walk()
@@ -582,14 +600,13 @@ class _DPTables(NamedTuple):
     flag alone, keeping only `edge_part`, the slots and digit fields;
     ANDs in the kill mask of each (bit, kill) of `settle[e]` whose outside
     vertex is still unabsorbed; and folds in the cliques whose
-    second-to-last edge e is.  `triangles[e]` holds (third vertex bit, u',
-    v', dead, full) with (u', v') the last edge, `dead` the masks of its
-    field indexed by (digit 0 dies) | (digit 1 dies) << 1, and `full` the
-    whole field; `larger[e]` holds (completion, u', v', offset of the
-    field, slots, index) for `_live_digits`, with `slots` the mask of the
-    slots of the clique's other decided edges, on which its verdict
-    depends, and `index` its number among the larger cliques.  `at[e]` is the offset of e's field, or of
-    bits that stay clear, and `root` the state of the empty assignment.
+    second-to-last edge e is.  `triangles[e]` holds their tests
+    (`_forward_tests`); `larger[e]` holds (cliques, u', v', offset of the
+    field, slots, index) for `_live_digits`, with (u', v') the last edge,
+    `slots` the mask of the slots of the clique's other decided edges, on
+    which its verdict depends, and `index` its number among the larger
+    cliques.  `at[e]` is the offset of e's field, or of bits that stay
+    clear, and `root` the state of the empty assignment.
     """
 
     clear: tuple
@@ -615,8 +632,8 @@ def _dp_tables(
     every_digit = (1 << num_values) - 1
     # each tested clique, as its members and its edge ids in ascending order
     cliques = []
-    for (u, v), (thirds, larger_at) in zip(edges, completions):
-        for members in [1 << u | 1 << v | 1 << w for w in bits_of(thirds)] + [
+    for forward, larger_at in completions:
+        for members in [w | 1 << u | 1 << v for w, _, u, v in forward] + [
             mask for mask, _ in larger_at
         ]:
             cliques.append(
@@ -638,20 +655,14 @@ def _dp_tables(
         | (every_digit << at[e] if e in at else 0)
         for e in range(m)
     ]
-    triangles: list[list] = [[] for _ in edges]
     larger: list[list] = [[] for _ in edges]
     for members, (*read, second, last) in cliques:
-        u, v = edges[last]
-        if len(read) == 1:
-            # both directed digits dead kill the reversible one too
-            dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
-            third = members & ~(1 << u | 1 << v)
-            triangles[second].append((third, u, v, dead, every_digit << at[last]))
-        else:
-            completion = _completion(edges, members, tuple(bits_of(members)), last)
+        if len(read) > 1:
+            u, v = edges[last]
+            rest = tuple(x for x in bits_of(members) if x not in (u, v))
             slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
             index = sum(map(len, larger))
-            larger[second].append((completion, u, v, at[last], slots, index))
+            larger[second].append((((members, rest),), u, v, at[last], slots, index))
 
     root = 0
     # per edge and digit: the candidate bits its arcs absorb, and the
@@ -680,7 +691,7 @@ def _dp_tables(
         tuple(tuple(d << slot[e] if e in slot else 0 for d in range(3)) for e in range(m)),
         tuple(tuple(map(tuple, per_digit)) for per_digit in certify),
         tuple(map(tuple, settle)),
-        tuple(map(tuple, triangles)),
+        tuple(_forward_tests(completions, at, num_values)),
         tuple(map(tuple, larger)),
         tuple(at.get(e, certified.bit_length()) for e in range(m)),
         root,
@@ -779,11 +790,11 @@ def _dp_search(
                 if s & full == full:
                     empty = True
                     break
-        for completion, a, b, shift, slots, index in larger[e]:
+        for clique, a, b, shift, slots, index in larger[e]:
             key = (state[e] & slots) << 2 | digit
             dead = verdicts[index].get(key)
             if dead is None:
-                live = _live_digits(completion, a, b, inn, out, every_digit)
+                live = _live_digits(clique, a, b, inn, every_digit)
                 dead = verdicts[index][key] = (every_digit ^ live) << shift
             s |= dead
             if s >> shift & every_digit == every_digit:

@@ -4,7 +4,7 @@ import multiprocessing
 import os
 import random
 import tempfile
-from itertools import islice, product
+from itertools import combinations, islice, product
 from pathlib import Path
 
 import pytest
@@ -41,6 +41,7 @@ from kernelkit.antiholes import (
     search_clique_acyclic_no_kernel,
     verify_kernel_solvable,
 )
+from kernelkit.digraph import bits_of
 from kernelkit.oracle import (
     find_kernel_bruteforce,
     is_clique_acyclic,
@@ -312,6 +313,75 @@ class TestSweepCore:
         with pytest.raises(ContractError, match="start"):
             _leaves(7, edges, completions, 2, start, 0, actions)
 
+    @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
+    def test_live_start_with_no_leaf_below_is_not_refused(self, symmetry):
+        # the starts every clique test along them and the symmetry prune
+        # accept, but below which the forward test leaves some later edge
+        # no digit (or the prune kills every leaf)
+        g, labeling = gen_antihole(7)
+        edges, completions = _clique_completions(g, 2)
+        actions = dihedral_edge_actions(labeling) if symmetry else None
+        whole = core_leaves(g, 2, symmetry)
+        reached = {leaf[:k] for leaf in whole for k in range(len(edges))}
+        emptied = [
+            digits
+            for k in range(len(edges))
+            for digits, _ in naive.reference_leaves(7, edges[:k], 2, (), actions)
+            if digits not in reached
+        ]
+        assert len(emptied) > 100
+        for start in emptied[:: len(emptied) // 20]:
+            assert list(_leaves(7, edges, completions, 2, start, len(start), actions)) == []
+            # unpinned, the run goes on past the empty subtree
+            assert core_leaves(g, 2, symmetry, start, 0) == [x for x in whole if x >= start]
+
+
+def forward_table(graph, num_values):
+    """`_clique_completions`' tests as (edge tested at, clique, last edge,
+    members off the last edge) tuples, sorted."""
+    edges, completions = _clique_completions(graph, num_values)
+    table = []
+    for e, (forward, larger) in enumerate(completions):
+        for w, last, u, v in forward:
+            table.append((e, tuple(sorted((*bits_of(w), u, v))), last, tuple(bits_of(w))))
+        for members, rest in larger:
+            table.append((e, tuple(bits_of(members)), e, rest))
+    return sorted(table)
+
+
+def naive_forward_table(graph, num_values):
+    """Each triangle at its second-to-last edge, and in general mode each
+    larger clique at its last edge, from the naive clique list."""
+    edges = graph.sorted_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    table = []
+    for clique in naive.naive_cliques(graph.vertex_count, graph.edges):
+        if len(clique) < 3 or len(clique) > 3 and num_values == 2:
+            continue
+        *_, second, last = sorted(index[pair] for pair in combinations(clique, 2))
+        rest = tuple(x for x in clique if x not in edges[last])
+        table.append((second if len(clique) == 3 else last, clique, last, rest))
+    return sorted(table)
+
+
+class TestForwardTable:
+    @pytest.mark.parametrize(
+        "n, num_values",
+        [(n, 2) for n in (5, 6, 7, 8, 9)] + [(n, 3) for n in (5, 6, 7)],
+        ids=lambda x: str(x),
+    )
+    def test_antihole_cliques_listed_once(self, n, num_values):
+        g, _ = gen_antihole(n)
+        table = forward_table(g, num_values)
+        assert table == naive_forward_table(g, num_values)
+        assert len(table) == len(set(table))
+
+    @settings(max_examples=60, deadline=None)
+    @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]))
+    @example(complete_graph(5), 3)
+    def test_arbitrary_graph_cliques_listed_once(self, g, num_values):
+        assert forward_table(g, num_values) == naive_forward_table(g, num_values)
+
 
 LEAF_DIGESTS = json.loads(
     (Path(__file__).resolve().parent / "golden" / "leaf_digests.json").read_text()
@@ -362,6 +432,29 @@ class TestLeafSequenceGolden:
         leaves = core_leaves(complete_graph(5), 3)
         assert len(leaves) == 29281
         assert leaves == naive_leaves(complete_graph(5), 3)
+
+
+SYMMETRIC_CHECKPOINTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "symmetric_checkpoints.json").read_text()
+)
+
+
+class TestSymmetricCheckpointGolden:
+    """`--symmetry` checkpoints of C7-bar and C9-bar simple written by the
+    walk that tested each clique at its last edge: budget stops, and one
+    run stopped between tasks, `elapsed_seconds` set to 0.  Each resumes to
+    the verdict and count of an uninterrupted run."""
+
+    @pytest.mark.parametrize(
+        "entry", SYMMETRIC_CHECKPOINTS, ids=lambda e: f"c{e['n']}-{e['stop'].replace(' ', '-')}"
+    )
+    def test_checkpoint_resumes_to_the_recorded_verdict(self, tmp_path, entry):
+        checkpoint = tmp_path / "run.json"
+        checkpoint.write_text(json.dumps(entry["checkpoint"]))
+        g, _ = gen_antihole(entry["n"])
+        verdict = verify_kernel_solvable(g, symmetry_reduction=True, checkpoint=str(checkpoint))
+        assert verdict.verdict == entry["verdict"]
+        assert verdict.orientations_examined == entry["examined"]
 
 
 class TestSymmetry:
