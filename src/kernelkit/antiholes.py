@@ -15,9 +15,10 @@ a later edge no digit is dropped at once (a forward check).  In general
 mode a larger clique is tested at its last edge, on its members'
 in-masks.  In simple mode the triangles suffice: a tournament with no
 directed triangle is transitive, so larger cliques then have such a
-vertex too.  No table is built, so the cost of a clique does not grow
-with the patterns of its edges.  In a symmetric sweep each leaf goes to
-the kernel oracle with the in-masks as they stand.
+vertex too.  No table over digit patterns is built, so the cost of a
+clique does not grow with the patterns of its edges.  In a symmetric
+sweep each leaf goes to the kernel oracle with the in-masks as they
+stand.
 
 The kernel candidates are the base graph's maximal independent sets, the
 same for every leaf.  A sweep without symmetry walks no leaf: a memoised
@@ -257,17 +258,18 @@ def _clique_completions(graph: UndirectedGraph, num_values: int):
 
 def _forward_tests(completions, at, num_values: int) -> list[tuple]:
     """Per edge e: the tests of the triangles whose second-to-last edge e
-    is and whose last edge has a field at offset `at[last]`, as (third
-    vertex bit w, u', v', dead, full).
+    is, as (third vertex bit w, u', v', dead, full), for a state that
+    holds the digits each later edge f may no longer take in a field of
+    `num_values` bits at offset `at[f]`.  A triangle whose last edge has
+    no field, past a prefix of the edges, is not tested.
 
-    A node's state ORs in the digits each later edge may no longer take,
-    one field of `num_values` bits per edge.  Once e is decided, every
-    edge of the triangle but the last (u', v') is, so the test reads the
-    masks of the partial orientation: w in both out-masks settles the
-    triangle; otherwise digit 0 needs w in inn[v'], digit 1 needs w in
-    inn[u'] and digit 2 either.  `dead` holds the masks to OR in, indexed
-    by (digit 0 dies) | (digit 1 dies) << 1, and `full` the whole field:
-    a state that fills a field leaves that edge no digit.
+    Once e is decided, every edge of the triangle but the last (u', v')
+    is, so the test reads the masks of the partial orientation: w in both
+    out-masks settles the triangle; otherwise digit 0 needs w in inn[v'],
+    digit 1 needs w in inn[u'] and digit 2 either.  `dead` holds the
+    masks to OR in, indexed by (digit 0 dies) | (digit 1 dies) << 1, and
+    `full` the whole field: a state that fills a field leaves that edge no
+    digit.
     """
     every_digit = (1 << num_values) - 1
     tests = []
