@@ -372,9 +372,8 @@ class TestForwardTable:
     )
     def test_antihole_cliques_listed_once(self, n, num_values):
         g, _ = gen_antihole(n)
-        table = forward_table(g, num_values)
-        assert table == naive_forward_table(g, num_values)
-        assert len(table) == len(set(table))
+        # the naive list holds each clique once
+        assert forward_table(g, num_values) == naive_forward_table(g, num_values)
 
     @settings(max_examples=60, deadline=None)
     @given(undirected_graphs(max_n=6), st.sampled_from([2, 3]))
