@@ -2,41 +2,37 @@
 exhaustive enumeration of clique-acyclic orientations, and the solvability
 verification machinery built on top of it.
 
-One search core, `_leaves`, enumerates edge-direction assignments in
-lexicographic digit order over the edges in (min, max) order.  It runs on
-an explicit stack with one mask of digits still to try per edge, and
-keeps the in- and out-neighbour masks of the partial orientation up to
-date along the path.  Each triangle is tested once, as soon as its
-second-to-last edge is decided, by a few mask operations on those
-masks: one int per depth carries the digits each later edge may no
-longer take, so a digit that would leave a triangle without a vertex
-receiving arcs from both others is never tried, and a node that leaves
-a later edge no digit is dropped at once (a forward check).  In general
-mode a larger clique is tested at its last edge, on its members'
-in-masks.  In simple mode the triangles suffice: a tournament with no
-directed triangle is transitive, so larger cliques then have such a
-vertex too.  No table over digit patterns is built, so the cost of a
-clique does not grow with the patterns of its edges.  In a symmetric
-sweep each leaf goes to the kernel oracle with the in-masks as they
-stand.
+One walk, `_walk`, serves enumeration, the task list and every sweep.
+It visits edge-direction assignments in lexicographic digit order over
+the edges in (min, max) order, on an explicit stack with one mask of
+digits still to try per edge, and keeps the in- and out-neighbour masks
+of the partial orientation up to date along the path.  A node's state is
+one int that holds only what its subtree depends on: the digits of the
+decided edges of each clique not yet down to its last open edge, the
+digits each edge to come may no longer take, and, when the sweep carries
+kernel candidates, per candidate the vertices outside it that nothing
+absorbs yet.  Each clique is tested once, as soon as its second-to-last
+edge is decided: a triangle by a few mask operations on the in- and
+out-masks, a clique of four or more vertices (general mode) on its
+members' in-masks, once per pattern of its decided edges' digits.  So a
+digit that would leave a clique without a vertex receiving arcs from all
+the others is never tried, and a node that leaves a later edge no digit
+is dropped at once (a forward check).  In simple mode the triangles
+suffice: a tournament with no directed triangle is transitive, so larger
+cliques then have such a vertex too.
 
 The kernel candidates are the base graph's maximal independent sets, the
-same for every leaf.  A sweep without symmetry walks no leaf: a memoised
-dynamic program over the same tree counts them in the same order.  A
-node's state holds only what its subtree depends on: the digits of the
-decided edges of each clique not yet down to its last open edge, the
-digits each edge to come may no longer take (a node that leaves one of
-them none is empty), and per candidate the vertices outside it that
-nothing absorbs yet, until one of those has every edge to it decided
-(the candidate is dead) or one candidate absorbs everything (every leaf
-below has a kernel).  A clique of four or more vertices is tested once
-per task for each pattern of its decided edges' digits, since its
-verdict depends on nothing else.  A sweep counts its finished nodes once
-per state in one memo per process, which its prefix tasks share and
-which is cut back between tasks to a fixed number of entries; it stops
-at the first leaf with no kernel, and descends into a counted node only
-where the budget ends inside it, so every count, witness and budget stop
-is leaf-exact.
+same for every leaf.  Without symmetry the state carries them: a
+candidate is dead once one of its unabsorbed outside vertices has every
+edge to it decided, and once one candidate absorbs everything, every leaf
+below has a kernel.  The walk then counts a finished node once per state
+in one memo per process, which its prefix tasks share and which is cut
+back between tasks to a fixed number of entries.  It yields only a leaf
+where every candidate is dead, which the kernel oracle confirms, and
+descends into a counted node only where the budget ends inside it, so
+every count, witness and budget stop is leaf-exact.  Under symmetry the
+state carries no candidates and the oracle decides each representative:
+the candidate fields would cost the walk more than the oracle costs.
 
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
@@ -47,10 +43,10 @@ own edge instead of walking every image still tied.
 Long runs split the search into tasks (the parallelism unit) at the live
 prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
 mode; in task order they give exactly the leaves of the whole run, so
-counts and verdicts do not depend on the worker count.  The core can
-start from any assignment by seeding its stack along it, so a checkpoint
-records the first unexamined assignment and a resumed run continues from
-exactly there.
+counts and verdicts do not depend on the worker count.  The walk can
+start from any assignment by following its digits down from the root, so
+a checkpoint records the first unexamined assignment and a resumed run
+continues from exactly there.
 """
 
 from __future__ import annotations
@@ -64,7 +60,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional
+from typing import Generator, Iterator, NamedTuple, Optional
 
 from .digraph import (
     Digraph,
@@ -227,7 +223,7 @@ def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
     return canonical_digits(orientation_digits(orientation, edges), dihedral_edge_actions(labeling))
 
 
-# -- clique tests and the sweep core -----------------------------------------
+# -- clique tests and the sweep walk -----------------------------------------
 
 
 def _clique_completions(graph: UndirectedGraph, num_values: int):
@@ -254,34 +250,6 @@ def _clique_completions(graph: UndirectedGraph, num_values: int):
         elif num_values == 3:
             larger[last].append((members, tuple(x for x in clique if x not in (u, v))))
     return edges, [(tuple(forward[e]), tuple(larger[e])) for e in range(len(edges))]
-
-
-def _forward_tests(completions, at, num_values: int) -> list[tuple]:
-    """Per edge e: the tests of the triangles whose second-to-last edge e
-    is, as (third vertex bit w, u', v', dead, full), for a state that
-    holds the digits each later edge f may no longer take in a field of
-    `num_values` bits at offset `at[f]`.  A triangle whose last edge has
-    no field, past a prefix of the edges, is not tested.
-
-    Once e is decided, every edge of the triangle but the last (u', v')
-    is, so the test reads the masks of the partial orientation: w in both
-    out-masks settles the triangle; otherwise digit 0 needs w in inn[v'],
-    digit 1 needs w in inn[u'] and digit 2 either.  `dead` holds the
-    masks to OR in, indexed by (digit 0 dies) | (digit 1 dies) << 1, and
-    `full` the whole field: a state that fills a field leaves that edge no
-    digit.
-    """
-    every_digit = (1 << num_values) - 1
-    tests = []
-    for forward, _ in completions:
-        row = []
-        for w, last, u, v in forward:
-            if last in at:
-                # both directed digits dead kill the reversible one too
-                dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
-                row.append((w, u, v, dead, every_digit << at[last]))
-        tests.append(tuple(row))
-    return tests
 
 
 def _live_digits(larger, u: int, v: int, inn, every_digit: int) -> int:
@@ -311,25 +279,181 @@ def _live_digits(larger, u: int, v: int, inn, every_digit: int) -> int:
     return digits
 
 
-def _leaves(
-    n: int, edges, completions, num_values: int, start=(), fixed: int = 0, actions=None
-) -> Iterator[tuple[list[int], list[int]]]:
-    """Yield the accepted assignments in lexicographic digit order as the
-    live (digits, in-neighbour masks) lists of the search, which a consumer
-    copies to keep.  `pending[e]` holds the digits still to try at edge e;
-    `inn` and `out` hold the arcs of the edges assigned so far, and
-    `dead[e]` the digits each edge from e on may no longer take, one field
-    of `num_values` bits per edge (`_forward_tests`).  Each triangle is
-    tested once, at its second-to-last edge, into the field of its last
-    edge; a node that leaves a later edge no digit is dropped, and the
-    next edge's digits are what its field leaves.  A clique of four or
-    more vertices (general mode) is tested at its last edge.
+class _DPTables(NamedTuple):
+    """The state layout of the sweep walk `_walk` and its updates per
+    edge e = (u, v) and digit d.
 
-    It yields the whole run's leaves from `start` on that share its first
-    `fixed` digits, the stack seeded along `start` with the digits above
-    start[e] pending past `fixed`; a `start` the clique tests or the
-    symmetry prune reject raises ContractError at the call.  A `start`
-    whose subtree only the forward test empties is not refused.
+    A node's state is one int, and it is the node's memo key.  From bit 0
+    up it holds:
+    - a slot for the digit of each decided edge that lies in a clique
+      whose second-to-last edge is still open;
+    - a field for each edge yet to come that closes a clique, with the
+      digits it may no longer take.  A clique is tested as soon as its
+      second-to-last edge is decided, for the digits its last edge may
+      take, so its other digits need not stay;
+    - a field per kernel candidate, if the tables carry any: a live flag
+      over its outside vertices that no arc into it absorbs yet.  The
+      field is cleared, the candidate dead, once one of those has every
+      edge to it decided;
+    - the certified bit, which replaces every candidate field once one
+      candidate absorbs all the vertices outside it.
+
+    Placing d at e ANDs in `clear[e][d]`, which drops the slots no open
+    clique reads any more, e's own field and the vertices d's arcs
+    absorb, and ORs in `put[e][d]`, d in e's slot if it stays.  Then it
+    certifies on the first (field, flag) of `certify[e][d]` left at its
+    flag alone, keeping only `edge_part`, the slots and digit fields;
+    ANDs in the kill mask of each (bit, kill) of `settle[e]` whose outside
+    vertex is still unabsorbed; and folds in the cliques whose
+    second-to-last edge e is.  `triangles[e]` holds their tests as
+    (third vertex bit w, u', v', dead, full), with (u', v') the last
+    edge: once e is decided every other edge of the triangle is, so the
+    test reads the in- and out-masks of the partial orientation.  w in
+    both out-masks settles the triangle; otherwise digit 0 needs w in
+    inn[v'], digit 1 needs w in inn[u'] and digit 2 either.  `dead` holds
+    the bits to OR in, indexed by (digit 0 dies) | (digit 1 dies) << 1,
+    and `full` the last edge's whole field.  `larger[e]` holds (cliques,
+    u', v', offset of the field, slots, index) for `_live_digits`, with
+    `slots` the mask of the slots of the clique's other decided edges, on
+    which its verdict depends, and `index` its number among the larger
+    cliques.  `at[e]` is the offset of e's field, or of bits that stay
+    clear, and `root` the state of the empty assignment.
+    """
+
+    clear: tuple
+    put: tuple
+    certify: tuple
+    settle: tuple
+    triangles: tuple
+    larger: tuple
+    at: tuple
+    root: int
+    certified: int
+    edge_part: int
+
+
+def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTables:
+    """Lay out the states of the sweep walk (`_DPTables`) from the clique
+    tests of `_clique_completions`, with a field per kernel candidate of
+    `candidates`, as (mask, members) pairs."""
+    n = graph.vertex_count
+    edges, completions = _clique_completions(graph, num_values)
+    m = len(edges)
+    eindex = {e: i for i, e in enumerate(edges)}
+    every_digit = (1 << num_values) - 1
+    # each tested clique, as its members and its edge ids in ascending order
+    cliques = []
+    for forward, larger_at in completions:
+        for members in [w | 1 << u | 1 << v for w, _, u, v in forward] + [
+            mask for mask, _ in larger_at
+        ]:
+            cliques.append(
+                (members, sorted(eindex[e] for e in combinations(bits_of(members), 2)))
+            )
+    keep_until = [-1] * m
+    for _, (*read, second, _) in cliques:
+        for eid in read:
+            keep_until[eid] = max(keep_until[eid], second)
+    width = (num_values - 1).bit_length()
+    kept = [eid for eid in range(m) if keep_until[eid] > eid]
+    slot = {eid: i * width for i, eid in enumerate(kept)}
+    closing = sorted({eids[-1] for _, eids in cliques})
+    at = {eid: len(kept) * width + i * num_values for i, eid in enumerate(closing)}
+    base = len(kept) * width + len(closing) * num_values
+    certified = 1 << base + len(candidates) * (n + 1)
+    clear_bits = [
+        sum(((1 << width) - 1) << slot[eid] for eid in kept if keep_until[eid] == e)
+        | (every_digit << at[e] if e in at else 0)
+        for e in range(m)
+    ]
+    # both directed digits dead kill the reversible one too
+    triangles = tuple(
+        tuple(
+            (w, u, v, tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4)),
+             every_digit << at[last])
+            for w, last, u, v in forward
+        )
+        for forward, _ in completions
+    )
+    larger: list[list] = [[] for _ in edges]
+    for members, (*read, second, last) in cliques:
+        if len(read) > 1:
+            u, v = edges[last]
+            rest = tuple(x for x in bits_of(members) if x not in (u, v))
+            slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
+            index = sum(map(len, larger))
+            larger[second].append((((members, rest),), u, v, at[last], slots, index))
+
+    root = 0
+    # per edge and digit: the candidate bits its arcs absorb, and the
+    # (field, flag) of each candidate they absorb into
+    absorb = [[0, 0, 0] for _ in edges]
+    certify: list = [([], [], []) for _ in edges]
+    settle: list[list] = [[] for _ in edges]
+    for i, (s, _) in enumerate(candidates):
+        low = base + i * (n + 1)
+        field = (1 << n + 1) - 1 << low
+        flag = 1 << low + n
+        outside = (1 << n) - 1 & ~s
+        root |= flag | outside << low
+        for x in bits_of(outside):
+            last = max(eindex[min(x, y), max(x, y)] for y in bits_of(graph.adjacency_mask(x) & s))
+            settle[last].append((1 << low + x, ~field))
+        for e, (u, v) in enumerate(edges):
+            # u -> v (digits 0 and 2) absorbs u, v -> u (1 and 2) absorbs v
+            for tail, head, digits in ((u, v, (0, 2)), (v, u, (1, 2))):
+                if s >> head & 1:
+                    for d in digits:
+                        absorb[e][d] |= 1 << low + tail
+                        certify[e][d].append((field, flag))
+    return _DPTables(
+        tuple(tuple(~(clear_bits[e] | bits) for bits in absorb[e]) for e in range(m)),
+        tuple(tuple(d << slot[e] if e in slot else 0 for d in range(3)) for e in range(m)),
+        tuple(tuple(map(tuple, per_digit)) for per_digit in certify),
+        tuple(map(tuple, settle)),
+        triangles,
+        tuple(map(tuple, larger)),
+        tuple(at.get(e, certified.bit_length()) for e in range(m)),
+        root,
+        certified,
+        (1 << base) - 1,
+    )
+
+
+def _walk(
+    n: int, edges, num_values: int, dp: _DPTables, start=(), fixed: int = 0,
+    limit: Optional[int] = None, memo: Optional[list[dict[int, int]]] = None, actions=None,
+) -> Generator[tuple[int, list[int], list[int]], None, int]:
+    """Walk the accepted assignments of `edges` from `start` on that
+    share its first `fixed` digits, in lexicographic digit order on an
+    explicit stack, and return their number.  It yields (rank, digits,
+    in-neighbour masks) for each leaf whose state (`_DPTables`) is not
+    certified, every leaf when the tables carry no kernel candidates,
+    and for the leaf at which the count reaches `limit`, not counted,
+    after which it stops.  `rank` counts the leaves before it; the lists
+    are the walk's own, which a consumer copies to keep.
+
+    `pending[e]` holds the digits still to try at edge e, and `inn` and
+    `out` the arcs of the edges assigned so far.  A node whose state
+    leaves a later edge no digit is dropped (a forward check), and the
+    next edge's digits are what its field leaves.  A node at a depth
+    below `seeded` lies on the path along `start` and misses the leaves
+    before it.  Its digits are clipped to the one of `start` and, from
+    `fixed` on, those above it; the walk takes the first for the path
+    and leaves the path with the others, so each digit of `start` from
+    `fixed` on must be live where it stands, as `_check_start` ensures.
+    `seeded` drops to a depth once the walk leaves the path there.
+
+    With `memo`, one dict per depth, a finished node's leaf count is
+    memoised on its state, which is all its subtree depends on, and the
+    memo may hold the finished nodes of earlier walks on the same tables.
+    A node on the path is neither memoised nor read from it.  A node met
+    again is added at once, unless it would pass `limit`: then the walk
+    descends into it, and meets mostly memoised children there.  Every
+    leaf below a certified node has a kernel, and a leaf that is not
+    certified has none: there every candidate is dead.  So a memoised
+    node holds no leaf the walk yields, provided its consumer stops at
+    the first one that has no kernel.
 
     With `actions`, the assignment is compared with each group image and
     pruned once an image is provably smaller; at the last edge the
@@ -348,20 +472,33 @@ def _leaves(
     m = len(edges)
     assign = [0] * m
     inn = [0] * n
-    out = [0] * n
+    if not m:
+        # the empty assignment is the one leaf
+        yield 0, assign, inn
+        return 1 if limit is None or limit > 0 else 0
+    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part = dp
+    # the slots, an edge's own field and the candidate fields serve only
+    # the memo, the larger cliques' verdicts and the kernel certificate:
+    # without these the state keeps the digit fields alone
+    keyed = root > edge_part or memo is not None or any(larger)
     every_digit = (1 << num_values) - 1
-    pending = [0] * m
-    at = {f: f * num_values for f in range(m)}
-    tests = _forward_tests(completions, at, num_values)
-    larger = [completion[1] for completion in completions]
-    dead = [0] * (m + 1)
+    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
+    out = [0] * n
+    state = [root] + [0] * m
+    seeded = len(start)
+    follow = [1 << d if e < fixed else -(1 << d) for e, d in enumerate(start)]
+    pending = [every_digit & follow[0] if start else every_digit] + [0] * (m - 1)
+    # with `memo`, `counted` as each node off the path was entered
+    first = [0] * m
+    # per clique of four or more vertices, the digits its last edge may no
+    # longer take, keyed by the digits of its other edges
+    verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
     wait: list[list] = [[] for _ in range(m)]
     for inv, flip in actions or ():
         if inv[0] < m:
             wait[inv[0]].append((inv, flip, 0))
     moved: list[int] = []
     marks = [0] * (m + 1)
-    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
 
     def symmetric_prune(e: int) -> bool:
         # the moves of the previous node at e and of its subtree
@@ -392,89 +529,118 @@ def _leaves(
         marks[e + 1] = len(moved)
         return False
 
-    def live_digits(e: int) -> int:
-        digits = every_digit & ~(dead[e] >> at[e])
-        if larger[e]:
-            u, v = edges[e]
-            digits &= _live_digits(larger[e], u, v, inn, every_digit)
-        return digits
-
-    # the forward test along `start` may empty its subtree, which is not
-    # a reason to refuse it
-    start_empty = False
-    for e, digit in enumerate(start):
-        digits = live_digits(e) if e < m else 0
-        if digit not in range(num_values) or not digits >> digit & 1:
-            raise ContractError(f"start {list(start)} is not a live path at edge {e}")
-        pending[e] = digits & -(2 << digit) if e >= fixed else 0
-        assign[e] = digit
+    counted = 0
+    e = 0
+    while True:
+        # the previous digit at e, if any, leaves the masks
         u, v, bu, bv = ends[e]
+        inn[v] &= ~bu
+        inn[u] &= ~bv
+        out[u] &= ~bv
+        out[v] &= ~bu
+        digits = pending[e]
+        if not digits:
+            if e < seeded:
+                seeded = e
+            elif memo is not None:
+                memo[e][state[e]] = counted - first[e]
+            if not e:
+                return counted
+            e -= 1
+            continue
+        low = digits & -digits
+        pending[e] = digits ^ low
+        digit = low >> 1
+        assign[e] = digit
         if digit != 1:
             inn[v] |= bu
             out[u] |= bv
         if digit != 0:
             inn[u] |= bv
             out[v] |= bu
-        s = dead[e]
-        for w, a, b, kill, full in tests[e]:
+        s = state[e]
+        if keyed:
+            s = s & clear[e][digit] | put[e][digit]
+            for field, flag in certify[e][digit]:
+                if s & field == flag:
+                    s = s & edge_part | certified
+                    break
+            for bit, kill in settle[e]:
+                if s & bit:
+                    s &= kill
+        # a later edge left with no digit empties the node: the hottest
+        # lines of a sweep
+        empty = False
+        for w, a, b, dead, full in triangles[e]:
+            # `_live_digits` inlined for one triangle
             if not out[a] & out[b] & w:
-                s |= kill[(not inn[b] & w) | (not inn[a] & w) << 1]
-                start_empty |= s & full == full
-        dead[e + 1] = s
-        if actions is not None and symmetric_prune(e):
-            raise ContractError(f"start {list(start)} is not a live path at edge {e}")
-
-    def walk():
-        e = len(start)
-        if e < m:
-            pending[e] = 0 if start_empty else live_digits(e)
+                s |= dead[(not inn[b] & w) | (not inn[a] & w) << 1]
+                if s & full == full:
+                    empty = True
+                    break
+        for clique, a, b, shift, slots, index in larger[e]:
+            key = (state[e] & slots) << 2 | digit
+            dead = verdicts[index].get(key)
+            if dead is None:
+                live = _live_digits(clique, a, b, inn, every_digit)
+                dead = verdicts[index][key] = (every_digit ^ live) << shift
+            s |= dead
+            if s >> shift & every_digit == every_digit:
+                empty = True
+                break
+        if empty or actions is not None and symmetric_prune(e):
+            if e < seeded:
+                # the next digit at e leaves the path
+                seeded = e + 1
+            continue
+        f = e + 1
+        if f == m:
+            if limit is not None and counted >= limit:
+                yield counted, assign, inn
+                return counted
+            if not s & certified:
+                yield counted, assign, inn
+            counted += 1
+            continue
+        if f < seeded:
+            digits = every_digit & ~(s >> at[f]) & follow[f]
         else:
-            yield assign, inn
-            e -= 1
-        while e >= 0:
-            # the previous digit at e, if any, leaves the masks
-            u, v, bu, bv = ends[e]
-            inn[v] &= ~bu
-            inn[u] &= ~bv
-            out[u] &= ~bv
-            out[v] &= ~bu
-            digits = pending[e]
-            if not digits:
-                e -= 1
-                continue
-            digit = (digits & -digits).bit_length() - 1
-            pending[e] = digits & (digits - 1)
-            assign[e] = digit
-            if digit != 1:
-                inn[v] |= bu
-                out[u] |= bv
-            if digit != 0:
-                inn[u] |= bv
-                out[v] |= bu
-            # a later edge left with no digit empties the node's subtree:
-            # the hottest lines of a sweep
-            s = dead[e]
-            empty = False
-            for w, a, b, kill, full in tests[e]:
-                if not out[a] & out[b] & w:
-                    s |= kill[(not inn[b] & w) | (not inn[a] & w) << 1]
-                    if s & full == full:
-                        empty = True
-                        break
-            if empty or actions is not None and symmetric_prune(e):
-                continue
-            if e + 1 == m:
-                yield assign, inn
-                continue
-            e += 1
-            dead[e] = s
-            digits = every_digit & ~(s >> at[e])
-            if larger[e]:
-                u, v = edges[e]
-                digits &= _live_digits(larger[e], u, v, inn, every_digit)
-            pending[e] = digits
+            if memo is not None:
+                value = memo[f].get(s)
+                if value is not None and (limit is None or counted + value <= limit):
+                    counted += value
+                    continue
+                first[f] = counted
+            digits = every_digit & ~(s >> at[f])
+        e = f
+        state[e] = s
+        pending[e] = digits
 
-    return walk()
+
+def _live_prefixes(
+    n: int, edges, num_values: int, actions, depth: int, start=()
+) -> list[tuple[int, ...]]:
+    """The accepted assignments of the first `depth` edges from `start`
+    on that share its digits, in order.  Only the cliques within those
+    edges are tested, so every prefix of a leaf of the whole run is one,
+    and a prefix the clique tests or the symmetry prune kill never
+    becomes a task."""
+    dp = _dp_tables(UndirectedGraph(n, edges[:depth]), num_values)
+    walk = _walk(n, edges[:depth], num_values, dp, start, len(start), actions=actions)
+    return [tuple(digits) for _, digits, _ in walk]
+
+
+def _check_start(n: int, edges, num_values: int, actions, start) -> None:
+    """Refuse a `start` that is no live path: one longer than `edges`,
+    with a digit out of range, or one that a clique test along it or the
+    symmetry prune rejects.  A `start` whose subtree only the forward
+    check empties is live."""
+    if not (
+        len(start) <= len(edges)
+        and all(d in range(num_values) for d in start)
+        and _live_prefixes(n, edges, num_values, actions, len(start), start) == [tuple(start)]
+    ):
+        raise ContractError(f"start {list(start)} is not a live path")
 
 
 def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool) -> None:
@@ -502,8 +668,10 @@ def enumerate_simple_clique_acyclic_orientations(
     _check_sweep_input(graph, symmetry_reduction)
     n = graph.vertex_count
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry_reduction else None
-    edges, completions = _clique_completions(graph, 2)
-    for digits, _ in _leaves(n, edges, completions, 2, prefix, len(prefix), actions):
+    edges = graph.sorted_edges()
+    _check_start(n, edges, 2, actions, prefix)
+    leaves = _walk(n, edges, 2, _dp_tables(graph, 2), prefix, len(prefix), actions=actions)
+    for _, digits, _ in leaves:
         yield digits_to_orientation(digits, graph, edges)
 
 
@@ -547,343 +715,75 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
 
 
 class _SweepTables(NamedTuple):
-    """What every prefix task of a sweep shares.
+    """What every prefix task of a sweep shares: the kernel candidates as
+    (mask, members) pairs, the symmetry actions (None without symmetry)
+    and the walk's tables."""
 
-    `candidates` are the kernel candidates as (mask, members) pairs,
-    `actions` the symmetry actions (None without symmetry), and `dp` the
-    tables of `_dp_search` (None with symmetry).
-    """
-
-    completions: list
     candidates: tuple[tuple[int, tuple[int, ...]], ...]
     actions: Optional[list]
-    dp: Optional[_DPTables]
+    dp: _DPTables
 
 
 def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _SweepTables:
     """Build the tables once per sweep, for every task to share."""
     n = graph.vertex_count
-    edges, completions = _clique_completions(graph, num_values)
     # every leaf orients `graph`, so its maximal independent sets are the
     # kernel candidates of every leaf
     candidates = tuple(
         (s, tuple(bits_of(s)))
         for s in maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
     )
-    if symmetry:
-        actions = dihedral_edge_actions(AntiholeLabeling(n))
-        return _SweepTables(completions, candidates, actions, None)
-    dp = _dp_tables(graph, edges, completions, num_values, candidates)
-    return _SweepTables(completions, candidates, None, dp)
-
-
-class _DPTables(NamedTuple):
-    """The state layout of `_dp_search` and its updates per edge e = (u, v)
-    and digit d.
-
-    A node's state is one int, and it is the node's memo key.  From bit 0
-    up it holds:
-    - a slot for the digit of each decided edge that lies in a clique
-      whose second-to-last edge is still open;
-    - a field for each edge yet to come that closes a clique, with the
-      digits it may no longer take.  A clique is tested as soon as its
-      second-to-last edge is decided, for the digits its last edge may
-      take, so its other digits need not stay;
-    - a field per kernel candidate: a live flag over its outside vertices
-      that no arc into it absorbs yet.  The field is cleared, the
-      candidate dead, once one of those has every edge to it decided;
-    - the certified bit, which replaces every candidate field once one
-      candidate absorbs all the vertices outside it.
-
-    Placing d at e ANDs in `clear[e][d]`, which drops the slots no open
-    clique reads any more, e's own field and the vertices d's arcs
-    absorb, and ORs in `put[e][d]`, d in e's slot if it stays.  Then it
-    certifies on the first (field, flag) of `certify[e][d]` left at its
-    flag alone, keeping only `edge_part`, the slots and digit fields;
-    ANDs in the kill mask of each (bit, kill) of `settle[e]` whose outside
-    vertex is still unabsorbed; and folds in the cliques whose
-    second-to-last edge e is.  `triangles[e]` holds their tests
-    (`_forward_tests`); `larger[e]` holds (cliques, u', v', offset of the
-    field, slots, index) for `_live_digits`, with (u', v') the last edge,
-    `slots` the mask of the slots of the clique's other decided edges, on
-    which its verdict depends, and `index` its number among the larger
-    cliques.  `at[e]` is the offset of e's field, or of bits that stay
-    clear, and `root` the state of the empty assignment.
-    """
-
-    clear: tuple
-    put: tuple
-    certify: tuple
-    settle: tuple
-    triangles: tuple
-    larger: tuple
-    at: tuple
-    root: int
-    certified: int
-    edge_part: int
-
-
-def _dp_tables(
-    graph: UndirectedGraph, edges, completions, num_values: int, candidates
-) -> _DPTables:
-    """Lay out the states of a sweep without symmetry (`_DPTables`) from
-    the clique tests of `_clique_completions`."""
-    n = graph.vertex_count
-    m = len(edges)
-    eindex = {e: i for i, e in enumerate(edges)}
-    every_digit = (1 << num_values) - 1
-    # each tested clique, as its members and its edge ids in ascending order
-    cliques = []
-    for forward, larger_at in completions:
-        for members in [w | 1 << u | 1 << v for w, _, u, v in forward] + [
-            mask for mask, _ in larger_at
-        ]:
-            cliques.append(
-                (members, sorted(eindex[e] for e in combinations(bits_of(members), 2)))
-            )
-    keep_until = [-1] * m
-    for _, (*read, second, _) in cliques:
-        for eid in read:
-            keep_until[eid] = max(keep_until[eid], second)
-    width = (num_values - 1).bit_length()
-    kept = [eid for eid in range(m) if keep_until[eid] > eid]
-    slot = {eid: i * width for i, eid in enumerate(kept)}
-    closing = sorted({eids[-1] for _, eids in cliques})
-    at = {eid: len(kept) * width + i * num_values for i, eid in enumerate(closing)}
-    base = len(kept) * width + len(closing) * num_values
-    certified = 1 << base + len(candidates) * (n + 1)
-    clear_bits = [
-        sum(((1 << width) - 1) << slot[eid] for eid in kept if keep_until[eid] == e)
-        | (every_digit << at[e] if e in at else 0)
-        for e in range(m)
-    ]
-    larger: list[list] = [[] for _ in edges]
-    for members, (*read, second, last) in cliques:
-        if len(read) > 1:
-            u, v = edges[last]
-            rest = tuple(x for x in bits_of(members) if x not in (u, v))
-            slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
-            index = sum(map(len, larger))
-            larger[second].append((((members, rest),), u, v, at[last], slots, index))
-
-    root = 0
-    # per edge and digit: the candidate bits its arcs absorb, and the
-    # (field, flag) of each candidate they absorb into
-    absorb = [[0, 0, 0] for _ in edges]
-    certify: list = [([], [], []) for _ in edges]
-    settle: list[list] = [[] for _ in edges]
-    for i, (s, _) in enumerate(candidates):
-        low = base + i * (n + 1)
-        field = (1 << n + 1) - 1 << low
-        flag = 1 << low + n
-        outside = (1 << n) - 1 & ~s
-        root |= flag | outside << low
-        for x in bits_of(outside):
-            last = max(eindex[min(x, y), max(x, y)] for y in bits_of(graph.adjacency_mask(x) & s))
-            settle[last].append((1 << low + x, ~field))
-        for e, (u, v) in enumerate(edges):
-            # u -> v (digits 0 and 2) absorbs u, v -> u (1 and 2) absorbs v
-            for tail, head, digits in ((u, v, (0, 2)), (v, u, (1, 2))):
-                if s >> head & 1:
-                    for d in digits:
-                        absorb[e][d] |= 1 << low + tail
-                        certify[e][d].append((field, flag))
-    return _DPTables(
-        tuple(tuple(~(clear_bits[e] | bits) for bits in absorb[e]) for e in range(m)),
-        tuple(tuple(d << slot[e] if e in slot else 0 for d in range(3)) for e in range(m)),
-        tuple(tuple(map(tuple, per_digit)) for per_digit in certify),
-        tuple(map(tuple, settle)),
-        tuple(_forward_tests(completions, at, num_values)),
-        tuple(map(tuple, larger)),
-        tuple(at.get(e, certified.bit_length()) for e in range(m)),
-        root,
-        certified,
-        (1 << base) - 1,
-    )
-
-
-def _dp_search(
-    n: int, edges, num_values: int, dp: _DPTables, start=(), fixed: int = 0,
-    limit: Optional[int] = None, memo: Optional[list[dict[int, int]]] = None,
-) -> tuple[int, Optional[tuple[int, ...]], bool]:
-    """Count the leaves `_leaves(n, edges, ..., start, fixed)` yields by a
-    memoised dynamic program over the nodes of its tree, on an explicit
-    stack in the same leaf order.  Returns (counted, stop, kernel_free):
-    `stop` is None once every leaf is counted; else the first leaf with no
-    kernel, counted, or the leaf at which `counted` reached `limit`, not
-    counted.
-
-    A node's value depends only on its state (`_dp_tables`), so the leaf
-    count of a finished node is memoised on its state in `memo`, one dict
-    per depth, which may hold the finished nodes of earlier calls on the
-    same tables (a fresh one by default).  The nodes along `start` are
-    neither memoised nor read from it, since they miss the leaves before
-    it.  A node met again is added at once, unless it would pass `limit`:
-    then the search descends into it, and meets mostly memoised children
-    there.  No memoised node holds a kernel-free leaf, since a search ends
-    at the first one.  Every leaf below a certified node has a kernel, and
-    a leaf that is not certified has none: there every candidate is dead.
-    """
-    m = len(edges)
-    if not m:
-        # the one leaf is empty, and its one candidate, every vertex, absorbs
-        return (0, (), False) if limit is not None and limit <= 0 else (1, None, False)
-    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part = dp
-    every_digit = (1 << num_values) - 1
-    ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
-    inn = [0] * n
-    out = [0] * n
-    assign = [0] * m
-    state = [root] + [0] * m
-    # a node at depth e < seeded lies on the path along `start`
-    seeded = len(start)
-    follow = [1 << d if e < fixed else every_digit & -(1 << d) for e, d in enumerate(start)]
-    pending = [follow[0] if start else every_digit] + [0] * (m - 1)
-    # `counted` as each node on the stack was entered
-    first = [0] * m
-    if memo is None:
-        memo = [{} for _ in range(m)]
-    # per clique of four or more vertices, the digits its last edge may no
-    # longer take, keyed by the digits of its other edges
-    verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
-    counted = 0
-    e = 0
-    while True:
-        # the previous digit at e, if any, leaves the masks
-        u, v, bu, bv = ends[e]
-        inn[v] &= ~bu
-        inn[u] &= ~bv
-        out[u] &= ~bv
-        out[v] &= ~bu
-        digits = pending[e]
-        if not digits:
-            if e >= seeded:
-                memo[e][state[e]] = counted - first[e]
-            else:
-                seeded = e
-            if not e:
-                return counted, None, False
-            e -= 1
-            continue
-        low = digits & -digits
-        pending[e] = digits ^ low
-        digit = low >> 1
-        assign[e] = digit
-        if digit != 1:
-            inn[v] |= bu
-            out[u] |= bv
-        if digit != 0:
-            inn[u] |= bv
-            out[v] |= bu
-        s = state[e] & clear[e][digit] | put[e][digit]
-        for field, flag in certify[e][digit]:
-            if s & field == flag:
-                s = s & edge_part | certified
-                break
-        for bit, kill in settle[e]:
-            if s & bit:
-                s &= kill
-        # a later edge left with no digit empties the child's subtree
-        empty = False
-        for w, a, b, dead, full in triangles[e]:
-            # `_live_digits` inlined for one triangle: the hottest lines
-            if not out[a] & out[b] & w:
-                s |= dead[(not inn[b] & w) | (not inn[a] & w) << 1]
-                if s & full == full:
-                    empty = True
-                    break
-        for clique, a, b, shift, slots, index in larger[e]:
-            key = (state[e] & slots) << 2 | digit
-            dead = verdicts[index].get(key)
-            if dead is None:
-                live = _live_digits(clique, a, b, inn, every_digit)
-                dead = verdicts[index][key] = (every_digit ^ live) << shift
-            s |= dead
-            if s >> shift & every_digit == every_digit:
-                empty = True
-                break
-        if empty:
-            continue
-        f = e + 1
-        if f == m:
-            if limit is not None and counted >= limit:
-                return counted, tuple(assign), False
-            counted += 1
-            if not s & certified:
-                return counted, tuple(assign), True
-            continue
-        if f >= seeded:
-            value = memo[f].get(s)
-            if value is not None and (limit is None or counted + value <= limit):
-                counted += value
-                continue
-            digits = every_digit & ~(s >> at[f])
-        else:
-            # a node on the path along `start` misses the leaves before it,
-            # so no memoised count is read for it
-            digits = every_digit & ~(s >> at[f]) & follow[f]
-        if digits:
-            e = f
-            state[e] = s
-            pending[e] = digits
-            first[e] = counted
-
-
-def _live_prefixes(n: int, edges, num_values: int, tables, depth: int) -> list[tuple[int, ...]]:
-    """The accepted assignments of the first `depth` edges, in order: a
-    prefix the clique tests or the symmetry prune kill never becomes a
-    task."""
-    completions, actions = tables.completions, tables.actions
-    return [
-        tuple(digits)
-        for digits, _ in _leaves(
-            n, edges[:depth], completions[:depth], num_values, actions=actions
-        )
-    ]
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    # under symmetry the oracle decides each representative: candidate
+    # fields in the state would cost the walk more than the oracle costs
+    dp = _dp_tables(graph, num_values, () if symmetry else candidates)
+    return _SweepTables(candidates, actions, dp)
 
 
 class _Sweep:
     """The prefix tasks of one `verify_kernel_solvable` call in one
-    process: what they share and, without symmetry, the memo of
-    `_dp_search`, one dict per depth.  A state's count holds in every
-    task, so the memo outlives each task; it never outlives the call."""
+    process: what they share and, without symmetry, the walk's memo, one
+    dict per depth.  A state's count holds in every task, so the memo
+    outlives each task; it never outlives the call."""
 
     def __init__(self, n: int, edges, num_values: int, tables: _SweepTables):
         self.n, self.edges, self.num_values, self.tables = n, edges, num_values, tables
-        self.memo = None if tables.dp is None else [{} for _ in edges]
+        self.memo = [{} for _ in edges] if tables.actions is None else None
 
     def run(self, task) -> tuple[int, Optional[tuple[int, ...]], bool]:
         """Examine one prefix subtree from `start`, whose first `depth`
         digits pin it; returns (examined, stop, kernel_free), where `stop`
         is None once the subtree is done, else the kernel-free assignment
-        or, at a budget stop, the first unexamined one.  With symmetry
-        every representative goes to the kernel oracle; without,
-        `_dp_search` counts the leaves."""
+        or, at a budget stop, the first unexamined one.  The kernel oracle
+        decides each leaf the walk yields: with symmetry every
+        representative, without only the leaf the state finds
+        kernel-free."""
         start, depth, leaf_budget = task
-        n, edges, num_values, tables = self.n, self.edges, self.num_values, self.tables
-        if tables.dp is not None:
-            memo = self.memo
-            result = _dp_search(n, edges, num_values, tables.dp, start, depth, leaf_budget, memo)
-            # past the bound whole depths go, shallowest first: deep states
-            # recur across tasks most
-            size = sum(map(len, memo))
-            for states in memo:
-                if size <= MEMO_ENTRIES:
-                    break
-                size -= len(states)
-                states.clear()
-            return result
+        n, tables, memo = self.n, self.tables, self.memo
         full = (1 << n) - 1
-        examined = 0
-        for digits, inn in _leaves(
-            n, edges, tables.completions, num_values, start, depth, tables.actions
-        ):
-            if leaf_budget is not None and examined >= leaf_budget:
-                return examined, tuple(digits), False
-            examined += 1
-            if not kernel_exists_masks(full, inn, tables.candidates):
-                return examined, tuple(digits), True
-        return examined, None, False
+        leaves = _walk(
+            n, self.edges, self.num_values, tables.dp, start, depth, leaf_budget, memo,
+            tables.actions,
+        )
+        try:
+            while True:
+                rank, digits, inn = next(leaves)
+                if leaf_budget is not None and rank >= leaf_budget:
+                    return rank, tuple(digits), False
+                if not kernel_exists_masks(full, inn, tables.candidates):
+                    return rank + 1, tuple(digits), True
+        except StopIteration as done:
+            return done.value, None, False
+        finally:
+            if memo is not None:
+                # past the bound whole depths go, shallowest first: deep
+                # states recur across tasks most
+                size = sum(map(len, memo))
+                for states in memo:
+                    if size <= MEMO_ENTRIES:
+                        break
+                    size -= len(states)
+                    states.clear()
 
 
 # the sweep of a pool worker process, set once by the pool's initializer
@@ -965,12 +865,12 @@ def verify_kernel_solvable(
     workers, never more than the tasks left, process them, results are
     consumed in task order, so counts and the verdict are identical for
     any worker count.  With symmetry each representative goes to the
-    kernel oracle; without, `_dp_search` counts a task's orientations by
-    a memoised dynamic program and stops at the first without a kernel.
-    Its memo is shared by the tasks each process runs and cut back to
+    kernel oracle; without, `_walk` counts a task's orientations on a memo
+    of subtree states and stops at the first without a kernel.  The memo
+    is shared by the tasks each process runs and cut back to
     `MEMO_ENTRIES` after each task; it lives for this call only.
     `budget` caps the number of orientations examined and is tested before
-    each one; the program descends into a counted subtree that would
+    each one; the walk descends into a counted subtree that would
     overrun it, so the stop is exact (budgeted runs execute sequentially).
     `checkpoint` names a JSON file updated after each task and at a budget
     stop, whose `next` holds the first unexamined orientation (or the next
@@ -986,11 +886,12 @@ def verify_kernel_solvable(
     n = graph.vertex_count
     depth = min(TASK_DEPTH[mode], len(edges))
     tables = _sweep_tables(graph, num_values, symmetry_reduction)
-    tasks = _live_prefixes(n, edges, num_values, tables, depth)
+    tasks = _live_prefixes(n, edges, num_values, tables.actions, depth)
     signature = _graph_key(n, edges, mode, symmetry_reduction)
 
     checkpoint_path = Path(checkpoint) if checkpoint else None
-    state = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values) or {
+    loaded = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values)
+    state = loaded or {
         "next": tasks[0], "examined": 0, "elapsed_seconds": 0.0, "counterexample": None
     }
     total, elapsed_before, cursor = state["examined"], state["elapsed_seconds"], state["next"]
@@ -1000,13 +901,13 @@ def verify_kernel_solvable(
         )
     if cursor is None:
         return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
-    completions, actions = tables.completions, tables.actions
-    try:
-        _leaves(n, edges, completions, num_values, cursor, depth, actions)
-    except ContractError as exc:
-        raise ContractError(f"checkpoint {checkpoint_path} is corrupt: next ({exc})") from None
-    # the core accepted the cursor, so its first `depth` digits are a live
-    # prefix: one of the tasks
+    if loaded is not None:
+        try:
+            _check_start(n, edges, num_values, tables.actions, cursor)
+        except ContractError as exc:
+            raise ContractError(f"checkpoint {checkpoint_path} is corrupt: next ({exc})") from None
+    # the cursor is live, so its first `depth` digits are a live prefix:
+    # one of the tasks
     first_task = bisect_left(tasks, cursor[:depth])
 
     started = time.monotonic()

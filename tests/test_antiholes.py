@@ -1,9 +1,11 @@
+import functools
 import hashlib
 import json
 import multiprocessing
 import os
 import random
 import tempfile
+from bisect import bisect_left
 from itertools import combinations, islice, product
 from pathlib import Path
 
@@ -23,11 +25,12 @@ from kernelkit import (
 from kernelkit.antiholes import (
     AntiholeLabeling,
     TASK_DEPTH,
+    _check_start,
     _clique_completions,
-    _leaves,
+    _dp_tables,
     _live_prefixes,
-    _dp_search,
     _sweep_tables,
+    _walk,
     c7_counterexample,
     canonical_digits,
     canonical_orientation_key,
@@ -181,9 +184,9 @@ class TestEnumeration:
             g, _ = gen_antihole(n)
             whole = core_leaves(g, num_values, symmetry)
             edges = tuple(g.sorted_edges())
-            tables = _sweep_tables(g, num_values, symmetry)
+            actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
             for depth in range(9):
-                tasks = _live_prefixes(n, edges, num_values, tables, depth)
+                tasks = _live_prefixes(n, edges, num_values, actions, depth)
                 assert tasks == sorted(set(tasks))
                 pieces = []
                 for task in tasks:
@@ -191,17 +194,30 @@ class TestEnumeration:
                 assert pieces == whole
 
 
+# tables with no kernel candidates, so the walk yields every leaf
+plain_tables = functools.cache(_dp_tables)
+
+
+def walk_leaves(graph, num_values, start=(), fixed=0, actions=None):
+    """The sweep walk's (rank, digits, in-masks) leaves."""
+    tables = plain_tables(graph, num_values)
+    return _walk(
+        graph.vertex_count, graph.sorted_edges(), num_values, tables, start, fixed, actions=actions
+    )
+
+
 def core_leaves(graph, num_values, symmetry=False, start=(), fixed=None):
-    """The sweep core's leaf sequence from `start`, whose first `fixed`
-    digits (all by default) pin the subtree, checking the in-masks it
-    keeps at every leaf against masks rebuilt from the digits."""
+    """The sweep walk's leaf sequence from a live `start`, whose first
+    `fixed` digits (all by default) pin the subtree, checking the in-masks
+    it keeps at every leaf against masks rebuilt from the digits."""
     n = graph.vertex_count
-    edges, completions = _clique_completions(graph, num_values)
+    edges = graph.sorted_edges()
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
     if fixed is None:
         fixed = len(start)
+    _check_start(n, edges, num_values, actions, start)
     leaves = []
-    for digits, inn in _leaves(n, edges, completions, num_values, start, fixed, actions):
+    for _, digits, inn in walk_leaves(graph, num_values, start, fixed, actions):
         assert inn == naive.naive_in_masks(n, edges, digits)
         leaves.append(tuple(digits))
     return leaves
@@ -248,18 +264,18 @@ class TestSweepCore:
     )
     def test_incremental_prune_matches_the_full_rescan(self, n, num_values, orbits, prefix):
         g, labeling = gen_antihole(n)
-        edges, completions = _clique_completions(g, num_values)
+        edges = g.sorted_edges()
         actions = dihedral_edge_actions(labeling)
         k = len(prefix)
         live = naive.reference_leaves(n, edges[:k], num_values, prefix, actions)
         if not any(live):
-            # the prune kills the prefix itself, which the seeded core refuses
+            # the prune kills the prefix itself, which a start check refuses
             with pytest.raises(ContractError, match="not a live path"):
-                _leaves(n, edges, completions, num_values, prefix, k, actions)
+                _check_start(n, edges, num_values, actions, prefix)
             return
         got = [
             (tuple(digits), tuple(inn))
-            for digits, inn in _leaves(n, edges, completions, num_values, prefix, k, actions)
+            for _, digits, inn in walk_leaves(g, num_values, prefix, k, actions)
         ]
         wanted = list(naive.reference_leaves(n, edges, num_values, prefix, actions))
         assert got == wanted
@@ -268,18 +284,17 @@ class TestSweepCore:
 
     @pytest.mark.parametrize("n, num_values", [(7, 2), (6, 3)], ids=["c7-simple", "c6-general"])
     def test_truncated_edges_keep_the_whole_group(self, n, num_values):
-        # `_live_prefixes` runs the core on the first k edges with the
-        # actions of all of them: a comparison blocked at an image position
-        # past the k-th edge must wait for good, never index past the lists
+        # `_live_prefixes` walks the first k edges with the actions of all
+        # of them: a comparison blocked at an image position past the k-th
+        # edge must wait for good, never index past the lists
         g, labeling = gen_antihole(n)
-        edges, completions = _clique_completions(g, num_values)
+        edges = g.sorted_edges()
         actions = dihedral_edge_actions(labeling)
         for k in range(len(edges) + 1):
+            prefix_graph = UndirectedGraph(n, edges[:k])
             got = [
                 (tuple(digits), tuple(inn))
-                for digits, inn in _leaves(
-                    n, edges[:k], completions[:k], num_values, actions=actions
-                )
+                for _, digits, inn in walk_leaves(prefix_graph, num_values, actions=actions)
             ]
             assert got == list(
                 naive.reference_leaves(n, edges[:k], num_values, (), actions)
@@ -308,10 +323,9 @@ class TestSweepCore:
     )
     def test_dead_start_is_refused_at_the_call(self, start, symmetry):
         g, labeling = gen_antihole(7)
-        edges, completions = _clique_completions(g, 2)
         actions = dihedral_edge_actions(labeling) if symmetry else None
         with pytest.raises(ContractError, match="start"):
-            _leaves(7, edges, completions, 2, start, 0, actions)
+            _check_start(7, g.sorted_edges(), 2, actions, start)
 
     @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
     def test_live_start_with_no_leaf_below_is_not_refused(self, symmetry):
@@ -319,7 +333,7 @@ class TestSweepCore:
         # accept, but below which the forward test leaves some later edge
         # no digit (or the prune kills every leaf)
         g, labeling = gen_antihole(7)
-        edges, completions = _clique_completions(g, 2)
+        edges = g.sorted_edges()
         actions = dihedral_edge_actions(labeling) if symmetry else None
         whole = core_leaves(g, 2, symmetry)
         reached = {leaf[:k] for leaf in whole for k in range(len(edges))}
@@ -331,7 +345,7 @@ class TestSweepCore:
         ]
         assert len(emptied) > 100
         for start in emptied[:: len(emptied) // 20]:
-            assert list(_leaves(7, edges, completions, 2, start, len(start), actions)) == []
+            assert core_leaves(g, 2, symmetry, start) == []
             # unpinned, the run goes on past the empty subtree
             assert core_leaves(g, 2, symmetry, start, 0) == [x for x in whole if x >= start]
 
@@ -388,15 +402,14 @@ LEAF_DIGESTS = json.loads(
 
 
 def leaf_digest(graph, num_values, symmetry=False, limit=None):
-    """(leaves, SHA-256) of the core's first `limit` leaves (all by
+    """(leaves, SHA-256) of the walk's first `limit` leaves (all by
     default), each leaf hashed as the repr of its (digits, in-masks)
     tuples, in order."""
     n = graph.vertex_count
-    edges, completions = _clique_completions(graph, num_values)
     actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
     digest = hashlib.sha256()
     leaves = 0
-    for digits, inn in islice(_leaves(n, edges, completions, num_values, (), 0, actions), limit):
+    for _, digits, inn in islice(walk_leaves(graph, num_values, actions=actions), limit):
         digest.update(repr((tuple(digits), tuple(inn))).encode())
         leaves += 1
     return [leaves, digest.hexdigest()]
@@ -431,6 +444,45 @@ class TestLeafSequenceGolden:
         leaves = core_leaves(complete_graph(5), 3)
         assert len(leaves) == 29281
         assert leaves == naive_leaves(complete_graph(5), 3)
+
+
+TASK_LISTS = json.loads(
+    (Path(__file__).resolve().parent / "golden" / "task_lists.json").read_text()
+)
+
+
+def task_digest(graph, mode, symmetry):
+    """(tasks, SHA-256) of a sweep's prefix tasks, each hashed as the repr
+    of its digit tuple, in order."""
+    n = graph.vertex_count
+    num_values = 2 if mode == "simple" else 3
+    edges = tuple(graph.sorted_edges())
+    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    depth = min(TASK_DEPTH[mode], len(edges))
+    tasks = _live_prefixes(n, edges, num_values, actions, depth)
+    digest = hashlib.sha256()
+    for task in tasks:
+        digest.update(repr(tuple(task)).encode())
+    return [len(tasks), digest.hexdigest()]
+
+
+class TestTaskListGolden:
+    """A checkpoint's cursor is bisected into the task list, so the list
+    is part of the checkpoint format.  The digests were taken from the
+    walk that preceded the one sweep walk."""
+
+    @pytest.mark.parametrize(
+        "key",
+        [f"c{n}-simple{s}" for n in (5, 6, 7, 8, 9) for s in ("", "-symmetry")]
+        + [f"c{n}-general{s}" for n in (5, 6, 7) for s in ("", "-symmetry")],
+    )
+    def test_antihole_task_list(self, key):
+        name, mode, *symmetry = key.split("-")
+        graph = gen_antihole(int(name[1:]))[0]
+        assert task_digest(graph, mode, bool(symmetry)) == TASK_LISTS[key]
+
+    def test_k5_general_task_list(self):
+        assert task_digest(complete_graph(5), "general", False) == TASK_LISTS["k5-general"]
 
 
 SYMMETRIC_CHECKPOINTS = json.loads(
@@ -547,7 +599,7 @@ class TestVerify:
         monkeypatch.setattr(antiholes, "_worker", None)
         g, _ = gen_antihole(5)
         edges = tuple(g.sorted_edges())
-        tasks = _live_prefixes(5, edges, 2, _sweep_tables(g, 2, False), len(edges))
+        tasks = _live_prefixes(5, edges, 2, None, len(edges))
         assert len(tasks) == 32
         sequential = verify_kernel_solvable(g)
         wide = verify_kernel_solvable(g, jobs=500)
@@ -711,8 +763,7 @@ class TestVerify:
     def test_budget_met_by_a_tasks_last_leaf_is_not_redone(self, tmp_path):
         g, _ = gen_antihole(7)
         edges = tuple(g.sorted_edges())
-        tables = _sweep_tables(g, 2, False)
-        first, second = _live_prefixes(7, edges, 2, tables, TASK_DEPTH["simple"])[:2]
+        first, second = _live_prefixes(7, edges, 2, None, TASK_DEPTH["simple"])[:2]
         leaves = core_leaves(g, 2)
         # a budget equal to the first task's leaves ends exactly on its last
         # leaf, which counts as examined; the next one opens the second task
@@ -831,8 +882,8 @@ def reference_sweep(graph, num_values, budget):
 
 
 class TestKernelCertificate:
-    """Without symmetry the leaves are counted by a program memoised on
-    subtree states, not walked; every count, witness and checkpoint stays
+    """Without symmetry the walk counts the leaves on a memo of subtree
+    states, not one by one; every count, witness and checkpoint stays
     leaf-exact."""
 
     @settings(max_examples=60, deadline=None)
@@ -855,16 +906,16 @@ class TestKernelCertificate:
             assert tuple(state["next"]) == wanted_digits
 
     # budgets that end inside a prefix task: the stop and the checkpoint's
-    # `next` are the leaf `_leaves` puts at that rank
+    # `next` are the leaf the walk puts at that rank
     @pytest.mark.parametrize("budget", [225, 13580, 15650])
     def test_budget_stop_inside_a_certified_subtree(self, tmp_path, budget):
         g, _ = gen_antihole(7)
-        edges, completions = _clique_completions(g, 3)
+        edges = g.sorted_edges()
         checkpoint = tmp_path / "run.json"
         first = verify_kernel_solvable(g, "general", budget=budget, checkpoint=str(checkpoint))
         assert first.verdict == "exhausted_budget"
         assert first.orientations_examined == budget
-        wanted_next = tuple(next(islice(_leaves(7, edges, completions, 3), budget, None))[0])
+        wanted_next = tuple(next(islice(walk_leaves(g, 3), budget, None))[1])
         assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
         resumed = verify_kernel_solvable(g, "general", checkpoint=str(checkpoint))
         assert resumed.verdict == "counterexample"
@@ -893,47 +944,62 @@ class TestKernelCertificate:
         edges = g.sorted_edges()
         tables = _sweep_tables(g, num_values, False)
         m = len(edges)
-        # from a certified root every leaf has a kernel, so the program
-        # counts the whole subtree
+        # from a certified root every leaf has a kernel, so the walk counts
+        # the whole subtree and yields no leaf
         counting = tables.dp._replace(root=tables.dp.certified)
         if whole is not None:
-            assert _dp_search(n, edges, num_values, counting) == (whole, None, False)
-
-        def below(prefix):
-            return _leaves(n, edges, tables.completions, num_values, prefix, len(prefix))
-
-        def walk_below(prefix):
-            """The walk's leaf count below `prefix`, and the rank and digits
-            of the first leaf without a kernel, as `_dp_search` reports them."""
-            leaves = 0
-            first_free = None
-            for digits, inn in below(prefix):
-                leaves += 1
-                if first_free is None and not kernel_exists_masks(
-                    (1 << n) - 1, inn, tables.candidates
-                ):
-                    first_free = (leaves, tuple(digits), True)
-            return leaves, first_free or (leaves, None, False)
-
-        def has_leaf(prefix):
-            try:
-                return next(below(prefix), None) is not None
-            except ContractError:
-                return False
-
+            assert walk_stop(n, edges, num_values, counting, memo=[{} for _ in edges]) == (
+                whole, None
+            )
         rng = random.Random(n * 10 + num_values)
+        reference = {}
         for _ in range(2):
-            # a random live prefix of every depth, one descent at a time
+            # a random live prefix of every depth, one descent at a time;
+            # the reference leaves below it, narrowed as it grows
             prefix = ()
+            below = None
             for depth in range(m + 1):
-                if depth >= walk_from:
-                    count, first_free = walk_below(prefix)
-                    got = _dp_search(n, edges, num_values, counting, prefix, depth)
-                    assert got == (count, None, False)
-                    assert _dp_search(n, edges, num_values, tables.dp, prefix, depth) == first_free
+                if depth == walk_from:
+                    if prefix not in reference:
+                        reference[prefix] = list(naive.reference_leaves(n, edges, num_values, prefix))
+                    below = reference[prefix]
+                elif depth > walk_from:
+                    below = [leaf for leaf in below if leaf[0][depth - 1] == prefix[-1]]
+                if below is not None:
+                    wanted = reference_stop(below, n, tables.candidates)
+                    for memo in (None, [{} for _ in edges]):
+                        got = walk_stop(n, edges, num_values, counting, prefix, depth, memo=memo)
+                        assert got == (len(below), None)
+                    for memo in (None, [{} for _ in edges]):
+                        got = walk_stop(n, edges, num_values, tables.dp, prefix, depth, memo=memo)
+                        assert got == wanted
                 if depth < m:
-                    live = [d for d in range(num_values) if has_leaf(prefix + (d,))]
+                    live = [
+                        d for d in range(num_values)
+                        if next(walk_leaves(g, num_values, prefix + (d,), depth + 1), None)
+                    ]
                     prefix += (rng.choice(live),)
+
+
+def walk_stop(n, edges, num_values, dp, start=(), fixed=0, limit=None, memo=None):
+    """What a sweep task takes from the walk: (leaves counted, None) once
+    it ends, else the rank and digits of the first leaf it yields."""
+    walk = _walk(n, edges, num_values, dp, start, fixed, limit, memo)
+    try:
+        rank, digits, _ = next(walk)
+    except StopIteration as done:
+        return done.value, None
+    return rank, tuple(digits)
+
+
+def reference_stop(leaves, n, candidates):
+    """`walk_stop`'s answer from reference (digits, in-masks) leaves: the
+    rank and digits of the first with no kernel, else (their number,
+    None)."""
+    for rank, (digits, inn) in enumerate(leaves):
+        if not kernel_exists_masks((1 << n) - 1, inn, candidates):
+            return rank, digits
+    return len(leaves), None
 
 
 class TestLargerCliques:
@@ -951,11 +1017,10 @@ class TestLargerCliques:
     @pytest.mark.parametrize("budget", [0, 1, 542, 9000, 29280])
     def test_budget_stops_on_k5_general(self, tmp_path, budget):
         g = complete_graph(5)
-        edges, completions = _clique_completions(g, 3)
         checkpoint = tmp_path / "run.json"
         first = verify_kernel_solvable(g, "general", budget=budget, checkpoint=str(checkpoint))
         assert (first.verdict, first.orientations_examined) == ("exhausted_budget", budget)
-        wanted_next = tuple(next(islice(_leaves(5, edges, completions, 3), budget, None))[0])
+        wanted_next = tuple(next(islice(walk_leaves(g, 3), budget, None))[1])
         assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
         resumed = verify_kernel_solvable(g, "general", checkpoint=str(checkpoint))
         assert (resumed.verdict, resumed.orientations_examined) == ("solvable", 29281)
@@ -978,40 +1043,37 @@ class TestLargerCliques:
         tables = _sweep_tables(g, 3, False)
         # from a certified root every leaf counts
         counting = tables.dp._replace(root=tables.dp.certified)
+        whole = list(naive.reference_leaves(n, edges, 3))
         for prefix in product(range(3), repeat=3):
-            wanted = sum(1 for _ in _leaves(n, edges, tables.completions, 3, prefix, 3))
-            assert _dp_search(n, edges, 3, counting, prefix, 3) == (wanted, None, False)
-        walked = 0
-        first_free = None
-        for digits, inn in _leaves(n, edges, tables.completions, 3):
-            walked += 1
-            if first_free is None and not kernel_exists_masks((1 << n) - 1, inn, tables.candidates):
-                first_free = (walked, tuple(digits), True)
-        assert _dp_search(n, edges, 3, tables.dp) == (first_free or (walked, None, False))
+            wanted = sum(1 for digits, _ in whole if digits[:3] == prefix)
+            for memo in (None, [{} for _ in edges]):
+                assert walk_stop(n, edges, 3, counting, prefix, 3, memo=memo) == (wanted, None)
+        wanted = reference_stop(whole, n, tables.candidates)
+        for memo in (None, [{} for _ in edges]):
+            assert walk_stop(n, edges, 3, tables.dp, memo=memo) == wanted
 
 
 def memo_sizes(monkeypatch):
-    """Record the size of the memo each sweep task starts with."""
+    """Record the size of the memo each sweep task's walk starts with."""
     sizes = []
 
-    def recording(*args):
-        sizes.append(sum(map(len, args[-1])))
-        return _dp_search(*args)
+    def recording(n, edges, num_values, dp, start=(), fixed=0, limit=None, memo=None, actions=None):
+        if memo is not None:
+            sizes.append(sum(map(len, memo)))
+        return _walk(n, edges, num_values, dp, start, fixed, limit, memo, actions)
 
-    monkeypatch.setattr(antiholes, "_dp_search", recording)
+    monkeypatch.setattr(antiholes, "_walk", recording)
     return sizes
 
 
 def budget_stop_matches_the_walk(tmp_path, graph, mode, budget, whole):
-    """A budgeted run stops at `budget` with the leaf `_leaves` puts at that
+    """A budgeted run stops at `budget` with the leaf the walk puts at that
     rank as its checkpoint's `next`, and resumes to `whole` orientations."""
     num_values = 2 if mode == "simple" else 3
-    edges, completions = _clique_completions(graph, num_values)
     checkpoint = tmp_path / f"run-{budget}.json"
     first = verify_kernel_solvable(graph, mode, budget=budget, checkpoint=str(checkpoint))
     assert (first.verdict, first.orientations_examined) == ("exhausted_budget", budget)
-    leaves = _leaves(graph.vertex_count, edges, completions, num_values)
-    wanted_next = tuple(next(islice(leaves, budget, None))[0])
+    wanted_next = tuple(next(islice(walk_leaves(graph, num_values), budget, None))[1])
     assert tuple(json.loads(checkpoint.read_text())["next"]) == wanted_next
     resumed = verify_kernel_solvable(graph, mode, checkpoint=str(checkpoint))
     assert (resumed.verdict, resumed.orientations_examined) == ("solvable", whole)
@@ -1036,20 +1098,54 @@ class TestSharedMemo:
         # from a certified root every leaf counts
         dp = tables.dp._replace(root=tables.dp.certified) if certified else tables.dp
         filled = [{} for _ in edges]
-        _dp_search(n, edges, num_values, dp, memo=filled)
+        walk_stop(n, edges, num_values, dp, memo=filled)
         depth = TASK_DEPTH["simple" if num_values == 2 else "general"]
-        leaves = list(islice(_leaves(n, edges, tables.completions, num_values), 3000))
+        leaves = [tuple(digits) for _, digits, _ in islice(walk_leaves(g, num_values), 3000)]
         rng = random.Random(n * 10 + num_values)
         for _ in range(12):
-            start = tuple(rng.choice(leaves)[0])[:rng.randint(depth + 1, m)]
+            start = rng.choice(leaves)[:rng.randint(depth + 1, m)]
             for fixed in (0, depth):
-                fresh = _dp_search(n, edges, num_values, dp, start, fixed)
-                shared = _dp_search(n, edges, num_values, dp, start, fixed, memo=filled)
+                fresh = walk_stop(n, edges, num_values, dp, start, fixed, memo=[{} for _ in edges])
+                shared = walk_stop(n, edges, num_values, dp, start, fixed, memo=filled)
                 assert shared == fresh
                 limit = rng.randrange(fresh[0] + 1)
-                assert _dp_search(n, edges, num_values, dp, start, fixed, limit, filled) == (
-                    _dp_search(n, edges, num_values, dp, start, fixed, limit)
+                assert walk_stop(n, edges, num_values, dp, start, fixed, limit, filled) == (
+                    walk_stop(n, edges, num_values, dp, start, fixed, limit, [{} for _ in edges])
                 )
+                # the walk without a memo, as far as a few thousand leaves
+                limit = min(fresh[0], 3000)
+                assert walk_stop(n, edges, num_values, dp, start, fixed, limit) == (
+                    fresh if limit == fresh[0] else
+                    walk_stop(n, edges, num_values, dp, start, fixed, limit, filled)
+                )
+
+    def test_forward_emptied_start_counts_what_follows(self):
+        # every start the clique tests along it accept but whose subtree the
+        # forward check empties, pinned to each length: the walk leaves the
+        # path at the emptied node, so the next digit's subtree is whole
+        g, _ = gen_antihole(7)
+        edges = g.sorted_edges()
+        m = len(edges)
+        whole = [digits for digits, _ in naive.reference_leaves(7, edges, 2)]
+        reached = {leaf[:k] for leaf in whole for k in range(m)}
+        emptied = [
+            digits
+            for k in range(m)
+            for digits, _ in naive.reference_leaves(7, edges[:k], 2)
+            if digits not in reached
+        ]
+        dp = _sweep_tables(g, 2, False).dp
+        counting = dp._replace(root=dp.certified)
+        memo = [{} for _ in edges]
+        pairs = 0
+        for start in emptied:
+            for fixed in range(len(start) + 1):
+                pinned = start[:fixed]
+                end = bisect_left(whole, pinned[:-1] + (pinned[-1] + 1,)) if pinned else len(whole)
+                wanted = end - bisect_left(whole, start)
+                assert walk_stop(7, edges, 2, counting, start, fixed, memo=memo) == (wanted, None)
+                pairs += 1
+        assert pairs == 10450
 
     # budgets that end in a late task, which earlier tasks' states enter
     @pytest.mark.parametrize(

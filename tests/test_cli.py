@@ -568,7 +568,8 @@ class TestAntiholeCommands:
         # the live-prefix scheme signed its task list; a leaf-exact run
         # must not read its cursor
         g, _ = gen_antihole(9)
-        tasks = _live_prefixes(9, tuple(g.sorted_edges()), 2, _sweep_tables(g, 2, True), 8)
+        actions = _sweep_tables(g, 2, True).actions
+        tasks = _live_prefixes(9, tuple(g.sorted_edges()), 2, actions, 8)
         self.refuse_task_index_checkpoint(capsys, tmp_path, tasks, 8, 3573)
 
     @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])
