@@ -37,9 +37,11 @@ the candidate fields would cost the walk more than the oracle costs.
 Anti-hole runs can reduce by symmetry: the dihedral group of the n-cycle
 acts on the edge-direction assignments of the n-vertex anti-hole, and only
 the lexicographically least assignment of each orbit is emitted.  Each
-comparison with a group image waits on a wake-up list for the edge whose
-digit unblocks it, so a node resumes only the comparisons waiting on its
-own edge instead of walking every image still tied.
+comparison with a group image reads an edge's digit once the edge is
+assigned or once the forward check leaves it one, and waits on a wake-up
+list for the first edge that can settle it, so a node resumes only the
+comparisons waiting on its own edge instead of walking every image still
+tied.
 Long runs split the search into tasks (the parallelism unit) at the live
 prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
 mode; in task order they give exactly the leaves of the whole run, so
@@ -317,7 +319,10 @@ class _DPTables(NamedTuple):
     `slots` the mask of the slots of the clique's other decided edges, on
     which its verdict depends, and `index` its number among the larger
     cliques.  `at[e]` is the offset of e's field, or of bits that stay
-    clear, and `root` the state of the empty assignment.
+    clear, and `root` the state of the empty assignment.  `wake[i][e]` is
+    the first edge after e whose placing may change what is known of edge
+    i: the next second-to-last edge before i of a clique whose last edge
+    i is, which narrows i's field, else i itself.
     """
 
     clear: tuple
@@ -330,6 +335,7 @@ class _DPTables(NamedTuple):
     root: int
     certified: int
     edge_part: int
+    wake: tuple
 
 
 def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTables:
@@ -384,6 +390,19 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTab
             index = sum(map(len, larger))
             larger[second].append((((members, rest),), u, v, at[last], slots, index))
 
+    narrowed_at: list[set] = [set() for _ in edges]
+    for _, (*_, second, last) in cliques:
+        narrowed_at[last].add(second)
+    wake = []
+    for i in range(m):
+        # walking e down from i, k is the first narrowing edge after e
+        row, k = [i] * m, i
+        for e in range(i - 1, -1, -1):
+            row[e] = k
+            if e in narrowed_at[i]:
+                k = e
+        wake.append(tuple(row))
+
     root = 0
     # per edge and digit: the candidate bits its arcs absorb, and the
     # (field, flag) of each candidate they absorb into
@@ -417,6 +436,7 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTab
         root,
         certified,
         (1 << base) - 1,
+        tuple(wake),
     )
 
 
@@ -459,15 +479,19 @@ def _walk(
     pruned once an image is provably smaller; at the last edge the
     comparison covers the whole assignment, so exactly one representative
     per orbit, the lexicographically least, survives.  A comparison that
-    ties up to position j is blocked until edge w = max(j, inv[j]) is
-    assigned, and waits in `wait[w]`; a node at edge e resumes only
-    `wait[e]`, and each entry prunes the node, drops out (its image is
-    larger) or moves to a later list.  A comparison blocked at or past the
-    last edge never resumes, so it is not queued: `edges` may be a prefix
-    of the edges the actions permute.  The moves go on the `moved` trail,
-    and the next node at edge e first takes back, last first, every move
-    made since `marks[e]`, the trail's length when its parent was done;
-    a sibling digit re-reads the untouched `wait[e]`.
+    ties up to position j reads at j the digits of edges j and inv[j]: an
+    assigned edge's own, or the one digit a later edge's field leaves it,
+    which every leaf below takes.  So the prune stays exact.  A side with
+    more than one live digit blocks the comparison, which waits in
+    `wait[w]`, w the latest `wake` entry of a blocking side: no node
+    before w can unblock it.  A node at edge e resumes only `wait[e]`,
+    and each entry prunes the node, drops out (its image is larger) or
+    moves to a later list.  A comparison blocked past the last edge never
+    resumes, so it is not queued: `edges` may be a prefix of the edges the
+    actions permute.  The moves go on the `moved` trail, and the next node
+    at edge e first takes back, last first, every move made since
+    `marks[e]`, the trail's length when its parent was done; a sibling
+    digit re-reads the untouched `wait[e]`.
     """
     m = len(edges)
     assign = [0] * m
@@ -476,7 +500,7 @@ def _walk(
         # the empty assignment is the one leaf
         yield 0, assign, inn
         return 1 if limit is None or limit > 0 else 0
-    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part = dp
+    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part, wake = dp
     # the slots, an edge's own field and the candidate fields serve only
     # the memo, the larger cliques' verdicts and the kernel certificate:
     # without these the state keeps the digit fields alone
@@ -495,12 +519,13 @@ def _walk(
     verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
     wait: list[list] = [[] for _ in range(m)]
     for inv, flip in actions or ():
+        # no field forces a digit at the root, and edge 0 narrows none
         if inv[0] < m:
-            wait[inv[0]].append((inv, flip, 0))
+            wait[wake[inv[0]][0]].append((inv, flip, 0))
     moved: list[int] = []
     marks = [0] * (m + 1)
 
-    def symmetric_prune(e: int) -> bool:
+    def symmetric_prune(e: int, s: int) -> bool:
         # the moves of the previous node at e and of its subtree
         mark = marks[e]
         while len(moved) > mark:
@@ -508,23 +533,42 @@ def _walk(
         for inv, flip, j in wait[e]:
             # positions below j tie; compare on while both sides are known
             while True:
-                y = assign[inv[j]]
+                i = inv[j]
+                if i <= e and j <= e:
+                    y = assign[i]
+                    x = assign[j]
+                elif i >= m:
+                    break
+                else:
+                    # a later edge's side: its forced digit, else the
+                    # latest wake-up of a blocking side
+                    w = -1
+                    if i <= e:
+                        y = assign[i]
+                    else:
+                        y = every_digit & ~(s >> at[i])
+                        if y & y - 1:
+                            w = wake[i][e]
+                        y >>= 1
+                    if j <= e:
+                        x = assign[j]
+                    else:
+                        x = every_digit & ~(s >> at[j])
+                        if x & x - 1 and wake[j][e] > w:
+                            w = wake[j][e]
+                        x >>= 1
+                    if w >= 0:
+                        wait[w].append((inv, flip, j))
+                        moved.append(w)
+                        break
                 if y != 2:
                     y ^= flip[j]
-                x = assign[j]
                 if x != y:
                     if x > y:
                         return True
                     break
                 j += 1
                 if j == m:
-                    break
-                i = inv[j]
-                w = i if i > j else j
-                if w > e:
-                    if w < m:
-                        wait[w].append((inv, flip, j))
-                        moved.append(w)
                     break
         marks[e + 1] = len(moved)
         return False
@@ -588,7 +632,7 @@ def _walk(
             if s >> shift & every_digit == every_digit:
                 empty = True
                 break
-        if empty or actions is not None and symmetric_prune(e):
+        if empty or actions is not None and symmetric_prune(e, s):
             if e < seeded:
                 # the next digit at e leaves the path
                 seeded = e + 1

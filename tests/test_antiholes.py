@@ -179,19 +179,32 @@ class TestEnumeration:
                 pieces.extend(core_leaves(g, 3, start=prefix))
             assert pieces == whole
         # the live-prefix tasks of a sweep, in task order, are the whole
-        # enumeration in both modes, with and without symmetry
-        for (n, num_values), symmetry in product([(7, 2), (6, 3)], (False, True)):
+        # enumeration in both modes, with and without symmetry, at every
+        # depth.  The 6-vertex anti-hole's 8-edge prefix holds whole
+        # triangles, so there a prefix walk's own fields force digits while
+        # image positions past the prefix are read too.  The 8-vertex
+        # anti-hole runs under symmetry only: only the orbit prune reads
+        # forced digits, and its task lists without symmetry take 30 s
+        for n, num_values, symmetry in [
+            (6, 2, False), (6, 2, True), (7, 2, False), (7, 2, True), (8, 2, True),
+            (6, 3, False), (6, 3, True),
+        ]:
             g, _ = gen_antihole(n)
             whole = core_leaves(g, num_values, symmetry)
             edges = tuple(g.sorted_edges())
-            actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-            for depth in range(9):
+            actions = antihole_actions(n) if symmetry else None
+            for depth in range(len(edges) + 1):
                 tasks = _live_prefixes(n, edges, num_values, actions, depth)
                 assert tasks == sorted(set(tasks))
                 pieces = []
+                # each task passes the start check up to the depth a sweep
+                # cuts at; past it the checks would take most of the test
+                checked = depth <= TASK_DEPTH["simple"]
                 for task in tasks:
-                    pieces.extend(core_leaves(g, num_values, symmetry, start=task))
-                assert pieces == whole
+                    pieces.extend(
+                        core_leaves(g, num_values, symmetry, start=task, check_start=checked)
+                    )
+                assert pieces == whole, (n, num_values, symmetry, depth)
 
 
 # tables with no kernel candidates, so the walk yields every leaf
@@ -206,16 +219,23 @@ def walk_leaves(graph, num_values, start=(), fixed=0, actions=None):
     )
 
 
-def core_leaves(graph, num_values, symmetry=False, start=(), fixed=None):
+@functools.cache
+def antihole_actions(n):
+    return dihedral_edge_actions(AntiholeLabeling(n))
+
+
+def core_leaves(graph, num_values, symmetry=False, start=(), fixed=None, check_start=True):
     """The sweep walk's leaf sequence from a live `start`, whose first
     `fixed` digits (all by default) pin the subtree, checking the in-masks
-    it keeps at every leaf against masks rebuilt from the digits."""
+    it keeps at every leaf against masks rebuilt from the digits, and
+    unless told not to, that the start check accepts `start`."""
     n = graph.vertex_count
     edges = graph.sorted_edges()
-    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
+    actions = antihole_actions(n) if symmetry else None
     if fixed is None:
         fixed = len(start)
-    _check_start(n, edges, num_values, actions, start)
+    if check_start:
+        _check_start(n, edges, num_values, actions, start)
     leaves = []
     for _, digits, inn in walk_leaves(graph, num_values, start, fixed, actions):
         assert inn == naive.naive_in_masks(n, edges, digits)
@@ -301,8 +321,12 @@ class TestSweepCore:
             ), k
 
     @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
-    @pytest.mark.parametrize("n, num_values", [(7, 2), (6, 3)], ids=["c7-simple", "c6-general"])
+    @pytest.mark.parametrize(
+        "n, num_values", [(7, 2), (8, 2), (6, 3)], ids=["c7-simple", "c8-simple", "c6-general"]
+    )
     def test_seeded_start_continues_the_whole_run(self, n, num_values, symmetry):
+        # seeded paths meet the prunes on forced digits, most often in the
+        # 8-vertex anti-hole
         g, _ = gen_antihole(n)
         whole = core_leaves(g, num_values, symmetry)
         rng = random.Random(n * 10 + symmetry)
@@ -394,6 +418,33 @@ class TestForwardTable:
     @example(complete_graph(5), 3)
     def test_arbitrary_graph_cliques_listed_once(self, g, num_values):
         assert forward_table(g, num_values) == naive_forward_table(g, num_values)
+
+    @pytest.mark.parametrize(
+        "g, num_values",
+        [(gen_antihole(n)[0], 2) for n in (5, 6, 7, 8, 9)]
+        + [(gen_antihole(n)[0], 3) for n in (5, 6, 7)]
+        + [(complete_graph(5), 3)],
+        ids=[f"c{n}-simple" for n in (5, 6, 7, 8, 9)]
+        + [f"c{n}-general" for n in (5, 6, 7)] + ["k5-general"],
+    )
+    def test_wake_table_matches_the_clique_list(self, g, num_values):
+        # an edge's field narrows at the second-to-last edge of each tested
+        # clique whose last edge it is; in general mode cliques of 4-5
+        # vertices narrow it too
+        edges = g.sorted_edges()
+        index = {e: i for i, e in enumerate(edges)}
+        narrowed_at = {i: set() for i in range(len(edges))}
+        for clique in naive.naive_cliques(g.vertex_count, g.edges):
+            if len(clique) < 3 or len(clique) > 3 and num_values == 2:
+                continue
+            *_, second, last = sorted(index[pair] for pair in combinations(clique, 2))
+            narrowed_at[last].add(second)
+        wake = _dp_tables(g, num_values).wake
+        m = len(edges)
+        for i in range(m):
+            for e in range(m):
+                later = [k for k in narrowed_at[i] if e < k < i]
+                assert wake[i][e] == min(later, default=i), (i, e)
 
 
 LEAF_DIGESTS = json.loads(
