@@ -184,7 +184,8 @@ class TestEnumeration:
         # triangles, so there a prefix walk's own fields force digits while
         # image positions past the prefix are read too.  The 8-vertex
         # anti-hole runs under symmetry only: only the orbit prune reads
-        # forced digits, and its task lists without symmetry take 30 s
+        # forced digits, and its 16,480 leaves without symmetry would make
+        # this the slowest test by far
         for n, num_values, symmetry in [
             (6, 2, False), (6, 2, True), (7, 2, False), (7, 2, True), (8, 2, True),
             (6, 3, False), (6, 3, True),
