@@ -94,7 +94,6 @@ __all__ = [
     "orientation_digits",
     "digits_to_orientation",
     "canonical_digits",
-    "orbit_digits",
     "canonical_orientation_key",
 ]
 
@@ -208,13 +207,6 @@ def canonical_digits(digits: tuple[int, ...], actions) -> tuple[int, ...]:
     return best
 
 
-def orbit_digits(digits: tuple[int, ...], actions) -> set[tuple[int, ...]]:
-    orbit = {digits}
-    for action in actions:
-        orbit.add(_apply_action(digits, action))
-    return orbit
-
-
 def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
     """Orbit representative of an anti-hole orientation under the dihedral
     group, as the lexicographically least edge-direction string."""
@@ -228,62 +220,53 @@ def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
 # -- clique tests and the sweep walk -----------------------------------------
 
 
-def _clique_completions(graph: UndirectedGraph, num_values: int):
-    """Per edge index e = (u, v): the clique tests it triggers, as
-    (forward, larger).  `forward` lists the triangles whose second-to-last
-    edge e is, as (third vertex bit, last edge, u', v') with (u', v') the
-    last edge's endpoints and the third vertex the one off it; `larger`
-    holds each clique of four or more vertices whose last edge e is, as
-    its mask and its members other than u and v.  In simple mode only the
+def _clique_completions(graph: UndirectedGraph, num_values: int) -> list[tuple[int, list[int]]]:
+    """The cliques the sweep walk tests, as (mask, its edges' indices in
+    `graph.sorted_edges()`, ascending).  In simple mode only the
     triangles are tested: a simple orientation of a clique is a
     tournament, and a tournament with no directed triangle is transitive,
     so it has a sink and the triangles decide every clique."""
-    edges = graph.sorted_edges()
-    eindex = {e: i for i, e in enumerate(edges)}
+    eindex = {e: i for i, e in enumerate(graph.sorted_edges())}
     n = graph.vertex_count
-    forward: list[list] = [[] for _ in edges]
-    larger: list[list] = [[] for _ in edges]
-    for members in all_clique_masks(n, [graph.adjacency_mask(v) for v in range(n)]):
-        clique = tuple(bits_of(members))
-        *_, second, last = sorted(eindex[pair] for pair in combinations(clique, 2))
-        u, v = edges[last]
-        if len(clique) == 3:
-            forward[second].append((members & ~(1 << u | 1 << v), last, u, v))
-        elif num_values == 3:
-            larger[last].append((members, tuple(x for x in clique if x not in (u, v))))
-    return edges, [(tuple(forward[e]), tuple(larger[e])) for e in range(len(edges))]
+    return [
+        (members, sorted(eindex[pair] for pair in combinations(bits_of(members), 2)))
+        for members in all_clique_masks(n, [graph.adjacency_mask(v) for v in range(n)])
+        if num_values == 3 or members.bit_count() == 3
+    ]
 
 
-def _live_digits(larger, u: int, v: int, inn, every_digit: int) -> int:
+def _live_digits(members: int, rest, u: int, v: int, inn, every_digit: int) -> int:
     """The digits edge (u, v) may take, its own arcs not yet in `inn`:
-    those that leave each clique of `larger`, of four or more vertices
-    whose last edge (u, v) is, a vertex receiving arcs from all the others.
+    those that leave the clique `members`, of four or more vertices whose
+    last edge (u, v) is, a vertex receiving arcs from all the others;
+    `rest` lists its members other than u and v.
 
-    Every other edge of such a clique is decided, so a member x other than
+    Every other edge of the clique is decided, so a member x other than
     u and v either receives from all the others already, which settles
     the clique, or never will.  Else u must become that vertex, which
     takes an arc v -> u (digit 1 or 2), or v must, which takes u -> v
     (digit 0 or 2).
     """
-    digits = every_digit
+    for x in rest:
+        if members & ~inn[x] == 1 << x:
+            return every_digit
     uv = 1 << u | 1 << v
-    for members, rest in larger:
-        for x in rest:
-            if members & ~inn[x] == 1 << x:
-                break
-        else:
-            live = 0
-            if members & ~inn[u] == uv:
-                live |= 6
-            if members & ~inn[v] == uv:
-                live |= 5
-            digits &= live
-    return digits
+    live = 0
+    if members & ~inn[u] == uv:
+        live |= 6
+    if members & ~inn[v] == uv:
+        live |= 5
+    return every_digit & live
 
 
 class _DPTables(NamedTuple):
-    """The state layout of the sweep walk `_walk` and its updates per
-    edge e = (u, v) and digit d.
+    """The sweep walk `_walk` over one graph: the graph, the group, the
+    state layout and its updates per edge e = (u, v) and digit d.
+
+    `n` is the vertex count, `edges` the edges in (min, max) order,
+    `num_values` the digits per edge (2 simple, 3 general) and `actions`
+    the group whose orbits the walk reduces, as `dihedral_edge_actions`
+    gives it, or None.
 
     A node's state is one int, and it is the node's memo key.  From bit 0
     up it holds:
@@ -314,17 +297,22 @@ class _DPTables(NamedTuple):
     both out-masks settles the triangle; otherwise digit 0 needs w in
     inn[v'], digit 1 needs w in inn[u'] and digit 2 either.  `dead` holds
     the bits to OR in, indexed by (digit 0 dies) | (digit 1 dies) << 1,
-    and `full` the last edge's whole field.  `larger[e]` holds (cliques,
-    u', v', offset of the field, slots, index) for `_live_digits`, with
-    `slots` the mask of the slots of the clique's other decided edges, on
-    which its verdict depends, and `index` its number among the larger
-    cliques.  `at[e]` is the offset of e's field, or of bits that stay
-    clear, and `root` the state of the empty assignment.  `wake[i][e]` is
-    the first edge after e whose placing may change what is known of edge
-    i: the next second-to-last edge before i of a clique whose last edge
-    i is, which narrows i's field, else i itself.
+    and `full` the last edge's whole field.  `larger[e]` holds one entry
+    per clique of four or more vertices, (members, rest, u', v', offset
+    of the field, slots, index), with members and rest as `_live_digits`
+    takes them, `slots` the mask of the slots of the clique's other
+    decided edges, on which its verdict depends, and `index` its number
+    among the larger cliques.  `at[e]` is the offset of e's field, or of
+    bits that stay clear, and `root` the state of the empty assignment.
+    `wake[i][e]` is the first edge after e whose placing may change what
+    is known of edge i: the next second-to-last edge before i of a clique
+    whose last edge i is, which narrows i's field, else i itself.
     """
 
+    n: int
+    edges: tuple
+    num_values: int
+    actions: Optional[tuple]
     clear: tuple
     put: tuple
     certify: tuple
@@ -338,24 +326,17 @@ class _DPTables(NamedTuple):
     wake: tuple
 
 
-def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTables:
-    """Lay out the states of the sweep walk (`_DPTables`) from the clique
-    tests of `_clique_completions`, with a field per kernel candidate of
-    `candidates`, as (mask, members) pairs."""
+def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=(), actions=None) -> _DPTables:
+    """Lay out the states of the sweep walk (`_DPTables`) over `graph`
+    from the cliques `_clique_completions` lists, with a field per kernel
+    candidate of `candidates`, as (mask, members) pairs, and with the
+    symmetry group `actions` (None without symmetry)."""
     n = graph.vertex_count
-    edges, completions = _clique_completions(graph, num_values)
+    edges = tuple(graph.sorted_edges())
+    cliques = _clique_completions(graph, num_values)
     m = len(edges)
     eindex = {e: i for i, e in enumerate(edges)}
     every_digit = (1 << num_values) - 1
-    # each tested clique, as its members and its edge ids in ascending order
-    cliques = []
-    for forward, larger_at in completions:
-        for members in [w | 1 << u | 1 << v for w, _, u, v in forward] + [
-            mask for mask, _ in larger_at
-        ]:
-            cliques.append(
-                (members, sorted(eindex[e] for e in combinations(bits_of(members), 2)))
-            )
     keep_until = [-1] * m
     for _, (*read, second, _) in cliques:
         for eid in read:
@@ -372,27 +353,23 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTab
         | (every_digit << at[e] if e in at else 0)
         for e in range(m)
     ]
-    # both directed digits dead kill the reversible one too
-    triangles = tuple(
-        tuple(
-            (w, u, v, tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4)),
-             every_digit << at[last])
-            for w, last, u, v in forward
-        )
-        for forward, _ in completions
-    )
+    triangles: list[list] = [[] for _ in edges]
     larger: list[list] = [[] for _ in edges]
+    narrowed_at: list[set] = [set() for _ in edges]
     for members, (*read, second, last) in cliques:
-        if len(read) > 1:
-            u, v = edges[last]
+        u, v = edges[last]
+        narrowed_at[last].add(second)
+        if len(read) == 1:
+            # both directed digits dead kill the reversible one too
+            dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
+            w = members & ~(1 << u | 1 << v)
+            triangles[second].append((w, u, v, dead, every_digit << at[last]))
+        else:
             rest = tuple(x for x in bits_of(members) if x not in (u, v))
             slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
             index = sum(map(len, larger))
-            larger[second].append((((members, rest),), u, v, at[last], slots, index))
+            larger[second].append((members, rest, u, v, at[last], slots, index))
 
-    narrowed_at: list[set] = [set() for _ in edges]
-    for _, (*_, second, last) in cliques:
-        narrowed_at[last].add(second)
     wake = []
     for i in range(m):
         # walking e down from i, k is the first narrowing edge after e
@@ -426,11 +403,12 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTab
                         absorb[e][d] |= 1 << low + tail
                         certify[e][d].append((field, flag))
     return _DPTables(
+        n, edges, num_values, None if actions is None else tuple(actions),
         tuple(tuple(~(clear_bits[e] | bits) for bits in absorb[e]) for e in range(m)),
         tuple(tuple(d << slot[e] if e in slot else 0 for d in range(3)) for e in range(m)),
         tuple(tuple(map(tuple, per_digit)) for per_digit in certify),
         tuple(map(tuple, settle)),
-        triangles,
+        tuple(map(tuple, triangles)),
         tuple(map(tuple, larger)),
         tuple(at.get(e, certified.bit_length()) for e in range(m)),
         root,
@@ -441,14 +419,14 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=()) -> _DPTab
 
 
 def _walk(
-    n: int, edges, num_values: int, dp: _DPTables, start=(), fixed: int = 0,
-    limit: Optional[int] = None, memo: Optional[list[dict[int, int]]] = None, actions=None,
+    dp: _DPTables, start=(), fixed: int = 0,
+    limit: Optional[int] = None, memo: Optional[list[dict[int, int]]] = None,
 ) -> Generator[tuple[int, list[int], list[int]], None, int]:
-    """Walk the accepted assignments of `edges` from `start` on that
-    share its first `fixed` digits, in lexicographic digit order on an
-    explicit stack, and return their number.  It yields (rank, digits,
-    in-neighbour masks) for each leaf whose state (`_DPTables`) is not
-    certified, every leaf when the tables carry no kernel candidates,
+    """Walk the accepted assignments of the tables' `edges` from `start`
+    on that share its first `fixed` digits, in lexicographic digit order
+    on an explicit stack, and return their number.  It yields (rank,
+    digits, in-neighbour masks) for each leaf whose state (`_DPTables`) is
+    not certified, every leaf when the tables carry no kernel candidates,
     and for the leaf at which the count reaches `limit`, not counted,
     after which it stops.  `rank` counts the leaves before it; the lists
     are the walk's own, which a consumer copies to keep.
@@ -475,24 +453,27 @@ def _walk(
     node holds no leaf the walk yields, provided its consumer stops at
     the first one that has no kernel.
 
-    With `actions`, the assignment is compared with each group image and
-    pruned once an image is provably smaller; at the last edge the
-    comparison covers the whole assignment, so exactly one representative
-    per orbit, the lexicographically least, survives.  A comparison that
-    ties up to position j reads at j the digits of edges j and inv[j]: an
-    assigned edge's own, or the one digit a later edge's field leaves it,
-    which every leaf below takes.  So the prune stays exact.  A side with
-    more than one live digit blocks the comparison, which waits in
-    `wait[w]`, w the latest `wake` entry of a blocking side: no node
-    before w can unblock it.  A node at edge e resumes only `wait[e]`,
-    and each entry prunes the node, drops out (its image is larger) or
-    moves to a later list.  A comparison blocked past the last edge never
-    resumes, so it is not queued: `edges` may be a prefix of the edges the
-    actions permute.  The moves go on the `moved` trail, and the next node
-    at edge e first takes back, last first, every move made since
-    `marks[e]`, the trail's length when its parent was done; a sibling
-    digit re-reads the untouched `wait[e]`.
+    With the tables' `actions`, the assignment is compared with each group
+    image and pruned once an image is provably smaller; at the last edge
+    the comparison covers the whole assignment, so exactly one
+    representative per orbit, the lexicographically least, survives.  A
+    comparison that ties up to position j reads at j the digits of edges j
+    and inv[j]: an assigned edge's own, or the one digit a later edge's
+    field leaves it, which every leaf below takes.  So the prune stays
+    exact.  A side with more than one live digit blocks the comparison,
+    which waits in `wait[w]`, w the latest `wake` entry of a blocking
+    side: no node before w can unblock it.  A node at edge e resumes only
+    `wait[e]`, and each entry prunes the node, drops out (its image is
+    larger) or moves to a later list.  A comparison blocked past the last
+    edge never resumes, so it is not queued: the tables may be those of a
+    prefix graph, the first edges of the graph whose edges the actions
+    permute, as `_live_prefixes` builds them.  The moves go on the `moved`
+    trail, and the next node at edge e first takes back, last first, every
+    move made since `marks[e]`, the trail's length when its parent was
+    done; a sibling digit re-reads the untouched `wait[e]`.
     """
+    (n, edges, num_values, actions, clear, put, certify, settle, triangles, larger, at, root,
+     certified, edge_part, wake) = dp
     m = len(edges)
     assign = [0] * m
     inn = [0] * n
@@ -500,7 +481,6 @@ def _walk(
         # the empty assignment is the one leaf
         yield 0, assign, inn
         return 1 if limit is None or limit > 0 else 0
-    clear, put, certify, settle, triangles, larger, at, root, certified, edge_part, wake = dp
     # the slots, an edge's own field and the candidate fields serve only
     # the memo, the larger cliques' verdicts and the kernel certificate:
     # without these the state keeps the digit fields alone
@@ -622,11 +602,11 @@ def _walk(
                 if s & full == full:
                     empty = True
                     break
-        for clique, a, b, shift, slots, index in larger[e]:
+        for members, rest, a, b, shift, slots, index in larger[e]:
             key = (state[e] & slots) << 2 | digit
             dead = verdicts[index].get(key)
             if dead is None:
-                live = _live_digits(clique, a, b, inn, every_digit)
+                live = _live_digits(members, rest, a, b, inn, every_digit)
                 dead = verdicts[index][key] = (every_digit ^ live) << shift
             s |= dead
             if s >> shift & every_digit == every_digit:
@@ -661,40 +641,43 @@ def _walk(
         pending[e] = digits
 
 
-def _live_prefixes(
-    n: int, edges, num_values: int, actions, depth: int, start=()
-) -> list[tuple[int, ...]]:
-    """The accepted assignments of the first `depth` edges from `start`
-    on that share its digits, in order.  Only the cliques within those
-    edges are tested, so every prefix of a leaf of the whole run is one,
-    and a prefix the clique tests or the symmetry prune kill never
+def _live_prefixes(dp: _DPTables, depth: int, start=()) -> list[tuple[int, ...]]:
+    """The accepted assignments of the first `depth` edges of `dp` from
+    `start` on that share its digits, in order.  Only the cliques within
+    those edges are tested, so every prefix of a leaf of the whole run is
+    one, and a prefix the clique tests or the symmetry prune kill never
     becomes a task."""
-    dp = _dp_tables(UndirectedGraph(n, edges[:depth]), num_values)
-    walk = _walk(n, edges[:depth], num_values, dp, start, len(start), actions=actions)
+    prefix = UndirectedGraph(dp.n, dp.edges[:depth])
+    walk = _walk(_dp_tables(prefix, dp.num_values, actions=dp.actions), start, len(start))
     return [tuple(digits) for _, digits, _ in walk]
 
 
-def _check_start(n: int, edges, num_values: int, actions, start) -> None:
-    """Refuse a `start` that is no live path: one longer than `edges`,
-    with a digit out of range, or one that a clique test along it or the
-    symmetry prune rejects.  A `start` whose subtree only the forward
-    check empties is live."""
+def _check_start(dp: _DPTables, start) -> None:
+    """Refuse a `start` that is no live path of `dp`: one longer than its
+    edges, with a digit out of range, or one that a clique test along it
+    or the symmetry prune rejects.  A `start` whose subtree only the
+    forward check empties is live."""
     if not (
-        len(start) <= len(edges)
-        and all(d in range(num_values) for d in start)
-        and _live_prefixes(n, edges, num_values, actions, len(start), start) == [tuple(start)]
+        len(start) <= len(dp.edges)
+        and all(d in range(dp.num_values) for d in start)
+        and _live_prefixes(dp, len(start), start) == [tuple(start)]
     ):
         raise ContractError(f"start {list(start)} is not a live path")
 
 
-def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool) -> None:
+def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool):
+    """Refuse a graph past the edge cap, and symmetry reduction off the
+    anti-hole; return the sweep's group actions, None without symmetry."""
     if len(graph.edges) > MAX_EDGES:
         raise SizeCapError(
             f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
         )
-    n = graph.vertex_count
-    if symmetry_reduction and AntiholeLabeling(n).graph() != graph:
-        raise ContractError(f"symmetry reduction needs the {n}-vertex anti-hole")
+    if not symmetry_reduction:
+        return None
+    labeling = AntiholeLabeling(graph.vertex_count)
+    if labeling.graph() != graph:
+        raise ContractError(f"symmetry reduction needs the {labeling.n}-vertex anti-hole")
+    return dihedral_edge_actions(labeling)
 
 
 def enumerate_simple_clique_acyclic_orientations(
@@ -709,14 +692,10 @@ def enumerate_simple_clique_acyclic_orientations(
     Symmetry reduction needs `graph` to be the n-vertex anti-hole and
     emits one orientation per dihedral orbit.
     """
-    _check_sweep_input(graph, symmetry_reduction)
-    n = graph.vertex_count
-    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry_reduction else None
-    edges = graph.sorted_edges()
-    _check_start(n, edges, 2, actions, prefix)
-    leaves = _walk(n, edges, 2, _dp_tables(graph, 2), prefix, len(prefix), actions=actions)
-    for _, digits, _ in leaves:
-        yield digits_to_orientation(digits, graph, edges)
+    dp = _dp_tables(graph, 2, actions=_check_sweep_input(graph, symmetry_reduction))
+    _check_start(dp, prefix)
+    for _, digits, _ in _walk(dp, prefix, len(prefix)):
+        yield digits_to_orientation(digits, graph, dp.edges)
 
 
 # -- solvability verification ------------------------------------------------
@@ -758,41 +737,27 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
     return hashlib.sha256(payload).hexdigest()[:16]
 
 
-class _SweepTables(NamedTuple):
-    """What every prefix task of a sweep shares: the kernel candidates as
-    (mask, members) pairs, the symmetry actions (None without symmetry)
-    and the walk's tables."""
-
-    candidates: tuple[tuple[int, tuple[int, ...]], ...]
-    actions: Optional[list]
-    dp: _DPTables
-
-
-def _sweep_tables(graph: UndirectedGraph, num_values: int, symmetry: bool) -> _SweepTables:
-    """Build the tables once per sweep, for every task to share."""
-    n = graph.vertex_count
-    # every leaf orients `graph`, so its maximal independent sets are the
-    # kernel candidates of every leaf
-    candidates = tuple(
-        (s, tuple(bits_of(s)))
-        for s in maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
-    )
-    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    # under symmetry the oracle decides each representative: candidate
-    # fields in the state would cost the walk more than the oracle costs
-    dp = _dp_tables(graph, num_values, () if symmetry else candidates)
-    return _SweepTables(candidates, actions, dp)
-
-
 class _Sweep:
     """The prefix tasks of one `verify_kernel_solvable` call in one
-    process: what they share and, without symmetry, the walk's memo, one
-    dict per depth.  A state's count holds in every task, so the memo
-    outlives each task; it never outlives the call."""
+    process: the kernel candidates they share, as (mask, members) pairs,
+    the walk's tables over `graph` with the group `actions` (None without
+    symmetry) and, without symmetry, the walk's memo, one dict per depth.
+    A state's count holds in every task, so the memo outlives each task;
+    it never outlives the call."""
 
-    def __init__(self, n: int, edges, num_values: int, tables: _SweepTables):
-        self.n, self.edges, self.num_values, self.tables = n, edges, num_values, tables
-        self.memo = [{} for _ in edges] if tables.actions is None else None
+    def __init__(self, graph: UndirectedGraph, num_values: int, actions):
+        n = graph.vertex_count
+        # every leaf orients `graph`, so its maximal independent sets are
+        # the kernel candidates of every leaf
+        self.candidates = tuple(
+            (s, tuple(bits_of(s)))
+            for s in maximal_independent_set_masks(n, [graph.adjacency_mask(v) for v in range(n)])
+        )
+        # under symmetry the oracle decides each representative: candidate
+        # fields in the state would cost the walk more than the oracle costs
+        candidates = self.candidates if actions is None else ()
+        self.dp = _dp_tables(graph, num_values, candidates, actions)
+        self.memo = [{} for _ in self.dp.edges] if actions is None else None
 
     def run(self, task) -> tuple[int, Optional[tuple[int, ...]], bool]:
         """Examine one prefix subtree from `start`, whose first `depth`
@@ -803,18 +768,15 @@ class _Sweep:
         representative, without only the leaf the state finds
         kernel-free."""
         start, depth, leaf_budget = task
-        n, tables, memo = self.n, self.tables, self.memo
-        full = (1 << n) - 1
-        leaves = _walk(
-            n, self.edges, self.num_values, tables.dp, start, depth, leaf_budget, memo,
-            tables.actions,
-        )
+        memo = self.memo
+        full = (1 << self.dp.n) - 1
+        leaves = _walk(self.dp, start, depth, leaf_budget, memo)
         try:
             while True:
                 rank, digits, inn = next(leaves)
                 if leaf_budget is not None and rank >= leaf_budget:
                     return rank, tuple(digits), False
-                if not kernel_exists_masks(full, inn, tables.candidates):
+                if not kernel_exists_masks(full, inn, self.candidates):
                     return rank + 1, tuple(digits), True
         except StopIteration as done:
             return done.value, None, False
@@ -924,14 +886,12 @@ def verify_kernel_solvable(
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
-    _check_sweep_input(graph, symmetry_reduction)
     num_values = 2 if mode == "simple" else 3
-    edges = tuple(graph.sorted_edges())
-    n = graph.vertex_count
+    sweep = _Sweep(graph, num_values, _check_sweep_input(graph, symmetry_reduction))
+    edges = sweep.dp.edges
     depth = min(TASK_DEPTH[mode], len(edges))
-    tables = _sweep_tables(graph, num_values, symmetry_reduction)
-    tasks = _live_prefixes(n, edges, num_values, tables.actions, depth)
-    signature = _graph_key(n, edges, mode, symmetry_reduction)
+    tasks = _live_prefixes(sweep.dp, depth)
+    signature = _graph_key(graph.vertex_count, edges, mode, symmetry_reduction)
 
     checkpoint_path = Path(checkpoint) if checkpoint else None
     loaded = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values)
@@ -947,7 +907,7 @@ def verify_kernel_solvable(
         return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
     if loaded is not None:
         try:
-            _check_start(n, edges, num_values, tables.actions, cursor)
+            _check_start(sweep.dp, cursor)
         except ContractError as exc:
             raise ContractError(f"checkpoint {checkpoint_path} is corrupt: next ({exc})") from None
     # the cursor is live, so its first `depth` digits are a live prefix:
@@ -980,12 +940,11 @@ def verify_kernel_solvable(
     args = (task_args(index) for index in range(first_task, len(tasks)))
     # after task i the next unexamined orientation is in task i + 1
     following = tasks[1:] + [None]
-    # each worker gets the sweep, with its own empty memo, once
-    sweep = _Sweep(n, edges, num_values, tables)
     pool = None
     if workers > 1:
         import multiprocessing
 
+        # each worker gets the sweep, with its own empty memo, once
         pool = multiprocessing.Pool(workers, _start_worker, (sweep,))
     stop = None
     try:

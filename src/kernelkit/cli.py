@@ -332,6 +332,8 @@ def cmd_chords_solve(args, out: _Output) -> int:
 
 def _antihole_input(args):
     if args.n is not None:
+        if args.input is not None:
+            raise GraphParseError("pass a graph file or --n, not both")
         graph, _ = antiholes.gen_antihole(args.n)
         return graph, f"antihole-{args.n}"
     if not args.input:

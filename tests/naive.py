@@ -684,6 +684,19 @@ def reference_leaves(n, edges, num_values, prefix=(), actions=None):
     yield from walk(0)
 
 
+def orbit_digits(digits, actions):
+    """The orbit of an edge-direction assignment under the group elements
+    `actions`, as (inverse edge permutation, direction flip) pairs: image
+    position j takes the digit at inv[j], flipped unless it is the
+    reversible digit 2."""
+    orbit = {tuple(digits)}
+    for inv, flip in actions:
+        orbit.add(tuple(
+            digits[i] if digits[i] == 2 else digits[i] ^ f for i, f in zip(inv, flip)
+        ))
+    return orbit
+
+
 # -- the oracle's former recursive enumerators, kept as order references --
 # Each takes per-vertex adjacency masks and yields vertex-set masks in the
 # order the oracle promises: lexicographic by sorted member tuple.

@@ -29,7 +29,7 @@ from kernelkit.antiholes import (
     _clique_completions,
     _dp_tables,
     _live_prefixes,
-    _sweep_tables,
+    _Sweep,
     _walk,
     c7_counterexample,
     canonical_digits,
@@ -39,7 +39,6 @@ from kernelkit.antiholes import (
     enumerate_simple_clique_acyclic_orientations,
     find_near_sink,
     gen_antihole,
-    orbit_digits,
     orientation_digits,
     search_clique_acyclic_no_kernel,
     verify_kernel_solvable,
@@ -149,9 +148,23 @@ class TestEnumeration:
         assert got == wanted
 
     def test_edge_cap(self):
+        # both sweep entry points refuse 33 edges
         g = UndirectedGraph(12, [(u, v) for u in range(12) for v in range(u + 1, 12)][:33])
         with pytest.raises(SizeCapError):
             list(enumerate_simple_clique_acyclic_orientations(g))
+        with pytest.raises(SizeCapError):
+            verify_kernel_solvable(g)
+
+    @pytest.mark.parametrize(
+        "g", [UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), UndirectedGraph(3, [])],
+        ids=["path", "too-small"],
+    )
+    def test_symmetry_needs_the_antihole(self, g):
+        # both sweep entry points refuse symmetry reduction off the anti-hole
+        with pytest.raises(ContractError, match="anti-hole"):
+            list(enumerate_simple_clique_acyclic_orientations(g, symmetry_reduction=True))
+        with pytest.raises(ContractError, match="anti-hole"):
+            verify_kernel_solvable(g, symmetry_reduction=True)
 
     def test_prefix_partition_is_a_partition(self):
         g, _ = gen_antihole(7)
@@ -192,10 +205,9 @@ class TestEnumeration:
         ]:
             g, _ = gen_antihole(n)
             whole = core_leaves(g, num_values, symmetry)
-            edges = tuple(g.sorted_edges())
-            actions = antihole_actions(n) if symmetry else None
-            for depth in range(len(edges) + 1):
-                tasks = _live_prefixes(n, edges, num_values, actions, depth)
+            tables = plain_tables(g, num_values, antihole_actions(n) if symmetry else None)
+            for depth in range(len(tables.edges) + 1):
+                tasks = _live_prefixes(tables, depth)
                 assert tasks == sorted(set(tasks))
                 pieces = []
                 # each task passes the start check up to the depth a sweep
@@ -208,16 +220,18 @@ class TestEnumeration:
                 assert pieces == whole, (n, num_values, symmetry, depth)
 
 
-# tables with no kernel candidates, so the walk yields every leaf
-plain_tables = functools.cache(_dp_tables)
+cached_tables = functools.cache(_dp_tables)
+
+
+def plain_tables(graph, num_values, actions=None):
+    """The walk's tables with no kernel candidates, so the walk yields
+    every leaf, cached per graph, digit count and group."""
+    return cached_tables(graph, num_values, (), None if actions is None else tuple(actions))
 
 
 def walk_leaves(graph, num_values, start=(), fixed=0, actions=None):
     """The sweep walk's (rank, digits, in-masks) leaves."""
-    tables = plain_tables(graph, num_values)
-    return _walk(
-        graph.vertex_count, graph.sorted_edges(), num_values, tables, start, fixed, actions=actions
-    )
+    return _walk(plain_tables(graph, num_values, actions), start, fixed)
 
 
 @functools.cache
@@ -236,7 +250,7 @@ def core_leaves(graph, num_values, symmetry=False, start=(), fixed=None, check_s
     if fixed is None:
         fixed = len(start)
     if check_start:
-        _check_start(n, edges, num_values, actions, start)
+        _check_start(plain_tables(graph, num_values, actions), start)
     leaves = []
     for _, digits, inn in walk_leaves(graph, num_values, start, fixed, actions):
         assert inn == naive.naive_in_masks(n, edges, digits)
@@ -292,7 +306,7 @@ class TestSweepCore:
         if not any(live):
             # the prune kills the prefix itself, which a start check refuses
             with pytest.raises(ContractError, match="not a live path"):
-                _check_start(n, edges, num_values, actions, prefix)
+                _check_start(plain_tables(g, num_values, actions), prefix)
             return
         got = [
             (tuple(digits), tuple(inn))
@@ -350,7 +364,7 @@ class TestSweepCore:
         g, labeling = gen_antihole(7)
         actions = dihedral_edge_actions(labeling) if symmetry else None
         with pytest.raises(ContractError, match="start"):
-            _check_start(7, g.sorted_edges(), 2, actions, start)
+            _check_start(plain_tables(g, 2, actions), start)
 
     @pytest.mark.parametrize("symmetry", [False, True], ids=["full", "symmetry"])
     def test_live_start_with_no_leaf_below_is_not_refused(self, symmetry):
@@ -378,13 +392,12 @@ class TestSweepCore:
 def forward_table(graph, num_values):
     """`_clique_completions`' tests as (edge tested at, clique, last edge,
     members off the last edge) tuples, sorted."""
-    edges, completions = _clique_completions(graph, num_values)
+    edges = graph.sorted_edges()
     table = []
-    for e, (forward, larger) in enumerate(completions):
-        for w, last, u, v in forward:
-            table.append((e, tuple(sorted((*bits_of(w), u, v))), last, tuple(bits_of(w))))
-        for members, rest in larger:
-            table.append((e, tuple(bits_of(members)), e, rest))
+    for members, (*_, second, last) in _clique_completions(graph, num_values):
+        clique = tuple(bits_of(members))
+        rest = tuple(x for x in clique if x not in edges[last])
+        table.append((second if len(clique) == 3 else last, clique, last, rest))
     return sorted(table)
 
 
@@ -506,12 +519,10 @@ TASK_LISTS = json.loads(
 def task_digest(graph, mode, symmetry):
     """(tasks, SHA-256) of a sweep's prefix tasks, each hashed as the repr
     of its digit tuple, in order."""
-    n = graph.vertex_count
     num_values = 2 if mode == "simple" else 3
-    edges = tuple(graph.sorted_edges())
-    actions = dihedral_edge_actions(AntiholeLabeling(n)) if symmetry else None
-    depth = min(TASK_DEPTH[mode], len(edges))
-    tasks = _live_prefixes(n, edges, num_values, actions, depth)
+    actions = antihole_actions(graph.vertex_count) if symmetry else None
+    tables = plain_tables(graph, num_values, actions)
+    tasks = _live_prefixes(tables, min(TASK_DEPTH[mode], len(tables.edges)))
     digest = hashlib.sha256()
     for task in tasks:
         digest.update(repr(tuple(task)).encode())
@@ -570,8 +581,9 @@ class TestSymmetry:
         canon = canonical_digits(digits, actions)
         assert canon <= digits
         assert canonical_digits(canon, actions) == canon
-        assert canon in orbit_digits(digits, actions)
-        assert {canonical_digits(x, actions) for x in orbit_digits(digits, actions)} == {canon}
+        orbit = naive.orbit_digits(digits, actions)
+        assert canon in orbit
+        assert {canonical_digits(x, actions) for x in orbit} == {canon}
 
     def test_orbit_expansion_recovers_full_enumeration(self):
         g, labeling = gen_antihole(7)
@@ -588,7 +600,7 @@ class TestSymmetry:
         expanded = set()
         for digits in reduced:
             assert digits == canonical_digits(digits, actions)
-            expanded |= orbit_digits(digits, actions)
+            expanded |= naive.orbit_digits(digits, actions)
         assert expanded == full
         assert len(reduced) < len(full)
 
@@ -599,7 +611,7 @@ class TestSymmetry:
         base = orientation_digits(
             Orientation.from_digraph(g, c7_counterexample()), edges
         )
-        for image in orbit_digits(base, actions):
+        for image in naive.orbit_digits(base, actions):
             o = digits_to_orientation(image, g, edges)
             assert canonical_orientation_key(o) == canonical_digits(base, actions)
 
@@ -650,8 +662,7 @@ class TestVerify:
         # the fake's initializer sets the worker sweep of this process
         monkeypatch.setattr(antiholes, "_worker", None)
         g, _ = gen_antihole(5)
-        edges = tuple(g.sorted_edges())
-        tasks = _live_prefixes(5, edges, 2, None, len(edges))
+        tasks = _live_prefixes(plain_tables(g, 2), len(g.edges))
         assert len(tasks) == 32
         sequential = verify_kernel_solvable(g)
         wide = verify_kernel_solvable(g, jobs=500)
@@ -814,8 +825,7 @@ class TestVerify:
 
     def test_budget_met_by_a_tasks_last_leaf_is_not_redone(self, tmp_path):
         g, _ = gen_antihole(7)
-        edges = tuple(g.sorted_edges())
-        first, second = _live_prefixes(7, edges, 2, None, TASK_DEPTH["simple"])[:2]
+        first, second = _live_prefixes(plain_tables(g, 2), TASK_DEPTH["simple"])[:2]
         leaves = core_leaves(g, 2)
         # a budget equal to the first task's leaves ends exactly on its last
         # leaf, which counts as examined; the next one opens the second task
@@ -994,13 +1004,13 @@ class TestKernelCertificate:
     def test_subtree_count_matches_the_walk(self, n, num_values, walk_from, whole):
         g, _ = gen_antihole(n)
         edges = g.sorted_edges()
-        tables = _sweep_tables(g, num_values, False)
+        sweep = _Sweep(g, num_values, None)
         m = len(edges)
         # from a certified root every leaf has a kernel, so the walk counts
         # the whole subtree and yields no leaf
-        counting = tables.dp._replace(root=tables.dp.certified)
+        counting = sweep.dp._replace(root=sweep.dp.certified)
         if whole is not None:
-            assert walk_stop(n, edges, num_values, counting, memo=[{} for _ in edges]) == (
+            assert walk_stop(counting, memo=[{} for _ in edges]) == (
                 whole, None
             )
         rng = random.Random(n * 10 + num_values)
@@ -1018,12 +1028,12 @@ class TestKernelCertificate:
                 elif depth > walk_from:
                     below = [leaf for leaf in below if leaf[0][depth - 1] == prefix[-1]]
                 if below is not None:
-                    wanted = reference_stop(below, n, tables.candidates)
+                    wanted = reference_stop(below, n, sweep.candidates)
                     for memo in (None, [{} for _ in edges]):
-                        got = walk_stop(n, edges, num_values, counting, prefix, depth, memo=memo)
+                        got = walk_stop(counting, prefix, depth, memo=memo)
                         assert got == (len(below), None)
                     for memo in (None, [{} for _ in edges]):
-                        got = walk_stop(n, edges, num_values, tables.dp, prefix, depth, memo=memo)
+                        got = walk_stop(sweep.dp, prefix, depth, memo=memo)
                         assert got == wanted
                 if depth < m:
                     live = [
@@ -1033,10 +1043,10 @@ class TestKernelCertificate:
                     prefix += (rng.choice(live),)
 
 
-def walk_stop(n, edges, num_values, dp, start=(), fixed=0, limit=None, memo=None):
+def walk_stop(dp, start=(), fixed=0, limit=None, memo=None):
     """What a sweep task takes from the walk: (leaves counted, None) once
     it ends, else the rank and digits of the first leaf it yields."""
-    walk = _walk(n, edges, num_values, dp, start, fixed, limit, memo)
+    walk = _walk(dp, start, fixed, limit, memo)
     try:
         rank, digits, _ = next(walk)
     except StopIteration as done:
@@ -1092,27 +1102,27 @@ class TestLargerCliques:
     def test_general_counts_match_the_walk(self, n, edges):
         g = UndirectedGraph(n, edges)
         edges = g.sorted_edges()
-        tables = _sweep_tables(g, 3, False)
+        sweep = _Sweep(g, 3, None)
         # from a certified root every leaf counts
-        counting = tables.dp._replace(root=tables.dp.certified)
+        counting = sweep.dp._replace(root=sweep.dp.certified)
         whole = list(naive.reference_leaves(n, edges, 3))
         for prefix in product(range(3), repeat=3):
             wanted = sum(1 for digits, _ in whole if digits[:3] == prefix)
             for memo in (None, [{} for _ in edges]):
-                assert walk_stop(n, edges, 3, counting, prefix, 3, memo=memo) == (wanted, None)
-        wanted = reference_stop(whole, n, tables.candidates)
+                assert walk_stop(counting, prefix, 3, memo=memo) == (wanted, None)
+        wanted = reference_stop(whole, n, sweep.candidates)
         for memo in (None, [{} for _ in edges]):
-            assert walk_stop(n, edges, 3, tables.dp, memo=memo) == wanted
+            assert walk_stop(sweep.dp, memo=memo) == wanted
 
 
 def memo_sizes(monkeypatch):
     """Record the size of the memo each sweep task's walk starts with."""
     sizes = []
 
-    def recording(n, edges, num_values, dp, start=(), fixed=0, limit=None, memo=None, actions=None):
+    def recording(dp, start=(), fixed=0, limit=None, memo=None):
         if memo is not None:
             sizes.append(sum(map(len, memo)))
-        return _walk(n, edges, num_values, dp, start, fixed, limit, memo, actions)
+        return _walk(dp, start, fixed, limit, memo)
 
     monkeypatch.setattr(antiholes, "_walk", recording)
     return sizes
@@ -1146,29 +1156,29 @@ class TestSharedMemo:
         g, _ = gen_antihole(n)
         edges = g.sorted_edges()
         m = len(edges)
-        tables = _sweep_tables(g, num_values, False)
+        sweep = _Sweep(g, num_values, None)
         # from a certified root every leaf counts
-        dp = tables.dp._replace(root=tables.dp.certified) if certified else tables.dp
+        dp = sweep.dp._replace(root=sweep.dp.certified) if certified else sweep.dp
         filled = [{} for _ in edges]
-        walk_stop(n, edges, num_values, dp, memo=filled)
+        walk_stop(dp, memo=filled)
         depth = TASK_DEPTH["simple" if num_values == 2 else "general"]
         leaves = [tuple(digits) for _, digits, _ in islice(walk_leaves(g, num_values), 3000)]
         rng = random.Random(n * 10 + num_values)
         for _ in range(12):
             start = rng.choice(leaves)[:rng.randint(depth + 1, m)]
             for fixed in (0, depth):
-                fresh = walk_stop(n, edges, num_values, dp, start, fixed, memo=[{} for _ in edges])
-                shared = walk_stop(n, edges, num_values, dp, start, fixed, memo=filled)
+                fresh = walk_stop(dp, start, fixed, memo=[{} for _ in edges])
+                shared = walk_stop(dp, start, fixed, memo=filled)
                 assert shared == fresh
                 limit = rng.randrange(fresh[0] + 1)
-                assert walk_stop(n, edges, num_values, dp, start, fixed, limit, filled) == (
-                    walk_stop(n, edges, num_values, dp, start, fixed, limit, [{} for _ in edges])
+                assert walk_stop(dp, start, fixed, limit, filled) == (
+                    walk_stop(dp, start, fixed, limit, [{} for _ in edges])
                 )
                 # the walk without a memo, as far as a few thousand leaves
                 limit = min(fresh[0], 3000)
-                assert walk_stop(n, edges, num_values, dp, start, fixed, limit) == (
+                assert walk_stop(dp, start, fixed, limit) == (
                     fresh if limit == fresh[0] else
-                    walk_stop(n, edges, num_values, dp, start, fixed, limit, filled)
+                    walk_stop(dp, start, fixed, limit, filled)
                 )
 
     def test_forward_emptied_start_counts_what_follows(self):
@@ -1186,7 +1196,7 @@ class TestSharedMemo:
             for digits, _ in naive.reference_leaves(7, edges[:k], 2)
             if digits not in reached
         ]
-        dp = _sweep_tables(g, 2, False).dp
+        dp = _Sweep(g, 2, None).dp
         counting = dp._replace(root=dp.certified)
         memo = [{} for _ in edges]
         pairs = 0
@@ -1195,7 +1205,7 @@ class TestSharedMemo:
                 pinned = start[:fixed]
                 end = bisect_left(whole, pinned[:-1] + (pinned[-1] + 1,)) if pinned else len(whole)
                 wanted = end - bisect_left(whole, start)
-                assert walk_stop(7, edges, 2, counting, start, fixed, memo=memo) == (wanted, None)
+                assert walk_stop(counting, start, fixed, memo=memo) == (wanted, None)
                 pairs += 1
         assert pairs == 10450
 

@@ -1,0 +1,73 @@
+"""`tools/bench_pairs.py` turns alternating benchmark runs into a BENCH
+file's `workloads` block.  Its ordering and summary are checked here on
+fixed synthetic runs; no benchmark run, and no subprocess, is started."""
+
+import importlib.util
+import statistics
+import subprocess
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+@pytest.fixture
+def bench_pairs(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the summary must start no subprocess")
+
+    monkeypatch.setattr(subprocess, "run", refuse)
+    monkeypatch.setattr(subprocess, "Popen", refuse)
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def run(wall, rss, failed=0):
+    return {"wall_s": wall, "peak_rss_mb": rss, "failed": failed, "attempted": 10,
+            "correct": not failed, "exit": int(bool(failed))}
+
+
+def test_even_pairs_run_the_parent_first(bench_pairs):
+    assert bench_pairs.pair_order(4) == [
+        ("parent", "change"), ("change", "parent"), ("parent", "change"), ("change", "parent"),
+    ]
+
+
+def test_summary_of_synthetic_runs(bench_pairs):
+    runs = {
+        "parent": [run(1.0, 30.0), run(1.2, 30.0), run(0.9, 31.0, failed=2), run(1.1, 30.5),
+                   run(1.3, 30.0)],
+        "change": [run(0.8, 30.0), run(1.3, 30.5), run(0.85, 30.0), run(1.0, 30.5),
+                   run(0.95, 30.0)],
+    }
+    block = bench_pairs.summarize(runs, ["wall_s", "peak_rss_mb", "op_p50_ms"])
+    assert block["pairs"] == 5
+    assert block["failed"] == {"parent": 2, "change": 0}
+    assert block["runs"] is runs
+    # a metric no run reports has no summary
+    assert set(block["summary"]) == {"wall_s", "peak_rss_mb"}
+    wall = block["summary"]["wall_s"]
+    assert wall["parent_median"] == 1.1
+    assert wall["change_median"] == 0.95
+    # inclusive quartiles of 0.9, 1.0, 1.1, 1.2, 1.3
+    assert wall["parent_q1_q3"] == pytest.approx([1.0, 1.2])
+    assert wall["parent_iqr"] == pytest.approx(0.2)
+    assert wall["change_q1_q3"] == pytest.approx([0.85, 1.0])
+    # lower in pairs 0, 2, 3 and 4; pair 1 read higher
+    assert wall["change_lower_in_pairs"] == 4
+    assert wall["change_vs_parent"] == pytest.approx(0.95 / 1.1 - 1)
+    rss = block["summary"]["peak_rss_mb"]
+    # ties count for neither side
+    assert rss["change_lower_in_pairs"] == 1
+    assert rss["parent_median"] == statistics.median([30.0, 30.0, 31.0, 30.5, 30.0])
+
+
+def test_one_pair_has_no_spread(bench_pairs):
+    block = bench_pairs.summarize({"parent": [run(2.0, 1.0)], "change": [run(1.5, 1.0)]},
+                                  ["wall_s"])
+    wall = block["summary"]["wall_s"]
+    assert wall["parent_q1_q3"] == [2.0, 2.0] and wall["parent_iqr"] == 0
+    assert wall["change_lower_in_pairs"] == 1

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from kernelkit import ColoredDigraph, Digraph, antiholes, gen_antihole, io, redblue
-from kernelkit.antiholes import _live_prefixes, _sweep_tables
+from kernelkit.antiholes import _dp_tables, _live_prefixes
 from kernelkit.cli import main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -158,6 +158,8 @@ class TestOutOfRangeSettings:
             (["oracle", "clique-acyclic", "GRAPH", "--clique-budget", "-1"], "--clique-budget"),
             (["antihole", "verify-simple", "--n", "5", "--jobs", "-3"], "--jobs"),
             (["antihole", "verify-simple", "--n", "5", "--jobs", "0"], "--jobs"),
+            (["antihole", "verify-simple", "GRAPH", "--n", "5"], "--n"),
+            (["antihole", "search-witness", "-", "--n", "5"], "--n"),
             (["redblue", "gen", "ssw", "--n", "5", "--density", "nan"], "--density"),
             (["redblue", "gen", "path", "--n", "5", "--density", "-0.1"], "--density"),
             (["redblue", "gen", "chain", "--n", "5", "--density", "1.5"], "--density"),
@@ -166,6 +168,7 @@ class TestOutOfRangeSettings:
             "gen-chain-budget", "solve-fixpoint-budget", "verify-budget",
             "search-budget", "chords-budget", "chords-check-max-len", "find-cap",
             "enumerate-cap", "clique-budget", "jobs-negative", "jobs-zero",
+            "verify-file-and-n", "search-stdin-and-n",
             "density-nan", "density-negative", "density-above-one",
         ],
     )
@@ -567,9 +570,9 @@ class TestAntiholeCommands:
     def test_task_index_checkpoint_exits_two(self, capsys, tmp_path):
         # the live-prefix scheme signed its task list; a leaf-exact run
         # must not read its cursor
-        g, _ = gen_antihole(9)
-        actions = _sweep_tables(g, 2, True).actions
-        tasks = _live_prefixes(9, tuple(g.sorted_edges()), 2, actions, 8)
+        g, labeling = gen_antihole(9)
+        actions = antiholes.dihedral_edge_actions(labeling)
+        tasks = _live_prefixes(_dp_tables(g, 2, actions=actions), 8)
         self.refuse_task_index_checkpoint(capsys, tmp_path, tasks, 8, 3573)
 
     @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])

@@ -1,0 +1,189 @@
+"""Alternating parent/change pairs of the benchmark, summarised as a
+BENCH file's `workloads` block.
+
+    python3 tools/bench_pairs.py --parent REV --workload W [--workload W ...]
+        [--pairs K] [--out FILE]
+
+Extracts a `git archive` of REV (the parent) and a copy of the working
+tree (the change: the files git tracks or would track) into two sibling
+temporary directories, and runs `python3 perfbench/run.py --workload W`
+K times in each, one after the other.  Both sides run from the same kind
+of place, since where a checkout lies moves `peak_rss_mb` (by about
+0.5 MiB between two directories of one 2-vCPU Linux VM).  Even pairs (from 0) run the parent first, odd pairs
+the change first, so a drift in the machine's speed weighs on both sides
+alike.  Each run's last line of
+standard output is the benchmark's JSON result; the end-to-end metrics
+are the ones `BENCHMARK.json` names.
+
+The JSON written to FILE (standard output by default) holds the parent
+commit, the command, both sides' `src/kernelkit/*.py` line counts and, per
+workload, the number of pairs, the failed ops of each side, the raw runs
+and per metric each side's median and quartiles, the parent's
+interquartile range and the number of pairs in which the change read
+lower.  The tool only reads `perfbench/`; each run writes its records
+under its own checkout's `.perfbench/`.  Standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import os
+import platform
+import shutil
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def pair_order(pairs: int) -> list[tuple[str, str]]:
+    """The sides of each pair in the order they run."""
+    return [("parent", "change") if k % 2 == 0 else ("change", "parent") for k in range(pairs)]
+
+
+def quartiles(values: list[float]) -> list[float]:
+    if len(values) < 2:
+        return [values[0], values[0]]
+    q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return [q1, q3]
+
+
+def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
+    """One workload's block from its runs per side, listed pair by pair;
+    every metric is one where lower reads better."""
+    parent, change = runs["parent"], runs["change"]
+    summary = {}
+    for name in metrics:
+        pairs = [(p[name], c[name]) for p, c in zip(parent, change) if name in p and name in c]
+        if not pairs:
+            continue
+        before = statistics.median(p for p, _ in pairs)
+        after = statistics.median(c for _, c in pairs)
+        parent_q = quartiles([p for p, _ in pairs])
+        summary[name] = {
+            "parent_median": before,
+            "change_median": after,
+            "parent_iqr": parent_q[1] - parent_q[0],
+            "parent_q1_q3": parent_q,
+            "change_q1_q3": quartiles([c for _, c in pairs]),
+            "change_lower_in_pairs": sum(c < p for p, c in pairs),
+            "change_vs_parent": after / before - 1 if before else None,
+        }
+    return {
+        "pairs": min(len(parent), len(change)),
+        "failed": {side: sum(run["failed"] for run in runs[side]) for side in runs},
+        "summary": summary,
+        "runs": runs,
+    }
+
+
+def src_lines(checkout: Path) -> int:
+    return sum(
+        len(path.read_text().splitlines())
+        for path in sorted((checkout / "src" / "kernelkit").glob("*.py"))
+    )
+
+
+def run_once(checkout: Path, workload: str) -> dict:
+    """One untraced benchmark run in `checkout`: its end-to-end metrics,
+    op counts and exit code."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload],
+        cwd=checkout, capture_output=True, text=True,
+    )
+    lines = proc.stdout.strip().splitlines()
+    try:
+        result = json.loads(lines[-1])
+    except (IndexError, ValueError):
+        raise RuntimeError(
+            f"{workload} in {checkout} printed no result (exit {proc.returncode}): "
+            f"{proc.stderr.strip()[-500:]}"
+        ) from None
+    record = {name: metric["value"] for name, metric in result["metrics"].items()}
+    record.update(
+        failed=result["failed"], attempted=result["attempted"],
+        correct=result["correct"], exit=proc.returncode,
+    )
+    return record
+
+
+def extract(rev: str, dest: Path) -> str:
+    """Extract the tree of `rev` into `dest`; returns its commit id."""
+    commit = subprocess.run(
+        ["git", "rev-parse", "--verify", f"{rev}^{{commit}}"],
+        cwd=ROOT, capture_output=True, text=True, check=True,
+    ).stdout.strip()
+    archive = subprocess.run(["git", "archive", commit], cwd=ROOT, capture_output=True, check=True)
+    with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
+        # the archive is this repository's own commit
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
+    return commit
+
+
+def snapshot(dest: Path) -> None:
+    """Copy the working tree's files that git tracks or would track into
+    `dest`."""
+    listed = subprocess.run(
+        ["git", "ls-files", "-z", "--cached", "--others", "--exclude-standard"],
+        cwd=ROOT, capture_output=True, check=True,
+    ).stdout.decode()
+    for name in filter(None, listed.split("\0")):
+        # a tracked file deleted in the working tree is still listed
+        if (ROOT / name).is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(ROOT / name, dest / name)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", required=True, help="git revision of the parent side")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--out", help="JSON file to write (default: standard output)")
+    args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error("--pairs must be at least 1")
+    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
+        checkouts = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
+        commit = extract(args.parent, checkouts["parent"])
+        snapshot(checkouts["change"])
+        workloads = {}
+        for workload in args.workload:
+            runs = {"parent": [], "change": []}
+            for k, order in enumerate(pair_order(args.pairs)):
+                for side in order:
+                    runs[side].append(run_once(checkouts[side], workload))
+                walls = [runs[side][-1].get("wall_s") for side in ("parent", "change")]
+                print(f"{workload} pair {k + 1}/{args.pairs}: wall_s parent {walls[0]} "
+                      f"change {walls[1]}", file=sys.stderr, flush=True)
+            workloads[workload] = summarize(runs, metrics)
+        lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
+    report = {
+        "parent_commit": commit,
+        "command": "python3 perfbench/run.py --workload W, the parent from a git archive of "
+                   "its commit and the change from a copy of the working tree, in sibling "
+                   "temporary directories",
+        "order": "alternating pairs: even pairs (from 0) run the parent first, odd pairs the "
+                 "change first; workloads one after another",
+        "quartiles": "statistics.quantiles(n=4, method='inclusive') over each side's runs",
+        "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
+        "src_lines": lines,
+        "workloads": workloads,
+    }
+    text = json.dumps(report, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
