@@ -6,10 +6,10 @@ cycle arc.  Its span is the cycle distance from tail to head following the
 cycle direction; a chord is odd when the span is odd and short when the
 span is two.  The kernel-existence condition asks every odd directed cycle
 for one of three chord patterns; checking it enumerates all odd cycles, so
-everything here is exponential by design.  The checkers report every odd
+everything here is exponential by design.  The checkers list every odd
 cycle.  The construction needs only the verdict and the first failing
-cycle, so it runs a pruned search that skips the cycles no rule can fail
-on; a `budget` there counts the steps of that search.
+cycle, so it runs the same search with `prune`, which skips the cycles
+with consecutive heads; a `budget` there counts that search's steps.
 """
 
 from __future__ import annotations
@@ -20,15 +20,14 @@ from typing import Optional, Sequence
 from .digraph import (
     Digraph,
     VertexSet,
+    _cycles,
     _subset_mask,
     bits_of,
     enumerate_directed_cycles,
     is_kernel,
-    strongly_connected_components,
     union_of,
 )
 from .errors import (
-    BudgetExceededError,
     ConditionsViolatedError,
     ContractError,
     InternalInvariantError,
@@ -259,72 +258,14 @@ def check_chord_conditions(
 
 
 def _first_failing_odd_cycle(digraph: Digraph, budget: Optional[int] = None):
-    """First odd directed cycle, in `enumerate_directed_cycles` order, that
-    satisfies no chord rule, or None; `check_chord_conditions`'s
-    `first_failing` without the other cycles.
-
-    The same depth-first search over simple paths, with two prunes that
-    drop only cycles that cannot fail.  A root's paths stay inside its
-    strongly connected component, which holds every cycle through it.  And
-    `heads` marks the path positions i >= 1 that receive an arc from a path
-    vertex other than their predecessor: it only gains bits as the path
-    grows, so once two adjacent positions are marked every cycle closing
-    the path has consecutive heads.  Position 0 is left out, since its
-    predecessor is known only when the cycle closes.  `budget` caps the
-    path-extension steps of this pruned search.
-    """
-    n = digraph.vertex_count
-    out, inn = digraph._out, digraph._in
-    component = [0] * n
-    for members in strongly_connected_components(digraph).components:
-        mask = sum(1 << v for v in members)
-        for v in members:
-            component[v] = mask
-    position = [0] * n
-    steps = 0
-    for root in range(n):
-        allowed = component[root] & -(1 << root)
-        # untried[i] holds the successors of path[i] not yet tried, and
-        # heads[i] the marked positions of path[: i + 1]
-        path = [root]
-        on_path = 1 << root
-        heads = [0]
-        untried = [out[root] & allowed]
-        while untried:
-            rest = untried[-1]
-            if not rest:
-                untried.pop()
-                heads.pop()
-                on_path &= ~(1 << path.pop())
-                continue
-            low = rest & -rest
-            untried[-1] = rest ^ low
-            w = low.bit_length() - 1
-            steps += 1
-            if budget is not None and steps > budget:
-                raise BudgetExceededError(f"odd-cycle search exceeded budget of {budget} steps")
-            if w == root:
-                if len(path) % 2:
-                    cycle = tuple(path)
-                    if not _heads_consecutive(inn, cycle):
-                        chords = chords_of_cycle(digraph, cycle)
-                        if _odd_chord_rule(chords, len(cycle)) == RULE_NONE:
-                            return cycle
-                continue
-            if on_path & low:
-                continue
-            marked = heads[-1]
-            for v in bits_of(out[w] & on_path & ~(1 << root)):
-                marked |= 1 << position[v]
-            if inn[w] & on_path & ~(1 << path[-1]):
-                marked |= 1 << len(path)
-            if marked & (marked >> 1):
-                continue
-            position[w] = len(path)
-            path.append(w)
-            on_path |= low
-            heads.append(marked)
-            untried.append(out[w] & allowed)
+    """`check_chord_conditions(digraph).first_failing` without the other
+    cycles: a search that skips cycles with consecutive heads, whose
+    path-extension steps `budget` caps."""
+    inn = digraph._in
+    for cycle in _cycles(digraph, digraph.vertex_count, budget, "odd-cycle search", prune=True):
+        if len(cycle) % 2 and not _heads_consecutive(inn, cycle):
+            if _odd_chord_rule(chords_of_cycle(digraph, cycle), len(cycle)) == RULE_NONE:
+                return cycle
     return None
 
 

@@ -40,6 +40,25 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+# (argument, flag) of every input that `-` reads from stdin
+_INPUTS = (
+    ("input", "input"),
+    ("kernel", "--kernel"),
+    ("semi_kernel", "--semi-kernel"),
+    ("independent", "--independent"),
+    ("a", "--a"),
+    ("b", "--b"),
+)
+
+
+def _one_stdin_input(args) -> None:
+    """Refuse `-` for two inputs: the first read would drain stdin and
+    leave the second an empty stream."""
+    named = [flag for name, flag in _INPUTS if getattr(args, name, None) == "-"]
+    if len(named) > 1:
+        raise ContractError(f"stdin (-) given for {', '.join(named)}; at most one input can read it")
+
+
 def _load_graph(path: str):
     """Graph inputs accept both formats; JSON is sniffed by its brace."""
     return io.load_auto(_read_text(path))
@@ -629,6 +648,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     out = _Output(args)
     try:
+        _one_stdin_input(args)
         return args.func(args, out)
     except OSError as exc:
         # a missing input, a directory for a file, an unwritable output

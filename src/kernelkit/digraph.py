@@ -337,46 +337,45 @@ def strongly_connected_components(digraph: Digraph) -> SccResult:
 # -- directed cycles -----------------------------------------------------
 
 
-def enumerate_directed_cycles(
-    digraph: Digraph,
-    parity: str = "all",
-    max_len: Optional[int] = None,
-    budget: Optional[int] = None,
-) -> list[tuple[int, ...]]:
-    """All directed cycles up to `max_len`, one tuple per rotation class.
+def _cycles(
+    digraph: Digraph, max_len: int, budget: Optional[int], what: str, prune: bool = False
+) -> Iterator[tuple[int, ...]]:
+    """Yield each directed cycle of at most `max_len` vertices once, from
+    its least vertex: roots ascending, then successors ascending.
 
-    Cycles are rotated so their smallest vertex comes first; two-cycles from
-    opposite arcs count as directed cycles of length two.  `parity` selects
-    "odd", "even" or "all" cycle lengths.  `budget` caps the number of path
-    extension steps; exceeding it raises BudgetExceededError.
+    A depth-first search over simple paths through vertices above the
+    root.  `budget` caps its path-extension steps; exceeding it raises
+    BudgetExceededError "<what> exceeded budget of B steps".  `prune`
+    drops only cycles with consecutive heads.  With it a root's paths stay
+    inside its strongly connected component, which holds every cycle
+    through it.  And `heads`, the path positions i >= 1 that receive an
+    arc from a path vertex other than their predecessor, only gains bits
+    as the path grows, so once two adjacent positions are marked every
+    cycle closing the path has consecutive heads.  Position 0 is left
+    out: its predecessor is known only when the cycle closes.
     """
-    if parity not in ("odd", "even", "all"):
-        raise ValueError(f"unknown parity {parity!r}")
     n = digraph.vertex_count
-    if max_len is None or max_len > n:
-        max_len = n
-    out = digraph._out
-    cycles: list[tuple[int, ...]] = []
+    out, inn = digraph._out, digraph._in
+    component = [-1] * n
+    if prune:
+        scc = strongly_connected_components(digraph)
+        masks = [sum(1 << v for v in members) for members in scc.components]
+        component = [masks[i] for i in scc.component_of]
+    position = [0] * n
     steps = 0
-
-    def wanted(length: int) -> bool:
-        if parity == "all":
-            return True
-        return (length % 2 == 1) == (parity == "odd")
-
-    if max_len < 2:
-        return cycles
     for root in range(n):
-        higher = ~((1 << root) - 1)
-        # depth-first over simple paths from root, all vertices >= root;
-        # untried[i] holds the successors of path[i] not yet tried
+        allowed = component[root] & -(1 << root)
+        # untried[i] holds the successors of path[i] not yet tried, and
+        # heads[i] the marked positions of path[: i + 1]
         path = [root]
         on_path = 1 << root
-        untried = [out[root] & higher]
+        heads = [0]
+        untried = [out[root] & allowed]
         while untried:
             rest = untried[-1]
             if not rest:
                 untried.pop()
+                heads.pop()
                 on_path &= ~(1 << path.pop())
                 continue
             low = rest & -rest
@@ -384,17 +383,57 @@ def enumerate_directed_cycles(
             w = low.bit_length() - 1
             steps += 1
             if budget is not None and steps > budget:
-                raise BudgetExceededError(
-                    f"cycle enumeration exceeded budget of {budget} steps",
-                    partial=list(cycles),
-                )
+                raise BudgetExceededError(f"{what} exceeded budget of {budget} steps")
             if w == root:
-                if wanted(len(path)):
-                    cycles.append(tuple(path))
-            elif not on_path & low and len(path) < max_len:
-                path.append(w)
-                on_path |= low
-                untried.append(out[w] & higher)
+                yield tuple(path)
+                continue
+            if on_path & low or len(path) >= max_len:
+                continue
+            marked = 0
+            if prune:
+                marked = heads[-1]
+                for v in bits_of(out[w] & on_path & ~(1 << root)):
+                    marked |= 1 << position[v]
+                if inn[w] & on_path & ~(1 << path[-1]):
+                    marked |= 1 << len(path)
+                if marked & (marked >> 1):
+                    continue
+                position[w] = len(path)
+            path.append(w)
+            on_path |= low
+            heads.append(marked)
+            untried.append(out[w] & allowed)
+
+
+def enumerate_directed_cycles(
+    digraph: Digraph,
+    parity: str = "all",
+    max_len: Optional[int] = None,
+    budget: Optional[int] = None,
+) -> list[tuple[int, ...]]:
+    """All directed cycles up to `max_len`, one tuple per rotation class,
+    in `_cycles` order.
+
+    Cycles are rotated so their smallest vertex comes first; two-cycles from
+    opposite arcs count as directed cycles of length two.  `parity` selects
+    "odd", "even" or "all" cycle lengths.  `budget` caps the number of path
+    extension steps; exceeding it raises BudgetExceededError whose
+    `partial` holds the cycles listed so far.
+    """
+    if parity not in ("odd", "even", "all"):
+        raise ValueError(f"unknown parity {parity!r}")
+    n = digraph.vertex_count
+    max_len = n if max_len is None else min(max_len, n)
+    cycles: list[tuple[int, ...]] = []
+    if max_len < 2:
+        return cycles
+    try:
+        for cycle in _cycles(digraph, max_len, budget, "cycle enumeration"):
+            if parity == "all" or (len(cycle) % 2 == 1) == (parity == "odd"):
+                cycles.append(cycle)
+    except BudgetExceededError as exc:
+        exc.partial = cycles
+        raise
     return cycles
 
 

@@ -9,7 +9,7 @@ one such chain.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .digraph import bits_of
 from .errors import ContractError
@@ -44,16 +44,12 @@ class Poset:
             if not 0 <= a < size or not 0 <= b < size:
                 raise ContractError(f"pair ({a}, {b}) outside [0, {size})")
             up[a] |= 1 << b
-        changed = True
-        while changed:
-            changed = False
+        # Warshall: after pivot k, up[a] holds every b reachable through
+        # intermediates <= k
+        for k in range(size):
             for a in range(size):
-                acc = up[a]
-                for b in bits_of(up[a]):
-                    acc |= up[b]
-                if acc != up[a]:
-                    up[a] = acc
-                    changed = True
+                if up[a] >> k & 1:
+                    up[a] |= up[k]
         for a in range(size):
             for b in bits_of(up[a]):
                 if b != a and (up[b] >> a) & 1:
@@ -83,26 +79,6 @@ class Poset:
                 if (self._up[a] >> b) & 1 or (self._up[b] >> a) & 1:
                     return False
         return True
-
-    def antichain_masks(self) -> Iterator[int]:
-        """All antichains as bitmasks, increasing as integers."""
-        incomparable = [
-            ~(self._up[a] | self._down[a]) & ((1 << self.size) - 1)
-            for a in range(self.size)
-        ]
-
-        for mask in range(1 << self.size):
-            ok = True
-            rest = mask
-            while rest:
-                low = rest & -rest
-                a = low.bit_length() - 1
-                rest ^= low
-                if rest & ~incomparable[a]:
-                    ok = False
-                    break
-            if ok:
-                yield mask
 
     def linear_extension(self) -> list[int]:
         """Least-index-first topological order of the elements."""

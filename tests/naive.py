@@ -21,6 +21,17 @@ def subsets(n):
         yield [v for v in range(n) if (mask >> v) & 1]
 
 
+def antichains(poset):
+    """Every antichain of `poset` as a frozenset, in increasing order of
+    its bit mask: the subsets whose members `poset.leq` leaves pairwise
+    incomparable."""
+    return [
+        frozenset(members)
+        for members in subsets(poset.size)
+        if not any(poset.leq(a, b) or poset.leq(b, a) for a, b in combinations(members, 2))
+    ]
+
+
 def naive_is_independent(n, arcs, members):
     s = set(members)
     return not any(u in s and v in s for (u, v) in arcs)

@@ -43,7 +43,7 @@ def test_summary_of_synthetic_runs(bench_pairs):
         "change": [run(0.8, 30.0), run(1.3, 30.5), run(0.85, 30.0), run(1.0, 30.5),
                    run(0.95, 30.0)],
     }
-    block = bench_pairs.summarize(runs, ["wall_s", "peak_rss_mb", "op_p50_ms"])
+    block = bench_pairs.summarize(runs, {"wall_s": 0.24, "peak_rss_mb": 0.1, "op_p50_ms": 0.24})
     assert block["pairs"] == 5
     assert block["failed"] == {"parent": 2, "change": 0}
     assert block["runs"] is runs
@@ -67,7 +67,41 @@ def test_summary_of_synthetic_runs(bench_pairs):
 
 def test_one_pair_has_no_spread(bench_pairs):
     block = bench_pairs.summarize({"parent": [run(2.0, 1.0)], "change": [run(1.5, 1.0)]},
-                                  ["wall_s"])
+                                  {"wall_s": 0.24})
     wall = block["summary"]["wall_s"]
     assert wall["parent_q1_q3"] == [2.0, 2.0] and wall["parent_iqr"] == 0
     assert wall["change_lower_in_pairs"] == 1
+
+
+@pytest.mark.parametrize(
+    "parent, change, want",
+    [
+        # the change's median 1.30 exceeds 1.00 by more than 24%
+        ([1.0, 1.0, 1.01, 0.99, 1.0], [1.3, 1.3, 1.31, 1.29, 1.3], "worse"),
+        # a wide parent still reads worse once the median is past the bound
+        ([1.0, 1.5, 2.0, 2.5, 3.0], [2.6, 2.6, 2.6, 2.6, 2.6], "worse"),
+        # parent interquartile range 1.0 is 50% of its median 2.0
+        ([1.0, 1.5, 2.0, 2.5, 3.0], [1.9, 2.2, 2.1, 1.8, 2.3], "unresolved"),
+        # every change run beats every parent run, so the spread settles nothing
+        ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.6, 0.7, 0.8, 0.9], "within"),
+        # a change run level with the fastest parent run is no win
+        ([1.0, 1.5, 2.0, 2.5, 3.0], [0.5, 0.6, 0.7, 0.8, 1.0], "unresolved"),
+        # tight parent, change 10% slower
+        ([1.0, 1.0, 1.01, 0.99, 1.0], [1.1, 1.1, 1.1, 1.1, 1.1], "within"),
+    ],
+    ids=["worse", "worse-despite-spread", "unresolved", "every-run-beats", "tie", "within"],
+)
+def test_verdict_against_the_bound(bench_pairs, parent, change, want):
+    runs = {"parent": [run(w, 30.0) for w in parent], "change": [run(w, 30.0) for w in change]}
+    wall = bench_pairs.summarize(runs, {"wall_s": 0.24})["summary"]["wall_s"]
+    assert wall["bound"] == 0.24
+    assert wall["verdict"] == want
+
+
+def test_rss_verdict_uses_its_own_bound(bench_pairs):
+    # +5% is within peak_rss_mb's 10% bound and +15% is past it
+    for rss, want in ((31.5, "within"), (34.5, "worse")):
+        runs = {"parent": [run(1.0, 30.0)] * 5, "change": [run(1.0, rss)] * 5}
+        summary = bench_pairs.summarize(runs, {"wall_s": 0.24, "peak_rss_mb": 0.1})["summary"]
+        assert summary["peak_rss_mb"]["verdict"] == want
+        assert summary["wall_s"]["verdict"] == "within"

@@ -1,10 +1,13 @@
+import json
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 
 import naive
 from kernelkit import (
+    BudgetExceededError,
     ConditionsViolatedError,
     ContractError,
     Digraph,
@@ -310,6 +313,25 @@ class TestFirstFailingOddCycle:
             assert 0 < failing < count
         if make is random_digraph:
             assert acyclic > 0
+
+    # least budget at which the search returns, per seeded digraph: a
+    # change to the steps the search takes changes what a budget allows
+    STEPS = json.loads((Path(__file__).parent / "golden" / "first_failing_steps.json").read_text())
+
+    @pytest.mark.parametrize(
+        "make, name",
+        [(reversible_digraph, "reversible"), (chord_suite_digraph, "chord-suite"), (random_digraph, "random")],
+        ids=["reversible", "chord-suite", "random"],
+    )
+    def test_step_count_golden(self, make, name):
+        rng = random.Random(f"first-failing-steps-{name}")
+        for steps in self.STEPS[name]:
+            d = make(rng)
+            want = check_chord_conditions(d).first_failing
+            if steps:
+                with pytest.raises(BudgetExceededError, match="odd-cycle search exceeded"):
+                    _first_failing_odd_cycle(d, steps - 1)
+            assert _first_failing_odd_cycle(d, steps) == want, sorted(d.arcs)
 
 
 class TestAlternatingPathSemiKernel:

@@ -163,6 +163,9 @@ class TestOutOfRangeSettings:
             (["redblue", "gen", "ssw", "--n", "5", "--density", "nan"], "--density"),
             (["redblue", "gen", "path", "--n", "5", "--density", "-0.1"], "--density"),
             (["redblue", "gen", "chain", "--n", "5", "--density", "1.5"], "--density"),
+            (["poset", "compare", "POSET", "--a", "-", "--b", "-"], "--a, --b"),
+            (["poset", "compare", "-", "--a", "-", "--b", "1"], "input, --a"),
+            (["oracle", "check", "-", "--kernel", "-"], "input, --kernel"),
         ],
         ids=[
             "gen-chain-budget", "solve-fixpoint-budget", "verify-budget",
@@ -170,12 +173,19 @@ class TestOutOfRangeSettings:
             "enumerate-cap", "clique-budget", "jobs-negative", "jobs-zero",
             "verify-file-and-n", "search-stdin-and-n",
             "density-nan", "density-negative", "density-above-one",
+            "compare-two-stdin-antichains", "compare-stdin-poset-and-antichain",
+            "check-stdin-digraph-and-kernel",
         ],
     )
     def test_exits_two_with_one_line(self, capsys, tmp_path, argv, flag):
         (tmp_path / "g.txt").write_text(THREE_CYCLE_TEXT)
         (tmp_path / "c.txt").write_text(THREE_VERTEX_CD)
-        files = {"GRAPH": str(tmp_path / "g.txt"), "CD": str(tmp_path / "c.txt")}
+        (tmp_path / "p.txt").write_text("poset 2\n0 1\n")
+        files = {
+            "GRAPH": str(tmp_path / "g.txt"),
+            "CD": str(tmp_path / "c.txt"),
+            "POSET": str(tmp_path / "p.txt"),
+        }
         code, out, err = run_cli(capsys, [files.get(arg, arg) for arg in argv])
         assert code == 2 and out == ""
         assert err.count("\n") == 1 and flag in err

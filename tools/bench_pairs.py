@@ -19,9 +19,11 @@ The JSON written to FILE (standard output by default) holds the parent
 commit, the command, both sides' `src/kernelkit/*.py` line counts and, per
 workload, the number of pairs, the failed ops of each side, the raw runs
 and per metric each side's median and quartiles, the parent's
-interquartile range and the number of pairs in which the change read
-lower.  The tool only reads `perfbench/`; each run writes its records
-under its own checkout's `.perfbench/`.  Standard library only.
+interquartile range, the number of pairs in which the change read lower,
+the metric's `BENCHMARK.json` bound and a verdict: `worse`, `unresolved`
+or `within` (see `verdict`).  The tool only reads `perfbench/`; each run
+writes its records under its own checkout's `.perfbench/`.  Standard
+library only.
 """
 
 from __future__ import annotations
@@ -54,26 +56,43 @@ def quartiles(values: list[float]) -> list[float]:
     return [q1, q3]
 
 
-def summarize(runs: dict[str, list[dict]], metrics: list[str]) -> dict:
+def verdict(pairs: list[tuple[float, float]], before: float, after: float,
+            iqr: float, bound: float) -> str:
+    """`worse` when the change's median exceeds the parent's by more than
+    `bound` (relative); else `unresolved` when the parent's interquartile
+    range exceeds `bound` of its median, unless every change run beats
+    every parent run; else `within`."""
+    if after > before * (1 + bound):
+        return "worse"
+    if iqr > bound * before and max(c for _, c in pairs) >= min(p for p, _ in pairs):
+        return "unresolved"
+    return "within"
+
+
+def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     """One workload's block from its runs per side, listed pair by pair;
-    every metric is one where lower reads better."""
+    `bounds` maps each metric, one where lower reads better, to its
+    relative bound."""
     parent, change = runs["parent"], runs["change"]
     summary = {}
-    for name in metrics:
+    for name, bound in bounds.items():
         pairs = [(p[name], c[name]) for p, c in zip(parent, change) if name in p and name in c]
         if not pairs:
             continue
         before = statistics.median(p for p, _ in pairs)
         after = statistics.median(c for _, c in pairs)
         parent_q = quartiles([p for p, _ in pairs])
+        iqr = parent_q[1] - parent_q[0]
         summary[name] = {
             "parent_median": before,
             "change_median": after,
-            "parent_iqr": parent_q[1] - parent_q[0],
+            "parent_iqr": iqr,
             "parent_q1_q3": parent_q,
             "change_q1_q3": quartiles([c for _, c in pairs]),
             "change_lower_in_pairs": sum(c < p for p, c in pairs),
             "change_vs_parent": after / before - 1 if before else None,
+            "bound": bound,
+            "verdict": verdict(pairs, before, after, iqr, bound),
         }
     return {
         "pairs": min(len(parent), len(change)),
@@ -149,7 +168,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    metrics = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    bounds = {
+        m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         checkouts = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         commit = extract(args.parent, checkouts["parent"])
@@ -163,7 +184,7 @@ def main(argv=None) -> int:
                 walls = [runs[side][-1].get("wall_s") for side in ("parent", "change")]
                 print(f"{workload} pair {k + 1}/{args.pairs}: wall_s parent {walls[0]} "
                       f"change {walls[1]}", file=sys.stderr, flush=True)
-            workloads[workload] = summarize(runs, metrics)
+            workloads[workload] = summarize(runs, bounds)
         lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
     report = {
         "parent_commit": commit,
