@@ -73,6 +73,7 @@ from .digraph import (
 )
 from .errors import ContractError, InternalInvariantError, SizeCapError
 from .oracle import (
+    DEFAULT_VERTEX_CAP,
     all_clique_masks,
     find_kernel_bruteforce,
     is_clique_acyclic,
@@ -139,6 +140,17 @@ def gen_antihole(n: int) -> tuple[UndirectedGraph, AntiholeLabeling]:
     """Complement of the n-cycle with its canonical labeling."""
     labeling = AntiholeLabeling(n)
     return labeling.graph(), labeling
+
+
+def _labeling_of(graph: UndirectedGraph, message: str) -> AntiholeLabeling:
+    """The labeling of `graph` if it is the labeled anti-hole, else
+    ContractError(message).  The edge count n(n - 3)/2 is compared first,
+    so most other graphs are refused before an anti-hole is built."""
+    labeling = AntiholeLabeling(graph.vertex_count)
+    n = labeling.n
+    if len(graph.edges) != n * (n - 3) // 2 or labeling.graph() != graph:
+        raise ContractError(message)
+    return labeling
 
 
 def c7_counterexample() -> Digraph:
@@ -210,11 +222,9 @@ def canonical_digits(digits: tuple[int, ...], actions) -> tuple[int, ...]:
 def canonical_orientation_key(orientation: Orientation) -> tuple[int, ...]:
     """Orbit representative of an anti-hole orientation under the dihedral
     group, as the lexicographically least edge-direction string."""
-    labeling = AntiholeLabeling(orientation.base.vertex_count)
-    edges = labeling.edges()
-    if orientation.base != labeling.graph():
-        raise ContractError("orientation does not live on the labeled anti-hole")
-    return canonical_digits(orientation_digits(orientation, edges), dihedral_edge_actions(labeling))
+    labeling = _labeling_of(orientation.base, "orientation does not live on the labeled anti-hole")
+    digits = orientation_digits(orientation, labeling.edges())
+    return canonical_digits(digits, dihedral_edge_actions(labeling))
 
 
 # -- clique tests and the sweep walk -----------------------------------------
@@ -666,35 +676,34 @@ def _check_start(dp: _DPTables, start) -> None:
 
 
 def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool):
-    """Refuse a graph past the edge cap, and symmetry reduction off the
-    anti-hole; return the sweep's group actions, None without symmetry."""
+    """Refuse a graph past the edge or the vertex cap, and symmetry
+    reduction off the anti-hole; return the sweep's group actions, None
+    without symmetry.  The vertex cap is the kernel oracle's, which every
+    counterexample goes through; it comes before anything is built, since
+    the kernel candidates hold one n-bit mask per vertex."""
+    n = graph.vertex_count
     if len(graph.edges) > MAX_EDGES:
         raise SizeCapError(
             f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
         )
+    if n > DEFAULT_VERTEX_CAP:
+        raise SizeCapError(f"{n} vertices exceed the sweep cap of {DEFAULT_VERTEX_CAP}")
     if not symmetry_reduction:
         return None
-    labeling = AntiholeLabeling(graph.vertex_count)
-    if labeling.graph() != graph:
-        raise ContractError(f"symmetry reduction needs the {labeling.n}-vertex anti-hole")
+    labeling = _labeling_of(graph, f"symmetry reduction needs the {n}-vertex anti-hole")
     return dihedral_edge_actions(labeling)
 
 
 def enumerate_simple_clique_acyclic_orientations(
-    graph: UndirectedGraph,
-    symmetry_reduction: bool = False,
-    prefix: tuple[int, ...] = (),
+    graph: UndirectedGraph, symmetry_reduction: bool = False
 ) -> Iterator[Orientation]:
     """Stream every simple clique-acyclic orientation of `graph`.
 
-    `prefix` restricts the run to one subtree of the search tree; a prefix
-    the clique tests or the symmetry prune reject raises ContractError.
     Symmetry reduction needs `graph` to be the n-vertex anti-hole and
     emits one orientation per dihedral orbit.
     """
     dp = _dp_tables(graph, 2, actions=_check_sweep_input(graph, symmetry_reduction))
-    _check_start(dp, prefix)
-    for _, digits, _ in _walk(dp, prefix, len(prefix)):
+    for _, digits, _ in _walk(dp):
         yield digits_to_orientation(digits, graph, dp.edges)
 
 
@@ -1016,8 +1025,7 @@ def find_near_sink(orientation: Orientation) -> int:
     one is an internal invariant violation, not an input error.
     """
     n = orientation.base.vertex_count
-    if AntiholeLabeling(n).graph() != orientation.base:
-        raise ContractError("orientation does not live on the labeled anti-hole")
+    _labeling_of(orientation.base, "orientation does not live on the labeled anti-hole")
     if n < 9 or n % 2 == 0:
         raise ContractError(
             f"the two-steps-inward argument needs an odd anti-hole with at "

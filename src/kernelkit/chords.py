@@ -6,10 +6,12 @@ cycle arc.  Its span is the cycle distance from tail to head following the
 cycle direction; a chord is odd when the span is odd and short when the
 span is two.  The kernel-existence condition asks every odd directed cycle
 for one of three chord patterns; checking it enumerates all odd cycles, so
-everything here is exponential by design.  The checkers list every odd
-cycle.  The construction needs only the verdict and the first failing
+everything here is exponential by design.  Each condition has one rule
+function from a cycle to its tag, and its checker tags every odd cycle
+with it.  The construction needs only the verdict and the first failing
 cycle, so it runs the same search with `prune`, which skips the cycles
-with consecutive heads; a `budget` there counts that search's steps.
+with consecutive heads, and asks the chord rule function of the rest; a
+`budget` there counts that search's steps.
 """
 
 from __future__ import annotations
@@ -195,11 +197,11 @@ class ChordConditionReport:
         }
 
 
-def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordConditionReport:
-    """Tag every odd directed cycle with `rule_of(cycle)`; the verdict holds
-    iff no cycle is tagged `none`."""
+def _odd_cycle_report(digraph: Digraph, max_len, budget, rule) -> ChordConditionReport:
+    """Tag every odd directed cycle with `rule(digraph, cycle)`; the
+    verdict holds iff no cycle is tagged `none`."""
     entries = tuple(
-        CycleReport(cycle, rule_of(cycle))
+        CycleReport(cycle, rule(digraph, cycle))
         for cycle in enumerate_directed_cycles(digraph, parity="odd", max_len=max_len, budget=budget)
     )
     first_failing = next((c.cycle for c in entries if c.rule == RULE_NONE), None)
@@ -208,29 +210,40 @@ def _odd_cycle_report(digraph: Digraph, max_len, budget, rule_of) -> ChordCondit
     )
 
 
-def _heads_consecutive(inn: list[int], cycle: tuple[int, ...]) -> bool:
-    """Whether two chords of the cycle have heads on adjacent positions.
+def _gsnl_rule(digraph: Digraph, cycle: tuple[int, ...]) -> str:
+    """Consecutive heads: two chords of the cycle end on adjacent positions.
 
     Bit i of `heads` is set iff some chord ends at cycle[i]: an arc into
     it from a cycle vertex other than its cycle predecessor.  The rule
     holds iff two adjacent bits are set, cyclically."""
+    inn = digraph._in
     cycle_mask = sum(1 << v for v in cycle)
     heads = 0
     for i, v in enumerate(cycle):
         if inn[v] & cycle_mask & ~(1 << cycle[i - 1]):
             heads |= 1 << i
-    return bool(heads & ((heads >> 1) | ((heads & 1) << (len(cycle) - 1))))
+    consecutive = heads & ((heads >> 1) | ((heads & 1) << (len(cycle) - 1)))
+    return RULE_CONSECUTIVE_HEADS if consecutive else RULE_NONE
+
+
+def _chord_rule(digraph: Digraph, cycle: tuple[int, ...]) -> str:
+    """First chord rule the cycle meets, in a fixed order: consecutive
+    heads, decided on head positions, then the two odd-chord rules, for
+    which only the cycles the first rule leaves build their chords."""
+    rule = _gsnl_rule(digraph, cycle)
+    if rule == RULE_NONE:
+        rule = _odd_chord_rule(chords_of_cycle(digraph, cycle), len(cycle))
+    return rule
+
+
+def _duchet_rule(digraph: Digraph, cycle: tuple[int, ...]) -> str:
+    """Two reversible arcs on the cycle."""
+    reversible = sum(digraph.has_arc(v, u) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
+    return RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
 
 
 def check_chord_conditions(
-    digraph: Digraph,
-    max_len: Optional[int] = None,
-    budget: Optional[int] = None,
-    rules: tuple[str, ...] = (
-        RULE_CONSECUTIVE_HEADS,
-        RULE_TWO_ODD,
-        RULE_CROSSING_SHORT_ODD,
-    ),
+    digraph: Digraph, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> ChordConditionReport:
     """Tag every odd directed cycle with the first chord rule it satisfies.
 
@@ -238,56 +251,31 @@ def check_chord_conditions(
     chords neither crossing nor nested, then a crossing short/odd pair) so
     tags are deterministic.  The verdict holds iff no cycle is tagged
     `none`.  `max_len` defaults to the vertex count: the condition
-    quantifies over all odd directed cycles.  The first rule is decided on
-    head positions; only the cycles it leaves build their chords, and only
-    when a later rule is asked for.
+    quantifies over all odd directed cycles.
     """
-    inn = digraph._in
-    later = RULE_TWO_ODD in rules or RULE_CROSSING_SHORT_ODD in rules
-
-    def rule_of(cycle):
-        if _heads_consecutive(inn, cycle):
-            rule = RULE_CONSECUTIVE_HEADS
-        elif later:
-            rule = _odd_chord_rule(chords_of_cycle(digraph, cycle), len(cycle))
-        else:
-            return RULE_NONE
-        return rule if rule in rules else RULE_NONE
-
-    return _odd_cycle_report(digraph, max_len, budget, rule_of)
+    return _odd_cycle_report(digraph, max_len, budget, _chord_rule)
 
 
 def _first_failing_odd_cycle(digraph: Digraph, budget: Optional[int] = None):
     """`check_chord_conditions(digraph).first_failing` without the other
     cycles: a search that skips cycles with consecutive heads, whose
     path-extension steps `budget` caps."""
-    inn = digraph._in
-    for cycle in _cycles(digraph, digraph.vertex_count, budget, "odd-cycle search", prune=True):
-        if len(cycle) % 2 and not _heads_consecutive(inn, cycle):
-            if _odd_chord_rule(chords_of_cycle(digraph, cycle), len(cycle)) == RULE_NONE:
-                return cycle
-    return None
+    cycles = _cycles(digraph, digraph.vertex_count, budget, "odd-cycle search", prune=True)
+    return next((c for c in cycles if len(c) % 2 and _chord_rule(digraph, c) == RULE_NONE), None)
 
 
 def check_gsnl_condition(
     digraph: Digraph, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> ChordConditionReport:
     """Restrict the check to the consecutive-heads rule alone."""
-    return check_chord_conditions(
-        digraph, max_len=max_len, budget=budget, rules=(RULE_CONSECUTIVE_HEADS,)
-    )
+    return _odd_cycle_report(digraph, max_len, budget, _gsnl_rule)
 
 
 def check_duchet_condition(
     digraph: Digraph, max_len: Optional[int] = None, budget: Optional[int] = None
 ) -> ChordConditionReport:
     """Every odd directed cycle must have at least two reversible arcs."""
-
-    def rule_of(cycle):
-        reversible = sum(digraph.has_arc(v, u) for u, v in zip(cycle, cycle[1:] + cycle[:1]))
-        return RULE_TWO_REVERSIBLE if reversible >= 2 else RULE_NONE
-
-    return _odd_cycle_report(digraph, max_len, budget, rule_of)
+    return _odd_cycle_report(digraph, max_len, budget, _duchet_rule)
 
 
 # -- the constructive procedure ---------------------------------------------

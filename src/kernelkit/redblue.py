@@ -649,10 +649,11 @@ def generate_chain_instance(
     dirty = (1 << n) - 1
     # the arc state saved after 1, 2, 4, ... repairs
     saved, save_at = (tuple(blue_out), tuple(red_out)), 1
-    for repairs in range(1, budget + 1):
-        violation = next(_chain_violations(bits_of(dirty), *masks), None)
-        if violation is None:
-            break
+    repairs = 0
+    while (violation := next(_chain_violations(bits_of(dirty), *masks), None)) is not None:
+        if repairs == budget:
+            return None
+        repairs += 1
         rule, (u, v, w) = violation
         # the middles below v were found clean
         dirty &= -(1 << v)
@@ -670,8 +671,6 @@ def generate_chain_instance(
             return None
         if repairs == save_at:
             saved, save_at = state, 2 * save_at
-    else:
-        return None
     rows = [
         (u, v, color)
         for color, out in ((ArcColor.BLUE, blue_out), (ArcColor.RED, red_out))

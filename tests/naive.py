@@ -420,13 +420,14 @@ def naive_chain_rows(seed, n, budget=400, density=0.25):
         for v in range(n):
             if u != v and rng.random() < density:
                 arcs[(u, v)] = "b" if rng.random() < 0.5 else "r"
-    for _ in range(budget):
-        witness = next(naive_chain_violations(n, arcs), None)
-        if witness is None:
-            return sorted((u, v, c) for (u, v), c in arcs.items())
+    repairs = 0
+    while (witness := next(naive_chain_violations(n, arcs), None)) is not None:
+        if repairs == budget:
+            return None
+        repairs += 1
         rule, (u, _, w) = witness
         arcs[(u, w)] = "b" if rule == "blue-chain" else "r"
-    return None
+    return sorted((u, v, c) for (u, v), c in arcs.items())
 
 
 def naive_path_rows(seed, n, density=0.3):

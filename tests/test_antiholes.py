@@ -155,6 +155,19 @@ class TestEnumeration:
         with pytest.raises(SizeCapError):
             verify_kernel_solvable(g)
 
+    def test_vertex_cap(self):
+        # both sweep entry points refuse 26 edgeless vertices, the kernel
+        # oracle's cap plus one, and accept 25
+        g = UndirectedGraph(26)
+        with pytest.raises(SizeCapError, match="26 vertices exceed the sweep cap of 25"):
+            list(enumerate_simple_clique_acyclic_orientations(g))
+        with pytest.raises(SizeCapError, match="26 vertices exceed the sweep cap of 25"):
+            verify_kernel_solvable(g)
+        g = UndirectedGraph(25)
+        assert len(list(enumerate_simple_clique_acyclic_orientations(g))) == 1
+        verdict = verify_kernel_solvable(g)
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 1)
+
     @pytest.mark.parametrize(
         "g", [UndirectedGraph(5, [(0, 1), (1, 2), (2, 3), (3, 4)]), UndirectedGraph(3, [])],
         ids=["path", "too-small"],
@@ -167,21 +180,6 @@ class TestEnumeration:
             verify_kernel_solvable(g, symmetry_reduction=True)
 
     def test_prefix_partition_is_a_partition(self):
-        g, _ = gen_antihole(7)
-        whole = [
-            orientation_digits(o, g.sorted_edges())
-            for o in enumerate_simple_clique_acyclic_orientations(g)
-        ]
-        pieces = []
-        for a in range(2):
-            for b in range(2):
-                pieces.extend(
-                    orientation_digits(o, g.sorted_edges())
-                    for o in enumerate_simple_clique_acyclic_orientations(
-                        g, prefix=(a, b)
-                    )
-                )
-        assert sorted(pieces) == sorted(whole)
         # general mode: the tasks of every depth, in task order, are the
         # whole enumeration
         g, _ = gen_antihole(6)

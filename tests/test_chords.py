@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -332,6 +334,36 @@ class TestFirstFailingOddCycle:
                 with pytest.raises(BudgetExceededError, match="odd-cycle search exceeded"):
                     _first_failing_odd_cycle(d, steps - 1)
             assert _first_failing_odd_cycle(d, steps) == want, sorted(d.arcs)
+
+
+def chord_report_summary():
+    """A SHA-256 over the three condition reports and the first failing
+    odd cycle of 1,500 seeded digraphs on 1-8 vertices at densities 0.15,
+    0.30 and 0.45, with the unsatisfied reports and the tags counted."""
+    rng = random.Random("chord-reports")
+    digest = hashlib.sha256()
+    unsatisfied, tags = 0, Counter()
+    for i in range(1500):
+        n = rng.randint(1, 8)
+        density = (0.15, 0.30, 0.45)[i % 3]
+        d = Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density])
+        reports = [
+            check(d).to_json_obj()
+            for check in (check_chord_conditions, check_gsnl_condition, check_duchet_condition)
+        ]
+        digest.update(json.dumps([reports, _first_failing_odd_cycle(d)]).encode())
+        unsatisfied += sum(not r["satisfied"] for r in reports)
+        tags.update(c["rule"] for r in reports for c in r["cycles"])
+    return {"sha256": digest.hexdigest(), "unsatisfied": unsatisfied, "tags": dict(sorted(tags.items()))}
+
+
+def test_chord_reports_golden():
+    # taken before the three checks shared one rule function per condition
+    golden = json.loads((Path(__file__).parent / "golden" / "chord_reports.json").read_text())
+    assert chord_report_summary() == golden
+    assert set(golden["tags"]) == {
+        RULE_CONSECUTIVE_HEADS, RULE_TWO_ODD, RULE_CROSSING_SHORT_ODD, RULE_TWO_REVERSIBLE, RULE_NONE
+    }
 
 
 class TestAlternatingPathSemiKernel:

@@ -314,6 +314,11 @@ class TestRedblueCommands:
         assert code == 3
         assert json.loads(out) == {"error": "no instance within 0 repairs", "seed": 0}
 
+    def test_gen_chain_at_zero_budget_needs_no_repair_on_one_vertex(self, capsys):
+        code, out, err = run_cli(capsys, ["redblue", "gen", "chain", "--n", "1", "--budget", "0"])
+        assert code == 0 and err == ""
+        assert out.startswith("# seed 0\n")
+
     def test_gen_chain_stops_when_its_repair_repeats(self, monkeypatch):
         # seed 9 at n = 12 never settles: its repair revisits an arc state,
         # which ends the run long before 10**9 repairs
@@ -662,6 +667,30 @@ class TestAntiholeCommands:
         )
         assert code == 2
         assert "at least 9" in err
+
+    def capped_cli(self, tmp_path, text, *argv):
+        """The CLI on `text` in a fresh interpreter held to 1 GiB of
+        address space, where an out-of-memory exit is also 3."""
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        script = (
+            "import resource, sys\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+            "from kernelkit.cli import main\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        return fresh_python("-c", script, "antihole", *argv, str(path), timeout=20)
+
+    def test_sweep_refuses_a_huge_vertex_count_before_building(self, tmp_path):
+        proc = self.capped_cli(tmp_path, "graph 5000000\n", "verify-simple")
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == "error: 5000000 vertices exceed the sweep cap of 25\n"
+
+    def test_find_near_sink_refuses_a_huge_edgeless_orientation(self, tmp_path):
+        # compared on the edge count, not on a 100,000-vertex anti-hole
+        proc = self.capped_cli(tmp_path, "orientation 100000\n", "find-near-sink")
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == "error: orientation does not live on the labeled anti-hole\n"
 
 
 def subprocess_output_c7() -> str:

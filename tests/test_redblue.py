@@ -420,6 +420,17 @@ class TestGeneratorsMatchReferences:
             want = naive.naive_chain_rows(seed, 3 + seed % 5, budget=budget)
             assert (got if got is None else _rows(got)) == want
 
+    def test_chain_budget_counts_repairs_exactly(self):
+        # fewer than three vertices hold no violation, so no repair is needed
+        for seed in range(10):
+            assert generate_chain_instance(seed, 1, budget=0) is not None
+            assert generate_chain_instance(seed, 2, budget=0) is not None
+        # seed 0 at n = 6 needs 3 repairs and seed 2 needs 11
+        for seed, repairs in [(0, 3), (2, 11)]:
+            assert generate_chain_instance(seed, 6, budget=repairs - 1) is None
+            got = generate_chain_instance(seed, 6, budget=repairs)
+            assert _rows(got) == naive.naive_chain_rows(seed, 6)
+
     def test_chain_digest(self):
         # frozen from the generator's output, seeds 0-199 at n = 3..12:
         # a change to its arc bookkeeping must give the same instances
