@@ -675,19 +675,25 @@ def _check_start(dp: _DPTables, start) -> None:
         raise ContractError(f"start {list(start)} is not a live path")
 
 
-def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool):
-    """Refuse a graph past the edge or the vertex cap, and symmetry
-    reduction off the anti-hole; return the sweep's group actions, None
-    without symmetry.  The vertex cap is the kernel oracle's, which every
-    counterexample goes through; it comes before anything is built, since
-    the kernel candidates hold one n-bit mask per vertex."""
-    n = graph.vertex_count
-    if len(graph.edges) > MAX_EDGES:
+def _check_sweep_caps(vertex_count: int, edge_count: int) -> None:
+    """Refuse a sweep past the edge or the vertex cap.  The vertex cap is
+    the kernel oracle's, which every counterexample goes through; it comes
+    before anything is built, since the kernel candidates hold one n-bit
+    mask per vertex."""
+    if edge_count > MAX_EDGES:
+        raise SizeCapError(f"{edge_count} edges exceed the enumeration cap of {MAX_EDGES}")
+    if vertex_count > DEFAULT_VERTEX_CAP:
         raise SizeCapError(
-            f"{len(graph.edges)} edges exceed the enumeration cap of {MAX_EDGES}"
+            f"{vertex_count} vertices exceed the sweep cap of {DEFAULT_VERTEX_CAP}"
         )
-    if n > DEFAULT_VERTEX_CAP:
-        raise SizeCapError(f"{n} vertices exceed the sweep cap of {DEFAULT_VERTEX_CAP}")
+
+
+def _check_sweep_input(graph: UndirectedGraph, symmetry_reduction: bool):
+    """Refuse a graph past the sweep's caps, and symmetry reduction off
+    the anti-hole; return the sweep's group actions, None without
+    symmetry."""
+    n = graph.vertex_count
+    _check_sweep_caps(n, len(graph.edges))
     if not symmetry_reduction:
         return None
     labeling = _labeling_of(graph, f"symmetry reduction needs the {n}-vertex anti-hole")

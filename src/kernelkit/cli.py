@@ -353,8 +353,10 @@ def _antihole_input(args):
     if args.n is not None:
         if args.input is not None:
             raise GraphParseError("pass a graph file or --n, not both")
-        graph, _ = antiholes.gen_antihole(args.n)
-        return graph, f"antihole-{args.n}"
+        labeling = antiholes.AntiholeLabeling(args.n)
+        # the sweep's caps, before the n(n - 3)/2 edges are built
+        antiholes._check_sweep_caps(args.n, args.n * (args.n - 3) // 2)
+        return labeling.graph(), f"antihole-{args.n}"
     if not args.input:
         raise GraphParseError("pass a graph file or --n")
     graph = _expect(_load_graph(args.input), UndirectedGraph, "input")

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import BoundsError, BudgetExceededError
@@ -52,6 +53,53 @@ def bits_of(mask: int) -> Iterator[int]:
 def _pairs(masks) -> list[tuple[int, int]]:
     """(u, v) for every set bit v of masks[u], in (u, v) order."""
     return [(u, v) for u, m in enumerate(masks) for v in bits_of(m)]
+
+
+def _transpose(masks: list[int]) -> list[int]:
+    """The in-masks of the valid out-masks `masks`: bit u of the result's
+    v-th mask is bit v of masks[u].
+
+    A dense matrix is transposed whole: padded to width**2 bits, a power
+    of two wide, and packed into one integer, it takes log2(width)
+    rounds of block swaps (Warren, "Hacker's Delight", 7-3).  A sparse
+    one is transposed bit by bit.
+    """
+    n = len(masks)
+    width = max(8, 1 << (n - 1).bit_length())
+    # bit by bit costs about 0.25 us an arc; whole, about 1 us a row plus
+    # 1 us per 256 bits of the padded matrix (Python 3.11)
+    if 32 * sum(mask.bit_count() for mask in masks) < 128 * n + width * width // 2:
+        inn = [0] * n
+        for u, mask in enumerate(masks):
+            tail = 1 << u
+            while mask:
+                low = mask & -mask
+                inn[low.bit_length() - 1] |= tail
+                mask ^= low
+        return inn
+    row = width // 8
+    x = int.from_bytes(b"".join(mask.to_bytes(row, "little") for mask in masks), "little")
+    for shift, upper in _block_swaps(width):
+        t = (x ^ (x >> shift)) & upper
+        x ^= t ^ (t << shift)
+    data = x.to_bytes(width * row, "little")
+    return [int.from_bytes(data[v * row:(v + 1) * row], "little") for v in range(n)]
+
+
+@lru_cache(maxsize=4)
+def _block_swaps(width: int) -> tuple[tuple[int, int], ...]:
+    """(shift, mask) per round of `_transpose` on a width x width matrix:
+    for j = width/2, ..., 1, the bits r*width + c with bit j set in c and
+    clear in r, which swap with the bits `shift` = j*(width - 1) above."""
+    rounds = []
+    j = width // 2
+    zero = bytes(width // 8)
+    while j:
+        row = sum(1 << c for c in range(width) if c & j).to_bytes(width // 8, "little")
+        upper = b"".join(zero if r & j else row for r in range(width))
+        rounds.append((j * (width - 1), int.from_bytes(upper, "little")))
+        j //= 2
+    return tuple(rounds)
 
 
 def union_of(masks, subset: int) -> int:
@@ -617,14 +665,38 @@ class ColoredDigraph:
         cd._build(vertex_count, arcs)
         return cd
 
+    @classmethod
+    def from_color_masks(cls, blue_out: list[int], red_out: list[int]) -> "ColoredDigraph":
+        """The colored digraph whose vertex u has the blue out-mask
+        blue_out[u] and the red out-mask red_out[u].
+
+        It refuses, with the error `from_colored_arcs` gives for the same
+        arcs, and in O(n) big-integer operations, a bit at or above n, a
+        loop bit and an arc in both colors.  The in-masks are the
+        transpose.
+        """
+        n = len(blue_out)
+        if len(red_out) != n:
+            raise ValueError(f"{n} blue out-masks but {len(red_out)} red ones")
+        for u, (blue, red) in enumerate(zip(blue_out, red_out)):
+            row = blue | red
+            if row >> n:
+                # the least bit at or above n, also of a negative mask
+                raise BoundsError(f"arc ({u}, {next(bits_of(row >> n << n))}) outside [0, {n})")
+            if row >> u & 1:
+                raise ValueError(f"loop ({u}, {u}) not allowed")
+            if blue & red:
+                raise ValueError(f"duplicate arc ({u}, {next(bits_of(blue & red))})")
+        cd = cls.__new__(cls)
+        cd._fill(list(blue_out), list(red_out), _transpose(blue_out), _transpose(red_out))
+        return cd
+
     def _build(self, n: int, rows) -> None:
         """The one validating pass over (u, v, color) rows: integer
         vertices in [0, n), no loops, no duplicate arcs, a legal color.
-        It fills the digraph's masks and the color masks."""
+        It fills the color masks."""
         if n < 0:
             raise ValueError("vertex_count must be nonnegative")
-        out = [0] * n
-        inn = [0] * n
         blue_out = [0] * n
         red_out = [0] * n
         blue_in = [0] * n
@@ -639,22 +711,29 @@ class ColoredDigraph:
             if u == v:
                 raise ValueError(f"loop ({u}, {v}) not allowed")
             head = 1 << v
-            if out[u] & head:
+            if (blue_out[u] | red_out[u]) & head:
                 raise ValueError(f"duplicate arc ({u}, {v})")
             # members skip the lookup: an Enum hashes in Python code
             k = c if type(c) is ArcColor else color_of(c)
             if k is None:
                 raise ValueError(f"{c!r} is not a valid ArcColor")
             tail = 1 << u
-            out[u] |= head
-            inn[v] |= tail
             if k is blue:
                 blue_out[u] |= head
                 blue_in[v] |= tail
             else:
                 red_out[u] |= head
                 red_in[v] |= tail
-        self.digraph = Digraph._from_masks(n, out, inn)
+        self._fill(blue_out, red_out, blue_in, red_in)
+
+    def _fill(self, blue_out: list, red_out: list, blue_in: list, red_in: list) -> None:
+        """Set the color masks, valid and each pair transposed, and the
+        digraph's masks from them."""
+        self.digraph = Digraph._from_masks(
+            len(blue_out),
+            [b | r for b, r in zip(blue_out, red_out)],
+            [b | r for b, r in zip(blue_in, red_in)],
+        )
         self._blue_out = blue_out
         self._red_out = red_out
         self._blue_in = blue_in

@@ -28,6 +28,7 @@ from .digraph import (
     Digraph,
     VertexSet,
     _subset_mask,
+    _transpose,
     bits_of,
     is_independent,
     is_kernel,
@@ -112,18 +113,21 @@ def _chain_violations(
     middle v in `middles`, in scan order: v in the order given, its blue
     chains before its red ones, then u and w ascending."""
     for v in middles:
-        for u in bits_of(blue_in[v]):
-            # heads w the chain u -> v -> w leaves unanswered, ascending
-            for w in bits_of(
-                blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
-            ):
-                yield RULE_BLUE_CHAIN, (u, v, w)
-        for u in bits_of(red_in[v]):
-            open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
-            if (blue_out[v] >> u) & 1:
-                open_heads &= ~blue_in[u]
-            for w in bits_of(open_heads):
-                yield RULE_RED_CHAIN, (u, v, w)
+        if blue_out[v]:
+            for u in bits_of(blue_in[v]):
+                # heads w the chain u -> v -> w leaves unanswered
+                open_heads = blue_out[v] & ~blue_out[u] & ~(1 << u) & ~(red_in[u] & red_in[v])
+                if open_heads:
+                    for w in bits_of(open_heads):
+                        yield RULE_BLUE_CHAIN, (u, v, w)
+        if red_out[v]:
+            for u in bits_of(red_in[v]):
+                open_heads = red_out[v] & ~red_out[u] & ~(1 << u)
+                if (blue_out[v] >> u) & 1:
+                    open_heads &= ~blue_in[u]
+                if open_heads:
+                    for w in bits_of(open_heads):
+                        yield RULE_RED_CHAIN, (u, v, w)
 
 
 def _chain_middles_through(
@@ -187,33 +191,33 @@ def _path_violations(cd: ColoredDigraph):
         cycle = _some_directed_cycle(cd.restriction(color))
         if cycle is not None:
             yield RULE_MONO_CYCLE, cycle
-    for quad in _open_paths(range(cd.vertex_count), cd.digraph._out, cd._red_in, cd._blue_out):
+    d = cd.digraph
+    for quad in _open_paths(range(cd.vertex_count), d._out, d._in, cd._red_in, cd._blue_out):
         yield RULE_OPEN_PATH, quad
 
 
-def _open_paths(middles, out: list[int], red_in: list[int], blue_out: list[int]):
+def _open_paths(middles, out: list[int], inn: list[int], red_in: list[int], blue_out: list[int]):
     """Yield every path (v1, v2, v3, v4) with its middle v2 in `middles`,
     a red first arc and a blue last arc, that induces no arc besides its
     own and those into v2, in scan order: v2 in the order given, then v1,
     v3, v4 ascending."""
     for v2 in middles:
-        b2 = 1 << v2
         for v1 in bits_of(red_in[v2]):
             b1 = 1 << v1
-            for v3 in bits_of(out[v2] & ~b1):
-                b3 = 1 << v3
-                if out[v1] & b3 or out[v2] & b1:
-                    continue
-                heads = blue_out[v3] & ~b2
+            if out[v2] & b1:
+                # the arc v2 -> v1 is extra for every v3
+                continue
+            # the v4 that an arc from v1 or v2, or one into v1, rules out
+            barred = out[v1] | out[v2] | inn[v1]
+            for v3 in bits_of(out[v2] & ~out[v1]):
                 if out[v3] & b1:
-                    # an extra arc for every v4 but v1 itself
-                    heads &= b1
-                for v4 in bits_of(heads):
-                    b4 = 1 << v4
-                    # v4 == v1 closes the path: no arc is left to test
-                    if v4 == v1 or not (
-                        out[v4] & (b1 | b3) or (out[v1] | out[v2]) & b4
-                    ):
+                    # an extra arc for every v4 but v1, which closes the
+                    # path and leaves no arc to test
+                    heads = blue_out[v3] & b1
+                else:
+                    heads = blue_out[v3] & ~(barred | inn[v3])
+                if heads:
+                    for v4 in bits_of(heads):
                         yield (v1, v2, v3, v4)
 
 
@@ -507,6 +511,7 @@ def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDi
     """
     rng = random.Random(("ssw", seed, n, density).__repr__())
     blue = _random_transitive_masks(rng, n, density)
+    blue_in = _transpose(blue)
     order = list(range(n))
     rng.shuffle(order)
     candidates = []
@@ -521,15 +526,13 @@ def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDi
             continue
         gained = red[v] | (1 << v)
         rows = red_in[u] | (1 << u)
-        if any(gained & blue[x] for x in bits_of(rows)):
+        if rows & union_of(blue_in, gained):
             continue
         for x in bits_of(rows):
             red[x] |= gained
         for y in bits_of(gained):
             red_in[y] |= rows
-    rows = [(u, v, ArcColor.BLUE) for u in range(n) for v in bits_of(blue[u])]
-    rows += [(u, v, ArcColor.RED) for u in range(n) for v in bits_of(red[u])]
-    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    cd = ColoredDigraph.from_color_masks(blue, red)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("transitive-class instance fails the chain conditions")
     return cd
@@ -541,18 +544,21 @@ def _weak_triangle_through(
     """Least weak directed triangle (see `_first_weak_triangle`) with both
     x and y among its vertices, or None."""
     best = None
-    for z in bits_of((out[x] | inn[x]) & (out[y] | inn[y])):
-        for p, q in ((x, y), (y, x)):
-            # the directed cycle p -> q -> z -> p
-            if not ((out[p] >> q) & (out[q] >> z) & (out[z] >> p) & 1):
-                continue
-            reversible = (out[q] >> p & 1) + (out[z] >> q & 1) + (out[p] >> z & 1)
-            if reversible < 2:
-                cycle = (p, q, z)
-                first = cycle.index(min(cycle))
-                cycle = cycle[first:] + cycle[:first]
-                if best is None or cycle < best:
-                    best = cycle
+    for p, q in ((x, y), (y, x)):
+        if not (out[p] >> q) & 1:
+            continue
+        # the directed cycles p -> q -> z -> p, as in `_first_weak_triangle`
+        closing = out[q] & inn[p]
+        if (out[q] >> p) & 1:
+            weak = closing & ~inn[q] & ~out[p]
+        else:
+            weak = closing & ~(inn[q] & out[p])
+        for z in bits_of(weak):
+            cycle = (p, q, z)
+            first = cycle.index(min(cycle))
+            cycle = cycle[first:] + cycle[:first]
+            if best is None or cycle < best:
+                best = cycle
     return best
 
 
@@ -603,12 +609,9 @@ def generate_comparability_instance(
         else:
             witness = _first_weak_triangle(out, inn, a)
 
-    rows = [
-        (u, v, ArcColor.RED if (strict[u] >> v) & 1 else ArcColor.BLUE)
-        for u in range(n)
-        for v in bits_of(out[u])
-    ]
-    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    cd = ColoredDigraph.from_color_masks(
+        [o & ~s for o, s in zip(out, strict)], [o & s for o, s in zip(out, strict)]
+    )
     if not is_M_clique_acyclic(cd.digraph).holds:
         raise InternalInvariantError("repaired orientation has a weak directed triangle")
     if not check_chain_conditions(cd, first_only=True).satisfied:
@@ -671,13 +674,7 @@ def generate_chain_instance(
             return None
         if repairs == save_at:
             saved, save_at = state, 2 * save_at
-    rows = [
-        (u, v, color)
-        for color, out in ((ArcColor.BLUE, blue_out), (ArcColor.RED, red_out))
-        for u in range(n)
-        for v in bits_of(out[u])
-    ]
-    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    cd = ColoredDigraph.from_color_masks(blue_out, red_out)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("repaired instance fails the chain conditions")
     return cd
@@ -718,7 +715,7 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
     # middles that may hold an open path
     dirty = (1 << n) - 1
     while True:
-        quad = next(_open_paths(bits_of(dirty), out, red_in, blue_out), None)
+        quad = next(_open_paths(bits_of(dirty), out, inn, red_in, blue_out), None)
         if quad is None:
             break
         _, v2, a, b = quad
@@ -728,12 +725,7 @@ def generate_path_instance(seed: int, n: int, density: float = 0.3) -> ColoredDi
         inn[b] &= ~(1 << a)
         blue_out[a] &= ~(1 << b)
         dirty |= _path_middles_through(a, b, out, inn)
-    rows = [
-        (u, v, ArcColor.BLUE if (blue_out[u] >> v) & 1 else ArcColor.RED)
-        for u in range(n)
-        for v in bits_of(out[u])
-    ]
-    cd = ColoredDigraph.from_colored_arcs(n, rows)
+    cd = ColoredDigraph.from_color_masks(blue_out, [o & ~b for o, b in zip(out, blue_out)])
     report = check_path_conditions(cd, first_only=True)
     if not report.satisfied:
         raise InternalInvariantError(

@@ -105,3 +105,11 @@ def test_rss_verdict_uses_its_own_bound(bench_pairs):
         summary = bench_pairs.summarize(runs, {"wall_s": 0.24, "peak_rss_mb": 0.1})["summary"]
         assert summary["peak_rss_mb"]["verdict"] == want
         assert summary["wall_s"]["verdict"] == "within"
+
+
+def test_unknown_workload_is_refused_before_anything_runs(bench_pairs, capsys):
+    # the fixture makes any git call or benchmark run fail the test
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main(["--parent", "HEAD", "--workload", "scale", "--workload", "scael"])
+    assert exit_info.value.code == 2
+    assert "unknown workload 'scael'" in capsys.readouterr().err

@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -668,23 +669,38 @@ class TestAntiholeCommands:
         assert code == 2
         assert "at least 9" in err
 
-    def capped_cli(self, tmp_path, text, *argv):
-        """The CLI on `text` in a fresh interpreter held to 1 GiB of
-        address space, where an out-of-memory exit is also 3."""
-        path = tmp_path / "input.txt"
-        path.write_text(text)
+    @staticmethod
+    def capped(*argv):
+        """`antihole *argv` in a fresh interpreter held to 1 GiB of address
+        space, where an out-of-memory exit is also 3."""
         script = (
             "import resource, sys\n"
             "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
             "from kernelkit.cli import main\n"
             "sys.exit(main(sys.argv[1:]))\n"
         )
-        return fresh_python("-c", script, "antihole", *argv, str(path), timeout=20)
+        return fresh_python("-c", script, "antihole", *argv, timeout=20)
+
+    def capped_cli(self, tmp_path, text, *argv):
+        """`capped` on `text`, given as a file."""
+        path = tmp_path / "input.txt"
+        path.write_text(text)
+        return self.capped(*argv, str(path))
 
     def test_sweep_refuses_a_huge_vertex_count_before_building(self, tmp_path):
         proc = self.capped_cli(tmp_path, "graph 5000000\n", "verify-simple")
         assert (proc.returncode, proc.stdout) == (3, "")
         assert proc.stderr == "error: 5000000 vertices exceed the sweep cap of 25\n"
+
+    @pytest.mark.parametrize("command", ["verify-simple", "search-witness"])
+    @pytest.mark.parametrize("n", [2000, 100_000])
+    def test_sweep_refuses_a_huge_n_before_building(self, command, n):
+        # the caps see the anti-hole's n(n - 3)/2 edges before it is built
+        start = time.perf_counter()
+        proc = self.capped(command, "--n", str(n))
+        assert (proc.returncode, proc.stdout) == (3, "")
+        assert proc.stderr == f"error: {n * (n - 3) // 2} edges exceed the enumeration cap of 32\n"
+        assert time.perf_counter() - start < 3
 
     def test_find_near_sink_refuses_a_huge_edgeless_orientation(self, tmp_path):
         # compared on the edge count, not on a 100,000-vertex anti-hole

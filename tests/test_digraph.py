@@ -21,6 +21,7 @@ from kernelkit import (
     is_semi_kernel,
     strongly_connected_components,
 )
+from kernelkit.digraph import _transpose
 from strategies import digraphs
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -271,3 +272,78 @@ class TestColoredDigraph:
         cd = ColoredDigraph.from_colored_arcs(2, [(0, 1, "b"), (1, 0, "r")])
         assert cd.restriction(ArcColor.BLUE).arcs == frozenset({(0, 1)})
         assert cd.restriction(ArcColor.RED).arcs == frozenset({(1, 0)})
+
+
+def _mask_rows(blue_out, red_out):
+    """The (u, v, color) rows of color out-masks, blue first."""
+    return [
+        (u, v, color)
+        for color, masks in (("b", blue_out), ("r", red_out))
+        for u, mask in enumerate(masks)
+        for v in range(mask.bit_length())
+        if mask >> v & 1
+    ]
+
+
+class TestFromColorMasks:
+    """`ColoredDigraph.from_color_masks` against `from_colored_arcs` on the
+    same arcs as rows."""
+
+    @pytest.mark.parametrize(
+        "blue_out, red_out, error",
+        [
+            ([0b001, 0, 0], [0, 0, 0], ValueError),
+            ([0, 0, 0], [0, 0, 0b100], ValueError),
+            ([0b010, 0, 0], [0b010, 0, 0], ValueError),
+            ([0, 0b1000, 0], [0, 0, 0], BoundsError),
+            ([0, 0, 0], [0b10, 0, 1 << 70], BoundsError),
+        ],
+        ids=["blue-loop", "red-loop", "both-colors", "blue-past-n", "red-past-n"],
+    )
+    def test_refuses_what_rows_refuse(self, blue_out, red_out, error):
+        with pytest.raises(error) as by_masks:
+            ColoredDigraph.from_color_masks(blue_out, red_out)
+        with pytest.raises(error) as by_rows:
+            ColoredDigraph.from_colored_arcs(len(blue_out), _mask_rows(blue_out, red_out))
+        assert str(by_masks.value) == str(by_rows.value)
+
+    def test_refuses_a_negative_mask_and_unequal_lengths(self):
+        with pytest.raises(BoundsError, match=r"arc \(1, 3\) outside \[0, 3\)"):
+            ColoredDigraph.from_color_masks([0, 0, 0], [0, -8, 0])
+        with pytest.raises(ValueError, match="2 blue out-masks but 3 red ones"):
+            ColoredDigraph.from_color_masks([0, 0], [0, 0, 0])
+
+    def test_matches_the_rows_on_seeded_instances(self):
+        # sparse and dense instances, so both ways of transposing are taken
+        rng = random.Random(28)
+        for _ in range(200):
+            n = rng.randint(0, 40)
+            density = rng.random()
+            blue_out, red_out = [0] * n, [0] * n
+            for u in range(n):
+                for v in range(n):
+                    if u != v and rng.random() < density:
+                        (blue_out if rng.random() < 0.5 else red_out)[u] |= 1 << v
+            got = ColoredDigraph.from_color_masks(blue_out, red_out)
+            want = ColoredDigraph.from_colored_arcs(n, _mask_rows(blue_out, red_out))
+            assert got == want
+            for name in ("_blue_out", "_red_out", "_blue_in", "_red_in"):
+                assert getattr(got, name) == getattr(want, name), name
+            assert (got.digraph._out, got.digraph._in) == (want.digraph._out, want.digraph._in)
+
+    def test_keeps_no_reference_to_the_caller_lists(self):
+        blue_out, red_out = [0b10, 0], [0, 0b01]
+        cd = ColoredDigraph.from_color_masks(blue_out, red_out)
+        blue_out[0] = red_out[1] = 0
+        assert cd.color == {(0, 1): ArcColor.BLUE, (1, 0): ArcColor.RED}
+
+
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
+def test_transpose_of_sparse_and_dense_masks(density):
+    rng = random.Random(int(density * 100))
+    for n in range(0, 70):
+        masks = [
+            sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)
+        ]
+        want = [sum((masks[u] >> v & 1) << u for u in range(n)) for v in range(n)]
+        assert _transpose(masks) == want

@@ -354,7 +354,7 @@ class TestRepairsRetestEnoughMiddles:
     def test_path(self):
         def open_paths(n, arcs):
             out, inn, blue_out, _, _, red_in = self.masks(n, arcs)
-            return [list(_open_paths((m,), out, red_in, blue_out)) for m in range(n)], out, inn
+            return [list(_open_paths((m,), out, inn, red_in, blue_out)) for m in range(n)], out, inn
 
         for n, arcs in self.instances():
             before, _, _ = open_paths(n, arcs)
@@ -453,6 +453,25 @@ class TestGeneratorsMatchReferences:
     def test_command_line_sizes_keep_their_arc_counts(self, generator, n, arcs):
         # `redblue gen KIND --n N` at its default density and seed
         assert len(generator(0, n, density=0.35).digraph.arcs) == arcs
+
+    @pytest.mark.parametrize(
+        "generator, n, digest",
+        [
+            (generate_ssw_instance, 200,
+             "8257006342c41900c62c713a3c122d5da8b6405803481c76cbe637490222ece4"),
+            (generate_comparability_instance, 60,
+             "38125f0e7a15afb092ddccfb8b5d6a8f6012db64d6e4353847e9e21407e7d056"),
+            (generate_path_instance, 80,
+             "27cdd005f4e3e65dbf0f3985c334789ff94c41b6cb84db4092568006deae998b"),
+        ],
+        ids=["ssw", "comparability", "path"],
+    )
+    def test_command_line_sizes_keep_their_rows(self, generator, n, digest):
+        # frozen from the generators' output at the sizes above, beyond
+        # the references' reach: a change to how an instance is built
+        # must give the same arcs in the same colours
+        rows = _rows(generator(0, n, density=0.35))
+        assert hashlib.sha256(repr(rows).encode()).hexdigest() == digest
 
 
 class TestSolversMatchReference:

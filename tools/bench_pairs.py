@@ -7,7 +7,8 @@ BENCH file's `workloads` block.
 Extracts a `git archive` of REV (the parent) and a copy of the working
 tree (the change: the files git tracks or would track) into two sibling
 temporary directories, and runs `python3 perfbench/run.py --workload W`
-K times in each, one after the other.  Both sides run from the same kind
+K times in each, one after the other; each W must be a workload that
+`BENCHMARK.json` lists.  Both sides run from the same kind
 of place, since where a checkout lies moves `peak_rss_mb` (by about
 0.5 MiB between two directories of one 2-vCPU Linux VM).  Even pairs (from 0) run the parent first, odd pairs
 the change first, so a drift in the machine's speed weighs on both sides
@@ -168,9 +169,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
-    bounds = {
-        m["name"]: m["bound"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
-    }
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    listed = [w["name"] for w in benchmark["workloads"]]
+    unknown = [w for w in args.workload if w not in listed]
+    if unknown:
+        parser.error(f"unknown workload {unknown[0]!r}; BENCHMARK.json lists {', '.join(listed)}")
+    bounds = {m["name"]: m["bound"] for m in benchmark["end_to_end"]}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as scratch:
         checkouts = {"parent": Path(scratch) / "parent", "change": Path(scratch) / "change"}
         commit = extract(args.parent, checkouts["parent"])
