@@ -273,7 +273,7 @@ def _solve(args, out: _Output, solve) -> int:
         out.emit(
             {
                 "satisfied": False,
-                "violations": _violations_json(exc.report) if exc.report else [],
+                "violations": _violations_json(exc.report) if exc.report is not None else [],
             }
         )
         return EXIT_VERDICT_FAILS

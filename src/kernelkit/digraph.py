@@ -59,16 +59,14 @@ def _transpose(masks: list[int]) -> list[int]:
     """The in-masks of the valid out-masks `masks`: bit u of the result's
     v-th mask is bit v of masks[u].
 
-    A dense matrix is transposed whole: padded to width**2 bits, a power
-    of two wide, and packed into one integer, it takes log2(width)
-    rounds of block swaps (Warren, "Hacker's Delight", 7-3).  A sparse
-    one is transposed bit by bit.
+    A matrix of 17 to 4,096 rows is transposed whole: padded to width**2
+    bits, a power of two wide, and packed into one integer, it takes
+    log2(width) rounds of block swaps (Warren, "Hacker's Delight", 7-3).
+    A smaller one is transposed bit by bit, and so is a larger one, since
+    its padded square would take memory quadratic in n at any arc count.
     """
     n = len(masks)
-    width = max(8, 1 << (n - 1).bit_length())
-    # bit by bit costs about 0.25 us an arc; whole, about 1 us a row plus
-    # 1 us per 256 bits of the padded matrix (Python 3.11)
-    if 32 * sum(mask.bit_count() for mask in masks) < 128 * n + width * width // 2:
+    if not 16 < n <= 4096:
         inn = [0] * n
         for u, mask in enumerate(masks):
             tail = 1 << u
@@ -77,6 +75,7 @@ def _transpose(masks: list[int]) -> list[int]:
                 inn[low.bit_length() - 1] |= tail
                 mask ^= low
         return inn
+    width = 1 << (n - 1).bit_length()
     row = width // 8
     x = int.from_bytes(b"".join(mask.to_bytes(row, "little") for mask in masks), "little")
     for shift, upper in _block_swaps(width):
@@ -672,8 +671,7 @@ class ColoredDigraph:
 
         It refuses, with the error `from_colored_arcs` gives for the same
         arcs, and in O(n) big-integer operations, a bit at or above n, a
-        loop bit and an arc in both colors.  The in-masks are the
-        transpose.
+        loop bit and an arc in both colors.
         """
         n = len(blue_out)
         if len(red_out) != n:
@@ -688,7 +686,7 @@ class ColoredDigraph:
             if blue & red:
                 raise ValueError(f"duplicate arc ({u}, {next(bits_of(blue & red))})")
         cd = cls.__new__(cls)
-        cd._fill(list(blue_out), list(red_out), _transpose(blue_out), _transpose(red_out))
+        cd._fill(list(blue_out), list(red_out))
         return cd
 
     def _build(self, n: int, rows) -> None:
@@ -699,8 +697,6 @@ class ColoredDigraph:
             raise ValueError("vertex_count must be nonnegative")
         blue_out = [0] * n
         red_out = [0] * n
-        blue_in = [0] * n
-        red_in = [0] * n
         color_of = _COLOR_OF.get
         blue = ArcColor.BLUE
         for u, v, c in rows:
@@ -717,18 +713,17 @@ class ColoredDigraph:
             k = c if type(c) is ArcColor else color_of(c)
             if k is None:
                 raise ValueError(f"{c!r} is not a valid ArcColor")
-            tail = 1 << u
             if k is blue:
                 blue_out[u] |= head
-                blue_in[v] |= tail
             else:
                 red_out[u] |= head
-                red_in[v] |= tail
-        self._fill(blue_out, red_out, blue_in, red_in)
+        self._fill(blue_out, red_out)
 
-    def _fill(self, blue_out: list, red_out: list, blue_in: list, red_in: list) -> None:
-        """Set the color masks, valid and each pair transposed, and the
+    def _fill(self, blue_out: list, red_out: list) -> None:
+        """Set the valid color out-masks, their transposes and the
         digraph's masks from them."""
+        blue_in = _transpose(blue_out)
+        red_in = _transpose(red_out)
         self.digraph = Digraph._from_masks(
             len(blue_out),
             [b | r for b, r in zip(blue_out, red_out)],

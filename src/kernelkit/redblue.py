@@ -30,7 +30,6 @@ from .digraph import (
     _subset_mask,
     _transpose,
     bits_of,
-    is_independent,
     is_kernel,
     strongly_connected_components,
     union_of,
@@ -275,16 +274,14 @@ def antichain_potential(
 # -- the improvement loop ---------------------------------------------------
 
 
-def _family_violation(cd: ColoredDigraph, i_mask: int) -> Optional[int]:
-    """Vertex w with a red arc from the set but no arc back, or None."""
-    answered = i_mask | union_of(cd.digraph._in, i_mask)
-    return next(bits_of(union_of(cd._red_out, i_mask) & ~answered), None)
-
-
 def _require_family(cd: ColoredDigraph, i_mask: int, label: str) -> None:
-    if not is_independent(cd.digraph, VertexSet.from_mask(cd.vertex_count, i_mask)):
+    """Refuse `i_mask` unless it is independent and the head of each red
+    arc leaving it has an arc back into it."""
+    d = cd.digraph
+    if union_of(d._out, i_mask) & i_mask:
         raise ContractError(f"{label} is not independent")
-    w = _family_violation(cd, i_mask)
+    answered = i_mask | union_of(d._in, i_mask)
+    w = next(bits_of(union_of(cd._red_out, i_mask) & ~answered), None)
     if w is not None:
         raise ContractError(
             f"{label} has a red arc to vertex {w} with no arc back",
@@ -338,26 +335,16 @@ def _improvements(cd: ColoredDigraph, blocked: list[int], i_mask: int = 0):
 
 
 def find_initial_independent(cd: ColoredDigraph) -> VertexSet:
-    """Singleton of the least vertex all of whose red arcs are answered.
+    """Singleton of the least vertex all of whose red arcs are answered:
+    the first set of `solve_chain`'s improvement loop.
 
-    Red arcs with no arc back form an acyclic digraph whenever the chain
-    conditions hold; any sink of it qualifies.  A cycle in that digraph
-    therefore reports the conditions as violated.
+    Raises ConditionsViolatedError when no vertex qualifies, which the
+    chain conditions rule out: red arcs with no arc back then form an
+    acyclic digraph, and any sink of it qualifies.
     """
-    n = cd.vertex_count
-    if n == 0:
+    if cd.vertex_count == 0:
         raise ContractError("empty digraph has no vertices to pick from")
-    unanswered = _unanswered_red(cd)
-    scc = strongly_connected_components(
-        Digraph(n, [(v, w) for v in range(n) for w in bits_of(unanswered[v])])
-    )
-    for comp in scc.components:
-        if len(comp) > 1:
-            raise ConditionsViolatedError(
-                f"unanswered red arcs contain a cycle through {comp}: "
-                f"chain conditions violated"
-            )
-    return VertexSet(n, [unanswered.index(0)])
+    return next(_improvements(cd, _unanswered_red(cd)))[0]
 
 
 def improve_step(cd: ColoredDigraph, independent) -> tuple[VertexSet, str]:

@@ -65,6 +65,23 @@ def test_summary_of_synthetic_runs(bench_pairs):
     assert rss["parent_median"] == statistics.median([30.0, 30.0, 31.0, 30.5, 30.0])
 
 
+@pytest.mark.parametrize(
+    "parent_failed, change_failed, want",
+    [([0, 0], [0, 1], "worse"), ([0, 2], [1, 1], "within"), ([1, 0], [0, 0], "within")],
+    ids=["change-fails-more", "same-share", "change-fails-less"],
+)
+def test_failed_share_of_each_side(bench_pairs, parent_failed, change_failed, want):
+    runs = {
+        "parent": [run(1.0, 30.0, failed=f) for f in parent_failed],
+        "change": [run(1.0, 30.0, failed=f) for f in change_failed],
+    }
+    share = bench_pairs.summarize(runs, {"wall_s": 0.24})["failed_share"]
+    # each run attempts 10 ops
+    assert share == {
+        "parent": sum(parent_failed) / 20, "change": sum(change_failed) / 20, "verdict": want
+    }
+
+
 def test_one_pair_has_no_spread(bench_pairs):
     block = bench_pairs.summarize({"parent": [run(2.0, 1.0)], "change": [run(1.5, 1.0)]},
                                   {"wall_s": 0.24})

@@ -39,6 +39,18 @@ def fresh_python(*argv, timeout=300):
     )
 
 
+def capped(*argv):
+    """`kernelkit *argv` in a fresh interpreter held to 1 GiB of address
+    space, where an out-of-memory exit is also 3."""
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from kernelkit.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+    return fresh_python("-c", script, *argv, timeout=20)
+
+
 class TestOracleCommands:
     def test_find_no_kernel_exits_one(self, capsys, monkeypatch):
         code, out, _ = run_cli(
@@ -284,6 +296,39 @@ class TestRedblueCommands:
         )
         assert code == 1
         assert json.loads(out)["satisfied"] is False
+
+    @pytest.mark.parametrize(
+        "command, conditions", [("solve", "chain"), ("solve-fixpoint", "path")]
+    )
+    def test_refusal_lists_what_check_lists(self, capsys, monkeypatch, command, conditions):
+        # a red three-cycle: three red-chain violations, one mono-cycle
+        text = "cdigraph 3\n0 1 r\n1 2 r\n2 0 r\n"
+        argv = ["-", "--format", "json"]
+        code, out, _ = run_cli(
+            capsys, ["redblue", "check", *argv, "--conditions", conditions],
+            stdin=text, monkeypatch=monkeypatch,
+        )
+        assert code == 1
+        want = json.loads(out)["violations"]
+        assert len(want) == {"chain": 3, "path": 1}[conditions]
+        code, out, _ = run_cli(
+            capsys, ["redblue", command, *argv], stdin=text, monkeypatch=monkeypatch
+        )
+        assert code == 1
+        assert json.loads(out) == {"satisfied": False, "violations": want}
+
+    def test_check_reads_a_huge_sparse_instance(self, tmp_path):
+        # the in-masks of 100,000 rows come from the arcs, not from a
+        # padded square 131,072 bits wide
+        path = tmp_path / "input.cd"
+        path.write_text("cdigraph 100000\n0 1 b\n")
+        start = time.perf_counter()
+        proc = capped("redblue", "check", str(path), "--format", "json")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == {
+            "conditions": "chain", "satisfied": True, "violations": []
+        }
+        assert time.perf_counter() - start < 10
 
     def test_gen_prints_seed(self, capsys):
         code, out, _ = run_cli(
@@ -671,15 +716,7 @@ class TestAntiholeCommands:
 
     @staticmethod
     def capped(*argv):
-        """`antihole *argv` in a fresh interpreter held to 1 GiB of address
-        space, where an out-of-memory exit is also 3."""
-        script = (
-            "import resource, sys\n"
-            "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
-            "from kernelkit.cli import main\n"
-            "sys.exit(main(sys.argv[1:]))\n"
-        )
-        return fresh_python("-c", script, "antihole", *argv, timeout=20)
+        return capped("antihole", *argv)
 
     def capped_cli(self, tmp_path, text, *argv):
         """`capped` on `text`, given as a file."""

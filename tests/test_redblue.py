@@ -149,6 +149,20 @@ class TestFindInitialIndependent:
         with pytest.raises(ConditionsViolatedError):
             find_initial_independent(cd)
 
+    def test_a_red_cycle_elsewhere_leaves_a_qualifying_vertex(self):
+        # only a vertex's own unanswered red arcs bar it
+        cd = colored(4, [(0, 1, "r"), (1, 2, "r"), (2, 0, "r")])
+        assert find_initial_independent(cd).members() == (3,)
+
+    def test_is_the_first_set_of_solve_chain(self):
+        instances = [generate_ssw_instance(seed, 3 + seed % 12) for seed in range(30)]
+        instances += [generate_comparability_instance(seed, 3 + seed % 10) for seed in range(30)]
+        chains = [generate_chain_instance(seed, 3 + seed % 10) for seed in range(60)]
+        instances += [cd for cd in chains if cd is not None]
+        assert len(instances) > 100
+        for cd in instances:
+            assert find_initial_independent(cd) == solve_chain(cd).iterations[0].independent
+
 
 class TestImproveStep:
     def test_add_case(self):

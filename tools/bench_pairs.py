@@ -18,8 +18,10 @@ are the ones `BENCHMARK.json` names.
 
 The JSON written to FILE (standard output by default) holds the parent
 commit, the command, both sides' `src/kernelkit/*.py` line counts and, per
-workload, the number of pairs, the failed ops of each side, the raw runs
-and per metric each side's median and quartiles, the parent's
+workload, the number of pairs, the failed ops of each side, each side's
+failed share (failed / attempted ops) with a verdict, `worse` when the
+change's share is higher and `within` otherwise, the raw runs and per
+metric each side's median and quartiles, the parent's
 interquartile range, the number of pairs in which the change read lower,
 the metric's `BENCHMARK.json` bound and a verdict: `worse`, `unresolved`
 or `within` (see `verdict`).  The tool only reads `perfbench/`; each run
@@ -70,6 +72,12 @@ def verdict(pairs: list[tuple[float, float]], before: float, after: float,
     return "within"
 
 
+def failed_share(runs: list[dict]) -> float:
+    """Failed ops over attempted ops across `runs`."""
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
+
+
 def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
     """One workload's block from its runs per side, listed pair by pair;
     `bounds` maps each metric, one where lower reads better, to its
@@ -95,9 +103,12 @@ def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
             "bound": bound,
             "verdict": verdict(pairs, before, after, iqr, bound),
         }
+    share = {side: failed_share(runs[side]) for side in runs}
+    share["verdict"] = "worse" if share["change"] > share["parent"] else "within"
     return {
         "pairs": min(len(parent), len(change)),
         "failed": {side: sum(run["failed"] for run in runs[side]) for side in runs},
+        "failed_share": share,
         "summary": summary,
         "runs": runs,
     }
