@@ -146,11 +146,10 @@ def _labeling_of(graph: UndirectedGraph, message: str) -> AntiholeLabeling:
     """The labeling of `graph` if it is the labeled anti-hole, else
     ContractError(message).  The edge count n(n - 3)/2 is compared first,
     so most other graphs are refused before an anti-hole is built."""
-    labeling = AntiholeLabeling(graph.vertex_count)
-    n = labeling.n
-    if len(graph.edges) != n * (n - 3) // 2 or labeling.graph() != graph:
+    n = graph.vertex_count
+    if n < 4 or len(graph.edges) != n * (n - 3) // 2 or AntiholeLabeling(n).graph() != graph:
         raise ContractError(message)
-    return labeling
+    return AntiholeLabeling(n)
 
 
 def c7_counterexample() -> Digraph:

@@ -300,13 +300,15 @@ def is_semi_kernel(digraph: Digraph, subset) -> bool:
 class SccResult:
     """SCC partition in topological order plus the condensation DAG.
 
-    `condensation_arcs` holds (i, j) whenever some arc joins component i to
-    component j; the topological order guarantees i < j for every arc.
+    `masks[i]` is the vertex mask of `components[i]`.  `condensation_arcs`
+    holds (i, j) whenever some arc joins component i to component j; the
+    topological order guarantees i < j for every arc.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
     condensation_arcs: frozenset[tuple[int, int]]
+    masks: tuple[int, ...]
 
 
 def strongly_connected_components(digraph: Digraph) -> SccResult:
@@ -361,15 +363,15 @@ def strongly_connected_components(digraph: Digraph) -> SccResult:
     # Tarjan finishes components in reverse topological order.
     sccs.reverse()
     component_of = [0] * n
-    members = [0] * len(sccs)
+    masks = [0] * len(sccs)
     for i, comp in enumerate(sccs):
         for v in comp:
             component_of[v] = i
-            members[i] |= 1 << v
+            masks[i] |= 1 << v
     cond = set()
     for u, rest in enumerate(out):
         i = component_of[u]
-        rest &= ~members[i]
+        rest &= ~masks[i]
         while rest:
             low = rest & -rest
             cond.add((i, component_of[low.bit_length() - 1]))
@@ -378,6 +380,7 @@ def strongly_connected_components(digraph: Digraph) -> SccResult:
         components=tuple(tuple(c) for c in sccs),
         component_of=tuple(component_of),
         condensation_arcs=frozenset(cond),
+        masks=tuple(masks),
     )
 
 
@@ -406,8 +409,7 @@ def _cycles(
     component = [-1] * n
     if prune:
         scc = strongly_connected_components(digraph)
-        masks = [sum(1 << v for v in members) for members in scc.components]
-        component = [masks[i] for i in scc.component_of]
+        component = [scc.masks[i] for i in scc.component_of]
     position = [0] * n
     steps = 0
     for root in range(n):

@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable
 
-from .digraph import bits_of
+from .digraph import _pairs, _transpose, bits_of
 from .errors import ContractError
 
 __all__ = [
@@ -32,7 +32,9 @@ class Comparison(Enum):
 
 class Poset:
     """Partial order on {0, ..., size-1}; `relation` pairs (a, b) mean
-    a <= b and are closed reflexively and transitively."""
+    a <= b and are closed reflexively and transitively.  Bit b of
+    `_up[a]`, and bit a of `_down[b]`, is set iff a <= b, so each query
+    tests one mask per element."""
 
     __slots__ = ("size", "_up", "_down")
 
@@ -50,16 +52,14 @@ class Poset:
             for a in range(size):
                 if up[a] >> k & 1:
                     up[a] |= up[k]
+        down = _transpose(up)
         for a in range(size):
-            for b in bits_of(up[a]):
-                if b != a and (up[b] >> a) & 1:
-                    raise ContractError(
-                        f"elements {a} and {b} lie below each other: not a partial order"
-                    )
-        down = [0] * size
-        for a in range(size):
-            for b in bits_of(up[a]):
-                down[b] |= 1 << a
+            both = up[a] & down[a] & ~(1 << a)
+            if both:
+                b = (both & -both).bit_length() - 1
+                raise ContractError(
+                    f"elements {a} and {b} lie below each other: not a partial order"
+                )
         self.size = size
         self._up = up
         self._down = down
@@ -71,28 +71,21 @@ class Poset:
 
     def is_antichain(self, members: Iterable[int]) -> bool:
         elems = sorted(set(members))
+        mask = 0
         for a in elems:
             if not 0 <= a < self.size:
                 raise ContractError(f"element {a} outside [0, {self.size})")
-        for i, a in enumerate(elems):
-            for b in elems[i + 1 :]:
-                if (self._up[a] >> b) & 1 or (self._up[b] >> a) & 1:
-                    return False
-        return True
+            mask |= 1 << a
+        return all(self._up[a] & mask == 1 << a for a in elems)
 
     def linear_extension(self) -> list[int]:
         """Least-index-first topological order of the elements."""
-        placed = 0
         order = []
-        remaining = set(range(self.size))
-        while remaining:
-            for a in sorted(remaining):
-                below = self._down[a] & ~(1 << a)
-                if below & ~placed == 0:
-                    order.append(a)
-                    placed |= 1 << a
-                    remaining.discard(a)
-                    break
+        left = (1 << self.size) - 1
+        while left:
+            x = next(x for x in bits_of(left) if self._down[x] & left == 1 << x)
+            order.append(x)
+            left ^= 1 << x
         return order
 
     def __eq__(self, other) -> bool:
@@ -106,9 +99,7 @@ class Poset:
         return hash((self.size, tuple(self._up)))
 
     def __repr__(self) -> str:
-        strict = [
-            (a, b) for a in range(self.size) for b in bits_of(self._up[a]) if a != b
-        ]
+        strict = _pairs([up & ~(1 << a) for a, up in enumerate(self._up)])
         return f"Poset({self.size}, {strict})"
 
 
@@ -158,8 +149,8 @@ def max_chain_of_antichains(poset: Poset) -> list[frozenset[int]]:
     previous antichain after evicting everything below it.
     """
     chain = [frozenset()]
-    current: frozenset[int] = frozenset()
+    current = 0
     for x in poset.linear_extension():
-        current = frozenset(y for y in current if not poset.leq(y, x)) | {x}
-        chain.append(current)
+        current = current & ~poset._down[x] | 1 << x
+        chain.append(frozenset(bits_of(current)))
     return chain

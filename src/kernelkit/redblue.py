@@ -148,12 +148,9 @@ def _some_directed_cycle(digraph: Digraph) -> Optional[tuple[int, ...]]:
     """A directed cycle as a vertex tuple starting at its least vertex, or
     None when the digraph is acyclic; deterministic."""
     scc = strongly_connected_components(digraph)
-    for comp in scc.components:
+    for comp, comp_mask in zip(scc.components, scc.masks):
         if len(comp) < 2:
             continue
-        comp_mask = 0
-        for v in comp:
-            comp_mask |= 1 << v
         root = comp[0]
         # BFS inside the component back to the root gives a shortest cycle.
         parent = {root: None}

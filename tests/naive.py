@@ -159,6 +159,44 @@ def naive_sccs(n, arcs):
     }
 
 
+def naive_order(n, pairs):
+    """(reach, witness): the reflexive transitive closure of `pairs` on
+    {0, ..., n-1}, and the first (a, b) in (a, b) order with a != b and
+    each below the other, None when the closure is a partial order."""
+    reach = naive_reachable(n, pairs)
+    witness = next(
+        ((a, b) for a in range(n) for b in range(n) if a != b and reach[a][b] and reach[b][a]),
+        None,
+    )
+    return reach, witness
+
+
+def naive_linear_extension(reach):
+    """Least index first: each step places the least unplaced element
+    with no unplaced element strictly below it."""
+    n = len(reach)
+    order = []
+    while len(order) < n:
+        order.append(min(
+            x for x in range(n)
+            if x not in order
+            and all(y in order or y == x or not reach[y][x] for y in range(n))
+        ))
+    return order
+
+
+def naive_is_antichain(reach, members):
+    return not any(reach[a][b] or reach[b][a] for a, b in combinations(sorted(set(members)), 2))
+
+
+def naive_max_chain(reach, order):
+    """Walk `order`, adding each element after evicting what lies below it."""
+    chain = [frozenset()]
+    for x in order:
+        chain.append(frozenset(y for y in chain[-1] if not reach[y][x]) | {x})
+    return chain
+
+
 def naive_has_odd_directed_cycle(n, arcs):
     return bool(naive_cycles(n, arcs, parity="odd"))
 

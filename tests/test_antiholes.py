@@ -583,6 +583,24 @@ class TestSymmetry:
         assert canon in orbit
         assert {canonical_digits(x, actions) for x in orbit} == {canon}
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda o: list(enumerate_simple_clique_acyclic_orientations(
+                o.base, symmetry_reduction=True)),
+             "symmetry reduction needs the 3-vertex anti-hole"),
+            (canonical_orientation_key, "orientation does not live on the labeled anti-hole"),
+            (find_near_sink, "orientation does not live on the labeled anti-hole"),
+        ],
+        ids=["symmetry", "canonical-key", "near-sink"],
+    )
+    def test_three_vertices_refused_with_the_callers_reason(self, call, message):
+        triangle = UndirectedGraph(3, [(0, 1), (0, 2), (1, 2)])
+        o = Orientation.from_digraph(triangle, Digraph(3, [(0, 1), (0, 2), (1, 2)]))
+        with pytest.raises(ContractError) as refusal:
+            call(o)
+        assert str(refusal.value) == message
+
     def test_orbit_expansion_recovers_full_enumeration(self):
         g, labeling = gen_antihole(7)
         edges = labeling.edges()

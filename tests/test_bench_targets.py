@@ -36,6 +36,28 @@ def test_wrap_target_resolves(module, attr):
     assert callable(owner)
 
 
+def test_solve_path_enters_its_span_targets():
+    # a refactor that goes around a target would zero its per-layer metric
+    from kernelkit import redblue
+
+    tracer = _spans.Tracer()
+    tracer.install()
+    try:
+        # read through the module, so the call meets the installed wrapper
+        redblue.solve_chain(redblue.generate_ssw_instance(0, 12))
+    finally:
+        tracer.uninstall()
+    entered = {tracer.names[i] for i in tracer.name}
+    assert entered >= {
+        "redblue.solve",
+        "redblue.check",
+        "redblue.blue_order",
+        "digraph.scc",
+        "poset.build",
+        "poset.compare",
+    }
+
+
 def test_sweep_oracle_is_bound_in_antiholes():
     # the traced run patches the name the sweep calls through
     import kernelkit.antiholes

@@ -567,6 +567,22 @@ class TestAntiholeCommands:
         assert code == 2 and out == ""
         assert err == "error: symmetry reduction needs the 5-vertex anti-hole\n"
 
+    @pytest.mark.parametrize(
+        "argv, stdin, message",
+        [
+            (["verify-simple", "-", "--symmetry"], "graph 3\n0 1\n0 2\n1 2\n",
+             "symmetry reduction needs the 3-vertex anti-hole"),
+            (["find-near-sink", "-"], "orientation 3\n",
+             "orientation does not live on the labeled anti-hole"),
+        ],
+        ids=["verify-simple", "find-near-sink"],
+    )
+    def test_below_four_vertices_gives_the_commands_reason(
+        self, capsys, monkeypatch, argv, stdin, message
+    ):
+        code, out, err = run_cli(capsys, ["antihole", *argv], stdin=stdin, monkeypatch=monkeypatch)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_search_witness_exhausted_on_k3(self, capsys, monkeypatch):
         code, out, _ = run_cli(
             capsys,

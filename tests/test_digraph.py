@@ -170,6 +170,7 @@ class TestStronglyConnectedComponents:
         assert set(map(frozenset, res.components)) == naive.naive_sccs(
             d.vertex_count, sorted(d.arcs)
         )
+        assert res.masks == tuple(sum(1 << v for v in comp) for comp in res.components)
 
     @settings(max_examples=120, deadline=None)
     @given(digraphs())

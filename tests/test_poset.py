@@ -94,6 +94,30 @@ class TestMaxChain:
             assert compare_antichains(p, a, b) is Comparison.LESS
 
 
+class TestAgainstNaive:
+    def test_every_relation_on_4_elements(self):
+        n = 4
+        cells = [(a, b) for a in range(n) for b in range(n) if a != b]
+        for bits in range(1 << len(cells)):
+            relation = [cell for i, cell in enumerate(cells) if bits >> i & 1]
+            reach, witness = naive.naive_order(n, relation)
+            if witness is not None:
+                with pytest.raises(ContractError) as refusal:
+                    Poset(n, relation)
+                a, b = witness
+                assert str(refusal.value) == (
+                    f"elements {a} and {b} lie below each other: not a partial order"
+                )
+                continue
+            p = Poset(n, relation)
+            assert [[p.leq(a, b) for b in range(n)] for a in range(n)] == reach
+            order = naive.naive_linear_extension(reach)
+            assert p.linear_extension() == order
+            for members in naive.subsets(n):
+                assert p.is_antichain(members) == naive.naive_is_antichain(reach, members)
+            assert max_chain_of_antichains(p) == naive.naive_max_chain(reach, order)
+
+
 class TestLawsSmall:
     def test_extended_relation_laws_on_all_3_element_posets(self):
         for p in all_posets(3):
