@@ -11,6 +11,7 @@ default budgets.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -645,9 +646,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser `main` uses, built on its first call and kept for the
+    process; each parse still returns a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one command and return its exit code.
+
+    It may be called many times in one process: the parser is built on the
+    first call, not at import, and reused.  Each subcommand's `cmd_*`
+    function is bound when the parser is built, so a test that patches
+    behaviour must patch the module the command calls into (for example
+    `antiholes.verify_kernel_solvable`), not the `cmd_*` function.
+    """
+    args = _parser().parse_args(argv)
     out = _Output(args)
     try:
         _one_stdin_input(args)

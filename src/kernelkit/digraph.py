@@ -64,6 +64,8 @@ def _transpose(masks: list[int]) -> list[int]:
     log2(width) rounds of block swaps (Warren, "Hacker's Delight", 7-3).
     A smaller one is transposed bit by bit, and so is a larger one, since
     its padded square would take memory quadratic in n at any arc count.
+    The swap masks are cached for widths up to `_CACHED_WIDTH` only: one
+    of width 4,096 would pin about 24 MiB for the life of the process.
     """
     n = len(masks)
     if not 16 < n <= 4096:
@@ -78,27 +80,35 @@ def _transpose(masks: list[int]) -> list[int]:
     width = 1 << (n - 1).bit_length()
     row = width // 8
     x = int.from_bytes(b"".join(mask.to_bytes(row, "little") for mask in masks), "little")
-    for shift, upper in _block_swaps(width):
+    rounds = _cached_block_swaps(width) if width <= _CACHED_WIDTH else _block_swaps(width)
+    for shift, upper in rounds:
         t = (x ^ (x >> shift)) & upper
         x ^= t ^ (t << shift)
     data = x.to_bytes(width * row, "little")
     return [int.from_bytes(data[v * row:(v + 1) * row], "little") for v in range(n)]
 
 
-@lru_cache(maxsize=4)
-def _block_swaps(width: int) -> tuple[tuple[int, int], ...]:
+def _block_swaps(width: int) -> Iterator[tuple[int, int]]:
     """(shift, mask) per round of `_transpose` on a width x width matrix:
     for j = width/2, ..., 1, the bits r*width + c with bit j set in c and
-    clear in r, which swap with the bits `shift` = j*(width - 1) above."""
-    rounds = []
+    clear in r, which swap with the bits `shift` = j*(width - 1) above.
+    Lazy, so that an uncached width holds one round's mask at a time."""
     j = width // 2
     zero = bytes(width // 8)
     while j:
         row = sum(1 << c for c in range(width) if c & j).to_bytes(width // 8, "little")
         upper = b"".join(zero if r & j else row for r in range(width))
-        rounds.append((j * (width - 1), int.from_bytes(upper, "little")))
+        yield j * (width - 1), int.from_bytes(upper, "little")
         j //= 2
-    return tuple(rounds)
+
+
+# the widest cached entry takes about 1.25 MiB; SSW n = 1,000 pads to it
+_CACHED_WIDTH = 1024
+
+
+@lru_cache(maxsize=4)
+def _cached_block_swaps(width: int) -> tuple[tuple[int, int], ...]:
+    return tuple(_block_swaps(width))
 
 
 def union_of(masks, subset: int) -> int:

@@ -25,7 +25,6 @@ from .digraph import (
     EdgeDirection,
     Orientation,
     UndirectedGraph,
-    bits_of,
 )
 from .errors import BoundsError, GraphParseError
 
@@ -182,23 +181,34 @@ def load_auto(text: str):
 
 def _rows(obj):
     """(kind, vertex count, rows in file order) of a graph object; a row
-    is [u, v] or [u, v, third-column value]."""
+    is a tuple (u, v) or (u, v, third-column value).  Tuples of ints are
+    untracked by the cyclic collector after one pass, where lists stay
+    tracked."""
     if isinstance(obj, ColoredDigraph):
         blue, b, r = obj._blue_out, ArcColor.BLUE.value, ArcColor.RED.value
-        rows = [
-            [u, v, b if blue[u] >> v & 1 else r]
-            for u, m in enumerate(obj.digraph._out)
-            for v in bits_of(m)
-        ]
+        rows = []
+        append = rows.append
+        for u, m in enumerate(obj.digraph._out):
+            blue_u = blue[u]
+            while m:
+                low = m & -m
+                append((u, low.bit_length() - 1, b if blue_u & low else r))
+                m ^= low
         return "cdigraph", obj.vertex_count, rows
     if isinstance(obj, Digraph):
-        rows = [[u, v] for u, m in enumerate(obj._out) for v in bits_of(m)]
+        rows = []
+        append = rows.append
+        for u, m in enumerate(obj._out):
+            while m:
+                low = m & -m
+                append((u, low.bit_length() - 1))
+                m ^= low
         return "digraph", obj.vertex_count, rows
     if isinstance(obj, Orientation):
-        rows = [[u, v, obj.assignment[(u, v)].value] for u, v in obj.base.sorted_edges()]
+        rows = [(u, v, obj.assignment[(u, v)].value) for u, v in obj.base.sorted_edges()]
         return "orientation", obj.base.vertex_count, rows
     if isinstance(obj, UndirectedGraph):
-        return "graph", obj.vertex_count, [[u, v] for u, v in obj.sorted_edges()]
+        return "graph", obj.vertex_count, obj.sorted_edges()
     raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
@@ -208,6 +218,8 @@ def serialize(obj) -> str:
 
 
 def to_json_obj(obj) -> dict:
+    """`{"kind", "vertex_count", "arcs" or "edges"}` of a graph object; each
+    row is a tuple, which `json` writes as an array."""
     kind, n, rows = _rows(obj)
     return {"kind": kind, "vertex_count": n, _KINDS[kind][0]: rows}
 

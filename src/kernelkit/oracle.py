@@ -295,14 +295,15 @@ def is_M_clique_acyclic(digraph: Digraph) -> PredicateReport:
 
 
 def _first_weak_triangle(
-    out: list[int], inn: list[int], start: int = 0
+    out: list[int], inn: list[int], start: int = 0, second: int = 0
 ) -> Optional[tuple[int, int, int]]:
     """Least directed triangle (a, b, c), a its least vertex, with fewer
-    than two reversible arcs, among those with a >= `start`; the order is
-    lexicographic on (a, b, c)."""
+    than two reversible arcs, among those with (a, b) >= (`start`,
+    `second`); the order is lexicographic on (a, b, c)."""
+    below = (1 << second) - 1
     for a in range(start, len(out)):
         higher = ~((1 << (a + 1)) - 1)
-        for b in bits_of(out[a] & higher):
+        for b in bits_of(out[a] & higher & ~below):
             closing = out[b] & inn[a] & higher
             if (inn[a] >> b) & 1:
                 # a <-> b is reversible: c needs a second one
@@ -311,4 +312,5 @@ def _first_weak_triangle(
                 weak = closing & ~(inn[b] & out[a])
             if weak:
                 return (a, b, (weak & -weak).bit_length() - 1)
+        below = 0
     return None

@@ -512,10 +512,16 @@ def generate_ssw_instance(seed: int, n: int, density: float = 0.35) -> ColoredDi
         rows = red_in[u] | (1 << u)
         if rows & union_of(blue_in, gained):
             continue
-        for x in bits_of(rows):
-            red[x] |= gained
-        for y in bits_of(gained):
-            red_in[y] |= rows
+        left = rows
+        while left:
+            low = left & -left
+            red[low.bit_length() - 1] |= gained
+            left ^= low
+        left = gained
+        while left:
+            low = left & -left
+            red_in[low.bit_length() - 1] |= rows
+            left ^= low
     cd = ColoredDigraph.from_color_masks(blue, red)
     if not check_chain_conditions(cd, first_only=True).satisfied:
         raise InternalInvariantError("transitive-class instance fails the chain conditions")
@@ -586,12 +592,13 @@ def generate_comparability_instance(
         out[y] |= 1 << x
         inn[x] |= 1 << y
         # only triangles through x and y changed; every other triangle
-        # before the witness was already fine
+        # before the witness was already fine, so the scan resumes at the
+        # witness's own (a, b)
         through = _weak_triangle_through(out, inn, x, y)
         if through is not None and through < witness:
             witness = through
         else:
-            witness = _first_weak_triangle(out, inn, a)
+            witness = _first_weak_triangle(out, inn, a, b)
 
     cd = ColoredDigraph.from_color_masks(
         [o & ~s for o, s in zip(out, strict)], [o & s for o, s in zip(out, strict)]

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from kernelkit import ColoredDigraph, Digraph, antiholes, gen_antihole, io, redblue
+from kernelkit import ColoredDigraph, Digraph, antiholes, cli, gen_antihole, io, redblue
 from kernelkit.antiholes import _dp_tables, _live_prefixes
 from kernelkit.cli import main
 
@@ -428,6 +428,66 @@ class TestArgparseErrors:
         captured = capsys.readouterr()
         assert exc.value.code == 0 and captured.err == ""
         assert captured.out.startswith("usage: kernelkit chords check")
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process, and no call's options
+    or errors reach the next call."""
+
+    def test_two_calls_build_the_parser_once(self, capsys, monkeypatch):
+        built = []
+        build = cli.build_parser
+
+        def counted():
+            built.append(1)
+            return build()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        cli._parser.cache_clear()
+        for _ in range(2):
+            code, out, _ = run_cli(capsys, ["antihole", "gen", "--n", "5"])
+            assert (code, out.splitlines()[0]) == (0, "graph 5")
+        assert len(built) == 1
+
+    def test_the_parser_is_built_on_the_first_call_not_at_import(self):
+        proc = fresh_python(
+            "-c",
+            "import kernelkit.cli as cli\n"
+            "before = cli._parser.cache_info().currsize\n"
+            "cli.main(['antihole', 'c7', '--output', '/dev/null'])\n"
+            "print(before, cli._parser.cache_info().currsize)\n",
+        )
+        assert (proc.returncode, proc.stdout) == (0, "0 1\n")
+
+    def test_build_parser_returns_a_new_tree(self):
+        assert cli.build_parser() is not cli.build_parser()
+        assert cli._parser() is cli._parser()
+
+    def test_a_usage_error_leaves_the_next_call_alone(self, capsys):
+        argv = ["redblue", "gen", "ssw", "--n", "6", "--seed", "2"]
+        want = run_cli(capsys, argv)
+        with pytest.raises(SystemExit) as exc:
+            main(["redblue", "gen", "ssw", "--n", "x"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert run_cli(capsys, argv) == want
+
+    def test_options_do_not_reach_the_next_call(self, capsys, tmp_path):
+        def plain():
+            code, out, err = run_cli(capsys, ["antihole", "verify-simple", "--n", "5"])
+            lines = [line for line in out.splitlines() if not line.startswith("elapsed_ms:")]
+            return code, lines, err
+
+        want = plain()
+        assert want[0] == 1 and "orientations_examined: 11" in want[1]
+        checkpoint = tmp_path / "run.json"
+        code, out, _ = run_cli(capsys, [
+            "antihole", "verify-simple", "--n", "5", "--format", "json", "--budget", "1",
+            "--checkpoint", str(checkpoint), "--symmetry",
+        ])
+        assert code == 3 and json.loads(out)["orientations_examined"] == 1
+        assert checkpoint.exists()
+        assert plain() == want
 
 
 class TestChordsCommands:

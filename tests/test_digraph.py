@@ -21,7 +21,7 @@ from kernelkit import (
     is_semi_kernel,
     strongly_connected_components,
 )
-from kernelkit.digraph import _transpose
+from kernelkit.digraph import _cached_block_swaps, _transpose
 from strategies import digraphs
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -348,3 +348,19 @@ def test_transpose_of_sparse_and_dense_masks(density):
         ]
         want = [sum((masks[u] >> v & 1) << u for u in range(n)) for v in range(n)]
         assert _transpose(masks) == want
+
+
+@pytest.mark.parametrize("n", [1000, 1500])
+def test_transpose_on_both_sides_of_the_cache_cap(n):
+    rng = random.Random(n)
+    masks = [sum(1 << rng.randrange(n) for _ in range(8)) & ~(1 << u) for u in range(n)]
+    want = [sum((masks[u] >> v & 1) << u for u in range(n)) for v in range(n)]
+    assert _transpose(masks) == want
+
+
+def test_the_swap_cache_keeps_no_width_above_its_cap():
+    _cached_block_swaps.cache_clear()
+    _transpose([1 << (u + 1) for u in range(2999)] + [0])
+    assert _cached_block_swaps.cache_info().currsize == 0
+    _transpose([1 << (u + 1) for u in range(999)] + [0])
+    assert _cached_block_swaps.cache_info().currsize == 1

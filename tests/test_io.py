@@ -307,6 +307,42 @@ class TestGoldenFormats:
         assert io.parse_json(json_text) == build()
 
 
+# the golden objects, then one arc-free object per kind
+ROW_OBJECTS = [build for build, *_ in GOLDEN] + [
+    lambda: Digraph(3),
+    lambda: ColoredDigraph.from_colored_arcs(3, []),
+    lambda: UndirectedGraph(3),
+    lambda: Orientation(UndirectedGraph(3), {}),
+]
+
+
+class TestTupleRows:
+    """`to_json_obj` rows are tuples; json writes them as arrays, so the
+    bytes are those of list rows."""
+
+    @pytest.mark.parametrize("seed", [None, 7])
+    @pytest.mark.parametrize("build", ROW_OBJECTS)
+    def test_rows_are_tuples_and_write_the_same_json(self, build, seed):
+        obj = build()
+        payload = io.to_json_obj(obj)
+        rows = payload[io._KINDS[payload["kind"]][0]]
+        assert all(type(row) is tuple for row in rows)
+        assert io.from_json_obj(payload) == obj
+        if seed is not None:
+            payload["seed"] = seed
+        text = io.indented_json(payload)
+        assert text == json.dumps(payload, indent=2) + "\n"
+        assert io.from_json_obj(json.loads(text)) == obj
+
+    @pytest.mark.parametrize("build", ROW_OBJECTS[len(GOLDEN):])
+    def test_arc_free_text_and_dot(self, build):
+        obj = build()
+        kind = io.to_json_obj(obj)["kind"]
+        assert io.serialize(obj) == f"{kind} 3\n"
+        header = "graph G {" if kind == "graph" else "digraph G {"
+        assert io.to_dot(obj) == header + "\n  0;\n  1;\n  2;\n}\n"
+
+
 def _seeded_rows(seed, n, columns=()):
     """Shuffled rows over n vertices, each unordered pair at most once in
     each direction; `columns` seeds a random third column."""

@@ -14,7 +14,9 @@ from kernelkit import (
     ContractError,
     VertexSet,
     is_kernel,
+    redblue,
 )
+from kernelkit.oracle import _first_weak_triangle
 from kernelkit.poset import Comparison, compare_antichains
 from kernelkit.redblue import (
     _chain_middles_through,
@@ -395,6 +397,24 @@ class TestGeneratorsMatchReferences:
         for seed in range(8 if n < 25 else 1):
             got = _rows(generate_comparability_instance(seed, n))
             assert got == naive.naive_comparability_rows(seed, n)
+
+    def test_comparability_resumed_scan_matches_a_full_rescan(self, monkeypatch):
+        # after a repair the scan resumes at the witness's (a, b); it must
+        # find what a rescan from vertex 0 finds
+        resumed = []
+
+        def checked(out, inn, start=0, second=0):
+            got = _first_weak_triangle(out, inn, start, second)
+            if (start, second) != (0, 0):
+                resumed.append((start, second))
+                assert got == _first_weak_triangle(out, inn)
+            return got
+
+        monkeypatch.setattr(redblue, "_first_weak_triangle", checked)
+        for n in range(3, 41):
+            for seed in range(3):
+                generate_comparability_instance(seed, n, density=0.35)
+        assert resumed
 
     @pytest.mark.parametrize("n", range(3, 31))
     def test_path(self, n):
