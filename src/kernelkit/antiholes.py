@@ -59,6 +59,7 @@ import math
 import os
 import time
 from bisect import bisect_left
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -142,14 +143,20 @@ def gen_antihole(n: int) -> tuple[UndirectedGraph, AntiholeLabeling]:
     return labeling.graph(), labeling
 
 
+def _is_antihole(graph: UndirectedGraph) -> bool:
+    """Whether `graph` is the labeled anti-hole.  The edge count
+    n(n - 3)/2 is compared first, so most other graphs are told apart
+    before an anti-hole is built."""
+    n = graph.vertex_count
+    return n >= 4 and len(graph.edges) == n * (n - 3) // 2 and AntiholeLabeling(n).graph() == graph
+
+
 def _labeling_of(graph: UndirectedGraph, message: str) -> AntiholeLabeling:
     """The labeling of `graph` if it is the labeled anti-hole, else
-    ContractError(message).  The edge count n(n - 3)/2 is compared first,
-    so most other graphs are refused before an anti-hole is built."""
-    n = graph.vertex_count
-    if n < 4 or len(graph.edges) != n * (n - 3) // 2 or AntiholeLabeling(n).graph() != graph:
+    ContractError(message)."""
+    if not _is_antihole(graph):
         raise ContractError(message)
-    return AntiholeLabeling(n)
+    return AntiholeLabeling(graph.vertex_count)
 
 
 def c7_counterexample() -> Digraph:
@@ -805,6 +812,32 @@ class _Sweep:
                     size -= len(states)
                     states.clear()
 
+    @contextmanager
+    def results(self, args, tasks: int, jobs: int):
+        """The results of `run` over the task arguments `args`, `tasks` of
+        them, in task order: in this process, or on a pool of `jobs`
+        workers, never more than the tasks, each given the sweep with its
+        own empty memo once.  Without symmetry a worker takes runs of about
+        a quarter of its share of the tasks, so that it reads back the deep
+        states it memoised on their neighbours; under symmetry it takes one
+        task at a time, which spreads the few heavy tasks best.  On exit
+        the memo is freed and the pool ended."""
+        workers = min(jobs, tasks)
+        pool = None
+        try:
+            if workers > 1:
+                import multiprocessing
+
+                pool = multiprocessing.Pool(workers, _start_worker, (self,))
+                chunk = 1 if self.dp.actions is not None else max(1, tasks // (4 * workers))
+                yield pool.imap(_run_in_worker, args, chunk)
+            else:
+                yield map(self.run, args)
+        finally:
+            self.memo = None
+            if pool is not None:
+                pool.terminate()
+
 
 # the sweep of a pool worker process, set once by the pool's initializer
 _worker: Optional[_Sweep] = None
@@ -867,6 +900,33 @@ TASK_DEPTH = {"simple": 8, "general": 4}
 MEMO_ENTRIES = 10_240
 
 
+def _interleaved_count(
+    graph: UndirectedGraph, num_values: int, depth: int, jobs: int
+) -> Optional[int]:
+    """The clique-acyclic orientations of the labeled anti-hole `graph`,
+    counted by a sweep without symmetry over its relabeling evens then
+    odds, split into tasks `depth` edges deep; None once one of them has
+    no kernel.  For odd n the new labels run around the cycle two steps at
+    a time, and the walk's states stay narrower than in the (min, max)
+    order: C9-bar simple memoises 40,422 states instead of 71,942.  The
+    count, and whether some orientation has no kernel, do not depend on
+    the labeling; which orientation comes first, and its rank, do."""
+    n = graph.vertex_count
+    label = [0] * n
+    for position, v in enumerate([*range(0, n, 2), *range(1, n, 2)]):
+        label[v] = position
+    relabeled = UndirectedGraph(n, [(label[u], label[v]) for u, v in graph.edges])
+    sweep = _Sweep(relabeled, num_values, None)
+    tasks = _live_prefixes(sweep.dp, depth)
+    total = 0
+    with sweep.results(((task, depth, None) for task in tasks), len(tasks), jobs) as results:
+        for examined, digits, _ in results:
+            if digits is not None:
+                return None
+            total += examined
+    return total
+
+
 def verify_kernel_solvable(
     graph: UndirectedGraph,
     mode: str = "simple",
@@ -897,20 +957,34 @@ def verify_kernel_solvable(
     task's prefix), where a resumed run continues.  `symmetry_reduction`
     needs `graph` to be the n-vertex anti-hole and examines one
     orientation per dihedral orbit.
+
+    On the labeled anti-hole, a run with no symmetry reduction, budget or
+    checkpoint first decides in the interleaved labeling
+    (`_interleaved_count`), whose walk is narrower.  If no orientation
+    there lacks a kernel, that pass's count is the verdict and its time
+    the elapsed time; else the run above names the witness and its rank.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
     num_values = 2 if mode == "simple" else 3
-    sweep = _Sweep(graph, num_values, _check_sweep_input(graph, symmetry_reduction))
+    actions = _check_sweep_input(graph, symmetry_reduction)
+    depth = min(TASK_DEPTH[mode], len(graph.edges))
+    decided_in = 0.0
+    if actions is None and budget is None and not checkpoint and _is_antihole(graph):
+        began = time.monotonic()
+        count = _interleaved_count(graph, num_values, depth, jobs)
+        decided_in = time.monotonic() - began
+        if count is not None:
+            return SolvabilityVerdict(graph_id, mode, "solvable", None, count, decided_in)
+    sweep = _Sweep(graph, num_values, actions)
     edges = sweep.dp.edges
-    depth = min(TASK_DEPTH[mode], len(edges))
     tasks = _live_prefixes(sweep.dp, depth)
     signature = _graph_key(graph.vertex_count, edges, mode, symmetry_reduction)
 
     checkpoint_path = Path(checkpoint) if checkpoint else None
     loaded = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values)
     state = loaded or {
-        "next": tasks[0], "examined": 0, "elapsed_seconds": 0.0, "counterexample": None
+        "next": tasks[0], "examined": 0, "elapsed_seconds": decided_in, "counterexample": None
     }
     total, elapsed_before, cursor = state["examined"], state["elapsed_seconds"], state["next"]
     if state["counterexample"] is not None:
@@ -944,8 +1018,6 @@ def verify_kernel_solvable(
         }))
         os.replace(partial, checkpoint_path)
 
-    workers = 1 if budget is not None else min(jobs, len(tasks) - first_task)
-
     def task_args(index: int):
         # read when the task starts, so it sees the budget earlier tasks left
         remaining = None if budget is None else budget - total
@@ -954,25 +1026,15 @@ def verify_kernel_solvable(
     args = (task_args(index) for index in range(first_task, len(tasks)))
     # after task i the next unexamined orientation is in task i + 1
     following = tasks[1:] + [None]
-    pool = None
-    if workers > 1:
-        import multiprocessing
-
-        # each worker gets the sweep, with its own empty memo, once
-        pool = multiprocessing.Pool(workers, _start_worker, (sweep,))
     stop = None
-    try:
-        results = map(sweep.run, args) if pool is None else pool.imap(_run_in_worker, args)
+    jobs = 1 if budget is not None else jobs
+    with sweep.results(args, len(tasks) - first_task, jobs) as results:
         for index, (task_examined, digits, kernel_free) in enumerate(results, first_task):
             total += task_examined
             if digits is not None:
                 stop = digits, kernel_free
                 break
             save_checkpoint(following[index], total)
-    finally:
-        sweep.memo = None
-        if pool is not None:
-            pool.terminate()
 
     elapsed = elapsed_before + time.monotonic() - started
     if stop is None:

@@ -632,6 +632,30 @@ class TestSymmetry:
             assert canonical_orientation_key(o) == canonical_digits(base, actions)
 
 
+@pytest.fixture
+def fake_pool(monkeypatch):
+    """Record (processes, chunksize) of each worker pool a sweep opens; the
+    fake pool maps in this process, so no worker is started."""
+    opened = []
+
+    class FakePool:
+        def __init__(self, processes, initializer, initargs):
+            opened.append(processes)
+            initializer(*initargs)
+
+        def imap(self, func, iterable, chunksize=1):
+            opened[-1] = (opened[-1], chunksize)
+            return map(func, iterable)
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Pool", FakePool)
+    # the fake's initializer sets the worker sweep of this process
+    monkeypatch.setattr(antiholes, "_worker", None)
+    return opened
+
+
 class TestVerify:
     def test_c5_counterexample(self):
         g, _ = gen_antihole(5)
@@ -658,38 +682,36 @@ class TestVerify:
         assert sequential.verdict == parallel.verdict
         assert sequential.orientations_examined == parallel.orientations_examined
 
-    def test_pool_is_no_larger_than_the_tasks(self, monkeypatch):
-        # a fake pool records its size and maps in this process, so no
-        # worker is started
-        sizes = []
-
-        class FakePool:
-            def __init__(self, processes, initializer, initargs):
-                sizes.append(processes)
-                initializer(*initargs)
-
-            def imap(self, func, iterable):
-                return map(func, iterable)
-
-            def terminate(self):
-                pass
-
-        monkeypatch.setattr(multiprocessing, "Pool", FakePool)
-        # the fake's initializer sets the worker sweep of this process
-        monkeypatch.setattr(antiholes, "_worker", None)
+    def test_pool_is_no_larger_than_the_tasks(self, fake_pool):
         g, _ = gen_antihole(5)
         tasks = _live_prefixes(plain_tables(g, 2), len(g.edges))
         assert len(tasks) == 32
         sequential = verify_kernel_solvable(g)
         wide = verify_kernel_solvable(g, jobs=500)
-        assert sizes == [32]
+        # C5-bar has a counterexample, so the interleaved pass and the
+        # sorted sweep each open a pool, each no larger than its 32 tasks
+        assert [size for size, _ in fake_pool] == [32, 32]
         assert (wide.verdict, wide.orientations_examined) == (
             sequential.verdict, sequential.orientations_examined
         )
         # one task runs in this process, with no pool at all
         verdict = verify_kernel_solvable(UndirectedGraph(3, []), jobs=500)
         assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 1)
-        assert sizes == [32]
+        assert len(fake_pool) == 2
+
+    def test_pool_workers_take_task_runs_without_symmetry(self, fake_pool):
+        g, _ = gen_antihole(5)
+        plain = verify_kernel_solvable(g, jobs=2)
+        # 32 tasks on 2 workers: runs of 32 // (4 * 2) tasks in both passes
+        assert fake_pool == [(2, 4), (2, 4)]
+        fake_pool.clear()
+        reduced = verify_kernel_solvable(g, symmetry_reduction=True, jobs=2)
+        assert fake_pool == [(2, 1)]
+        for run, symmetry in ((plain, False), (reduced, True)):
+            alone = verify_kernel_solvable(g, symmetry_reduction=symmetry)
+            assert (run.verdict, run.orientations_examined) == (
+                alone.verdict, alone.orientations_examined
+            )
 
     def test_partition_independence(self, monkeypatch):
         g, _ = gen_antihole(7)
@@ -1278,6 +1300,100 @@ class TestSharedMemo:
             budget_stop_matches_the_walk(tmp_path, k5, "general", budget, 29281)
         # every task started within the bound, some with states kept
         assert max(sizes) <= 64 and any(sizes)
+
+
+def interleaved_edges(n):
+    """The edges of the n-vertex anti-hole relabeled evens then odds, in
+    (min, max) order."""
+    order = [v for v in range(n) if v % 2 == 0] + [v for v in range(n) if v % 2]
+    g, _ = gen_antihole(n)
+    return UndirectedGraph(n, [(order.index(u), order.index(v)) for u, v in g.edges]).sorted_edges()
+
+
+def walked_orders(monkeypatch):
+    """Record the edge order of the tables each `_walk` call receives."""
+    orders = []
+
+    def recording(dp, *args, **kwargs):
+        orders.append(list(dp.edges))
+        return _walk(dp, *args, **kwargs)
+
+    monkeypatch.setattr(antiholes, "_walk", recording)
+    return orders
+
+
+class TestInterleavedDecision:
+    """A sweep of the labeled anti-hole with no symmetry, budget or
+    checkpoint decides in the interleaved labeling first; its verdict,
+    count and witness are those of the (min, max) order."""
+
+    @pytest.mark.parametrize(
+        "n, num_values",
+        [(4, 2), (5, 2), (6, 2), (7, 2), (8, 2), (9, 2), (4, 3), (5, 3), (6, 3), (7, 3), (8, 3)],
+        ids=["c4-simple", "c5-simple", "c6-simple", "c7-simple", "c8-simple", "c9-simple",
+             "c4-general", "c5-general", "c6-general", "c7-general", "c8-general"],
+    )
+    def test_verdict_is_that_of_the_sorted_walk(self, n, num_values):
+        g, _ = gen_antihole(n)
+        edges = g.sorted_edges()
+        verdict = verify_kernel_solvable(g, "simple" if num_values == 2 else "general")
+        # from a certified root every leaf counts
+        plain = plain_tables(g, num_values)
+        whole, _ = walk_stop(plain._replace(root=plain.certified), memo=[{} for _ in edges])
+        if (n, num_values) == (8, 3):
+            # C8-bar general's sorted sweep alone takes about 12 s, so only
+            # its 1,118,190,605 orientations are compared
+            assert (verdict.verdict, verdict.orientations_examined) == ("solvable", whole)
+            return
+        rank, digits = walk_stop(_Sweep(g, num_values, None).dp, memo=[{} for _ in edges])
+        if digits is None:
+            assert rank == whole
+            assert (verdict.verdict, verdict.orientations_examined) == ("solvable", whole)
+            return
+        assert (verdict.verdict, verdict.orientations_examined) == ("counterexample", rank + 1)
+        assert orientation_digits(verdict.counterexample, edges) == digits
+        arcs = naive.naive_arcs(edges, digits)
+        assert not any(naive.naive_is_kernel(n, arcs, s) for s in naive.subsets(n))
+
+    def test_c9_simple_walks_only_the_interleaved_order(self, monkeypatch):
+        orders = walked_orders(monkeypatch)
+        g, _ = gen_antihole(9)
+        verdict = verify_kernel_solvable(g)
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 143334)
+        interleaved = interleaved_edges(9)
+        # the task list's prefix walks and the sweep's tasks
+        assert orders and all(edges == interleaved[:len(edges)] for edges in orders)
+
+    def test_a_counterexample_is_named_in_the_sorted_order(self, monkeypatch):
+        orders = walked_orders(monkeypatch)
+        g, _ = gen_antihole(7)
+        verdict = verify_kernel_solvable(g)
+        assert (verdict.verdict, verdict.orientations_examined) == ("counterexample", 828)
+        interleaved, edges = interleaved_edges(7), g.sorted_edges()
+        # the interleaved pass, then the sorted one
+        k = next(i for i, walked in enumerate(orders) if walked == edges[:len(walked)])
+        assert k > 0
+        assert all(walked == interleaved[:len(walked)] for walked in orders[:k])
+        assert all(walked == edges[:len(walked)] for walked in orders[k:])
+
+    @pytest.mark.parametrize(
+        "graph, run",
+        [
+            (gen_antihole(9)[0], dict(budget=10**6)),
+            (gen_antihole(9)[0], dict(checkpoint="run.json")),
+            (gen_antihole(9)[0], dict(symmetry_reduction=True)),
+            (complete_graph(5), {}),
+        ],
+        ids=["budget", "checkpoint", "symmetry", "complete-graph"],
+    )
+    def test_other_runs_walk_only_the_sorted_order(self, monkeypatch, tmp_path, graph, run):
+        if "checkpoint" in run:
+            run = {**run, "checkpoint": str(tmp_path / run["checkpoint"])}
+        orders = walked_orders(monkeypatch)
+        verdict = verify_kernel_solvable(graph, **run)
+        assert verdict.verdict == "solvable"
+        edges = graph.sorted_edges()
+        assert orders and all(walked == edges[:len(walked)] for walked in orders)
 
 
 class TestFindNearSink:

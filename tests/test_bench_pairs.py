@@ -124,6 +124,23 @@ def test_rss_verdict_uses_its_own_bound(bench_pairs):
         assert summary["wall_s"]["verdict"] == "within"
 
 
+def test_summary_lines_read_one_metric_each(bench_pairs):
+    runs = {
+        "parent": [run(1.0, 30.0), run(1.2, 30.0), run(1.1, 30.0)],
+        "change": [run(0.8, 30.0), run(1.3, 30.0), run(0.9, 30.0)],
+    }
+    block = bench_pairs.summarize(runs, {"wall_s": 0.24, "peak_rss_mb": 0.1})
+    # a parent median of 0 has no relative change
+    zero = bench_pairs.summarize(
+        {"parent": [run(0.0, 30.0)], "change": [run(0.5, 30.0)]}, {"wall_s": 0.24}
+    )
+    assert bench_pairs.summary_lines({"sweep-full": block, "scale": zero}) == [
+        "sweep-full wall_s: parent 1.1 change 0.9 (-18.2%), lower in 2/3 pairs, within",
+        "sweep-full peak_rss_mb: parent 30 change 30 (+0.0%), lower in 0/3 pairs, within",
+        "scale wall_s: parent 0 change 0.5 (n/a), lower in 0/1 pairs, worse",
+    ]
+
+
 def test_unknown_workload_is_refused_before_anything_runs(bench_pairs, capsys):
     # the fixture makes any git call or benchmark run fail the test
     with pytest.raises(SystemExit) as exit_info:

@@ -24,9 +24,10 @@ change's share is higher and `within` otherwise, the raw runs and per
 metric each side's median and quartiles, the parent's
 interquartile range, the number of pairs in which the change read lower,
 the metric's `BENCHMARK.json` bound and a verdict: `worse`, `unresolved`
-or `within` (see `verdict`).  The tool only reads `perfbench/`; each run
-writes its records under its own checkout's `.perfbench/`.  Standard
-library only.
+or `within` (see `verdict`).  Standard error ends with one line per
+workload and metric (see `summary_lines`), so a paired run reads without
+a script.  The tool only reads `perfbench/`; each run writes its records
+under its own checkout's `.perfbench/`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -112,6 +113,24 @@ def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
         "summary": summary,
         "runs": runs,
     }
+
+
+def summary_lines(workloads: dict) -> list[str]:
+    """One line per workload and summarised metric: both medians, the
+    relative change, the pairs in which the change read lower and the
+    verdict."""
+    lines = []
+    for workload, block in workloads.items():
+        for name, metric in block["summary"].items():
+            change = metric["change_vs_parent"]
+            lines.append(
+                f"{workload} {name}: parent {metric['parent_median']:.4g} "
+                f"change {metric['change_median']:.4g} "
+                f"({'n/a' if change is None else f'{change:+.1%}'}), "
+                f"lower in {metric['change_lower_in_pairs']}/{block['pairs']} pairs, "
+                f"{metric['verdict']}"
+            )
+    return lines
 
 
 def src_lines(checkout: Path) -> int:
@@ -218,6 +237,8 @@ def main(argv=None) -> int:
         Path(args.out).write_text(text)
     else:
         sys.stdout.write(text)
+    for line in summary_lines(workloads):
+        print(line, file=sys.stderr)
     return 0
 
 
