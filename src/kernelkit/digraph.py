@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
 from typing import Iterable, Iterator, Optional
 
 from .errors import BoundsError, BudgetExceededError
@@ -59,13 +58,15 @@ def _transpose(masks: list[int]) -> list[int]:
     """The in-masks of the valid out-masks `masks`: bit u of the result's
     v-th mask is bit v of masks[u].
 
-    A matrix of 17 to 4,096 rows is transposed whole: padded to width**2
-    bits, a power of two wide, and packed into one integer, it takes
-    log2(width) rounds of block swaps (Warren, "Hacker's Delight", 7-3).
-    A smaller one is transposed bit by bit, and so is a larger one, since
-    its padded square would take memory quadratic in n at any arc count.
-    The swap masks are cached for widths up to `_CACHED_WIDTH` only: one
-    of width 4,096 would pin about 24 MiB for the life of the process.
+    A matrix of 17 to 4,096 rows is transposed whole, by Warren's block
+    swaps ("Hacker's Delight", 7-3), its side padded to a multiple of 8.
+    Byte slices move every 8x8 bit block to its mirror place: row 8c + i
+    of the moved matrix is byte c of rows i, i + 8, ...  Packed into one
+    integer, each block is then transposed in place by three swap rounds,
+    j = 4, 2, 1, each trading bit j of the row index for bit j of the
+    column index.  A smaller matrix is transposed bit by bit, and so is a
+    larger one, since its square would take memory quadratic in n at any
+    arc count.
     """
     n = len(masks)
     if not 16 < n <= 4096:
@@ -77,38 +78,19 @@ def _transpose(masks: list[int]) -> list[int]:
                 inn[low.bit_length() - 1] |= tail
                 mask ^= low
         return inn
-    width = 1 << (n - 1).bit_length()
-    row = width // 8
-    x = int.from_bytes(b"".join(mask.to_bytes(row, "little") for mask in masks), "little")
-    rounds = _cached_block_swaps(width) if width <= _CACHED_WIDTH else _block_swaps(width)
-    for shift, upper in rounds:
+    row = (n + 7) // 8
+    width = 8 * row
+    data = b"".join(mask.to_bytes(row, "little") for mask in masks).ljust(width * row, b"\0")
+    data = b"".join(data[i * row + c::width] for c in range(row) for i in range(8))
+    x = int.from_bytes(data, "little")
+    for j, pattern in (4, b"\xf0"), (2, b"\xcc"), (1, b"\xaa"):
+        # the bits r*width + c with bit j set in c and clear in r
+        upper = int.from_bytes((pattern * (j * row) + bytes(j * row)) * (4 * row // j), "little")
+        shift = j * (width - 1)
         t = (x ^ (x >> shift)) & upper
         x ^= t ^ (t << shift)
     data = x.to_bytes(width * row, "little")
     return [int.from_bytes(data[v * row:(v + 1) * row], "little") for v in range(n)]
-
-
-def _block_swaps(width: int) -> Iterator[tuple[int, int]]:
-    """(shift, mask) per round of `_transpose` on a width x width matrix:
-    for j = width/2, ..., 1, the bits r*width + c with bit j set in c and
-    clear in r, which swap with the bits `shift` = j*(width - 1) above.
-    Lazy, so that an uncached width holds one round's mask at a time."""
-    j = width // 2
-    zero = bytes(width // 8)
-    while j:
-        row = sum(1 << c for c in range(width) if c & j).to_bytes(width // 8, "little")
-        upper = b"".join(zero if r & j else row for r in range(width))
-        yield j * (width - 1), int.from_bytes(upper, "little")
-        j //= 2
-
-
-# the widest cached entry takes about 1.25 MiB; SSW n = 1,000 pads to it
-_CACHED_WIDTH = 1024
-
-
-@lru_cache(maxsize=4)
-def _cached_block_swaps(width: int) -> tuple[tuple[int, int], ...]:
-    return tuple(_block_swaps(width))
 
 
 def union_of(masks, subset: int) -> int:

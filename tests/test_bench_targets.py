@@ -58,6 +58,27 @@ def test_solve_path_enters_its_span_targets():
     }
 
 
+def test_sweeps_enter_their_span_targets():
+    # the sweep-full and sweep-reduced calls: the C7-bar witness search,
+    # whose witness is re-checked by brute force, and C9-bar up to symmetry
+    from kernelkit import antiholes
+
+    tracer = _spans.Tracer()
+    tracer.install()
+    try:
+        antiholes.search_clique_acyclic_no_kernel(antiholes.gen_antihole(7)[0])
+        antiholes.verify_kernel_solvable(antiholes.gen_antihole(9)[0], symmetry_reduction=True)
+    finally:
+        tracer.uninstall()
+    entered = {tracer.names[i] for i in tracer.name}
+    assert entered >= {
+        "antiholes.sweep",
+        "oracle.clique_table",
+        "oracle.bruteforce",
+        "oracle.exists",
+    }
+
+
 def test_sweep_oracle_is_bound_in_antiholes():
     # the traced run patches the name the sweep calls through
     import kernelkit.antiholes

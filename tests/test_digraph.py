@@ -21,7 +21,7 @@ from kernelkit import (
     is_semi_kernel,
     strongly_connected_components,
 )
-from kernelkit.digraph import _cached_block_swaps, _transpose
+from kernelkit.digraph import _transpose
 from strategies import digraphs
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -342,7 +342,7 @@ class TestFromColorMasks:
 @pytest.mark.parametrize("density", [0.0, 0.05, 0.5, 1.0])
 def test_transpose_of_sparse_and_dense_masks(density):
     rng = random.Random(int(density * 100))
-    for n in range(0, 70):
+    for n in [*range(0, 70), 127, 128, 129, 255, 256, 257]:
         masks = [
             sum(1 << v for v in range(n) if v != u and rng.random() < density) for u in range(n)
         ]
@@ -350,17 +350,12 @@ def test_transpose_of_sparse_and_dense_masks(density):
         assert _transpose(masks) == want
 
 
-@pytest.mark.parametrize("n", [1000, 1500])
-def test_transpose_on_both_sides_of_the_cache_cap(n):
+@pytest.mark.parametrize("n", [1000, 1025, 1500, 4095, 4096, 4097])
+def test_transpose_at_both_edges_of_the_whole_matrix_window(n):
     rng = random.Random(n)
-    masks = [sum(1 << rng.randrange(n) for _ in range(8)) & ~(1 << u) for u in range(n)]
-    want = [sum((masks[u] >> v & 1) << u for u in range(n)) for v in range(n)]
+    arcs = [(u, v) for u in range(n) for v in rng.sample(range(n), 8) if v != u]
+    masks, want = [0] * n, [0] * n
+    for u, v in arcs:
+        masks[u] |= 1 << v
+        want[v] |= 1 << u
     assert _transpose(masks) == want
-
-
-def test_the_swap_cache_keeps_no_width_above_its_cap():
-    _cached_block_swaps.cache_clear()
-    _transpose([1 << (u + 1) for u in range(2999)] + [0])
-    assert _cached_block_swaps.cache_info().currsize == 0
-    _transpose([1 << (u + 1) for u in range(999)] + [0])
-    assert _cached_block_swaps.cache_info().currsize == 1
