@@ -26,8 +26,10 @@ same for every leaf.  Without symmetry the state carries them: a
 candidate is dead once one of its unabsorbed outside vertices has every
 edge to it decided, and once one candidate absorbs everything, every leaf
 below has a kernel.  The walk then counts a finished node once per state
-in one memo per process, which its prefix tasks share and which is cut
-back between tasks to a fixed number of entries.  It yields only a leaf
+in one memo per process, which its prefix tasks share.  Between tasks
+it drops the depths whose states still hold a digit the task's prefix
+pins, which the next tasks almost never meet, and keeps the deeper ones
+up to a fixed number of entries.  It yields only a leaf
 where every candidate is dead, which the kernel oracle confirms, and
 descends into a counted node only where the budget ends inside it, so
 every count, witness and budget stop is leaf-exact.  Under symmetry the
@@ -323,6 +325,9 @@ class _DPTables(NamedTuple):
     `wake[i][e]` is the first edge after e whose placing may change what
     is known of edge i: the next second-to-last edge before i of a clique
     whose last edge i is, which narrows i's field, else i itself.
+    `keep_until[e]` is the latest second-to-last edge of a clique that
+    reads e's slot, or -1: placing it drops the slot, so the states at
+    depths e + 1 to `keep_until[e]` hold e's digit.
     """
 
     n: int
@@ -340,6 +345,7 @@ class _DPTables(NamedTuple):
     certified: int
     edge_part: int
     wake: tuple
+    keep_until: tuple
 
 
 def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=(), actions=None) -> _DPTables:
@@ -431,6 +437,7 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=(), actions=N
         certified,
         (1 << base) - 1,
         tuple(wake),
+        tuple(keep_until),
     )
 
 
@@ -489,7 +496,7 @@ def _walk(
     done; a sibling digit re-reads the untouched `wait[e]`.
     """
     (n, edges, num_values, actions, clear, put, certify, settle, triangles, larger, at, root,
-     certified, edge_part, wake) = dp
+     certified, edge_part, wake, _) = dp
     m = len(edges)
     assign = [0] * m
     inn = [0] * n
@@ -764,7 +771,9 @@ class _Sweep:
     the walk's tables over `graph` with the group `actions` (None without
     symmetry) and, without symmetry, the walk's memo, one dict per depth.
     A state's count holds in every task, so the memo outlives each task;
-    it never outlives the call."""
+    it never outlives the call.  After a task it keeps only the depths
+    past the last `keep_until` of the edges the task pins, whose states
+    the next tasks, with other prefixes, may meet again."""
 
     def __init__(self, graph: UndirectedGraph, num_values: int, actions):
         n = graph.vertex_count
@@ -803,8 +812,13 @@ class _Sweep:
             return done.value, None, False
         finally:
             if memo is not None:
-                # past the bound whole depths go, shallowest first: deep
-                # states recur across tasks most
+                # a state at a depth up to the last `keep_until` of the
+                # pinned edges holds a pinned digit, so the tasks to come,
+                # whose prefixes differ, almost never meet it; the deeper
+                # states stay, and past the bound whole depths go,
+                # shallowest first
+                for states in memo[:max(self.dp.keep_until[:depth], default=-1) + 1]:
+                    states.clear()
                 size = sum(map(len, memo))
                 for states in memo:
                     if size <= MEMO_ENTRIES:
@@ -896,8 +910,9 @@ def _load_checkpoint(
 # better but pays a prefix walk and a fresh search per task
 TASK_DEPTH = {"simple": 8, "general": 4}
 # the memo entries a sweep without symmetry keeps from one task to the
-# next in each process; a task alone may grow the memo past it
-MEMO_ENTRIES = 10_240
+# next in each process, at depths no pinned digit reaches; a task alone
+# may grow the memo past it
+MEMO_ENTRIES = 1 << 18
 
 
 def _interleaved_count(
@@ -908,7 +923,7 @@ def _interleaved_count(
     odds, split into tasks `depth` edges deep; None once one of them has
     no kernel.  For odd n the new labels run around the cycle two steps at
     a time, and the walk's states stay narrower than in the (min, max)
-    order: C9-bar simple memoises 40,422 states instead of 71,942.  The
+    order: C9-bar simple memoises 33,539 states instead of 55,534.  The
     count, and whether some orientation has no kernel, do not depend on
     the labeling; which orientation comes first, and its rank, do."""
     n = graph.vertex_count
@@ -947,16 +962,18 @@ def verify_kernel_solvable(
     any worker count.  With symmetry each representative goes to the
     kernel oracle; without, `_walk` counts a task's orientations on a memo
     of subtree states and stops at the first without a kernel.  The memo
-    is shared by the tasks each process runs and cut back to
-    `MEMO_ENTRIES` after each task; it lives for this call only.
+    is shared by the tasks each process runs; after each task it drops
+    the depths whose states hold a digit the task pins and keeps at most
+    `MEMO_ENTRIES` deeper ones.  It lives for this call only.
     `budget` caps the number of orientations examined and is tested before
     each one; the walk descends into a counted subtree that would
     overrun it, so the stop is exact (budgeted runs execute sequentially).
     `checkpoint` names a JSON file updated after each task and at a budget
     stop, whose `next` holds the first unexamined orientation (or the next
-    task's prefix), where a resumed run continues.  `symmetry_reduction`
-    needs `graph` to be the n-vertex anti-hole and examines one
-    orientation per dihedral orbit.
+    task's prefix), where a resumed run continues; a path that cannot be
+    written is refused before any task runs.  `symmetry_reduction` needs
+    `graph` to be the n-vertex anti-hole and examines one orientation per
+    dihedral orbit.
 
     On the labeled anti-hole, a run with no symmetry reduction, budget or
     checkpoint first decides in the interleaved labeling
@@ -976,24 +993,37 @@ def verify_kernel_solvable(
         decided_in = time.monotonic() - began
         if count is not None:
             return SolvabilityVerdict(graph_id, mode, "solvable", None, count, decided_in)
-    sweep = _Sweep(graph, num_values, actions)
-    edges = sweep.dp.edges
-    tasks = _live_prefixes(sweep.dp, depth)
+    edges = tuple(graph.sorted_edges())
     signature = _graph_key(graph.vertex_count, edges, mode, symmetry_reduction)
-
     checkpoint_path = Path(checkpoint) if checkpoint else None
+    # a crash mid-write must leave the previous checkpoint intact, so each
+    # is written to a file beside it and then moved over it
+    partial = checkpoint_path and checkpoint_path.with_name(checkpoint_path.name + ".tmp")
     loaded = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values)
-    state = loaded or {
-        "next": tasks[0], "examined": 0, "elapsed_seconds": decided_in, "counterexample": None
-    }
-    total, elapsed_before, cursor = state["examined"], state["elapsed_seconds"], state["next"]
-    if state["counterexample"] is not None:
+    total, elapsed_before = (
+        (loaded["examined"], loaded["elapsed_seconds"]) if loaded else (0, decided_in)
+    )
+    if loaded and loaded["counterexample"] is not None:
         return _verdict_from_digits(
-            graph, edges, mode, state["counterexample"], total, elapsed_before, graph_id
+            graph, edges, mode, loaded["counterexample"], total, elapsed_before, graph_id
         )
-    if cursor is None:
+    if loaded and loaded["next"] is None:
         return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
-    if loaded is not None:
+    if checkpoint_path is not None:
+        # a path that cannot be written is refused before any task runs
+        try:
+            partial.write_text("")
+            partial.unlink()
+        except OSError as exc:
+            raise ContractError(
+                f"cannot write checkpoint {checkpoint_path} ({exc.strerror or exc})"
+            ) from None
+    sweep = _Sweep(graph, num_values, actions)
+    tasks = _live_prefixes(sweep.dp, depth)
+    if loaded is None:
+        cursor = tasks[0]
+    else:
+        cursor = loaded["next"]
         try:
             _check_start(sweep.dp, cursor)
         except ContractError as exc:
@@ -1007,8 +1037,6 @@ def verify_kernel_solvable(
     def save_checkpoint(resume_at, count: int, counterexample=None) -> None:
         if checkpoint_path is None:
             return
-        # a crash mid-write must leave the previous checkpoint intact
-        partial = checkpoint_path.with_name(checkpoint_path.name + ".tmp")
         partial.write_text(json.dumps({
             "signature": signature,
             "next": None if resume_at is None else list(resume_at),

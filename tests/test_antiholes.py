@@ -1166,6 +1166,21 @@ def memo_sizes(monkeypatch):
     return sizes
 
 
+def memo_depths(monkeypatch):
+    """Record, for each sweep task's walk, the last depth whose states hold
+    a digit its prefix pins and the memo's size at each depth as it starts."""
+    starts = []
+
+    def recording(dp, start=(), fixed=0, limit=None, memo=None):
+        if memo is not None:
+            pinned = max(dp.keep_until[:fixed], default=-1)
+            starts.append((pinned, [len(states) for states in memo]))
+        return _walk(dp, start, fixed, limit, memo)
+
+    monkeypatch.setattr(antiholes, "_walk", recording)
+    return starts
+
+
 def budget_stop_matches_the_walk(tmp_path, graph, mode, budget, whole):
     """A budgeted run stops at `budget` with the leaf the walk puts at that
     rank as its checkpoint's `next`, and resumes to `whole` orientations."""
@@ -1180,8 +1195,11 @@ def budget_stop_matches_the_walk(tmp_path, graph, mode, budget, whole):
 
 
 class TestSharedMemo:
-    """Without symmetry the tasks a process runs share one memo, cut back
-    to `MEMO_ENTRIES` entries between tasks and fresh for every call."""
+    """Without symmetry the tasks a process runs share one memo, fresh for
+    every call.  Between tasks it drops the depths whose states hold a
+    digit the task's prefix pins, up to the last `keep_until` of the
+    pinned edges, and keeps the deeper ones, cut back to `MEMO_ENTRIES`
+    entries shallowest depth first."""
 
     # starts mid-task, whose path nodes a memo filled by a whole run holds
     # with the counts of their whole subtrees
@@ -1300,6 +1318,30 @@ class TestSharedMemo:
             budget_stop_matches_the_walk(tmp_path, k5, "general", budget, 29281)
         # every task started within the bound, some with states kept
         assert max(sizes) <= 64 and any(sizes)
+
+    @pytest.mark.parametrize(
+        "graph, mode, pinned",
+        [(complete_graph(5), "general", {8}), (gen_antihole(8)[0], "simple", None),
+         (gen_antihole(7)[0], "general", None)],
+        ids=["k5-general", "c8-simple", "c7-general"],
+    )
+    def test_pinned_depths_are_empty_at_every_task_start(self, monkeypatch, graph, mode, pinned):
+        starts = memo_depths(monkeypatch)
+        verify_kernel_solvable(graph, mode)
+        if pinned is not None:
+            assert {last for last, _ in starts} == pinned
+        for last, sizes in starts:
+            assert not any(sizes[:last + 1])
+        # the deeper depths carry states from task to task
+        assert any(any(sizes) for _, sizes in starts)
+
+    def test_c9_simple_decision_keeps_every_state_it_may_read(self, monkeypatch):
+        sizes = memo_sizes(monkeypatch)
+        verdict = verify_kernel_solvable(gen_antihole(9)[0])
+        assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 143334)
+        # the interleaved pass's tasks, none dropping a state of the ones before
+        assert len(sizes) == 144
+        assert sizes == sorted(sizes)
 
 
 def interleaved_edges(n):

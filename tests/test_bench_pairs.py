@@ -3,6 +3,7 @@ file's `workloads` block.  Its ordering and summary are checked here on
 fixed synthetic runs; no benchmark run, and no subprocess, is started."""
 
 import importlib.util
+import json
 import statistics
 import subprocess
 from pathlib import Path
@@ -147,3 +148,19 @@ def test_unknown_workload_is_refused_before_anything_runs(bench_pairs, capsys):
         bench_pairs.main(["--parent", "HEAD", "--workload", "scale", "--workload", "scael"])
     assert exit_info.value.code == 2
     assert "unknown workload 'scael'" in capsys.readouterr().err
+
+
+def test_seed_is_passed_on_to_each_run(bench_pairs, monkeypatch):
+    argvs = []
+
+    def benchmark(argv, **kwargs):
+        argvs.append(argv)
+        result = {"metrics": {"wall_s": {"value": 1.0}}, "failed": 0, "attempted": 1,
+                  "correct": True}
+        return subprocess.CompletedProcess(argv, 0, json.dumps(result) + "\n", "")
+
+    monkeypatch.setattr(subprocess, "run", benchmark)
+    assert bench_pairs.run_once(Path("."), "sweep-full", 1)["wall_s"] == 1.0
+    bench_pairs.run_once(Path("."), "sweep-full")
+    assert argvs[0][1:] == ["perfbench/run.py", "--workload", "sweep-full", "--seed", "1"]
+    assert argvs[1][1:] == ["perfbench/run.py", "--workload", "sweep-full"]

@@ -907,6 +907,18 @@ class TestFileErrors:
             capsys, ["antihole", "verify-simple", "--n", "5", "--checkpoint", str(tmp_path)]
         )
 
+    def test_unwritable_checkpoint_is_refused_before_any_task(self, capsys, monkeypatch, tmp_path):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("a task ran")
+
+        monkeypatch.setattr(antiholes, "_walk", no_walk)
+        checkpoint = tmp_path / "missing" / "x.json"
+        argv = ["antihole", "verify-simple", "--n", "8", "--mode", "general",
+                "--checkpoint", str(checkpoint)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2 and out == "" and err.count("\n") == 1
+        assert err.startswith(f"error: cannot write checkpoint {checkpoint} (")
+
 
 class TestGraphConvert:
     def test_text_to_json_roundtrip(self, capsys, monkeypatch):

@@ -2,13 +2,13 @@
 BENCH file's `workloads` block.
 
     python3 tools/bench_pairs.py --parent REV --workload W [--workload W ...]
-        [--pairs K] [--out FILE]
+        [--pairs K] [--seed N] [--out FILE]
 
 Extracts a `git archive` of REV (the parent) and a copy of the working
 tree (the change: the files git tracks or would track) into two sibling
 temporary directories, and runs `python3 perfbench/run.py --workload W`
-K times in each, one after the other; each W must be a workload that
-`BENCHMARK.json` lists.  Both sides run from the same kind
+K times in each, one after the other, with `--seed N` passed on when
+given; each W must be a workload that `BENCHMARK.json` lists.  Both sides run from the same kind
 of place, since where a checkout lies moves `peak_rss_mb` (by about
 0.5 MiB between two directories of one 2-vCPU Linux VM).  Even pairs (from 0) run the parent first, odd pairs
 the change first, so a drift in the machine's speed weighs on both sides
@@ -44,6 +44,7 @@ import sys
 import tarfile
 import tempfile
 from pathlib import Path
+from typing import Optional
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -140,11 +141,13 @@ def src_lines(checkout: Path) -> int:
     )
 
 
-def run_once(checkout: Path, workload: str) -> dict:
-    """One untraced benchmark run in `checkout`: its end-to-end metrics,
-    op counts and exit code."""
+def run_once(checkout: Path, workload: str, seed: Optional[int] = None) -> dict:
+    """One untraced benchmark run in `checkout`, with the benchmark's
+    default seed unless `seed` is given: its end-to-end metrics, op
+    counts and exit code."""
+    seeded = [] if seed is None else ["--seed", str(seed)]
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload],
+        [sys.executable, "perfbench/run.py", "--workload", workload, *seeded],
         cwd=checkout, capture_output=True, text=True,
     )
     lines = proc.stdout.strip().splitlines()
@@ -195,6 +198,7 @@ def main(argv=None) -> int:
     parser.add_argument("--parent", required=True, help="git revision of the parent side")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seed", type=int, help="seed for every run (default: the benchmark's)")
     parser.add_argument("--out", help="JSON file to write (default: standard output)")
     args = parser.parse_args(argv)
     if args.pairs < 1:
@@ -214,17 +218,18 @@ def main(argv=None) -> int:
             runs = {"parent": [], "change": []}
             for k, order in enumerate(pair_order(args.pairs)):
                 for side in order:
-                    runs[side].append(run_once(checkouts[side], workload))
+                    runs[side].append(run_once(checkouts[side], workload, args.seed))
                 walls = [runs[side][-1].get("wall_s") for side in ("parent", "change")]
                 print(f"{workload} pair {k + 1}/{args.pairs}: wall_s parent {walls[0]} "
                       f"change {walls[1]}", file=sys.stderr, flush=True)
             workloads[workload] = summarize(runs, bounds)
         lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
+    seeded = "" if args.seed is None else f" --seed {args.seed}"
     report = {
         "parent_commit": commit,
-        "command": "python3 perfbench/run.py --workload W, the parent from a git archive of "
-                   "its commit and the change from a copy of the working tree, in sibling "
-                   "temporary directories",
+        "command": f"python3 perfbench/run.py --workload W{seeded}, the parent from a git "
+                   "archive of its commit and the change from a copy of the working tree, in "
+                   "sibling temporary directories",
         "order": "alternating pairs: even pairs (from 0) run the parent first, odd pairs the "
                  "change first; workloads one after another",
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over each side's runs",
