@@ -24,7 +24,6 @@ from .errors import (
     GraphParseError,
     InternalInvariantError,
     KernelKitError,
-    SemiKernelRecursionError,
     SizeCapError,
 )
 from .oracle import (
@@ -32,10 +31,8 @@ from .oracle import (
     PredicateReport,
     enumerate_kernels,
     find_kernel_bruteforce,
-    find_nonempty_semi_kernel,
     is_M_clique_acyclic,
     is_clique_acyclic,
-    kernel_via_semikernel_recursion,
 )
 from .poset import (
     Comparison,
@@ -61,7 +58,6 @@ from .redblue import (
 from .chords import (
     Chord,
     ChordConditionReport,
-    alternating_path_semi_kernel,
     are_crossing,
     are_nested,
     check_chord_conditions,

@@ -23,7 +23,6 @@ from .digraph import (
     Digraph,
     VertexSet,
     _cycles,
-    _subset_mask,
     bits_of,
     enumerate_directed_cycles,
     is_kernel,
@@ -51,8 +50,6 @@ __all__ = [
     "check_chord_conditions",
     "check_gsnl_condition",
     "check_duchet_condition",
-    "alternating_path_semi_kernel",
-    "chord_semi_kernel_strategy",
     "find_kernel_via_chords",
 ]
 
@@ -288,8 +285,18 @@ def check_duchet_condition(
 
 
 def _alternating_path_set(out: list[int], part: int, u: int, below: int) -> int:
-    """The K' = below + {u} vertices that the alternating-path search of
-    `alternating_path_semi_kernel` reaches inside the vertex set `part`."""
+    """The vertices of K' = `below` + {u} that the alternating-path search
+    reaches inside the vertex set `part`, `below` a kernel K of `part`
+    minus N-[u] that meets N+(u).
+
+    The search starts at K ∩ N+(u) and follows directed paths that
+    alternate between K' and the rest of `part` and never let a
+    non-final vertex shoot an arc back at an earlier K' vertex.  States
+    are memoized on (current vertex, set of earlier K' vertices on the
+    path): the back-arc rule only ever inspects that set, and revisits
+    splice away, so walks and paths reach the same endpoints.  Under the
+    chord conditions the result is a semi-kernel excluding u.
+    """
     kprime = below | (1 << u)
     start = below & out[u]
     result = start
@@ -365,56 +372,6 @@ def _chord_kernel(out: list[int], inn: list[int], alive: int) -> int:
             semi = _semi_kernel_from(out, inn, frame[0], frame[2], below)
         frame[0] &= ~(semi | union_of(inn, semi))
         frame[1] |= semi
-
-
-def alternating_path_semi_kernel(digraph: Digraph, u: int, kernel_below) -> VertexSet:
-    """Grow a semi-kernel from K' = K + {u} by alternating-path search.
-
-    `kernel_below` must be a kernel K of the digraph minus the closed
-    in-neighborhood of `u`, meeting N+(u).  The result is the set of K'
-    vertices reachable from K ∩ N+(u) by a directed path that alternates
-    between K' and non-K' vertices and never lets a non-final vertex shoot
-    an arc back at an earlier K' vertex.  States are memoized on (current
-    vertex, set of earlier K' vertices on the path): the back-arc rule only
-    ever inspects that set, and revisits splice away, so walks and paths
-    reach the same endpoints.
-
-    Under the chord conditions the result is a semi-kernel excluding `u`;
-    either failing is reported as an internal invariant violation, since it
-    is exactly what the conditions guarantee.
-    """
-    n = digraph.vertex_count
-    digraph._check_vertex(u)
-    out, inn = digraph._out, digraph._in
-    k_mask = _subset_mask(n, kernel_below)
-    removed = inn[u] | (1 << u)
-    if k_mask & removed:
-        raise ContractError("kernel_below intersects the closed in-neighborhood of u")
-    rest = ((1 << n) - 1) & ~removed
-    if union_of(out, k_mask) & k_mask or rest & ~(k_mask | union_of(inn, k_mask)):
-        raise ContractError(
-            "kernel_below is not a kernel of the digraph minus N-[u]"
-        )
-    if not k_mask & out[u]:
-        raise ContractError("kernel_below does not meet the out-neighborhood of u")
-    return VertexSet.from_mask(n, _semi_kernel_from(out, inn, (1 << n) - 1, u, k_mask))
-
-
-def chord_semi_kernel_strategy(digraph: Digraph) -> VertexSet:
-    """Non-empty semi-kernel of a digraph satisfying the chord conditions.
-
-    Usable as the strategy argument of kernel_via_semikernel_recursion: the
-    least vertex u is set aside, the rest minus N-[u] is solved by the
-    same construction, and either K + {u} already works or the
-    alternating-path construction extracts the semi-kernel from K.
-    """
-    n = digraph.vertex_count
-    out, inn = digraph._out, digraph._in
-    full = (1 << n) - 1
-    if n <= 1:
-        return VertexSet.from_mask(n, full)
-    below = _chord_kernel(out, inn, full & ~(inn[0] | 1))
-    return VertexSet.from_mask(n, _semi_kernel_from(out, inn, full, 0, below))
 
 
 def find_kernel_via_chords(digraph: Digraph, budget: Optional[int] = None) -> VertexSet:

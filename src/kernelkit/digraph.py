@@ -227,25 +227,6 @@ class Digraph:
         self._check_vertex(v)
         return self._out[v] | self._in[v]
 
-    # -- derived graphs ------------------------------------------------
-
-    def induced(self, vertices: Iterable[int]) -> tuple["Digraph", tuple[int, ...]]:
-        """Induced subdigraph plus the list mapping new indices to old ones."""
-        labels = tuple(sorted(set(vertices)))
-        index = {v: i for i, v in enumerate(labels)}
-        kept = 0
-        for v in labels:
-            self._check_vertex(v)
-            kept |= 1 << v
-        out = [0] * len(labels)
-        inn = [0] * len(labels)
-        for i, u in enumerate(labels):
-            for v in bits_of(self._out[u] & kept):
-                j = index[v]
-                out[i] |= 1 << j
-                inn[j] |= 1 << i
-        return Digraph._from_masks(len(labels), out, inn), labels
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Digraph)

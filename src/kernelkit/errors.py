@@ -54,18 +54,3 @@ class ConditionsViolatedError(ContractError):
 class InternalInvariantError(KernelKitError):
     """A property the algorithms guarantee failed to hold: a bug."""
 
-
-class SemiKernelRecursionError(KernelKitError):
-    """Some recursion level produced no non-empty semi-kernel.
-
-    `subdigraph` is the induced digraph that defeated the strategy and
-    `vertices` maps its indices back to the original vertex labels.
-    """
-
-    def __init__(self, subdigraph, vertices):
-        self.subdigraph = subdigraph
-        self.vertices = tuple(vertices)
-        super().__init__(
-            f"no non-empty semi-kernel found on the induced subdigraph "
-            f"with vertices {self.vertices}"
-        )

@@ -1,40 +1,29 @@
-"""Exact brute-force ground truth for kernels, semi-kernels and
-clique-acyclicity, plus the semi-kernel-recursion kernel constructor.
+"""Exact brute-force ground truth for kernels and clique-acyclicity.
 
 Kernel search walks maximal independent sets rather than all subsets:
 absorption forces every kernel to be a maximal independent set, which
 raises the practical size cap far above 2^n scanning.  All witnesses are
 selected lexicographically (least sorted member tuple first) so golden
 tests stay reproducible.  One enumerator on an explicit stack, `_lex_sets`,
-yields the maximal independent sets, the independent sets and the cliques
-in that order, so no input depth meets Python's recursion limit.
+yields the maximal independent sets and the cliques in that order, so
+no input depth meets Python's recursion limit.
 
 The orientation sweeps use `kernel_exists_masks`.  Every orientation of a
 base graph, simple or with reversible edges, has that graph as its
 underlying graph, so the kernel candidates are the base graph's maximal
-independent sets: the sweep computes that fixed list once per run, each
-candidate as its mask and its members, and tests against it the
-in-neighbour masks its search keeps along the path, ORing them over a
-candidate's members inline, so a leaf costs no mask rebuild and no call
-per candidate.  The same call tests the few candidates whose last edge a
-search node has just decided.
+independent sets: a sweep computes that fixed list once, each candidate
+as its mask and its members, and tests it against the in-neighbour masks
+of each leaf its walk yields, ORing them over a candidate's members
+inline, so a leaf costs no mask rebuild and no call per candidate.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
-from .digraph import (
-    Digraph,
-    Orientation,
-    VertexSet,
-    bits_of,
-    is_kernel,
-    is_semi_kernel,
-    union_of,
-)
-from .errors import ContractError, SemiKernelRecursionError, SizeCapError
+from .digraph import Digraph, Orientation, VertexSet, bits_of, union_of
+from .errors import SizeCapError
 
 __all__ = [
     "DEFAULT_VERTEX_CAP",
@@ -44,8 +33,6 @@ __all__ = [
     "find_kernel_bruteforce",
     "enumerate_kernels",
     "kernel_exists_masks",
-    "find_nonempty_semi_kernel",
-    "kernel_via_semikernel_recursion",
     "is_clique_acyclic",
     "is_M_clique_acyclic",
     "maximal_independent_set_masks",
@@ -196,57 +183,6 @@ def enumerate_kernels(digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP) -> list[V
     """All kernels, in lexicographic order of their sorted member tuples."""
     n = digraph.vertex_count
     return [VertexSet.from_mask(n, mask) for mask in _kernel_masks(digraph, cap)]
-
-
-def find_nonempty_semi_kernel(
-    digraph: Digraph, cap: int = DEFAULT_VERTEX_CAP
-) -> Optional[VertexSet]:
-    """Lexicographically least non-empty semi-kernel, or None if none exists."""
-    n = digraph.vertex_count
-    _check_cap(n, cap)
-    for mask in _lex_sets(n, _independence(n, _adjacency(digraph))):
-        # an independent set reaches only outside vertices
-        if not union_of(digraph._out, mask) & ~union_of(digraph._in, mask):
-            return VertexSet.from_mask(n, mask)
-    return None
-
-
-def kernel_via_semikernel_recursion(
-    digraph: Digraph,
-    strategy: Optional[Callable[[Digraph], Optional[VertexSet]]] = None,
-    cap: int = DEFAULT_VERTEX_CAP,
-) -> VertexSet:
-    """Assemble a kernel from non-empty semi-kernels of shrinking subdigraphs.
-
-    Each round asks `strategy` for a non-empty semi-kernel S of the current
-    induced subdigraph, adds S to the kernel under construction, and
-    removes S together with every vertex sending an arc into S.  If some
-    round yields nothing, SemiKernelRecursionError carries the subdigraph
-    that defeated the strategy.  The default strategy is the brute-force
-    semi-kernel finder.
-    """
-    n = digraph.vertex_count
-    if strategy is None:
-        _check_cap(n, cap)
-        strategy = find_nonempty_semi_kernel
-    alive = (1 << n) - 1
-    kernel_mask = 0
-    while alive:
-        sub, labels = digraph.induced(bits_of(alive))
-        found = strategy(sub)
-        if found is None or not found:
-            raise SemiKernelRecursionError(sub, labels)
-        if not is_semi_kernel(sub, found):
-            raise ContractError(
-                f"strategy returned {sorted(found)} which is not a semi-kernel "
-                f"of the induced subdigraph on {labels}"
-            )
-        s_mask = sum(1 << labels[i] for i in found)
-        kernel_mask |= s_mask
-        alive &= ~(s_mask | union_of(digraph._in, s_mask))
-    result = VertexSet.from_mask(n, kernel_mask)
-    assert is_kernel(digraph, result)
-    return result
 
 
 # -- clique-acyclicity ----------------------------------------------------

@@ -72,6 +72,28 @@ def naive_nonempty_semi_kernels(n, arcs):
     ]
 
 
+def naive_semikernel_recursion(n, arcs):
+    """A kernel assembled from semi-kernels by subset scan, or None.
+
+    Each round takes the least non-empty semi-kernel S (by sorted member
+    tuple) of the subdigraph induced on the vertices left, adds S to the
+    kernel and removes S with every vertex sending an arc into S.  None
+    when some round finds no non-empty semi-kernel."""
+    alive = list(range(n))
+    kernel = set()
+    while alive:
+        index = {v: i for i, v in enumerate(alive)}
+        sub_arcs = [(index[u], index[v]) for u, v in arcs if u in index and v in index]
+        found = naive_nonempty_semi_kernels(len(alive), sub_arcs)
+        if not found:
+            return None
+        semi = {alive[i] for i in min(found, key=sorted)}
+        kernel |= semi
+        absorbed = semi | {u for u, v in arcs if v in semi}
+        alive = [v for v in alive if v not in absorbed]
+    return frozenset(kernel)
+
+
 def naive_cycles(n, arcs, parity="all", max_len=None):
     """All directed cycles as rotation classes, via raw sequence scanning."""
     arc_set = set(arcs)

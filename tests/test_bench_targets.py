@@ -26,14 +26,40 @@ _spans = _load_spans()
 TARGETS = [(module, attr) for _, module, attr, _ in _spans.SPAN_TARGETS] + [
     (module, attr) for _, module, attr in _spans.COUNT_TARGETS
 ]
+# the semi-kernel recursion API, deleted from the package with its
+# spans still listed: their metrics read "absent" until the benchmark
+# points them elsewhere
+RETIRED = (
+    ("kernelkit.oracle", "kernel_via_semikernel_recursion"),
+    ("kernelkit.digraph", "Digraph.induced"),
+    ("kernelkit.chords", "chord_semi_kernel_strategy"),
+)
+LIVE = [target for target in TARGETS if target not in RETIRED]
 
 
-@pytest.mark.parametrize("module, attr", TARGETS, ids=[f"{m}.{a}" for m, a in TARGETS])
-def test_wrap_target_resolves(module, attr):
+def _resolve(module, attr):
     owner = importlib.import_module(module)
     for part in attr.split("."):
         owner = getattr(owner, part)
-    assert callable(owner)
+    return owner
+
+
+@pytest.mark.parametrize("module, attr", LIVE, ids=[f"{m}.{a}" for m, a in LIVE])
+def test_wrap_target_resolves(module, attr):
+    assert callable(_resolve(module, attr))
+
+
+@pytest.mark.parametrize("module, attr", RETIRED, ids=[f"{m}.{a}" for m, a in RETIRED])
+def test_retired_is_absent(module, attr):
+    with pytest.raises(AttributeError):
+        _resolve(module, attr)
+    (name,) = [n for n, m, a, _ in _spans.SPAN_TARGETS if (m, a) == (module, attr)]
+    tracer = _spans.Tracer()
+    tracer.install()
+    try:
+        assert f"{module}.{attr}" in tracer.missing_spans[name]
+    finally:
+        tracer.uninstall()
 
 
 def test_solve_path_enters_its_span_targets():

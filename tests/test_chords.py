@@ -25,23 +25,18 @@ from kernelkit.chords import (
     RULE_TWO_REVERSIBLE,
     CycleReport,
     _first_failing_odd_cycle,
-    alternating_path_semi_kernel,
+    _semi_kernel_from,
     are_crossing,
     are_nested,
     check_chord_conditions,
     check_duchet_condition,
     check_gsnl_condition,
-    chord_semi_kernel_strategy,
     chords_of_cycle,
     classify_chord,
     find_kernel_via_chords,
 )
 from kernelkit.digraph import strongly_connected_components
-from kernelkit.oracle import (
-    find_kernel_bruteforce,
-    is_M_clique_acyclic,
-    kernel_via_semikernel_recursion,
-)
+from kernelkit.oracle import find_kernel_bruteforce, is_M_clique_acyclic
 from strategies import digraphs
 
 FIVE_CYCLE = (0, 1, 2, 3, 4)
@@ -367,27 +362,24 @@ def test_chord_reports_golden():
 
 
 class TestAlternatingPathSemiKernel:
+    """The semi-kernel the construction takes from K' = K + {u}, with u
+    the least vertex and K a kernel of the digraph minus N-[u]."""
+
+    @staticmethod
+    def semi_kernel(d, kernel_below):
+        n = d.vertex_count
+        below = VertexSet(n, kernel_below).mask
+        return VertexSet.from_mask(n, _semi_kernel_from(d._out, d._in, (1 << n) - 1, 0, below))
+
     def test_two_path(self):
-        d = Digraph(2, [(0, 1)])
-        s = alternating_path_semi_kernel(d, 0, VertexSet(2, [1]))
+        s = self.semi_kernel(Digraph(2, [(0, 1)]), [1])
         assert s.members() == (1,)
 
     def test_chorded_five_cycle(self):
         # removing N-[0] = {0, 4} leaves 1 -> 2 -> 3 with kernel {1, 3}
-        k = VertexSet(5, [1, 3])
-        s = alternating_path_semi_kernel(CHORDED, 0, k)
+        s = self.semi_kernel(CHORDED, [1, 3])
         assert 0 not in s
         assert is_semi_kernel(CHORDED, s)
-
-    def test_requires_kernel_below(self):
-        with pytest.raises(ContractError, match="not a kernel"):
-            alternating_path_semi_kernel(CHORDED, 0, VertexSet(5, [2]))
-
-    def test_requires_meeting_out_neighborhood(self):
-        d = Digraph(3, [(1, 0), (1, 2)])
-        # kernel of d - N-[0] = d - {0, 1} is {2}, disjoint from N+(0)
-        with pytest.raises(ContractError, match="out-neighborhood"):
-            alternating_path_semi_kernel(d, 0, VertexSet(3, [2]))
 
 
 class TestFindKernelViaChords:
@@ -443,10 +435,6 @@ class TestFindKernelViaChords:
             checked += 1
             want = naive.naive_chord_kernel(n, arcs)
             assert set(find_kernel_via_chords(d)) == want
-            via_strategy = kernel_via_semikernel_recursion(
-                d, strategy=chord_semi_kernel_strategy
-            )
-            assert set(via_strategy) == want
         assert checked >= 100
 
     @settings(max_examples=60, deadline=None)
@@ -460,9 +448,3 @@ class TestFindKernelViaChords:
     def test_duchet_regime_has_kernels(self, d):
         if check_duchet_condition(d).satisfied:
             assert find_kernel_bruteforce(d).exists
-
-    def test_strategy_plugs_into_the_recursion(self):
-        kernel = kernel_via_semikernel_recursion(
-            CHORDED, strategy=chord_semi_kernel_strategy
-        )
-        assert is_kernel(CHORDED, kernel)

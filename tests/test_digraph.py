@@ -67,18 +67,6 @@ class TestDigraphConstruction:
         with pytest.raises(TypeError, match="not an integer"):
             UndirectedGraph(2, [(True, 0)])
 
-    @settings(max_examples=60, deadline=None)
-    @given(digraphs())
-    def test_induced_relabels_the_arcs_inside(self, d):
-        keep = [v for v in range(d.vertex_count) if v % 3 != 1]
-        sub, labels = d.induced(reversed(keep))
-        assert labels == tuple(keep)
-        assert sub.arcs == frozenset(
-            (labels.index(u), labels.index(v)) for u, v in d.arcs if u in labels and v in labels
-        )
-        assert sub == Digraph(len(labels), sub.arcs)
-        assert sub._in == Digraph(len(labels), sub.arcs)._in
-
 
 class TestNeighborhoods:
     def test_seven_antihole_counterexample_out_neighbors(self):

@@ -373,9 +373,10 @@ def _seeded_instances():
     for seed in range(3):
         n = 6 + 2 * seed
         out[f"digraph-{seed}"] = lambda s=seed, n=n: Digraph(n, _seeded_rows(s, n))
-        out[f"induced-{seed}"] = lambda s=seed, n=n: Digraph(n, _seeded_rows(s, n)).induced(
-            range(1, n, 2)
-        )[0]
+        # the subdigraph on the odd vertices, relabelled in order
+        out[f"induced-{seed}"] = lambda s=seed, n=n: Digraph(
+            n // 2, [(u // 2, v // 2) for u, v in _seeded_rows(s, n) if u % 2 and v % 2]
+        )
         out[f"cdigraph-{seed}"] = lambda s=seed, n=n: ColoredDigraph.from_colored_arcs(
             n, _seeded_rows(s, n, ("b", "r", ArcColor.BLUE, ArcColor.RED))
         )

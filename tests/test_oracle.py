@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 import naive
 from kernelkit import (
     Digraph,
-    SemiKernelRecursionError,
     SizeCapError,
     c7_counterexample,
     is_kernel,
@@ -18,11 +17,9 @@ from kernelkit.oracle import (
     all_clique_masks,
     enumerate_kernels,
     find_kernel_bruteforce,
-    find_nonempty_semi_kernel,
     is_M_clique_acyclic,
     is_clique_acyclic,
     kernel_exists_masks,
-    kernel_via_semikernel_recursion,
     maximal_independent_set_masks,
 )
 from strategies import digraphs, undirected_graphs
@@ -184,55 +181,31 @@ class TestKernelExistsMasks:
         )
 
 
-class TestSemiKernelFinder:
-    def test_sink_digraph(self):
-        d = Digraph(3, [(0, 2), (1, 2)])
-        found = find_nonempty_semi_kernel(d)
-        assert found is not None and found.members() == (2,)
-
-    def test_three_cycle_has_none(self):
-        # frozen by checking all 7 non-empty subsets
-        assert naive.naive_nonempty_semi_kernels(3, sorted(THREE_CYCLE.arcs)) == []
-        assert find_nonempty_semi_kernel(THREE_CYCLE) is None
-
-    def test_two_cycle_least_witness(self):
-        d = Digraph(2, [(0, 1), (1, 0)])
-        assert find_nonempty_semi_kernel(d).members() == (0,)
-
-    @settings(max_examples=100, deadline=None)
-    @given(digraphs())
-    def test_matches_naive_least(self, d):
-        wanted = naive.naive_nonempty_semi_kernels(d.vertex_count, sorted(d.arcs))
-        found = find_nonempty_semi_kernel(d)
-        if not wanted:
-            assert found is None
-        else:
-            least = min(wanted, key=lambda s: tuple(sorted(s)))
-            assert frozenset(found.members()) == least
-
-
 class TestSemiKernelRecursion:
+    """The subset-scan recursion in naive.py, an independent kernel
+    construction to hold the oracle against."""
+
     def test_single_vertex(self):
-        assert kernel_via_semikernel_recursion(Digraph(1, [])).members() == (0,)
+        assert naive.naive_semikernel_recursion(1, []) == {0}
 
     def test_four_cycle(self):
-        result = kernel_via_semikernel_recursion(FOUR_CYCLE)
+        result = naive.naive_semikernel_recursion(4, sorted(FOUR_CYCLE.arcs))
         assert is_kernel(FOUR_CYCLE, result)
 
     def test_three_cycle_reports_failing_subdigraph(self):
-        with pytest.raises(SemiKernelRecursionError) as err:
-            kernel_via_semikernel_recursion(THREE_CYCLE)
-        assert err.value.subdigraph.vertex_count == 3
-        assert err.value.vertices == (0, 1, 2)
+        # the first round fails on the whole cycle: none of its 7
+        # non-empty subsets is a semi-kernel
+        assert naive.naive_semikernel_recursion(3, sorted(THREE_CYCLE.arcs)) is None
+        assert naive.naive_nonempty_semi_kernels(3, sorted(THREE_CYCLE.arcs)) == []
 
     @settings(max_examples=80, deadline=None)
     @given(digraphs())
     def test_result_is_always_a_kernel(self, d):
-        try:
-            result = kernel_via_semikernel_recursion(d)
-        except SemiKernelRecursionError:
+        result = naive.naive_semikernel_recursion(d.vertex_count, sorted(d.arcs))
+        if result is None:
             return
         assert is_kernel(d, result)
+        assert find_kernel_bruteforce(d).exists
 
 
 class TestCliqueAcyclic:
