@@ -54,6 +54,11 @@ def _pairs(masks) -> list[tuple[int, int]]:
     return [(u, v) for u, m in enumerate(masks) for v in bits_of(m)]
 
 
+def _transposes_whole(n: int) -> bool:
+    """Whether `_transpose` moves a matrix of n rows whole (see there)."""
+    return 16 < n <= 4096
+
+
 def _transpose(masks: list[int]) -> list[int]:
     """The in-masks of the valid out-masks `masks`: bit u of the result's
     v-th mask is bit v of masks[u].
@@ -69,7 +74,7 @@ def _transpose(masks: list[int]) -> list[int]:
     arc count.
     """
     n = len(masks)
-    if not 16 < n <= 4096:
+    if not _transposes_whole(n):
         inn = [0] * n
         for u, mask in enumerate(masks):
             tail = 1 << u
@@ -273,86 +278,121 @@ def is_semi_kernel(digraph: Digraph, subset) -> bool:
 class SccResult:
     """SCC partition in topological order plus the condensation DAG.
 
-    `masks[i]` is the vertex mask of `components[i]`.  `condensation_arcs`
-    holds (i, j) whenever some arc joins component i to component j; the
-    topological order guarantees i < j for every arc.
+    `masks[i]` is the vertex mask of `components[i]`, and bit j of
+    `condensation[i]` is set whenever some arc joins component i to
+    component j; the topological order guarantees i < j for every such
+    arc.  `condensation_arcs` holds the same relation as (i, j) pairs,
+    built on each access.
     """
 
     components: tuple[tuple[int, ...], ...]
     component_of: tuple[int, ...]
-    condensation_arcs: frozenset[tuple[int, int]]
+    condensation: tuple[int, ...]
     masks: tuple[int, ...]
+
+    @property
+    def condensation_arcs(self) -> frozenset[tuple[int, int]]:
+        return frozenset(_pairs(self.condensation))
+
+
+def _component_masks(out: list[int]) -> list[int]:
+    """The strongly connected components of the relation `out` (bit w of
+    out[v] for v -> w, loops allowed) as vertex masks, in topological
+    order.
+
+    Tarjan's algorithm (1972) on masks, iterative so deep graphs cannot
+    blow the stack: roots ascending, and each vertex descends into its
+    least unvisited successor, `out[v] & ~visited`, until it has none.
+    Its lowlink then reads only `out[v] & on_stack`.  A successor that
+    was on the stack when a scan of v's arcs in ascending order would
+    have met it is still there, and one that was not is either a child
+    (whose lowlink v takes anyway) or already in a closed component, so
+    the components and their order are those of that scan.  A DAG costs
+    O(n) steps, not one per arc.
+    """
+    n = len(out)
+    index = [0] * n
+    low = [0] * n
+    visited = on_stack = 0
+    stack: list[int] = []
+    found: list[int] = []
+    counter = 0
+    for root in range(n):
+        path: list[int] = []
+        fresh = (1 << root) & ~visited
+        while fresh or path:
+            if fresh:
+                bit = fresh & -fresh
+                w = bit.bit_length() - 1
+                visited |= bit
+                on_stack |= bit
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                path.append(w)
+            else:
+                v = path.pop()
+                lowest = low[v]
+                back = out[v] & on_stack
+                while back:
+                    bit = back & -back
+                    lowest = min(lowest, index[bit.bit_length() - 1])
+                    back ^= bit
+                low[v] = lowest
+                if path and lowest < low[path[-1]]:
+                    low[path[-1]] = lowest
+                if lowest == index[v]:
+                    comp = 0
+                    while True:
+                        w = stack.pop()
+                        comp |= 1 << w
+                        if w == v:
+                            break
+                    on_stack &= ~comp
+                    found.append(comp)
+            fresh = out[path[-1]] & ~visited if path else 0
+    # Tarjan finishes components in reverse topological order.
+    found.reverse()
+    return found
 
 
 def strongly_connected_components(digraph: Digraph) -> SccResult:
-    """Tarjan's algorithm, iterative so deep graphs cannot blow the stack."""
+    """Tarjan's algorithm on the out-masks (see `_component_masks`)."""
     n = digraph.vertex_count
     out = digraph._out
-    index_of = [-1] * n
-    lowlink = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    sccs: list[list[int]] = []
-    counter = 0
-
-    for root in range(n):
-        if index_of[root] != -1:
-            continue
-        work = [(root, iter(bits_of(out[root])))]
-        index_of[root] = lowlink[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        while work:
-            v, it = work[-1]
-            advanced = False
-            for w in it:
-                if index_of[w] == -1:
-                    index_of[w] = lowlink[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    work.append((w, iter(bits_of(out[w]))))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                lowlink[parent] = min(lowlink[parent], lowlink[v])
-            if lowlink[v] == index_of[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(sorted(comp))
-
-    # Tarjan finishes components in reverse topological order.
-    sccs.reverse()
+    masks = _component_masks(out)
     component_of = [0] * n
-    masks = [0] * len(sccs)
-    for i, comp in enumerate(sccs):
+    components = []
+    leaving = []
+    for i, mask in enumerate(masks):
+        comp = tuple(bits_of(mask))
+        components.append(comp)
+        reach = 0
         for v in comp:
             component_of[v] = i
-            masks[i] |= 1 << v
-    cond = set()
-    for u, rest in enumerate(out):
-        i = component_of[u]
-        rest &= ~masks[i]
-        while rest:
-            low = rest & -rest
-            cond.add((i, component_of[low.bit_length() - 1]))
-            rest ^= low
+            reach |= out[v]
+        leaving.append(reach & ~mask)
+    if _transposes_whole(n):
+        # two whole-matrix transposes, zero rows keeping them square: row w
+        # of the first holds the components with an arc into vertex w
+        pad = [0] * (n - len(masks))
+        into = _transpose(leaving + pad)
+        condensation = _transpose([union_of(into, mask) for mask in masks] + pad)
+    else:
+        # two bit-by-bit transposes would take one step per arc each;
+        # mapping each head to its component takes at most one
+        condensation = []
+        for rest in leaving:
+            heads = 0
+            while rest:
+                j = component_of[(rest & -rest).bit_length() - 1]
+                heads |= 1 << j
+                rest &= ~masks[j]
+            condensation.append(heads)
     return SccResult(
-        components=tuple(tuple(c) for c in sccs),
+        components=tuple(components),
         component_of=tuple(component_of),
-        condensation_arcs=frozenset(cond),
+        condensation=tuple(condensation[: len(masks)]),
         masks=tuple(masks),
     )
 

@@ -9,9 +9,9 @@ one such chain.
 from __future__ import annotations
 
 from enum import Enum
-from typing import Iterable
+from typing import Iterable, Optional, Sequence
 
-from .digraph import _pairs, _transpose, bits_of
+from .digraph import _component_masks, _pairs, _transpose, bits_of
 from .errors import ContractError
 
 __all__ = [
@@ -31,38 +31,42 @@ class Comparison(Enum):
 
 
 class Poset:
-    """Partial order on {0, ..., size-1}; `relation` pairs (a, b) mean
-    a <= b and are closed reflexively and transitively.  Bit b of
-    `_up[a]`, and bit a of `_down[b]`, is set iff a <= b, so each query
-    tests one mask per element."""
+    """Partial order on {0, ..., size-1}.  `relation` pairs (a, b), and
+    the set bits b of `successors[a]`, mean a <= b; together they are
+    closed reflexively and transitively, so pairs and masks that state the
+    same relation give the same poset.  Bit b of `_up[a]`, and bit a of
+    `_down[b]`, is set iff a <= b, so each query tests one mask per
+    element."""
 
     __slots__ = ("size", "_up", "_down")
 
-    def __init__(self, size: int, relation: Iterable[tuple[int, int]] = ()):
+    def __init__(
+        self,
+        size: int,
+        relation: Iterable[tuple[int, int]] = (),
+        *,
+        successors: Optional[Sequence[int]] = None,
+    ):
         if size < 0:
             raise ValueError("size must be nonnegative")
         up = [1 << i for i in range(size)]
+        if successors is not None:
+            if len(successors) != size:
+                raise ContractError(f"{len(successors)} successor masks for {size} elements")
+            for a, mask in enumerate(successors):
+                if mask >> size:
+                    outside = mask & -(1 << size)
+                    b = (outside & -outside).bit_length() - 1
+                    raise ContractError(f"pair ({a}, {b}) outside [0, {size})")
+                up[a] |= mask
         for a, b in relation:
             if not 0 <= a < size or not 0 <= b < size:
                 raise ContractError(f"pair ({a}, {b}) outside [0, {size})")
             up[a] |= 1 << b
-        # Warshall: after pivot k, up[a] holds every b reachable through
-        # intermediates <= k
-        for k in range(size):
-            for a in range(size):
-                if up[a] >> k & 1:
-                    up[a] |= up[k]
-        down = _transpose(up)
-        for a in range(size):
-            both = up[a] & down[a] & ~(1 << a)
-            if both:
-                b = (both & -both).bit_length() - 1
-                raise ContractError(
-                    f"elements {a} and {b} lie below each other: not a partial order"
-                )
+        _close(up)
         self.size = size
         self._up = up
-        self._down = down
+        self._down = _transpose(up)
 
     def leq(self, a: int, b: int) -> bool:
         if not 0 <= a < self.size or not 0 <= b < self.size:
@@ -101,6 +105,49 @@ class Poset:
     def __repr__(self) -> str:
         strict = _pairs([up & ~(1 << a) for a, up in enumerate(self._up)])
         return f"Poset({self.size}, {strict})"
+
+
+def _close(up: list[int]) -> None:
+    """Close the reflexive relation `up` transitively in place.
+
+    A depth-first walk finishes each element after its successors.  Each
+    cover step ORs in the closed row of the least successor not yet
+    covered, so one step covers everything that successor reaches.  A
+    successor still on the walk's path closes a cycle: the relation is then
+    refused, naming the least element a on a cycle and the least other
+    element b of its strongly connected component.
+    """
+    done = 0
+    for root in range(len(up)):
+        if done >> root & 1:
+            continue
+        # covered[i] is the part of path[i]'s closure gathered so far
+        path, covered, on_path = [root], [1 << root], 1 << root
+        while path:
+            a = path[-1]
+            pending = up[a] & ~covered[-1]
+            if not pending:
+                up[a] = covered.pop()
+                path.pop()
+                on_path ^= 1 << a
+                done |= 1 << a
+                if covered:
+                    covered[-1] |= up[a]
+                continue
+            bit = pending & -pending
+            if done & bit:
+                covered[-1] |= up[bit.bit_length() - 1]
+            elif on_path & bit:
+                # up still states the input relation up to transitive arcs
+                cycle = min((m for m in _component_masks(up) if m & (m - 1)), key=lambda m: m & -m)
+                a, b, *_ = bits_of(cycle)
+                raise ContractError(
+                    f"elements {a} and {b} lie below each other: not a partial order"
+                )
+            else:
+                path.append(bit.bit_length() - 1)
+                covered.append(bit)
+                on_path |= bit
 
 
 def _antichain_mask(poset: Poset, antichain) -> int:

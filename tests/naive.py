@@ -181,6 +181,70 @@ def naive_sccs(n, arcs):
     }
 
 
+def naive_tarjan(n, arcs):
+    """Tarjan's algorithm over successor lists, each scanned in ascending
+    order from a per-vertex iterator, iterative: (components, component_of,
+    condensation pairs).  The components come in topological order, each
+    sorted, from roots ascending; (i, j) is a condensation pair when an arc
+    joins component i to component j."""
+    succ = [[] for _ in range(n)]
+    for u, v in sorted(arcs):
+        succ[u].append(v)
+    index_of = [-1] * n
+    lowlink = [0] * n
+    on_stack = [False] * n
+    stack = []
+    sccs = []
+    counter = 0
+    for root in range(n):
+        if index_of[root] != -1:
+            continue
+        work = [(root, iter(succ[root]))]
+        index_of[root] = lowlink[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for w in it:
+                if index_of[w] == -1:
+                    index_of[w] = lowlink[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    work.append((w, iter(succ[w])))
+                    advanced = True
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            if advanced:
+                continue
+            work.pop()
+            if work:
+                parent = work[-1][0]
+                lowlink[parent] = min(lowlink[parent], lowlink[v])
+            if lowlink[v] == index_of[v]:
+                comp = []
+                while True:
+                    w = stack.pop()
+                    on_stack[w] = False
+                    comp.append(w)
+                    if w == v:
+                        break
+                sccs.append(tuple(sorted(comp)))
+    # Tarjan finishes components in reverse topological order
+    sccs.reverse()
+    component_of = [0] * n
+    for i, comp in enumerate(sccs):
+        for v in comp:
+            component_of[v] = i
+    condensation = {
+        (component_of[u], component_of[v]) for u, v in arcs if component_of[u] != component_of[v]
+    }
+    return tuple(sccs), tuple(component_of), frozenset(condensation)
+
+
 def naive_order(n, pairs):
     """(reach, witness): the reflexive transitive closure of `pairs` on
     {0, ..., n-1}, and the first (a, b) in (a, b) order with a != b and

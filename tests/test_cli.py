@@ -378,6 +378,28 @@ class TestRedblueCommands:
             "error": f"no instance within {10**9} repairs", "seed": 9
         }
 
+    def test_scale_reports_golden(self, tmp_path):
+        # the scale benchmark's instances, solved and checked byte for byte;
+        # the path instance fails the chain check, so its report lists every
+        # chain violation in scan order
+        golden = json.loads((GOLDEN / "redblue_traces.json").read_text())
+        got = []
+        for entry in golden["reports"]:
+            instance = tmp_path / f"{entry['kind']}-{entry['n']}.json"
+            if not instance.exists():
+                assert main([
+                    "redblue", "gen", entry["kind"], "--n", str(entry["n"]), "--seed", "0",
+                    "--format", "json", "--output", str(instance),
+                ]) == 0
+            report = tmp_path / "report.json"
+            code = main([
+                "redblue", entry["command"][0], str(instance), *entry["command"][1:],
+                "--format", "json", "--output", str(report),
+            ])
+            got.append({**entry, "exit": code,
+                        "sha256": hashlib.sha256(report.read_bytes()).hexdigest()})
+        assert got == golden["reports"]
+
 
 class TestGenJson:
     @pytest.mark.parametrize(

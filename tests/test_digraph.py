@@ -22,6 +22,7 @@ from kernelkit import (
     strongly_connected_components,
 )
 from kernelkit.digraph import _transpose
+from kernelkit.redblue import generate_ssw_instance
 from strategies import digraphs
 
 THREE_CYCLE = Digraph(3, [(0, 1), (1, 2), (2, 0)])
@@ -165,6 +166,45 @@ class TestStronglyConnectedComponents:
     def test_condensation_is_topologically_ordered(self, d):
         res = strongly_connected_components(d)
         assert all(i < j for (i, j) in res.condensation_arcs)
+
+    @staticmethod
+    def assert_matches_tarjan(d):
+        res = strongly_connected_components(d)
+        components, component_of, condensation = naive.naive_tarjan(d.vertex_count, d.arcs)
+        assert res.components == components
+        assert res.component_of == component_of
+        assert res.masks == tuple(sum(1 << v for v in comp) for comp in components)
+        assert res.condensation_arcs == condensation
+        assert res.condensation == tuple(
+            sum(1 << j for i2, j in condensation if i2 == i) for i in range(len(components))
+        )
+
+    @settings(max_examples=300, deadline=None)
+    @given(digraphs(max_n=12))
+    def test_matches_pair_set_tarjan(self, d):
+        self.assert_matches_tarjan(d)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_pair_set_tarjan_on_large_digraphs(self, seed):
+        # a cycle through each block of 1 to 8 shuffled vertices, then
+        # random arcs: from none (the blocks are the components) to dense
+        # (one large component)
+        rng = random.Random(seed)
+        n = rng.randint(50, 300)
+        order = list(range(n))
+        rng.shuffle(order)
+        arcs = set()
+        while order:
+            size = rng.randint(1, 8)
+            block, order = order[:size], order[size:]
+            arcs |= {(a, b) for a, b in zip(block, block[1:] + block[:1]) if a != b}
+        density = [0, 0.1, 0.2, 0.3, 0.4, 0.6, 1, 20][seed] / n
+        arcs |= {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density}
+        self.assert_matches_tarjan(Digraph(n, arcs))
+
+    def test_matches_pair_set_tarjan_on_the_ssw_blue_class(self):
+        blue = generate_ssw_instance(0, 200).restriction(ArcColor.BLUE)
+        self.assert_matches_tarjan(blue)
 
 
 class TestCycleEnumeration:

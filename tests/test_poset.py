@@ -34,6 +34,43 @@ class TestPoset:
         with pytest.raises(ContractError, match="outside"):
             Poset(3, [(0, 1)]).is_antichain(members)
 
+    @pytest.mark.parametrize(
+        "successors, pair",
+        [([0b1000, 0, 0], (0, 3)), ([0, 0, 1 << 7 | 1], (2, 7)), ([0, -1, 0], (1, 3))],
+        ids=str,
+    )
+    def test_mask_bit_outside_refused_like_a_pair(self, successors, pair):
+        with pytest.raises(ContractError) as by_mask:
+            Poset(3, successors=successors)
+        with pytest.raises(ContractError) as by_pair:
+            Poset(3, [pair])
+        assert str(by_mask.value) == str(by_pair.value) == f"pair {pair} outside [0, 3)"
+
+    def test_one_successor_mask_per_element(self):
+        with pytest.raises(ContractError, match="2 successor masks for 3 elements"):
+            Poset(3, successors=[0, 0])
+
+    def test_pairs_and_masks_state_one_relation(self):
+        assert Poset(3, [(0, 1)], successors=[0, 0b100, 0]) == Poset(3, [(0, 1), (1, 2)])
+
+    @pytest.mark.parametrize("reverse", [False, True], ids=["ascending", "descending"])
+    def test_long_chain_closes(self, reverse):
+        # the closure walk goes 3,000 elements deep
+        n = 3000
+        links = [(i + 1, i) if reverse else (i, i + 1) for i in range(n - 1)]
+        successors = [0] * n
+        for x, y in links:
+            successors[x] = 1 << y
+        full = (1 << n) - 1
+        p = Poset(n, links)
+        if reverse:
+            assert p._up == [full >> (n - 1 - a) for a in range(n)]
+        else:
+            assert p._up == [full >> a << a for a in range(n)]
+        assert Poset(n, successors=successors) == p
+        with pytest.raises(ContractError, match="elements 0 and 1 lie below each other"):
+            Poset(n, links + [(0, n - 1) if reverse else (n - 1, 0)])
+
     def test_linear_extension_respects_order(self):
         p = Poset(4, [(2, 0), (0, 3)])
         order = p.linear_extension()
@@ -100,16 +137,19 @@ class TestAgainstNaive:
         cells = [(a, b) for a in range(n) for b in range(n) if a != b]
         for bits in range(1 << len(cells)):
             relation = [cell for i, cell in enumerate(cells) if bits >> i & 1]
+            successors = [sum(1 << b for x, b in relation if x == a) for a in range(n)]
             reach, witness = naive.naive_order(n, relation)
             if witness is not None:
-                with pytest.raises(ContractError) as refusal:
-                    Poset(n, relation)
                 a, b = witness
-                assert str(refusal.value) == (
-                    f"elements {a} and {b} lie below each other: not a partial order"
-                )
+                for stated in ({"relation": relation}, {"successors": successors}):
+                    with pytest.raises(ContractError) as refusal:
+                        Poset(n, **stated)
+                    assert str(refusal.value) == (
+                        f"elements {a} and {b} lie below each other: not a partial order"
+                    )
                 continue
             p = Poset(n, relation)
+            assert Poset(n, successors=successors) == p
             assert [[p.leq(a, b) for b in range(n)] for a in range(n)] == reach
             order = naive.naive_linear_extension(reach)
             assert p.linear_extension() == order

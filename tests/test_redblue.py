@@ -4,6 +4,7 @@ import random
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import naive
 from kernelkit import (
@@ -21,6 +22,7 @@ from kernelkit.poset import Comparison, compare_antichains
 from kernelkit.redblue import (
     _chain_middles_through,
     _chain_violations,
+    _open_tails,
     _open_paths,
     _path_middles_through,
     RULE_BLUE_CHAIN,
@@ -96,6 +98,72 @@ class TestChainConditions:
         assert list(check_chain_conditions(cd).violations) == want
         first = check_chain_conditions(cd, first_only=True).violations
         assert list(first) == want[:1]
+
+    @staticmethod
+    def assert_matches_naive(cd, arcs):
+        n = cd.vertex_count
+        want = list(naive.naive_chain_violations(n, arcs))
+        assert list(check_chain_conditions(cd).violations) == want
+        assert list(check_chain_conditions(cd, first_only=True).violations) == want[:1]
+        # the open-tail scan at every size, also below the size where the
+        # check starts to use it
+        tails = _open_tails(cd._blue_out), _open_tails(cd._red_out)
+        masks = cd._blue_out, cd._blue_in, cd._red_out, cd._red_in
+        assert list(_chain_violations(range(n), *masks, *tails)) == want
+
+    @staticmethod
+    def digon_rich(n, pick, closed):
+        """Each ordered pair holds the arc color `pick()` gives, or none,
+        so digons come in either color and in both.  Each class in
+        `closed` is then closed over the pairs still free, which leaves
+        it transitive except where the other color holds the closing
+        pair: closed and open tails mix."""
+        arcs = {}
+        for u in range(n):
+            for v in range(n):
+                color = pick()
+                if u != v and color:
+                    arcs[(u, v)] = color
+        for color in sorted(closed):
+            grown = True
+            while grown:
+                grown = False
+                for (u, v), c in list(arcs.items()):
+                    for w in range(n):
+                        if c == color == arcs.get((v, w)) and w != u and (u, w) not in arcs:
+                            arcs[(u, w)] = color
+                            grown = True
+        return colored(n, [(u, v, c) for (u, v), c in sorted(arcs.items())]), arcs
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_open_tail_scan_matches_naive_scan(self, data):
+        n = data.draw(st.integers(0, 8))
+        pick = functools.partial(data.draw, st.sampled_from([None, None, "b", "r"]))
+        self.assert_matches_naive(*self.digon_rich(n, pick, data.draw(st.sets(st.sampled_from("br")))))
+
+    @pytest.mark.parametrize("closed", ["", "b", "r", "br"])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_open_tail_scan_matches_naive_scan_from_24_vertices(self, seed, closed):
+        rng = random.Random(seed)
+        n = 24 + 5 * seed
+        pick = functools.partial(rng.choice, [None] * 12 + ["b", "r"])
+        self.assert_matches_naive(*self.digon_rich(n, pick, closed))
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize(
+        "generator",
+        [generate_ssw_instance, generate_comparability_instance, generate_chain_instance,
+         generate_path_instance],
+        ids=lambda g: g.__name__,
+    )
+    def test_open_tail_scan_on_generator_output(self, generator, seed):
+        # the three chain generators give instances with no violation, the
+        # path generator ones with many
+        for n in (3 + seed, 9 + seed, 30):
+            cd = generator(seed, n)
+            if cd is not None:
+                self.assert_matches_naive(cd, {arc: c.value for arc, c in cd.color.items()})
 
 
 class TestPathConditions:
