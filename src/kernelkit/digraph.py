@@ -298,7 +298,8 @@ class SccResult:
 def _component_masks(out: list[int]) -> list[int]:
     """The strongly connected components of the relation `out` (bit w of
     out[v] for v -> w, loops allowed) as vertex masks, in topological
-    order.
+    order.  The package takes every component and topological order
+    from here.
 
     Tarjan's algorithm (1972) on masks, iterative so deep graphs cannot
     blow the stack: roots ascending, and each vertex descends into its
@@ -421,8 +422,9 @@ def _cycles(
     out, inn = digraph._out, digraph._in
     component = [-1] * n
     if prune:
-        scc = strongly_connected_components(digraph)
-        component = [scc.masks[i] for i in scc.component_of]
+        for mask in _component_masks(out):
+            for v in bits_of(mask):
+                component[v] = mask
     position = [0] * n
     steps = 0
     for root in range(n):

@@ -34,11 +34,12 @@ class Poset:
     """Partial order on {0, ..., size-1}.  `relation` pairs (a, b), and
     the set bits b of `successors[a]`, mean a <= b; together they are
     closed reflexively and transitively, so pairs and masks that state the
-    same relation give the same poset.  Bit b of `_up[a]`, and bit a of
-    `_down[b]`, is set iff a <= b, so each query tests one mask per
-    element."""
+    same relation give the same poset.  Bit b of `_up[a]` is set iff
+    a <= b, so each query tests one mask per element; `linear_extension`
+    transposes `_up` when called.  `_close` takes the closure in
+    `_component_masks` order."""
 
-    __slots__ = ("size", "_up", "_down")
+    __slots__ = ("size", "_up")
 
     def __init__(
         self,
@@ -66,7 +67,6 @@ class Poset:
         _close(up)
         self.size = size
         self._up = up
-        self._down = _transpose(up)
 
     def leq(self, a: int, b: int) -> bool:
         if not 0 <= a < self.size or not 0 <= b < self.size:
@@ -84,10 +84,11 @@ class Poset:
 
     def linear_extension(self) -> list[int]:
         """Least-index-first topological order of the elements."""
+        down = _transpose(self._up)
         order = []
         left = (1 << self.size) - 1
         while left:
-            x = next(x for x in bits_of(left) if self._down[x] & left == 1 << x)
+            x = next(x for x in bits_of(left) if down[x] & left == 1 << x)
             order.append(x)
             left ^= 1 << x
         return order
@@ -110,44 +111,28 @@ class Poset:
 def _close(up: list[int]) -> None:
     """Close the reflexive relation `up` transitively in place.
 
-    A depth-first walk finishes each element after its successors.  Each
-    cover step ORs in the closed row of the least successor not yet
-    covered, so one step covers everything that successor reaches.  A
-    successor still on the walk's path closes a cycle: the relation is then
-    refused, naming the least element a on a cycle and the least other
-    element b of its strongly connected component.
+    Each element is covered after its successors, in the reverse of
+    `_component_masks`' topological order; the same components refuse a
+    cycle by naming the least element a on one and the least other element
+    b of its component.  Each cover step ORs in the closed row of the least
+    successor not yet covered, so one step covers everything that successor
+    reaches.
     """
-    done = 0
-    for root in range(len(up)):
-        if done >> root & 1:
-            continue
-        # covered[i] is the part of path[i]'s closure gathered so far
-        path, covered, on_path = [root], [1 << root], 1 << root
-        while path:
-            a = path[-1]
-            pending = up[a] & ~covered[-1]
-            if not pending:
-                up[a] = covered.pop()
-                path.pop()
-                on_path ^= 1 << a
-                done |= 1 << a
-                if covered:
-                    covered[-1] |= up[a]
-                continue
-            bit = pending & -pending
-            if done & bit:
-                covered[-1] |= up[bit.bit_length() - 1]
-            elif on_path & bit:
-                # up still states the input relation up to transitive arcs
-                cycle = min((m for m in _component_masks(up) if m & (m - 1)), key=lambda m: m & -m)
-                a, b, *_ = bits_of(cycle)
-                raise ContractError(
-                    f"elements {a} and {b} lie below each other: not a partial order"
-                )
-            else:
-                path.append(bit.bit_length() - 1)
-                covered.append(bit)
-                on_path |= bit
+    components = _component_masks(up)
+    cyclic = [m for m in components if m & (m - 1)]
+    if cyclic:
+        a, b, *_ = bits_of(min(cyclic, key=lambda m: m & -m))
+        raise ContractError(
+            f"elements {a} and {b} lie below each other: not a partial order"
+        )
+    for mask in reversed(components):
+        a = mask.bit_length() - 1
+        covered = 1 << a
+        rest = up[a] & ~covered
+        while rest:
+            covered |= up[(rest & -rest).bit_length() - 1]
+            rest &= ~covered
+        up[a] = covered
 
 
 def _antichain_mask(poset: Poset, antichain) -> int:
@@ -198,6 +183,7 @@ def max_chain_of_antichains(poset: Poset) -> list[frozenset[int]]:
     chain = [frozenset()]
     current = 0
     for x in poset.linear_extension():
-        current = current & ~poset._down[x] | 1 << x
+        current &= ~sum(1 << y for y in bits_of(current) if poset._up[y] >> x & 1)
+        current |= 1 << x
         chain.append(frozenset(bits_of(current)))
     return chain

@@ -25,8 +25,8 @@ from typing import Optional
 from .digraph import (
     ArcColor,
     ColoredDigraph,
-    Digraph,
     VertexSet,
+    _component_masks,
     _subset_mask,
     _transpose,
     bits_of,
@@ -162,21 +162,21 @@ def _chain_middles_through(
     )
 
 
-def _some_directed_cycle(digraph: Digraph) -> Optional[tuple[int, ...]]:
-    """A directed cycle as a vertex tuple starting at its least vertex, or
-    None when the digraph is acyclic; deterministic."""
-    scc = strongly_connected_components(digraph)
-    for comp, comp_mask in zip(scc.components, scc.masks):
-        if len(comp) < 2:
+def _some_directed_cycle(out: list[int]) -> Optional[tuple[int, ...]]:
+    """A directed cycle of the out-masks `out` as a vertex tuple starting
+    at its least vertex, or None when they are acyclic; deterministic: the
+    first component of two or more vertices in `_component_masks` order."""
+    for comp_mask in _component_masks(out):
+        if not comp_mask & (comp_mask - 1):
             continue
-        root = comp[0]
+        root = (comp_mask & -comp_mask).bit_length() - 1
         # BFS inside the component back to the root gives a shortest cycle.
         parent = {root: None}
         frontier = [root]
         while frontier:
             nxt = []
             for x in frontier:
-                for y in bits_of(digraph._out[x] & comp_mask):
+                for y in bits_of(out[x] & comp_mask):
                     if y == root:
                         path = [x]
                         while parent[path[-1]] is not None:
@@ -201,8 +201,8 @@ def check_path_conditions(
 
 
 def _path_violations(cd: ColoredDigraph):
-    for color in (ArcColor.BLUE, ArcColor.RED):
-        cycle = _some_directed_cycle(cd.restriction(color))
+    for out in (cd._blue_out, cd._red_out):
+        cycle = _some_directed_cycle(out)
         if cycle is not None:
             yield RULE_MONO_CYCLE, cycle
     d = cd.digraph

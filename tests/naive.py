@@ -245,6 +245,32 @@ def naive_tarjan(n, arcs):
     return tuple(sccs), tuple(component_of), frozenset(condensation)
 
 
+def naive_mono_cycle(n, arcs):
+    """The path check's cycle witness among `arcs`, None when they are
+    acyclic: the first component of two or more vertices in `naive_tarjan`
+    order, then a breadth-first search inside it from its least vertex,
+    successors ascending; the first vertex taken from the queue with an arc
+    back to the root closes the cycle, listed from the root."""
+    components, _, _ = naive_tarjan(n, arcs)
+    for comp in components:
+        if len(comp) < 2:
+            continue
+        root = comp[0]
+        parent = {root: None}
+        queue = [root]
+        for x in queue:
+            if (x, root) in arcs:
+                cycle = [x]
+                while parent[cycle[-1]] is not None:
+                    cycle.append(parent[cycle[-1]])
+                return tuple(reversed(cycle))
+            for y in sorted(y for (u, y) in arcs if u == x and y in comp):
+                if y not in parent:
+                    parent[y] = x
+                    queue.append(y)
+    return None
+
+
 def naive_order(n, pairs):
     """(reach, witness): the reflexive transitive closure of `pairs` on
     {0, ..., n-1}, and the first (a, b) in (a, b) order with a != b and

@@ -164,3 +164,34 @@ def test_seed_is_passed_on_to_each_run(bench_pairs, monkeypatch):
     bench_pairs.run_once(Path("."), "sweep-full")
     assert argvs[0][1:] == ["perfbench/run.py", "--workload", "sweep-full", "--seed", "1"]
     assert argvs[1][1:] == ["perfbench/run.py", "--workload", "sweep-full"]
+
+
+def test_line_counts_per_file_and_in_total(bench_pairs, monkeypatch, tmp_path):
+    sources = {
+        "parent": {"a.py": "x = 1\ny = 2\nz = 3\n", "b.py": "pass\n"},
+        "change": {"a.py": "x = 1\n", "b.py": "pass\n", "c.py": "\n\n"},
+    }
+
+    def fill(side, dest):
+        package = dest / "src" / "kernelkit"
+        package.mkdir(parents=True)
+        for name, text in sources[side].items():
+            (package / name).write_text(text)
+        # only the package's Python files count
+        (package / "notes.txt").write_text("one\ntwo\n")
+
+    def extract(rev, dest):
+        fill("parent", dest)
+        return "0" * 40
+
+    monkeypatch.setattr(bench_pairs, "extract", extract)
+    monkeypatch.setattr(bench_pairs, "snapshot", lambda dest: fill("change", dest))
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: run(1.0, 30.0))
+    out = tmp_path / "bench.json"
+    assert bench_pairs.main(["--parent", "HEAD", "--workload", "scale", "--pairs", "1",
+                             "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["src_lines_by_file"] == {
+        "parent": {"a.py": 3, "b.py": 1}, "change": {"a.py": 1, "b.py": 1, "c.py": 2},
+    }
+    assert report["src_lines"] == {"parent": 4, "change": 4}

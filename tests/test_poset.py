@@ -157,6 +157,40 @@ class TestAgainstNaive:
                 assert p.is_antichain(members) == naive.naive_is_antichain(reach, members)
             assert max_chain_of_antichains(p) == naive.naive_max_chain(reach, order)
 
+    @staticmethod
+    def assert_matches_naive(n, relation):
+        reach, witness = naive.naive_order(n, relation)
+        if witness is not None:
+            with pytest.raises(ContractError) as refusal:
+                Poset(n, relation)
+            a, b = witness
+            assert str(refusal.value) == (
+                f"elements {a} and {b} lie below each other: not a partial order"
+            )
+            return
+        p = Poset(n, relation)
+        assert p._up == [sum(1 << b for b in range(n) if reach[a][b]) for a in range(n)]
+        order = naive.naive_linear_extension(reach)
+        assert p.linear_extension() == order
+        assert max_chain_of_antichains(p) == naive.naive_max_chain(reach, order)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_closure_of_dags_labelled_along_and_across_a_topological_order(self, data):
+        n = data.draw(st.integers(0, 14))
+        upward = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        dag = data.draw(st.lists(st.sampled_from(upward), unique=True)) if upward else []
+        label = data.draw(st.permutations(range(n)))
+        relabelled = [(label[a], label[b]) for a, b in dag]
+        # `dag` is labelled along a topological order, so its pairs all
+        # point up, as in every condensation; relabelled at random, its
+        # pairs point both ways
+        self.assert_matches_naive(n, dag)
+        self.assert_matches_naive(n, relabelled)
+        if dag:
+            a, b = data.draw(st.sampled_from(relabelled))
+            self.assert_matches_naive(n, relabelled + [(b, a)])
+
 
 class TestLawsSmall:
     def test_extended_relation_laws_on_all_3_element_posets(self):

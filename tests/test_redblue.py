@@ -200,6 +200,32 @@ class TestPathConditions:
         got = [w for rule, w in check_path_conditions(cd).violations if rule == RULE_OPEN_PATH]
         assert got == want
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_naive_assembly_with_planted_cycles(self, data):
+        n = data.draw(st.integers(0, 12))
+        vertex = st.integers(0, max(n - 1, 0))
+        color = st.sampled_from("br")
+        arcs = {}
+        for u, v, c in data.draw(st.lists(st.tuples(vertex, vertex, color), max_size=3 * n)):
+            if u != v:
+                arcs[(u, v)] = c
+        if n >= 2:
+            # each planted cycle, digons included, recolors the arcs it runs on
+            ring = st.lists(vertex, min_size=2, max_size=n, unique=True)
+            for planted, c in data.draw(st.lists(st.tuples(ring, color), max_size=3)):
+                for u, v in zip(planted, planted[1:] + planted[:1]):
+                    arcs[(u, v)] = c
+        cd = colored(n, [(u, v, c) for (u, v), c in sorted(arcs.items())])
+        want = []
+        for c in "br":
+            cycle = naive.naive_mono_cycle(n, {arc for arc, k in arcs.items() if k == c})
+            if cycle is not None:
+                want.append((RULE_MONO_CYCLE, cycle))
+        want += [(RULE_OPEN_PATH, quad) for quad in naive.naive_open_paths(n, arcs)]
+        assert list(check_path_conditions(cd).violations) == want
+        assert list(check_path_conditions(cd, first_only=True).violations) == want[:1]
+
 
 class TestFindInitialIndependent:
     def test_no_red_arcs_picks_least(self):

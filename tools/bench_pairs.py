@@ -17,7 +17,8 @@ standard output is the benchmark's JSON result; the end-to-end metrics
 are the ones `BENCHMARK.json` names.
 
 The JSON written to FILE (standard output by default) holds the parent
-commit, the command, both sides' `src/kernelkit/*.py` line counts and, per
+commit, the command, both sides' `src/kernelkit/*.py` line counts, in
+total (`src_lines`) and per file (`src_lines_by_file`), and, per
 workload, the number of pairs, the failed ops of each side, each side's
 failed share (failed / attempted ops) with a verdict, `worse` when the
 change's share is higher and `within` otherwise, the raw runs and per
@@ -134,11 +135,12 @@ def summary_lines(workloads: dict) -> list[str]:
     return lines
 
 
-def src_lines(checkout: Path) -> int:
-    return sum(
-        len(path.read_text().splitlines())
+def src_lines_by_file(checkout: Path) -> dict[str, int]:
+    """The line count of each `src/kernelkit/*.py` file, by file name."""
+    return {
+        path.name: len(path.read_text().splitlines())
         for path in sorted((checkout / "src" / "kernelkit").glob("*.py"))
-    )
+    }
 
 
 def run_once(checkout: Path, workload: str, seed: Optional[int] = None) -> dict:
@@ -223,7 +225,7 @@ def main(argv=None) -> int:
                 print(f"{workload} pair {k + 1}/{args.pairs}: wall_s parent {walls[0]} "
                       f"change {walls[1]}", file=sys.stderr, flush=True)
             workloads[workload] = summarize(runs, bounds)
-        lines = {side: src_lines(checkout) for side, checkout in checkouts.items()}
+        by_file = {side: src_lines_by_file(checkout) for side, checkout in checkouts.items()}
     seeded = "" if args.seed is None else f" --seed {args.seed}"
     report = {
         "parent_commit": commit,
@@ -234,7 +236,8 @@ def main(argv=None) -> int:
                  "change first; workloads one after another",
         "quartiles": "statistics.quantiles(n=4, method='inclusive') over each side's runs",
         "machine": {"nproc": os.cpu_count(), "python": platform.python_version()},
-        "src_lines": lines,
+        "src_lines": {side: sum(counts.values()) for side, counts in by_file.items()},
+        "src_lines_by_file": by_file,
         "workloads": workloads,
     }
     text = json.dumps(report, indent=1) + "\n"
