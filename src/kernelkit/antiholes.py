@@ -12,12 +12,12 @@ decided edges of each clique not yet down to its last open edge, the
 digits each edge to come may no longer take, and, when the sweep carries
 kernel candidates, per candidate the vertices outside it that nothing
 absorbs yet.  Each clique is tested once, as soon as its second-to-last
-edge is decided: a triangle by a few mask operations on the in- and
-out-masks, a clique of four or more vertices (general mode) on its
-members' in-masks, once per pattern of its decided edges' digits.  So a
-digit that would leave a clique without a vertex receiving arcs from all
-the others is never tried, and a node that leaves a later edge no digit
-is dropped at once (a forward check).  In simple mode the triangles
+edge is decided, by a few mask operations that pick its last edge's
+dead digits from one table: a triangle's on the in- and out-masks, a
+larger clique's (general mode) on its members' in-masks.  So a digit
+that would leave a clique without a vertex receiving arcs from all the
+others is never tried, and a node that leaves a later edge no digit is
+dropped at once (a forward check).  In simple mode the triangles
 suffice: a tournament with no directed triangle is transitive, so larger
 cliques then have such a vertex too.
 
@@ -167,9 +167,20 @@ def c7_counterexample() -> Digraph:
     arcs = [(i, (i + 2) % 7) for i in range(7)] + [(i, (i + 4) % 7) for i in range(7)]
     digraph = Digraph(7, arcs)
     orientation = Orientation.from_digraph(AntiholeLabeling(7).graph(), digraph)
-    assert orientation.is_simple
-    assert is_clique_acyclic(digraph).holds
-    assert not find_kernel_bruteforce(digraph).exists
+    return _checked_counterexample(orientation, True)
+
+
+def _checked_counterexample(orientation: Orientation, simple: bool) -> Digraph:
+    """The digraph of `orientation` once it is re-verified as a
+    counterexample: simple if `simple`, clique-acyclic and without a
+    kernel.  Anything else is an InternalInvariantError."""
+    digraph = orientation.to_digraph()
+    if simple and not orientation.is_simple:
+        raise InternalInvariantError("counterexample is not simple")
+    if not is_clique_acyclic(digraph).holds:
+        raise InternalInvariantError("counterexample is not clique-acyclic")
+    if find_kernel_bruteforce(digraph).exists:
+        raise InternalInvariantError("counterexample has a kernel")
     return digraph
 
 
@@ -253,30 +264,6 @@ def _clique_completions(graph: UndirectedGraph, num_values: int) -> list[tuple[i
     ]
 
 
-def _live_digits(members: int, rest, u: int, v: int, inn, every_digit: int) -> int:
-    """The digits edge (u, v) may take, its own arcs not yet in `inn`:
-    those that leave the clique `members`, of four or more vertices whose
-    last edge (u, v) is, a vertex receiving arcs from all the others;
-    `rest` lists its members other than u and v.
-
-    Every other edge of the clique is decided, so a member x other than
-    u and v either receives from all the others already, which settles
-    the clique, or never will.  Else u must become that vertex, which
-    takes an arc v -> u (digit 1 or 2), or v must, which takes u -> v
-    (digit 0 or 2).
-    """
-    for x in rest:
-        if members & ~inn[x] == 1 << x:
-            return every_digit
-    uv = 1 << u | 1 << v
-    live = 0
-    if members & ~inn[u] == uv:
-        live |= 6
-    if members & ~inn[v] == uv:
-        live |= 5
-    return every_digit & live
-
-
 class _DPTables(NamedTuple):
     """The sweep walk `_walk` over one graph: the graph, the group, the
     state layout and its updates per edge e = (u, v) and digit d.
@@ -308,20 +295,24 @@ class _DPTables(NamedTuple):
     flag alone, keeping only `edge_part`, the slots and digit fields;
     ANDs in the kill mask of each (bit, kill) of `settle[e]` whose outside
     vertex is still unabsorbed; and folds in the cliques whose
-    second-to-last edge e is.  `triangles[e]` holds their tests as
-    (third vertex bit w, u', v', dead, full), with (u', v') the last
-    edge: once e is decided every other edge of the triangle is, so the
-    test reads the in- and out-masks of the partial orientation.  w in
-    both out-masks settles the triangle; otherwise digit 0 needs w in
-    inn[v'], digit 1 needs w in inn[u'] and digit 2 either.  `dead` holds
-    the bits to OR in, indexed by (digit 0 dies) | (digit 1 dies) << 1,
-    and `full` the last edge's whole field.  `larger[e]` holds one entry
-    per clique of four or more vertices, (members, rest, u', v', offset
-    of the field, slots, index), with members and rest as `_live_digits`
-    takes them, `slots` the mask of the slots of the clique's other
-    decided edges, on which its verdict depends, and `index` its number
-    among the larger cliques.  `at[e]` is the offset of e's field, or of
-    bits that stay clear, and `root` the state of the empty assignment.
+    second-to-last edge e is.  Once e is decided every edge of such a
+    clique but its last, (u', v'), is, so the test reads the in- and
+    out-masks of the partial orientation.  A member other than u' and v'
+    receives arcs from all the others already, which settles the clique,
+    or never will; else u' must become that vertex, which takes an arc
+    v' -> u' (digit 1 or 2), or v' must, which takes u' -> v' (digit 0
+    or 2).  The test ORs in the entry of `dead` indexed by (digit 0 dies)
+    | (digit 1 dies) << 1, and the node is empty once `full`, the last
+    edge's whole field, is set.  `triangles[e]` holds the triangles'
+    tests as (third vertex bit w, u', v', dead, full): w in both
+    out-masks settles the triangle, digit 0 needs w in inn[v'] and digit
+    1 w in inn[u'].  `larger[e]` holds those of the cliques of four or
+    more vertices as (members, rest, u', v', dead, full), with `rest` the
+    members other than u' and v': x in `rest` settles the clique if
+    `members & ~inn[x]` is x alone, digit 0 needs `members & ~inn[v']` to
+    be u' and v' alone and digit 1 the same of inn[u'].  `at[e]` is the
+    offset of e's field, or of bits that stay clear, and `root` the state
+    of the empty assignment.
     `wake[i][e]` is the first edge after e whose placing may change what
     is known of edge i: the next second-to-last edge before i of a clique
     whose last edge i is, which narrows i's field, else i itself.
@@ -381,16 +372,15 @@ def _dp_tables(graph: UndirectedGraph, num_values: int, candidates=(), actions=N
     for members, (*read, second, last) in cliques:
         u, v = edges[last]
         narrowed_at[last].add(second)
+        # both directed digits dead kill the reversible one too
+        dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
+        full = every_digit << at[last]
         if len(read) == 1:
-            # both directed digits dead kill the reversible one too
-            dead = tuple((d | 4 * (d == 3) & every_digit) << at[last] for d in range(4))
             w = members & ~(1 << u | 1 << v)
-            triangles[second].append((w, u, v, dead, every_digit << at[last]))
+            triangles[second].append((w, u, v, dead, full))
         else:
             rest = tuple(x for x in bits_of(members) if x not in (u, v))
-            slots = sum(((1 << width) - 1) << slot[eid] for eid in read)
-            index = sum(map(len, larger))
-            larger[second].append((members, rest, u, v, at[last], slots, index))
+            larger[second].append((members, rest, u, v, dead, full))
 
     wake = []
     for i in range(m):
@@ -505,9 +495,9 @@ def _walk(
         yield 0, assign, inn
         return 1 if limit is None or limit > 0 else 0
     # the slots, an edge's own field and the candidate fields serve only
-    # the memo, the larger cliques' verdicts and the kernel certificate:
-    # without these the state keeps the digit fields alone
-    keyed = root > edge_part or memo is not None or any(larger)
+    # the memo and the kernel certificate: without these the state keeps
+    # the digit fields alone
+    keyed = root > edge_part or memo is not None
     every_digit = (1 << num_values) - 1
     ends = [(u, v, 1 << u, 1 << v) for u, v in edges]
     out = [0] * n
@@ -517,9 +507,6 @@ def _walk(
     pending = [every_digit & follow[0] if start else every_digit] + [0] * (m - 1)
     # with `memo`, `counted` as each node off the path was entered
     first = [0] * m
-    # per clique of four or more vertices, the digits its last edge may no
-    # longer take, keyed by the digits of its other edges
-    verdicts: list[dict[int, int]] = [{} for at_e in larger for _ in at_e]
     wait: list[list] = [[] for _ in range(m)]
     for inv, flip in actions or ():
         # no field forces a digit at the root, and edge 0 narrows none
@@ -619,22 +606,23 @@ def _walk(
         # lines of a sweep
         empty = False
         for w, a, b, dead, full in triangles[e]:
-            # `_live_digits` inlined for one triangle
+            # w receiving from a and b settles the triangle
             if not out[a] & out[b] & w:
                 s |= dead[(not inn[b] & w) | (not inn[a] & w) << 1]
                 if s & full == full:
                     empty = True
                     break
-        for members, rest, a, b, shift, slots, index in larger[e]:
-            key = (state[e] & slots) << 2 | digit
-            dead = verdicts[index].get(key)
-            if dead is None:
-                live = _live_digits(members, rest, a, b, inn, every_digit)
-                dead = verdicts[index][key] = (every_digit ^ live) << shift
-            s |= dead
-            if s >> shift & every_digit == every_digit:
-                empty = True
-                break
+        for members, rest, a, b, dead, full in larger[e]:
+            # a member but a and b receiving from all the others settles it
+            for x in rest:
+                if members & ~inn[x] == 1 << x:
+                    break
+            else:
+                ab = 1 << a | 1 << b
+                s |= dead[(members & ~inn[b] != ab) | (members & ~inn[a] != ab) << 1]
+                if s & full == full:
+                    empty = True
+                    break
         if empty or actions is not None and symmetric_prune(e, s):
             if e < seeded:
                 # the next digit at e leaves the path
@@ -1079,13 +1067,7 @@ def _verdict_from_digits(
     graph, edges, mode, digits, examined, elapsed, graph_id
 ) -> SolvabilityVerdict:
     orientation = digits_to_orientation(digits, graph, list(edges))
-    digraph = orientation.to_digraph()
-    if mode == "simple" and not orientation.is_simple:
-        raise InternalInvariantError("counterexample is not simple")
-    if not is_clique_acyclic(digraph).holds:
-        raise InternalInvariantError("counterexample is not clique-acyclic")
-    if find_kernel_bruteforce(digraph).exists:
-        raise InternalInvariantError("counterexample has a kernel")
+    _checked_counterexample(orientation, mode == "simple")
     return SolvabilityVerdict(
         graph_id, mode, "counterexample", orientation, examined, elapsed
     )

@@ -8,6 +8,7 @@ import tempfile
 from bisect import bisect_left
 from itertools import combinations, islice, product
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +18,7 @@ import naive
 from kernelkit import (
     ContractError,
     Digraph,
+    InternalInvariantError,
     Orientation,
     SizeCapError,
     UndirectedGraph,
@@ -106,6 +108,13 @@ class TestC7Counterexample:
         d = c7_counterexample()
         assert is_clique_acyclic(d).holds
         assert not find_kernel_bruteforce(d).exists
+
+    def test_a_failed_recheck_raises_under_python_o_too(self, monkeypatch):
+        # the re-check is no `assert`, which `python -O` would strip
+        found = SimpleNamespace(exists=True)
+        monkeypatch.setattr(antiholes, "find_kernel_bruteforce", lambda digraph: found)
+        with pytest.raises(InternalInvariantError, match="has a kernel"):
+            c7_counterexample()
 
     def test_only_kernel_free_orbit(self):
         # up to the dihedral group, the only simple clique-acyclic
@@ -513,6 +522,11 @@ class TestLeafSequenceGolden:
         # their last edge
         digest = leaf_digest(gen_antihole(8)[0], 3, limit=20000)
         assert digest == LEAF_DIGESTS["c8-general-first-20000"]
+
+    def test_first_leaves_of_c8_general_under_symmetry(self):
+        # the cliques of four vertices under the dihedral group's prune
+        digest = leaf_digest(gen_antihole(8)[0], 3, True, limit=20000)
+        assert digest == LEAF_DIGESTS["c8-general-symmetry-first-20000"]
 
     def test_k5_general_matches_the_naive_filter(self):
         leaves = core_leaves(complete_graph(5), 3)

@@ -6,6 +6,9 @@ that function when the names match.  Inside a method a bare name refers
 to a module-level function (`SolvabilityVerdict.to_json_obj` calls the
 module's `to_json_obj`), so there only `self.<name>` and `cls.<name>`
 count.
+
+No check in the package is an `assert` statement either, so that
+`python -O`, which strips them, leaves every check in place.
 """
 
 import ast
@@ -64,3 +67,19 @@ def test_the_scan_sees_recursion():
         "        return self.again()\n"
     )
     assert sorted(_self_calls(ast.parse(source))) == [("again", 10), ("rec", 5), ("walk", 2)]
+
+
+def _asserts(tree):
+    """The line of every `assert` statement, which `python -O` strips."""
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")), ids=lambda p: p.name)
+def test_no_check_is_an_assert(path):
+    # a check the package relies on must hold under `python -O` too
+    assert _asserts(ast.parse(path.read_text())) == []
+
+
+def test_the_scan_sees_asserts():
+    source = "def f(x):\n    assert x\n    if x:\n        assert not x, 'no'\n"
+    assert _asserts(ast.parse(source)) == [2, 4]
