@@ -46,11 +46,12 @@ comparisons waiting on its own edge instead of walking every image still
 tied.
 Long runs split the search into tasks (the parallelism unit) at the live
 prefixes of the pruned tree, 8 edges deep in simple mode and 4 in general
-mode; in task order they give exactly the leaves of the whole run, so
-counts and verdicts do not depend on the worker count.  The walk can
-start from any assignment by following its digits down from the root, so
-a checkpoint records the first unexamined assignment and a resumed run
-continues from exactly there.
+mode, and one task loop, `_Sweep.run`, runs them for every sweep pass; in
+task order they give exactly the leaves of the whole run, so counts and
+verdicts do not depend on the worker count.  The walk can start from any
+assignment by following its digits down from the root, so a checkpoint
+records the first unexamined assignment and a resumed run continues from
+exactly there.
 """
 
 from __future__ import annotations
@@ -61,7 +62,6 @@ import math
 import os
 import time
 from bisect import bisect_left
-from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -754,12 +754,12 @@ def _graph_key(n: int, edges, mode: str, symmetry: bool) -> str:
 
 
 class _Sweep:
-    """The prefix tasks of one `verify_kernel_solvable` call in one
-    process: the kernel candidates they share, as (mask, members) pairs,
-    the walk's tables over `graph` with the group `actions` (None without
-    symmetry) and, without symmetry, the walk's memo, one dict per depth.
+    """The prefix tasks of one sweep pass, which `run` runs: the kernel
+    candidates they share, as (mask, members) pairs, the walk's tables
+    over `graph` with the group `actions` (None without symmetry) and,
+    without symmetry, the walk's memo in each process, one dict per depth.
     A state's count holds in every task, so the memo outlives each task;
-    it never outlives the call.  After a task it keeps only the depths
+    it never outlives the pass.  After a task it keeps only the depths
     past the last `keep_until` of the edges the task pins, whose states
     the next tasks, with other prefixes, may meet again."""
 
@@ -777,7 +777,7 @@ class _Sweep:
         self.dp = _dp_tables(graph, num_values, candidates, actions)
         self.memo = [{} for _ in self.dp.edges] if actions is None else None
 
-    def run(self, task) -> tuple[int, Optional[tuple[int, ...]], bool]:
+    def run_task(self, task) -> tuple[int, Optional[tuple[int, ...]], bool]:
         """Examine one prefix subtree from `start`, whose first `depth`
         digits pin it; returns (examined, stop, kernel_free), where `stop`
         is None once the subtree is done, else the kernel-free assignment
@@ -814,27 +814,46 @@ class _Sweep:
                     size -= len(states)
                     states.clear()
 
-    @contextmanager
-    def results(self, args, tasks: int, jobs: int):
-        """The results of `run` over the task arguments `args`, `tasks` of
-        them, in task order: in this process, or on a pool of `jobs`
-        workers, never more than the tasks, each given the sweep with its
-        own empty memo once.  Without symmetry a worker takes runs of about
-        a quarter of its share of the tasks, so that it reads back the deep
-        states it memoised on their neighbours; under symmetry it takes one
-        task at a time, which spreads the few heavy tasks best.  On exit
-        the memo is freed and the pool ended."""
-        workers = min(jobs, tasks)
+    def run(self, depth: int, jobs: int, budget: Optional[int] = None, cursor=None,
+            after_task=None) -> tuple[int, Optional[tuple[tuple[int, ...], bool]]]:
+        """Run the prefix tasks `depth` edges deep in task order from the
+        live path `cursor` on (the first task by default); return (examined,
+        stop), `stop` None once all are done, else `run_task`'s (digits,
+        kernel_free).  Each task gets what is left of `budget` as it starts,
+        and after each one done `after_task`, if given, is called with the
+        next task's prefix (None after the last) and the count so far.  The
+        tasks run in this process or on a pool of `jobs` workers, never more
+        than the tasks, each given the sweep with its own empty memo once; a
+        budget always runs in this process.  Without symmetry a worker takes
+        runs of about a quarter of its share of the tasks, so that it reads
+        back the deep states it memoised on their neighbours; under symmetry
+        it takes one task at a time, which spreads the few heavy tasks best.
+        The memo is freed and the pool ended on return."""
+        tasks = _live_prefixes(self.dp, depth)
+        # a live cursor's first `depth` digits are a live prefix: a task
+        first = 0 if cursor is None else bisect_left(tasks, cursor[:depth])
+        starts = [tasks[first] if cursor is None else cursor, *tasks[first + 1:]]
+        examined = 0
+        # the budget left is read as each task starts
+        args = ((start, depth, None if budget is None else budget - examined) for start in starts)
+        workers = min(1 if budget is not None else jobs, len(starts))
         pool = None
         try:
             if workers > 1:
                 import multiprocessing
 
                 pool = multiprocessing.Pool(workers, _start_worker, (self,))
-                chunk = 1 if self.dp.actions is not None else max(1, tasks // (4 * workers))
-                yield pool.imap(_run_in_worker, args, chunk)
+                chunk = 1 if self.dp.actions is not None else max(1, len(starts) // (4 * workers))
+                results = pool.imap(_run_in_worker, args, chunk)
             else:
-                yield map(self.run, args)
+                results = map(self.run_task, args)
+            for index, (count, digits, kernel_free) in enumerate(results, first + 1):
+                examined += count
+                if digits is not None:
+                    return examined, (digits, kernel_free)
+                if after_task is not None:
+                    after_task(tasks[index] if index < len(tasks) else None, examined)
+            return examined, None
         finally:
             self.memo = None
             if pool is not None:
@@ -851,7 +870,7 @@ def _start_worker(sweep: _Sweep) -> None:
 
 
 def _run_in_worker(task):
-    return _worker.run(task)
+    return _worker.run_task(task)
 
 
 def _load_checkpoint(
@@ -903,31 +922,18 @@ TASK_DEPTH = {"simple": 8, "general": 4}
 MEMO_ENTRIES = 1 << 18
 
 
-def _interleaved_count(
-    graph: UndirectedGraph, num_values: int, depth: int, jobs: int
-) -> Optional[int]:
-    """The clique-acyclic orientations of the labeled anti-hole `graph`,
-    counted by a sweep without symmetry over its relabeling evens then
-    odds, split into tasks `depth` edges deep; None once one of them has
-    no kernel.  For odd n the new labels run around the cycle two steps at
-    a time, and the walk's states stay narrower than in the (min, max)
-    order: C9-bar simple memoises 33,539 states instead of 55,534.  The
-    count, and whether some orientation has no kernel, do not depend on
-    the labeling; which orientation comes first, and its rank, do."""
+def _interleaved(graph: UndirectedGraph) -> UndirectedGraph:
+    """The labeled anti-hole `graph` relabeled evens then odds.  For odd n
+    the new labels run around the cycle two steps at a time, and the
+    walk's states stay narrower than in the (min, max) order: C9-bar simple
+    memoises 33,539 states instead of 55,534.  The count, and whether some
+    orientation has no kernel, do not depend on the labeling; which
+    orientation comes first, and its rank, do."""
     n = graph.vertex_count
     label = [0] * n
     for position, v in enumerate([*range(0, n, 2), *range(1, n, 2)]):
         label[v] = position
-    relabeled = UndirectedGraph(n, [(label[u], label[v]) for u, v in graph.edges])
-    sweep = _Sweep(relabeled, num_values, None)
-    tasks = _live_prefixes(sweep.dp, depth)
-    total = 0
-    with sweep.results(((task, depth, None) for task in tasks), len(tasks), jobs) as results:
-        for examined, digits, _ in results:
-            if digits is not None:
-                return None
-            total += examined
-    return total
+    return UndirectedGraph(n, [(label[u], label[v]) for u, v in graph.edges])
 
 
 def verify_kernel_solvable(
@@ -944,18 +950,15 @@ def verify_kernel_solvable(
     Returns the first kernel-free orientation in enumeration order as a
     counterexample, or `solvable` after exhaustion.  The run is split into
     tasks at the live prefixes of the first `TASK_DEPTH[mode]` edges, which
-    share clique tests and kernel candidates built once per call; `jobs`
-    workers, never more than the tasks left, process them, results are
-    consumed in task order, so counts and the verdict are identical for
-    any worker count.  With symmetry each representative goes to the
-    kernel oracle; without, `_walk` counts a task's orientations on a memo
-    of subtree states and stops at the first without a kernel.  The memo
-    is shared by the tasks each process runs; after each task it drops
-    the depths whose states hold a digit the task pins and keeps at most
-    `MEMO_ENTRIES` deeper ones.  It lives for this call only.
+    share clique tests and kernel candidates built once per call, and
+    `_Sweep.run` runs them on `jobs` workers; results are consumed in task
+    order, so counts and the verdict are identical for any worker count.
+    With symmetry each representative goes to the kernel oracle; without,
+    `_walk` counts a task's orientations on a memo of subtree states and
+    stops at the first without a kernel.
     `budget` caps the number of orientations examined and is tested before
     each one; the walk descends into a counted subtree that would
-    overrun it, so the stop is exact (budgeted runs execute sequentially).
+    overrun it, so the stop is exact.
     `checkpoint` names a JSON file updated after each task and at a budget
     stop, whose `next` holds the first unexamined orientation (or the next
     task's prefix), where a resumed run continues; a path that cannot be
@@ -964,23 +967,24 @@ def verify_kernel_solvable(
     dihedral orbit.
 
     On the labeled anti-hole, a run with no symmetry reduction, budget or
-    checkpoint first decides in the interleaved labeling
-    (`_interleaved_count`), whose walk is narrower.  If no orientation
-    there lacks a kernel, that pass's count is the verdict and its time
-    the elapsed time; else the run above names the witness and its rank.
+    checkpoint first decides in the interleaved labeling (`_interleaved`),
+    whose walk is narrower.  If no orientation there lacks a kernel, that
+    pass's count is the verdict; else the run above names the witness and
+    its rank.  The elapsed time counts both passes, and a resumed run's
+    adds the checkpoint's.
     """
     if mode not in ("simple", "general"):
         raise ContractError(f"unknown mode {mode!r}")
+    began = time.monotonic()
     num_values = 2 if mode == "simple" else 3
     actions = _check_sweep_input(graph, symmetry_reduction)
     depth = min(TASK_DEPTH[mode], len(graph.edges))
-    decided_in = 0.0
     if actions is None and budget is None and not checkpoint and _is_antihole(graph):
-        began = time.monotonic()
-        count = _interleaved_count(graph, num_values, depth, jobs)
-        decided_in = time.monotonic() - began
-        if count is not None:
-            return SolvabilityVerdict(graph_id, mode, "solvable", None, count, decided_in)
+        examined, stop = _Sweep(_interleaved(graph), num_values, None).run(depth, jobs)
+        if stop is None:
+            return SolvabilityVerdict(
+                graph_id, mode, "solvable", None, examined, time.monotonic() - began
+            )
     edges = tuple(graph.sorted_edges())
     signature = _graph_key(graph.vertex_count, edges, mode, symmetry_reduction)
     checkpoint_path = Path(checkpoint) if checkpoint else None
@@ -988,15 +992,18 @@ def verify_kernel_solvable(
     # is written to a file beside it and then moved over it
     partial = checkpoint_path and checkpoint_path.with_name(checkpoint_path.name + ".tmp")
     loaded = _load_checkpoint(checkpoint_path, signature, len(edges), depth, num_values)
-    total, elapsed_before = (
-        (loaded["examined"], loaded["elapsed_seconds"]) if loaded else (0, decided_in)
-    )
-    if loaded and loaded["counterexample"] is not None:
-        return _verdict_from_digits(
-            graph, edges, mode, loaded["counterexample"], total, elapsed_before, graph_id
-        )
-    if loaded and loaded["next"] is None:
-        return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed_before)
+    done = loaded["examined"] if loaded else 0
+    if loaded:
+        began -= loaded["elapsed_seconds"]
+        if loaded["counterexample"] is not None:
+            return _verdict_from_digits(
+                graph, edges, mode, loaded["counterexample"], done,
+                time.monotonic() - began, graph_id,
+            )
+        if loaded["next"] is None:
+            return SolvabilityVerdict(
+                graph_id, mode, "solvable", None, done, time.monotonic() - began
+            )
     if checkpoint_path is not None:
         # a path that cannot be written is refused before any task runs
         try:
@@ -1007,59 +1014,37 @@ def verify_kernel_solvable(
                 f"cannot write checkpoint {checkpoint_path} ({exc.strerror or exc})"
             ) from None
     sweep = _Sweep(graph, num_values, actions)
-    tasks = _live_prefixes(sweep.dp, depth)
-    if loaded is None:
-        cursor = tasks[0]
-    else:
-        cursor = loaded["next"]
+    cursor = loaded["next"] if loaded else None
+    if cursor is not None:
         try:
             _check_start(sweep.dp, cursor)
         except ContractError as exc:
             raise ContractError(f"checkpoint {checkpoint_path} is corrupt: next ({exc})") from None
-    # the cursor is live, so its first `depth` digits are a live prefix:
-    # one of the tasks
-    first_task = bisect_left(tasks, cursor[:depth])
 
-    started = time.monotonic()
-
-    def save_checkpoint(resume_at, count: int, counterexample=None) -> None:
+    def save_checkpoint(resume_at, examined: int, counterexample=None) -> None:
         if checkpoint_path is None:
             return
         partial.write_text(json.dumps({
             "signature": signature,
             "next": None if resume_at is None else list(resume_at),
-            "examined": count,
-            "elapsed_seconds": elapsed_before + time.monotonic() - started,
+            "examined": done + examined,
+            "elapsed_seconds": time.monotonic() - began,
             "counterexample": list(counterexample) if counterexample else None,
         }))
         os.replace(partial, checkpoint_path)
 
-    def task_args(index: int):
-        # read when the task starts, so it sees the budget earlier tasks left
-        remaining = None if budget is None else budget - total
-        return (cursor if index == first_task else tasks[index]), depth, remaining
-
-    args = (task_args(index) for index in range(first_task, len(tasks)))
-    # after task i the next unexamined orientation is in task i + 1
-    following = tasks[1:] + [None]
-    stop = None
-    jobs = 1 if budget is not None else jobs
-    with sweep.results(args, len(tasks) - first_task, jobs) as results:
-        for index, (task_examined, digits, kernel_free) in enumerate(results, first_task):
-            total += task_examined
-            if digits is not None:
-                stop = digits, kernel_free
-                break
-            save_checkpoint(following[index], total)
-
-    elapsed = elapsed_before + time.monotonic() - started
+    examined, stop = sweep.run(
+        depth, jobs, None if budget is None else budget - done, cursor, save_checkpoint
+    )
+    total = done + examined
+    elapsed = time.monotonic() - began
     if stop is None:
         return SolvabilityVerdict(graph_id, mode, "solvable", None, total, elapsed)
     digits, kernel_free = stop
     if kernel_free:
-        save_checkpoint(None, total, digits)
+        save_checkpoint(None, examined, digits)
         return _verdict_from_digits(graph, edges, mode, digits, total, elapsed, graph_id)
-    save_checkpoint(digits, total)
+    save_checkpoint(digits, examined)
     return SolvabilityVerdict(graph_id, mode, "exhausted_budget", None, total, elapsed)
 
 

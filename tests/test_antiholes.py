@@ -738,6 +738,13 @@ class TestVerify:
                 alone.verdict, alone.orientations_examined
             )
 
+    def test_a_budget_opens_no_pool(self, fake_pool):
+        g, _ = gen_antihole(7)
+        for symmetry in (False, True):
+            budgeted = verify_kernel_solvable(g, symmetry_reduction=symmetry, jobs=4, budget=100)
+            assert (budgeted.verdict, budgeted.orientations_examined) == ("exhausted_budget", 100)
+        assert fake_pool == []
+
     def test_partition_independence(self, monkeypatch):
         g, _ = gen_antihole(7)
         counts = set()
@@ -800,6 +807,24 @@ class TestVerify:
         assert resumed.verdict == "solvable"
         assert resumed.orientations_examined == 7963
         assert len(calls) == 7963 - budget
+
+    def test_a_mid_task_checkpoint_resumes_on_a_pool(self, tmp_path):
+        checkpoint = tmp_path / "run.json"
+        g, labeling = gen_antihole(9)
+        first = verify_kernel_solvable(
+            g, symmetry_reduction=True, budget=4000, checkpoint=str(checkpoint)
+        )
+        assert (first.verdict, first.orientations_examined) == ("exhausted_budget", 4000)
+        # the budget ends inside the second task, so `next` is a whole
+        # assignment below that task's prefix
+        state = json.loads(checkpoint.read_text())
+        tables = plain_tables(g, 2, dihedral_edge_actions(labeling))
+        tasks = _live_prefixes(tables, TASK_DEPTH["simple"])
+        assert len(state["next"]) == 27 and tuple(state["next"][:8]) == tasks[1]
+        resumed = verify_kernel_solvable(
+            g, symmetry_reduction=True, jobs=2, checkpoint=str(checkpoint)
+        )
+        assert (resumed.verdict, resumed.orientations_examined) == ("solvable", 7963)
 
     def test_parallel_run_with_checkpoint(self, tmp_path):
         checkpoint = tmp_path / "par.json"

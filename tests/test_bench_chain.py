@@ -30,7 +30,19 @@ def test_wall_time_over_bench_31_to_35(bench_chain, capsys):
         "sweep-full wall_s: -49.0% over 5 of BENCH_31..35",
         "sweep-reduced wall_s: -12.2% over 5 of BENCH_31..35",
     ]
-    assert len(out.splitlines()) == 4 * 5
+    # one line per workload and metric, and the src_lines line
+    assert len(out.splitlines()) == 4 * 5 + 1
+
+
+def test_src_lines_over_bench_31_to_35(bench_chain, capsys):
+    assert bench_chain.main(["--since", "31", "--until", "35"]) == 0
+    out, _ = capsys.readouterr()
+    assert out.splitlines()[-1] == (
+        "src_lines: 4563 -> 4609 -> 4668 -> 4653 -> 4680 -> 4536 (-27) over 5 of BENCH_31..35"
+    )
+    # a missing file is left out: the trajectory starts at BENCH_14's parent
+    files = bench_chain.bench_files(bench_chain.ROOT, 13, 15)
+    assert bench_chain.src_lines(files) == [4308, 4387, 4409]
 
 
 def test_skipped_files_are_named(bench_chain):

@@ -142,6 +142,24 @@ def test_summary_lines_read_one_metric_each(bench_pairs):
     ]
 
 
+def test_summary_lines_name_failed_ops(bench_pairs):
+    runs = {
+        "parent": [run(1.0, 30.0), run(1.1, 30.0, failed=1)],
+        "change": [run(1.0, 30.0, failed=2), run(1.1, 30.0, failed=1)],
+    }
+    block = bench_pairs.summarize(runs, {"wall_s": 0.24})
+    assert bench_pairs.summary_lines({"campaign": block}) == [
+        "campaign wall_s: parent 1.05 change 1.05 (+0.0%), lower in 0/2 pairs, within",
+        "campaign failed ops: parent 1 (5.00%) change 3 (15.00%), worse",
+    ]
+    # a failure on the parent side alone is named too
+    runs["change"] = [run(1.0, 30.0), run(1.1, 30.0)]
+    block = bench_pairs.summarize(runs, {"wall_s": 0.24})
+    assert bench_pairs.summary_lines({"campaign": block})[-1] == (
+        "campaign failed ops: parent 1 (5.00%) change 0 (0.00%), within"
+    )
+
+
 def test_unknown_workload_is_refused_before_anything_runs(bench_pairs, capsys):
     # the fixture makes any git call or benchmark run fail the test
     with pytest.raises(SystemExit) as exit_info:

@@ -8,7 +8,8 @@ import os
 
 import pytest
 
-from kernelkit import is_kernel
+from kernelkit import UndirectedGraph, is_kernel
+from kernelkit.antiholes import verify_kernel_solvable
 from kernelkit.redblue import (
     check_chain_conditions,
     generate_comparability_instance,
@@ -34,3 +35,12 @@ def test_chain_solver_at_scale(generator, n):
     trace = solve_chain(cd)
     assert is_kernel(cd.digraph, trace.result)
     assert trace.improve_steps <= n
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_k6_general_sweep(jobs):
+    # general mode tests K6's cliques of four to six vertices beside its
+    # triangles, and at jobs 2 the tasks run on the worker pool
+    k6 = UndirectedGraph(6, [(u, v) for u in range(6) for v in range(u + 1, 6)])
+    verdict = verify_kernel_solvable(k6, mode="general", jobs=jobs)
+    assert (verdict.verdict, verdict.orientations_examined) == ("solvable", 3781503)

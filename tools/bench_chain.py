@@ -8,6 +8,9 @@ end-to-end metric that `BENCHMARK.json` names, the product of the files'
 change/parent median ratios as a relative change.  Each file compares one
 change with its parent, so the product is the drift over the whole run of
 changes: a run of small slowdowns, each within its bound, shows here.
+A last line gives the files' `src_lines` trajectory, from the first
+file's parent to each file's change, so a line budget shows over the run
+as the drift does.
 A file that is missing, unreadable or written before the per-metric
 `summary` blocks (from `tools/bench_pairs.py`) is named on standard error
 and skipped, and so is a metric whose parent median is 0.  Standard
@@ -66,6 +69,22 @@ def chain(files: dict[int, Path], metrics: list[str]) -> tuple[dict, list[str]]:
     return chained, skipped
 
 
+def src_lines(files: dict[int, Path]) -> list[int]:
+    """The `src/kernelkit` line counts over `files`: the first file's
+    parent, then each file's change; files without `src_lines` are left
+    out (`chain` names the unreadable ones)."""
+    counts = []
+    for path in files.values():
+        try:
+            sides = json.loads(path.read_text())["src_lines"]
+            parent, change = sides["parent"], sides["change"]
+        except (OSError, ValueError, KeyError, TypeError):
+            continue
+        counts = counts or [parent]
+        counts.append(change)
+    return counts
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--since", type=int, required=True, help="first BENCH file number")
@@ -83,6 +102,10 @@ def main(argv=None) -> int:
         for metric, (ratio, used) in metrics.items():
             print(f"{workload} {metric}: {ratio - 1:+.1%} over {used} of "
                   f"BENCH_{first}..{last} ({ratio:.4f})")
+    counts = src_lines(files)
+    if counts:
+        print(f"src_lines: {' -> '.join(map(str, counts))} ({counts[-1] - counts[0]:+d}) "
+              f"over {len(counts) - 1} of BENCH_{first}..{last}")
     return 0
 
 

@@ -26,9 +26,10 @@ metric each side's median and quartiles, the parent's
 interquartile range, the number of pairs in which the change read lower,
 the metric's `BENCHMARK.json` bound and a verdict: `worse`, `unresolved`
 or `within` (see `verdict`).  Standard error ends with one line per
-workload and metric (see `summary_lines`), so a paired run reads without
-a script.  The tool only reads `perfbench/`; each run writes its records
-under its own checkout's `.perfbench/`.  Standard library only.
+workload and metric, and one more per workload where an op failed (see
+`summary_lines`), so a paired run reads without a script.  The tool only
+reads `perfbench/`; each run writes its records under its own checkout's
+`.perfbench/`.  Standard library only.
 """
 
 from __future__ import annotations
@@ -120,7 +121,8 @@ def summarize(runs: dict[str, list[dict]], bounds: dict[str, float]) -> dict:
 def summary_lines(workloads: dict) -> list[str]:
     """One line per workload and summarised metric: both medians, the
     relative change, the pairs in which the change read lower and the
-    verdict."""
+    verdict; and, for a workload with a failed op on either side, one
+    more with each side's failed ops and share and the share's verdict."""
     lines = []
     for workload, block in workloads.items():
         for name, metric in block["summary"].items():
@@ -131,6 +133,12 @@ def summary_lines(workloads: dict) -> list[str]:
                 f"({'n/a' if change is None else f'{change:+.1%}'}), "
                 f"lower in {metric['change_lower_in_pairs']}/{block['pairs']} pairs, "
                 f"{metric['verdict']}"
+            )
+        failed, share = block["failed"], block["failed_share"]
+        if any(failed.values()):
+            lines.append(
+                f"{workload} failed ops: parent {failed['parent']} ({share['parent']:.2%}) "
+                f"change {failed['change']} ({share['change']:.2%}), {share['verdict']}"
             )
     return lines
 
