@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 from .digraph import (
     Digraph,
     VertexSet,
+    _component_masks,
     _cycles,
     bits_of,
     enumerate_directed_cycles,
@@ -253,11 +254,14 @@ def check_chord_conditions(
     return _odd_cycle_report(digraph, max_len, budget, _chord_rule)
 
 
-def _first_failing_odd_cycle(digraph: Digraph, budget: Optional[int] = None):
+def _first_failing_odd_cycle(
+    digraph: Digraph, components: list[int], budget: Optional[int] = None
+):
     """`check_chord_conditions(digraph).first_failing` without the other
-    cycles: a search that skips cycles with consecutive heads, whose
-    path-extension steps `budget` caps."""
-    cycles = _cycles(digraph, digraph.vertex_count, budget, "odd-cycle search", prune=True)
+    cycles: a search that skips cycles with consecutive heads and keeps
+    to the strongly connected `components` (`_component_masks` of the
+    out-masks), whose path-extension steps `budget` caps."""
+    cycles = _cycles(digraph, digraph.vertex_count, budget, "odd-cycle search", components)
     return next((c for c in cycles if len(c) % 2 and _chord_rule(digraph, c) == RULE_NONE), None)
 
 
@@ -325,52 +329,78 @@ def _alternating_path_set(out: list[int], part: int, u: int, below: int) -> int:
 
 def _semi_kernel_from(
     out: list[int], inn: list[int], part: int, u: int, below: int
-) -> int:
-    """Non-empty semi-kernel of the subdigraph on `part`, given its least
-    vertex u and a kernel `below` of `part` minus N-[u]."""
+) -> tuple[int, int]:
+    """Non-empty semi-kernel S of the subdigraph on `part`, given its least
+    vertex u and a kernel `below` of `part` minus N-[u], with N-(S)."""
     if not below & out[u]:
-        return below | (1 << u)
+        semi = below | (1 << u)
+        return semi, union_of(inn, semi)
     semi = _alternating_path_set(out, part, u, below)
     if (semi >> u) & 1:
         raise InternalInvariantError(
             "alternating-path set reached u: chord conditions must be violated"
         )
     reached = union_of(out, semi) & part
-    if reached & semi or reached & ~union_of(inn, semi):
+    preds = union_of(inn, semi)
+    if reached & semi or reached & ~preds:
         raise InternalInvariantError(
             "alternating-path set is not a semi-kernel: chord conditions must be violated"
         )
-    return semi
+    return semi, preds
 
 
-def _chord_kernel(out: list[int], inn: list[int], alive: int) -> int:
-    """Kernel of the subdigraph on `alive` by the semi-kernel recursion.
+def _chord_kernel(out: list[int], inn: list[int], alive: int, components: list[int]) -> int:
+    """Kernel of the subdigraph on `alive` by the semi-kernel recursion,
+    `components` being the input's strongly connected components in
+    topological order (`_component_masks` of `out`).
 
     Each round takes a semi-kernel S of what is left and removes S with
     N-(S).  The semi-kernel of a part needs the kernel of the part minus
     N-[u] first, u its least vertex; that nested kernel is a new frame.
     A frame is [part left, kernel so far, u awaiting the nested kernel].
+
+    A part left inside the input's one-vertex components induces an
+    acyclic subdigraph, which has exactly one kernel (von Neumann and
+    Morgenstern 1944): in any kernel a vertex is a member iff none of its
+    out-neighbours is, by independence and absorption, and in reverse
+    topological order every out-neighbour is decided before the vertex,
+    so the rule leaves no choice.  The frame's remaining rounds would
+    build a kernel of that part, hence this one, so the frame takes it in
+    a single pass over the part's vertices in that order instead.
     """
+    acyclic = 0
+    rank = [0] * len(out)
+    for i, mask in enumerate(components):
+        if not mask & (mask - 1):
+            acyclic |= mask
+            rank[mask.bit_length() - 1] = i
     stack = [[alive, 0, -1]]
     while True:
         frame = stack[-1]
         part = frame[0]
-        if part:
+        if not part:
+            stack.pop()
+            if not stack:
+                return frame[1]
+            below = frame[1]
+            frame = stack[-1]
+            semi, preds = _semi_kernel_from(out, inn, frame[0], frame[2], below)
+            removed = semi | preds
+        elif not part & ~acyclic:
+            semi = 0
+            for v in sorted(bits_of(part), key=rank.__getitem__, reverse=True):
+                if not out[v] & semi:
+                    semi |= 1 << v
+            removed = part
+        else:
             low = part & -part
             if part != low:
                 u = low.bit_length() - 1
                 frame[2] = u
                 stack.append([part & ~(inn[u] | low), 0, -1])
                 continue
-            semi = low
-        else:
-            stack.pop()
-            if not stack:
-                return frame[1]
-            below = frame[1]
-            frame = stack[-1]
-            semi = _semi_kernel_from(out, inn, frame[0], frame[2], below)
-        frame[0] &= ~(semi | union_of(inn, semi))
+            semi = removed = low
+        frame[0] &= ~removed
         frame[1] |= semi
 
 
@@ -386,8 +416,15 @@ def find_kernel_via_chords(digraph: Digraph, budget: Optional[int] = None) -> Ve
     assembled by the semi-kernel recursion, with the alternating-path
     construction supplying each level's semi-kernel; the condition is
     inherited by induced subdigraphs, so it is not re-checked per level.
+    Where a level's part lies in the input's one-vertex strong
+    components it is acyclic, and an acyclic digraph has exactly one
+    kernel: each vertex is in it iff none of its out-neighbours is, which
+    decides the vertices sinks first.  The recursion would reach that
+    kernel too, so the level takes it in one pass.  The search and the
+    construction share one strongly connected components pass.
     """
-    failing = _first_failing_odd_cycle(digraph, budget)
+    components = _component_masks(digraph._out)
+    failing = _first_failing_odd_cycle(digraph, components, budget)
     if failing is not None:
         raise ConditionsViolatedError(
             f"odd directed cycle {failing} satisfies no chord rule",
@@ -399,7 +436,7 @@ def find_kernel_via_chords(digraph: Digraph, budget: Optional[int] = None) -> Ve
         )
     n = digraph.vertex_count
     result = VertexSet.from_mask(
-        n, _chord_kernel(digraph._out, digraph._in, (1 << n) - 1)
+        n, _chord_kernel(digraph._out, digraph._in, (1 << n) - 1, components)
     )
     if not is_kernel(digraph, result):
         raise InternalInvariantError("the chord construction returned a non-kernel")

@@ -402,16 +402,21 @@ def strongly_connected_components(digraph: Digraph) -> SccResult:
 
 
 def _cycles(
-    digraph: Digraph, max_len: int, budget: Optional[int], what: str, prune: bool = False
+    digraph: Digraph,
+    max_len: int,
+    budget: Optional[int],
+    what: str,
+    components: Optional[list[int]] = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield each directed cycle of at most `max_len` vertices once, from
     its least vertex: roots ascending, then successors ascending.
 
     A depth-first search over simple paths through vertices above the
     root.  `budget` caps its path-extension steps; exceeding it raises
-    BudgetExceededError "<what> exceeded budget of B steps".  `prune`
-    drops only cycles with consecutive heads.  With it a root's paths stay
-    inside its strongly connected component, which holds every cycle
+    BudgetExceededError "<what> exceeded budget of B steps".  Given the
+    digraph's strongly connected components as `_component_masks` gives
+    them, the search prunes: it drops only cycles with consecutive heads,
+    and a root's paths stay inside its component, which holds every cycle
     through it.  And `heads`, the path positions i >= 1 that receive an
     arc from a path vertex other than their predecessor, only gains bits
     as the path grows, so once two adjacent positions are marked every
@@ -421,8 +426,9 @@ def _cycles(
     n = digraph.vertex_count
     out, inn = digraph._out, digraph._in
     component = [-1] * n
+    prune = components is not None
     if prune:
-        for mask in _component_masks(out):
+        for mask in components:
             for v in bits_of(mask):
                 component[v] = mask
     position = [0] * n

@@ -17,6 +17,7 @@ from kernelkit import (
     is_kernel,
     is_semi_kernel,
 )
+from kernelkit import chords, digraph
 from kernelkit.chords import (
     RULE_CONSECUTIVE_HEADS,
     RULE_CROSSING_SHORT_ODD,
@@ -35,7 +36,7 @@ from kernelkit.chords import (
     classify_chord,
     find_kernel_via_chords,
 )
-from kernelkit.digraph import strongly_connected_components
+from kernelkit.digraph import _component_masks, strongly_connected_components
 from kernelkit.oracle import find_kernel_bruteforce, is_M_clique_acyclic
 from strategies import digraphs
 
@@ -280,6 +281,10 @@ def random_digraph(rng):
     return Digraph(n, arcs)
 
 
+def first_failing(d, budget=None):
+    return _first_failing_odd_cycle(d, _component_masks(d._out), budget)
+
+
 class TestFirstFailingOddCycle:
     """The construction's verdict-only search against the full check."""
 
@@ -294,7 +299,7 @@ class TestFirstFailingOddCycle:
         for _ in range(count):
             d = make(rng)
             want = check_chord_conditions(d).first_failing
-            assert _first_failing_odd_cycle(d) == want, sorted(d.arcs)
+            assert first_failing(d) == want, sorted(d.arcs)
             acyclic += len(strongly_connected_components(d).components) == d.vertex_count
             if want is None:
                 continue
@@ -327,8 +332,8 @@ class TestFirstFailingOddCycle:
             want = check_chord_conditions(d).first_failing
             if steps:
                 with pytest.raises(BudgetExceededError, match="odd-cycle search exceeded"):
-                    _first_failing_odd_cycle(d, steps - 1)
-            assert _first_failing_odd_cycle(d, steps) == want, sorted(d.arcs)
+                    first_failing(d, steps - 1)
+            assert first_failing(d, steps) == want, sorted(d.arcs)
 
 
 def chord_report_summary():
@@ -346,7 +351,7 @@ def chord_report_summary():
             check(d).to_json_obj()
             for check in (check_chord_conditions, check_gsnl_condition, check_duchet_condition)
         ]
-        digest.update(json.dumps([reports, _first_failing_odd_cycle(d)]).encode())
+        digest.update(json.dumps([reports, first_failing(d)]).encode())
         unsatisfied += sum(not r["satisfied"] for r in reports)
         tags.update(c["rule"] for r in reports for c in r["cycles"])
     return {"sha256": digest.hexdigest(), "unsatisfied": unsatisfied, "tags": dict(sorted(tags.items()))}
@@ -369,7 +374,7 @@ class TestAlternatingPathSemiKernel:
     def semi_kernel(d, kernel_below):
         n = d.vertex_count
         below = VertexSet(n, kernel_below).mask
-        return VertexSet.from_mask(n, _semi_kernel_from(d._out, d._in, (1 << n) - 1, 0, below))
+        return VertexSet.from_mask(n, _semi_kernel_from(d._out, d._in, (1 << n) - 1, 0, below)[0])
 
     def test_two_path(self):
         s = self.semi_kernel(Digraph(2, [(0, 1)]), [1])
@@ -436,6 +441,61 @@ class TestFindKernelViaChords:
             want = naive.naive_chord_kernel(n, arcs)
             assert set(find_kernel_via_chords(d)) == want
         assert checked >= 100
+
+    @staticmethod
+    def random_dag(rng, n, first):
+        """Arcs of a random DAG on first, ..., first + n - 1 whose
+        topological order is a random permutation of them."""
+        order = rng.sample(range(first, first + n), n)
+        return [(order[i], order[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
+
+    def test_matches_recursive_construction_with_acyclic_parts(self):
+        # acyclic parts take their one kernel in a single pass, which must
+        # be the recursion's: on DAGs, and on a chorded odd cycle with an
+        # acyclic tail, the cycle on the low vertices or on the high ones
+        rng = random.Random("chord-kernel-acyclic-parts")
+        for _ in range(200):
+            n = rng.randint(1, 14)
+            arcs = self.random_dag(rng, n, 0)
+            assert set(find_kernel_via_chords(Digraph(n, arcs))) == naive.naive_chord_kernel(n, arcs)
+        for trial in range(200):
+            length, tail = rng.choice((5, 7)), rng.randint(1, 12)
+            cycle_first = 0 if trial % 2 else tail
+            tail_first = length if trial % 2 else 0
+            cycle = [cycle_first + i for i in range(length)]
+            arcs = [(cycle[i], cycle[(i + 1) % length]) for i in range(length)]
+            arcs += [(cycle[-1], cycle[1]), (cycle[0], cycle[2])]
+            arcs += self.random_dag(rng, tail, tail_first)
+            # links run one way only, so the tail stays outside every cycle
+            into_cycle = rng.random() < 0.5
+            for _ in range(rng.randint(1, 4)):
+                u, v = rng.choice(cycle), tail_first + rng.randrange(tail)
+                arcs.append((v, u) if into_cycle else (u, v))
+            n = length + tail
+            arcs = sorted(set(arcs))
+            d = Digraph(n, arcs)
+            assert check_chord_conditions(d).satisfied
+            assert set(find_kernel_via_chords(d)) == naive.naive_chord_kernel(n, arcs)
+
+    def test_directed_path_needs_no_alternating_paths(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("alternating-path search on an acyclic input")
+
+        monkeypatch.setattr(chords, "_alternating_path_set", refuse)
+        d = Digraph(400, [(i, i + 1) for i in range(399)])
+        assert find_kernel_via_chords(d).members() == tuple(range(1, 400, 2))
+
+    def test_one_component_pass_per_call(self, monkeypatch):
+        calls = []
+
+        def counted(out):
+            calls.append(len(out))
+            return _component_masks(out)
+
+        monkeypatch.setattr(chords, "_component_masks", counted)
+        monkeypatch.setattr(digraph, "_component_masks", counted)
+        find_kernel_via_chords(CHORDED)
+        assert calls == [5]
 
     @settings(max_examples=60, deadline=None)
     @given(digraphs(max_n=7))

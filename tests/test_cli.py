@@ -1120,15 +1120,26 @@ class TestDeepInputs:
 
     LENGTH = 1_200
 
-    def test_chords_solve_on_a_long_path(self, tmp_path):
-        n = self.LENGTH
+    def chords_solve(self, tmp_path, arcs):
         path = tmp_path / "path.txt"
-        path.write_text(f"digraph {n}\n" + "".join(f"{i} {i + 1}\n" for i in range(n - 1)))
+        path.write_text(f"digraph {self.LENGTH}\n" + "".join(f"{u} {v}\n" for u, v in arcs))
         proc = fresh_python(
             "-m", "kernelkit", "chords", "solve", str(path), "--format", "json"
         )
         assert proc.returncode == 0, proc.stderr
-        assert json.loads(proc.stdout)["result"] == list(range(1, n, 2))
+        return json.loads(proc.stdout)["result"]
+
+    def test_chords_solve_on_a_long_path(self, tmp_path):
+        n = self.LENGTH
+        arcs = [(i, i + 1) for i in range(n - 1)]
+        assert self.chords_solve(tmp_path, arcs) == list(range(1, n, 2))
+
+    def test_chords_solve_on_a_long_reversible_path(self, tmp_path):
+        # one strong component, so the construction nests a frame per
+        # vertex pair: about 600 frames deep
+        n = self.LENGTH
+        arcs = [arc for i in range(n - 1) for arc in ((i, i + 1), (i + 1, i))]
+        assert self.chords_solve(tmp_path, arcs) == list(range(0, n, 2))
 
     def test_cycle_enumeration_on_a_long_cycle(self):
         script = (
